@@ -11,12 +11,16 @@ matchers are deployed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple, Union
 
 from ..datamodel import COAUTHOR, EntityPair, EntityStore
 
 GroundValue = Union[str, int]
 GroundTuple = Tuple[GroundValue, ...]
+
+_NO_FACTS: FrozenSet[GroundTuple] = frozenset()
+_NO_INDEX: Mapping = MappingProxyType({})
 
 
 class EvidenceDatabase:
@@ -27,6 +31,8 @@ class EvidenceDatabase:
         # Per-predicate, per-position index: position -> value -> tuples.
         self._index: Dict[str, Dict[int, Dict[GroundValue, Set[GroundTuple]]]] = {}
         self._candidates: Set[EntityPair] = set()
+        # Both orientations of every candidate, keyed by the two ids.
+        self._candidate_index: Dict[Tuple[str, str], EntityPair] = {}
 
     # ----------------------------------------------------------------- facts
     def add_fact(self, predicate: str, *values: GroundValue) -> None:
@@ -49,44 +55,58 @@ class EvidenceDatabase:
     def predicates(self) -> List[str]:
         return sorted(self._facts)
 
+    # Read-only views for the grounder's hot path: the returned containers
+    # are the stored ones, never copies — callers must not mutate them.
+    def fact_set(self, predicate: str) -> AbstractSet[GroundTuple]:
+        """Every tuple of ``predicate`` (all arities), shared."""
+        return self._facts.get(predicate, _NO_FACTS)
+
+    def index_for(self, predicate: str,
+                  position: int) -> Mapping[GroundValue, AbstractSet[GroundTuple]]:
+        """value → tuples of ``predicate`` holding it at ``position``, shared."""
+        return self._index.get(predicate, _NO_INDEX).get(position, _NO_INDEX)
+
     def lookup(self, predicate: str,
-               bound: Dict[int, GroundValue]) -> FrozenSet[GroundTuple]:
+               bound: Dict[int, GroundValue]) -> AbstractSet[GroundTuple]:
         """Tuples of ``predicate`` matching the partially-bound positions.
 
-        ``bound`` maps argument position → required value.  With no bound
-        positions every tuple is returned; with bound positions the smallest
-        per-position index is intersected, which keeps nested-loop joins fast.
+        ``bound`` maps argument position → required value.  With zero or one
+        bound position the stored set is handed back as is (read-only by
+        contract); with more the per-position buckets are intersected
+        smallest first.
         """
-        all_facts = self._facts.get(predicate)
-        if not all_facts:
-            return frozenset()
         if not bound:
-            return frozenset(all_facts)
-        candidate_sets: List[Set[GroundTuple]] = []
-        index = self._index.get(predicate, {})
-        for position, value in bound.items():
-            bucket = index.get(position, {}).get(value)
-            if not bucket:
-                return frozenset()
-            candidate_sets.append(bucket)
-        candidate_sets.sort(key=len)
-        result = set(candidate_sets[0])
-        for other in candidate_sets[1:]:
-            result &= other
-            if not result:
-                break
-        return frozenset(result)
+            return self.fact_set(predicate)
+        buckets = sorted(
+            (self.index_for(predicate, position).get(value, _NO_FACTS)
+             for position, value in bound.items()),
+            key=len)
+        if len(buckets) == 1 or not buckets[0]:
+            return buckets[0]
+        return frozenset(buckets[0].intersection(*buckets[1:]))
 
     # ------------------------------------------------------------ candidates
     def add_candidate(self, pair: EntityPair) -> None:
         """Register an entity pair as a possible match decision."""
+        if pair in self._candidates:
+            return
         self._candidates.add(pair)
+        self._candidate_index[(pair.first, pair.second)] = pair
+        self._candidate_index[(pair.second, pair.first)] = pair
 
     def candidates(self) -> FrozenSet[EntityPair]:
         return frozenset(self._candidates)
 
     def is_candidate(self, pair: EntityPair) -> bool:
         return pair in self._candidates
+
+    def candidate_index(self) -> Mapping[Tuple[str, str], EntityPair]:
+        """``equals`` as a relation: ``(a, b)`` and ``(b, a)`` → the candidate pair.
+
+        Shared, not copied; lets the grounder test and fetch a candidate by
+        its two ids without building an :class:`EntityPair`.
+        """
+        return self._candidate_index
 
     # ----------------------------------------------------------------- stats
     def stats(self) -> Dict[str, int]:

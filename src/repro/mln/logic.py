@@ -136,12 +136,17 @@ class Rule:
                 f"rule {self.name!r}: the head must be an {QUERY_PREDICATE!r} atom, "
                 f"got {self.head.predicate!r}"
             )
+        # The evidence/query split is read on every grounding; compute it once.
+        object.__setattr__(
+            self, "_evidence_atoms", tuple(a for a in self.body if not a.is_query))
+        object.__setattr__(
+            self, "_query_atoms", tuple(a for a in self.body if a.is_query))
 
     def evidence_atoms(self) -> Tuple[Atom, ...]:
-        return tuple(a for a in self.body if not a.is_query)
+        return self._evidence_atoms
 
     def query_atoms(self) -> Tuple[Atom, ...]:
-        return tuple(a for a in self.body if a.is_query)
+        return self._query_atoms
 
     def variables(self) -> FrozenSet[Variable]:
         variables = set(self.head.variables())
@@ -172,6 +177,28 @@ class Rule:
                 "do not appear in the body and cannot be grounded"
             )
 
+    def check_groundable(self) -> None:
+        """Raise :class:`MatcherError` unless a join plan exists for the rule.
+
+        Every ``equals`` atom (head included) must be binary, and each of its
+        variables must be bound by some evidence atom of the body.
+        """
+        evidence_vars: set = set()
+        for evidence_atom in self.evidence_atoms():
+            evidence_vars |= evidence_atom.variables()
+        for query_atom in (self.head, *self.query_atoms()):
+            if len(query_atom.terms) != 2:
+                raise MatcherError(
+                    f"rule {self.name!r}: {query_atom!r} must be binary, "
+                    f"got arity {len(query_atom.terms)}"
+                )
+            unbound = query_atom.variables() - evidence_vars
+            if unbound:
+                raise MatcherError(
+                    f"rule {self.name!r}: variables {sorted(v.name for v in unbound)} "
+                    f"of {query_atom!r} are bound by no evidence atom of the body"
+                )
+
     def with_weight(self, weight: float) -> "Rule":
         """A copy of this rule carrying a different weight (used by learning)."""
         return Rule(self.name, self.body, self.head, weight)
@@ -194,6 +221,7 @@ class RuleSet:
         if rule.name in self._by_name:
             raise MatcherError(f"duplicate rule name {rule.name!r}")
         rule.validate(allow_non_monotone=True)
+        rule.check_groundable()
         self._rules.append(rule)
         self._by_name[rule.name] = rule
 

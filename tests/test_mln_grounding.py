@@ -1,21 +1,37 @@
 """Tests for grounding and the ground network (scoring, deltas)."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.datamodel import EntityPair
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.datamodel import EntityPair, EntityStore, make_author
+from repro.exceptions import MatcherError
 from repro.mln import (
     GroundNetwork,
     Grounder,
+    Rule,
+    RuleSet,
+    atom,
+    const,
     database_from_store,
     paper_author_rules,
     section2_example_rules,
 )
+from repro.obs import registry as obs_registry
+from tests.reference.grounding import reference_ground
 from tests.util import (
+    add_coauthor_edges,
     build_shared_coauthor_store,
     build_support_pair_store,
     pair,
     weighted_rules,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def ground(store, rules):
@@ -67,6 +83,142 @@ class TestGrounding:
         unit_rules = {g.rule_name for g in network.groundings if not g.body_pairs}
         assert "similar_1" in unit_rules
         assert "similar_3" not in unit_rules
+
+
+#: Rule programs the plan compiler must handle like the nested-loop oracle.
+PARITY_PROGRAMS = {
+    "paper": paper_author_rules(),
+    "section2": section2_example_rules(),
+    "constant_in_body": RuleSet([Rule(
+        "via_e0",
+        (atom("coauthor", "x", const("e0")), atom("similar", "x", "y"),
+         atom("coauthor", "y", "c"), atom("equals", "c", const("e0"))),
+        atom("equals", "x", "y"), 1.5)]),
+    "repeated_head_variable": RuleSet([Rule(
+        "reflexive", (atom("coauthor", "x", "y"),), atom("equals", "x", "x"), 1.0)]),
+    "constant_in_head": RuleSet([Rule(
+        "to_e0", (atom("coauthor", "x", "c"), atom("equals", "c", const("e1"))),
+        atom("equals", "x", const("e0")), 1.0)]),
+    "self_join": RuleSet([Rule(
+        "loop", (atom("coauthor", "x", "x"), atom("similar", "x", "y")),
+        atom("equals", "x", "y"), 1.0)]),
+    "two_equals_body": RuleSet([Rule(
+        "square",
+        (atom("coauthor", "x", "c1"), atom("coauthor", "y", "c2"),
+         atom("coauthor", "c1", "d1"), atom("coauthor", "c2", "d2"),
+         atom("equals", "c1", "c2"), atom("equals", "d1", "d2")),
+        atom("equals", "x", "y"), 0.5)]),
+}
+
+ENTITY_IDS = [f"e{i}" for i in range(6)]
+ID_PAIRS = st.tuples(st.sampled_from(ENTITY_IDS), st.sampled_from(ENTITY_IDS))
+
+
+@st.composite
+def small_stores(draw):
+    store = EntityStore()
+    store.add_entities([make_author(i, "A", f"N{i}") for i in ENTITY_IDS])
+    # Self-loops included: coauthor(x, x) facts exercise repeated variables.
+    add_coauthor_edges(store, draw(st.lists(ID_PAIRS, max_size=16)))
+    similar = draw(st.dictionaries(
+        ID_PAIRS.filter(lambda ab: ab[0] != ab[1]).map(lambda ab: EntityPair.of(*ab)),
+        st.integers(1, 3), max_size=10))
+    for candidate, level in similar.items():
+        store.add_similarity(candidate, 0.9, level)
+    return store
+
+
+def grounding_set(groundings):
+    keys = [(g.rule_name, g.weight, g.head_pair, g.body_pairs) for g in groundings]
+    assert len(keys) == len(set(keys)), "duplicate grounding emitted"
+    return set(keys)
+
+
+@settings(max_examples=120, deadline=None)
+@given(store=small_stores(), program=st.sampled_from(sorted(PARITY_PROGRAMS)))
+def test_plan_matches_reference(store, program):
+    """The compiled join plans ground exactly what the nested-loop oracle does."""
+    rules = PARITY_PROGRAMS[program]
+    db = database_from_store(store)
+    planned = Grounder(rules).ground(db)
+    assert grounding_set(planned) == grounding_set(reference_ground(rules, db))
+    # Canonical order: rule order, then head pair, then sorted body pairs.
+    order = {name: index for index, name in enumerate(rules.names())}
+    keys = [(order[g.rule_name], g.head_pair, sorted(g.body_pairs)) for g in planned]
+    assert keys == sorted(keys)
+
+
+def _counter_value(name):
+    return obs_registry.registry().get(name).value()
+
+
+class TestJoinWork:
+    def test_no_candidates_means_no_bindings(self):
+        """~300 coauthor tuples but no similarity edge: nothing to enumerate.
+
+        The nested-loop join materialised |coauthor|^2 bindings here before
+        discarding every one of them for lack of a candidate head.
+        """
+        store = EntityStore()
+        ids = [f"a{i:02d}" for i in range(25)]
+        store.add_entities([make_author(i, "A", f"N{i}") for i in ids])
+        add_coauthor_edges(store, [(a, b) for i, a in enumerate(ids)
+                                   for b in ids[i + 1:i + 7]])
+        db = database_from_store(store)
+        assert len(db.facts("coauthor")) >= 250
+        before = _counter_value("mln_ground_bindings_total")
+        assert Grounder(paper_author_rules()).ground(db) == []
+        assert _counter_value("mln_ground_bindings_total") == before
+
+    def test_counters_report_bindings_and_groundings(self):
+        db = database_from_store(build_support_pair_store())
+        bindings = _counter_value("mln_ground_bindings_total")
+        groundings = _counter_value("mln_groundings_total")
+        emitted = Grounder(weighted_rules(-5.0, 8.0)).ground(db)
+        assert _counter_value("mln_groundings_total") - groundings == len(emitted) == 4
+        # Two candidates x two orientations x two rules seed 8 bindings; every
+        # seed joins similar(x, y) or one coauthor of each side.
+        assert _counter_value("mln_ground_bindings_total") - bindings == 20
+
+
+class TestMalformedRules:
+    def test_non_binary_equals_is_a_matcher_error(self):
+        rule = Rule("wide", (atom("similar", "x", "y"), atom("equals", "x", "y", "z")),
+                    atom("equals", "x", "y"), 1.0)
+        with pytest.raises(MatcherError, match="must be binary"):
+            RuleSet([rule])
+        with pytest.raises(MatcherError, match="must be binary"):
+            Grounder([rule])
+
+    def test_query_variable_without_evidence_is_a_matcher_error(self):
+        rule = Rule("dangling", (atom("coauthor", "e1", "c1"), atom("equals", "c1", "e2")),
+                    atom("equals", "e1", "e2"), 1.0)
+        with pytest.raises(MatcherError, match="bound by no evidence atom"):
+            RuleSet([rule])
+        with pytest.raises(MatcherError, match="bound by no evidence atom"):
+            Grounder([rule])
+
+
+GROUND_IN_SUBPROCESS = """
+from repro.datasets import hepth_like
+from repro.mln import Grounder, database_from_store, paper_author_rules
+db = database_from_store(hepth_like(scale=0.1).store)
+for g in Grounder(paper_author_rules()).ground(db):
+    print(g.rule_name, g.head_pair, sorted(g.body_pairs))
+"""
+
+
+def test_grounding_order_is_independent_of_the_hash_seed():
+    """Two processes with different PYTHONHASHSEED emit the same sequence."""
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(REPO_ROOT / "src"))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", GROUND_IN_SUBPROCESS], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 50
 
 
 class TestNetworkScoring:

@@ -120,6 +120,12 @@ class TestEvidenceDatabase:
         assert ("c1", "d1") in facts
         assert db.lookup("coauthor", {0: "nope"}) == frozenset()
         assert len(db.lookup("coauthor", {})) == 4
+        assert db.lookup("coauthor", {0: "c1", 1: "d1"}) == {("c1", "d1")}
+        assert db.lookup("coauthor", {0: "c1", 1: "c2"}) == frozenset()
+        assert db.lookup("nope", {}) == db.lookup("nope", {0: "c1"}) == frozenset()
+        # both arities of `similar` share the per-position buckets
+        assert db.lookup("similar", {0: "c1", 1: "c2"}) == {
+            ("c1", "c2"), ("c1", "c2", 3)}
 
     def test_stats(self):
         db = database_from_store(build_shared_coauthor_store())

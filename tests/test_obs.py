@@ -159,10 +159,15 @@ class TestProcessPoolReparenting:
 
     def test_worker_metric_deltas_fold_into_parent_registry(
             self, fresh_tracer, hepth_dataset, hepth_cover):
-        tasks_before = obs_registry.counter("grid_tasks_total").value()
+        # The mln_ground* pair is only ever bumped inside a pool worker's
+        # Grounder.ground call, so it reaches the parent on MapResult.metrics.
+        names = ("grid_tasks_total", "mln_groundings_total",
+                 "mln_ground_bindings_total")
+        before = [obs_registry.counter(name).value() for name in names]
         GridExecutor(scheme="smp", executor="processes", workers=2).run(
             MLNMatcher(), hepth_dataset.store, hepth_cover)
-        assert obs_registry.counter("grid_tasks_total").value() > tasks_before
+        after = [obs_registry.counter(name).value() for name in names]
+        assert all(new > old for new, old in zip(after, before))
 
 
 # ----------------------------------------------------------------- registry
