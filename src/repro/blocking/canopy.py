@@ -343,15 +343,22 @@ class CanopyBlocker(Blocker):
         return canopies
 
     # ----------------------------------------------------------------- cover
+    @staticmethod
+    def canopy_cover(entities: Sequence[Entity], canopies: List[Set[str]]) -> Cover:
+        """The swept canopies as a cover of ``entities``; an entity no canopy
+        reached (no similar neighbour at all) becomes a singleton."""
+        assigned: Set[str] = set().union(*canopies)
+        canopies = canopies + [{entity.entity_id} for entity in entities
+                               if entity.entity_id not in assigned]
+        return Blocker._make_neighborhoods(canopies, prefix="canopy-")
+
     def build_cover(self, store: EntityStore,
                     profiles: Optional[EntityProfileIndex] = None) -> Cover:
         """Run the canopy algorithm and return the resulting cover.
 
         Entities of other types (when ``entity_type`` is set) are *not*
-        included here; boundary expansion pulls them in afterwards.  Entities
-        that end up in no canopy (no similar neighbour at all) each get a
-        singleton neighborhood so the result is still a cover of the clustered
-        entity type.  ``profiles`` may supply a prebuilt
+        included here; boundary expansion pulls them in afterwards.
+        ``profiles`` may supply a prebuilt
         :class:`~repro.similarity.profiles.EntityProfileIndex` covering
         exactly the clustered entities.
         """
@@ -366,16 +373,7 @@ class CanopyBlocker(Blocker):
                 canopy_fn = self.canopy_factory(entities, profiles)
                 canopies = self.sweep(self.shuffled_order(entities), canopy_fn)
 
-            # Safety net: any entity never assigned to a canopy becomes a
-            # singleton.
-            assigned: Set[str] = set()
-            for canopy in canopies:
-                assigned |= canopy
-            for entity in entities:
-                if entity.entity_id not in assigned:
-                    canopies.append({entity.entity_id})
-
-            cover = self._make_neighborhoods(canopies, prefix="canopy-")
+            cover = self.canopy_cover(entities, canopies)
             cover_span.add_attrs(neighborhoods=len(cover.names()))
         _COVERS.inc()
         _COVER_SECONDS.observe(time.perf_counter() - started)

@@ -97,20 +97,6 @@ class Cover:
         return frozenset(self._membership.get(pair.first, frozenset())
                          & self._membership.get(pair.second, frozenset()))
 
-    def neighbors_of_pairs(self, pairs: Iterable[EntityPair]) -> FrozenSet[str]:
-        """Neighborhoods affected by any of ``pairs``.
-
-        This is the ``Neighbor(...)`` operator in Algorithms 1 and 3: the set
-        of neighborhoods that contain at least one entity from the given
-        pairs, and therefore might produce new matches once these pairs are
-        added to the evidence.
-        """
-        affected: Set[str] = set()
-        for pair in pairs:
-            affected.update(self._membership.get(pair.first, ()))
-            affected.update(self._membership.get(pair.second, ()))
-        return frozenset(affected)
-
     # ------------------------------------------------------------ validation
     def covers(self, entity_ids: Iterable[str]) -> bool:
         """Whether the union of neighborhoods includes all of ``entity_ids``."""

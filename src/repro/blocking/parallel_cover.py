@@ -302,13 +302,7 @@ class ParallelCoverBuilder:
                 remaining -= removed
                 canopies.append(decode(canopy))
 
-        assigned: Set[str] = set()
-        for canopy in canopies:
-            assigned |= canopy
-        for entity in entities:
-            if entity.entity_id not in assigned:
-                canopies.append({entity.entity_id})
-        return Blocker._make_neighborhoods(canopies, prefix="canopy-")
+        return blocker.canopy_cover(entities, canopies)
 
     # ------------------------------------------------------------- expansion
     def expand(self, cover: Cover, store: EntityStore) -> Cover:

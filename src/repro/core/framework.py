@@ -82,7 +82,7 @@ class EMFramework:
         # (env var / auto-detection); the choice never changes any cover or
         # match set — every numpy kernel is bit-exact against its scalar
         # reference — only the speed.
-        from ..kernels import backend as kernel_probe, collecting, set_backend
+        from ..kernels import backend as kernel_probe, set_backend
         if kernel_backend is not None:
             set_backend(kernel_backend)
         self.kernel_backend = kernel_probe()
@@ -97,55 +97,74 @@ class EMFramework:
             else "dict"
         self.matcher = matcher
         self.store = store
-        # Kept for open_stream(): the streaming session rebuilds covers with
-        # the same blocker configuration (None when a cover was supplied).
-        self._blocker: Optional[Blocker] = None
-        self._relation_names: Optional[list] = None
-        #: Batch-kernel work done during cover construction (this process
-        #: only — parallel-cover worker processes do not report back here).
-        #: All zeros when a cover was supplied or the scalar backend ran.
-        from ..kernels import KernelCounters
-        self.blocking_kernel_counters = KernelCounters()
-        if cover is not None:
-            self.cover = cover
-        else:
-            chosen_blocker = blocker if blocker is not None else CanopyBlocker()
-            if relation_names is None:
-                # Default to totality w.r.t. the relations the bibliographic
-                # matchers actually use (the coauthor relation); callers with
-                # other relational evidence pass relation_names explicitly.
-                relation_names = ["coauthor"] if store.has_relation("coauthor") \
-                    else store.relation_names()
-            parallel_blocking = blocking_executor is not None \
-                or blocking_workers is not None
-            with span("blocking.total_cover",
-                      parallel=parallel_blocking) as cover_span, \
-                    collecting() as blocking_work:
-                if parallel_blocking:
-                    # Parallel cover pipeline: sharded canopy waves + sharded
-                    # boundary expansion, byte-identical to the serial build.
-                    if blocking_executor is None:
-                        blocking_executor = "processes"
-                    builder = ParallelCoverBuilder(chosen_blocker,
-                                                   executor=blocking_executor,
-                                                   workers=blocking_workers,
-                                                   relation_names=relation_names)
-                    self.cover = builder.build_total_cover(store)
-                else:
-                    self.cover = build_total_cover(chosen_blocker, store,
-                                                   relation_names=relation_names)
-                cover_span.add_attrs(neighborhoods=len(self.cover.names()))
-            self.blocking_kernel_counters.merge(blocking_work)
-            _fold_blocking_telemetry(chosen_blocker, blocking_work)
-            self._blocker = chosen_blocker
-            self._relation_names = list(relation_names)
-        self.cover.validate_covering(store)
         #: Default :class:`~repro.parallel.resilience.FaultPolicy` for every
         #: grid/stream run of this framework (``None`` keeps the plain
         #: all-or-nothing executor contract).
         self.fault_policy = fault_policy
         self._runner: Optional[NeighborhoodRunner] = None
         self._stream = None
+        from ..kernels import KernelCounters
+        self._blocking_kernel_counters = KernelCounters()
+        self._cover = cover
+        # Also kept for open_stream()/serve(): the stream session builds its
+        # own cover with the same blocker (None when a cover was supplied).
+        self._blocker: Optional[Blocker] = None
+        self._relation_names: Optional[list] = None
+        self._blocking_executor = blocking_executor
+        self._blocking_workers = blocking_workers
+        if cover is not None:
+            cover.validate_covering(store)
+        else:
+            self._blocker = blocker if blocker is not None else CanopyBlocker()
+            if relation_names is None:
+                # Default to totality w.r.t. the relations the bibliographic
+                # matchers actually use (the coauthor relation); callers with
+                # other relational evidence pass relation_names explicitly.
+                relation_names = ["coauthor"] if store.has_relation("coauthor") \
+                    else store.relation_names()
+            self._relation_names = list(relation_names)
+
+    # ----------------------------------------------------------------- cover
+    @property
+    def cover(self) -> Cover:
+        """The total cover the batch schemes run on, built on first use —
+        :meth:`open_stream` and :meth:`serve` never ask for it (the stream
+        session maintains its own), so they pay for one build, not two."""
+        if self._cover is None:
+            self._build_cover()
+        return self._cover
+
+    @property
+    def blocking_kernel_counters(self):
+        """Batch-kernel work of the cover build, which reading this forces
+        (this process only — parallel-cover workers do not report back; all
+        zeros when a cover was supplied or the scalar backend ran)."""
+        if self._cover is None:
+            self._build_cover()
+        return self._blocking_kernel_counters
+
+    def _build_cover(self) -> None:
+        from ..kernels import collecting
+        executor, workers = self._blocking_executor, self._blocking_workers
+        parallel_blocking = executor is not None or workers is not None
+        with span("blocking.total_cover",
+                  parallel=parallel_blocking) as cover_span, \
+                collecting() as blocking_work:
+            if parallel_blocking:
+                # Parallel cover pipeline: sharded canopy waves + sharded
+                # boundary expansion, byte-identical to the serial build.
+                builder = ParallelCoverBuilder(
+                    self._blocker, executor=executor or "processes",
+                    workers=workers, relation_names=self._relation_names)
+                cover = builder.build_total_cover(self.store)
+            else:
+                cover = build_total_cover(self._blocker, self.store,
+                                          relation_names=self._relation_names)
+            cover_span.add_attrs(neighborhoods=len(cover.names()))
+        self._blocking_kernel_counters.merge(blocking_work)
+        _fold_blocking_telemetry(self._blocker, blocking_work)
+        cover.validate_covering(self.store)
+        self._cover = cover
 
     # ---------------------------------------------------------------- runner
     @property
@@ -245,7 +264,6 @@ class EMFramework:
     # ------------------------------------------------------------- streaming
     def open_stream(self, executor=None, workers: Optional[int] = None,
                     max_rounds: int = 50, rebase_threshold: int = 5000,
-                    fallback_dirty_fraction: float = 0.5,
                     durable_dir=None, checkpoint_every: int = 8,
                     fsync: bool = True, fault_policy=None,
                     checkpoint_on_signal: bool = False):
@@ -274,36 +292,42 @@ class EMFramework:
         only) installs SIGTERM/SIGINT handlers that finish the in-flight
         batch, write a final checkpoint, and exit cleanly.
         """
-        # Imported lazily: repro.streaming imports from repro.parallel.
-        from ..streaming import StreamSession
-        if self._blocker is None:
-            raise ExperimentError(
-                "open_stream requires a blocker-built framework; a framework "
-                "constructed from an explicit cover cannot repair that cover "
-                "as the instance mutates")
+        self._require_blocker("open_stream")
         if checkpoint_on_signal and durable_dir is None:
             raise ExperimentError(
                 "checkpoint_on_signal requires durable_dir: there is nowhere "
                 "to write the final checkpoint without a durable session")
+        self._stream = self._new_session(
+            executor, workers, fault_policy, durable_dir, checkpoint_every,
+            fsync, checkpoint_on_signal, max_rounds=max_rounds,
+            rebase_threshold=rebase_threshold)
+        self._stream.start()
+        return self._stream
+
+    def _require_blocker(self, entry_point: str) -> None:
+        if self._blocker is None:
+            raise ExperimentError(
+                f"{entry_point} requires a blocker-built framework; a "
+                "framework constructed from an explicit cover cannot repair "
+                "that cover as the instance mutates")
+
+    def _new_session(self, executor, workers, fault_policy, durable_dir,
+                     checkpoint_every, fsync, checkpoint_on_signal=False,
+                     **session_options):
+        """An unstarted (durable, given ``durable_dir``) stream session."""
+        # Imported lazily: repro.streaming imports from repro.parallel.
+        from ..streaming import StreamSession
         session = StreamSession(
             self.matcher, self.store, blocker=self._blocker,
             relation_names=self._relation_names, executor=executor,
-            workers=workers, max_rounds=max_rounds,
-            rebase_threshold=rebase_threshold,
-            fallback_dirty_fraction=fallback_dirty_fraction,
+            workers=workers,
             fault_policy=fault_policy if fault_policy is not None
-            else self.fault_policy)
+            else self.fault_policy, **session_options)
         if durable_dir is not None:
             from ..durability import DurableStreamSession
-            durable = DurableStreamSession(session, durable_dir,
-                                           checkpoint_every=checkpoint_every,
-                                           fsync=fsync,
-                                           checkpoint_on_signal=checkpoint_on_signal)
-            durable.start()
-            self._stream = durable
-            return durable
-        session.start()
-        self._stream = session
+            session = DurableStreamSession(
+                session, durable_dir, checkpoint_every=checkpoint_every,
+                fsync=fsync, checkpoint_on_signal=checkpoint_on_signal)
         return session
 
     def apply_deltas(self, batch):
@@ -331,28 +355,12 @@ class EMFramework:
         :meth:`open_stream`.
         """
         from ..serving import MatchService
-        from ..streaming import StreamSession
-        if self._blocker is None:
-            raise ExperimentError(
-                "serve requires a blocker-built framework; a framework "
-                "constructed from an explicit cover cannot repair that cover "
-                "as the instance mutates")
-
-        def factory():
-            session = StreamSession(
-                self.matcher, self.store, blocker=self._blocker,
-                relation_names=self._relation_names, executor=executor,
-                workers=workers,
-                fault_policy=fault_policy if fault_policy is not None
-                else self.fault_policy)
-            if durable_dir is not None:
-                from ..durability import DurableStreamSession
-                return DurableStreamSession(session, durable_dir,
-                                            checkpoint_every=checkpoint_every,
-                                            fsync=fsync)
-            return session
-
-        return MatchService(session_factory=factory, config=config)
+        self._require_blocker("serve")
+        return MatchService(
+            session_factory=lambda: self._new_session(
+                executor, workers, fault_policy, durable_dir,
+                checkpoint_every, fsync),
+            config=config)
 
     # ------------------------------------------------------------- utilities
     def cover_stats(self) -> Dict[str, float]:

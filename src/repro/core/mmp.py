@@ -16,12 +16,13 @@ For supermodular Type-II matchers MMP is sound, consistent and terminates
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..blocking import Cover
 from ..datamodel import EntityPair, EntityStore
 from ..exceptions import MatcherError
 from ..matchers import TypeIIMatcher, TypeIMatcher
+from .activation import woken_by
 from .active_set import ActiveNeighborhoodQueue
 from .maximal import compute_maximal_messages
 from .messages import MaximalMessage, MaximalMessageSet
@@ -63,6 +64,7 @@ class MaximalMessagePassing:
         active = ActiveNeighborhoodQueue(cover.names())
         matches: Set[EntityPair] = set()          # M+
         message_set = MaximalMessageSet()         # T
+        last_outputs: Dict[str, FrozenSet[EntityPair]] = {}
         messages_created = 0
         activation_counts = {name: 0 for name in cover.names()}
         probed: Set[str] = set()
@@ -78,6 +80,7 @@ class MaximalMessagePassing:
 
             # Step 5: plain matches and maximal messages of this neighborhood.
             found = runner.run(name, positive=matches)
+            last_outputs[name] = found
             new_matches = found - matches
             matches |= new_matches
 
@@ -90,13 +93,14 @@ class MaximalMessagePassing:
                 message_set.add_all(new_messages)     # step 6: (T ∪ TC)*
 
             # Step 7: promote any message whose addition does not lower the score.
-            promoted = self._promote_messages(matcher, store, matches, message_set)
+            promoted = promote_messages(matcher, store, matches, message_set)
 
-            # Step 8: re-activate neighborhoods touched by anything new.
+            # Step 8: re-activate the neighborhoods anything new can teach.
             newly_decided = new_matches | promoted
             if newly_decided:
-                affected = cover.neighbors_of_pairs(newly_decided)
-                active.add_all(n for n in affected if n != name)
+                active.add_all(n for n in woken_by(cover, newly_decided,
+                                                   last_outputs)
+                               if n != name)
 
         elapsed = time.perf_counter() - started
         return SchemeResult(
@@ -115,29 +119,27 @@ class MaximalMessagePassing:
             },
         )
 
-    # ---------------------------------------------------------------- helpers
-    @staticmethod
-    def _promote_messages(matcher: TypeIIMatcher, store: EntityStore,
-                          matches: Set[EntityPair],
-                          message_set: MaximalMessageSet) -> Set[EntityPair]:
-        """Step 7: move sound maximal messages into the match set.
+def promote_messages(matcher: TypeIIMatcher, store: EntityStore,
+                     matches: Set[EntityPair],
+                     message_set: MaximalMessageSet) -> Set[EntityPair]:
+    """Step 7: move sound maximal messages into the match set.
 
-        A message is sound once ``P(M+ ∪ M) ≥ P(M+)``; promoting one message
-        can make another sound (its pairs now count as evidence), so the check
-        loops until no further message is promoted.
-        """
-        promoted: Set[EntityPair] = set()
-        progress = True
-        while progress:
-            progress = False
-            for message in message_set.messages():
-                pending = frozenset(p for p in message if p not in matches)
-                if not pending:
-                    message_set.discard_pairs(message)
-                    continue
-                if matcher.score_delta(store, matches, pending) >= -SCORE_TOLERANCE:
-                    matches |= pending
-                    promoted |= pending
-                    message_set.discard_pairs(message)
-                    progress = True
-        return promoted
+    A message is sound once ``P(M+ ∪ M) ≥ P(M+)``; promoting one message
+    can make another sound (its pairs now count as evidence), so the check
+    loops until no further message is promoted.
+    """
+    promoted: Set[EntityPair] = set()
+    progress = True
+    while progress:
+        progress = False
+        for message in message_set.messages():
+            pending = frozenset(p for p in message if p not in matches)
+            if not pending:
+                message_set.discard_pairs(message)
+                continue
+            if matcher.score_delta(store, matches, pending) >= -SCORE_TOLERANCE:
+                matches |= pending
+                promoted |= pending
+                message_set.discard_pairs(message)
+                progress = True
+    return promoted

@@ -3,7 +3,8 @@
 The scheme keeps a set ``A`` of active neighborhoods (initially all of them)
 and a global set ``M+`` of matches found so far.  Processing a neighborhood
 ``C`` runs the matcher on ``C`` with ``M+`` as positive evidence; any *new*
-matches re-activate every neighborhood sharing an entity with them (the
+matches re-activate the neighborhoods that can learn from them
+(:func:`~repro.core.activation.woken_by` — the tight form of the paper's
 ``Neighbor(...)`` operator).  The scheme terminates when no neighborhood is
 active.
 
@@ -15,11 +16,12 @@ neighborhood is processed only a handful of times.
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
 from ..blocking import Cover
 from ..datamodel import EntityPair, EntityStore
 from ..matchers import TypeIMatcher
+from .activation import woken_by
 from .active_set import ActiveNeighborhoodQueue
 from .result import SchemeResult
 from .runner import NeighborhoodRunner
@@ -41,6 +43,7 @@ class SimpleMessagePassing:
 
         active = ActiveNeighborhoodQueue(cover.names())
         matches: Set[EntityPair] = set()                     # M+
+        last_outputs: Dict[str, FrozenSet[EntityPair]] = {}
         messages_passed = 0
         activation_counts = {name: 0 for name in cover.names()}
         limit = self.max_activations_per_neighborhood
@@ -54,12 +57,12 @@ class SimpleMessagePassing:
             activation_counts[name] += 1
 
             found = runner.run(name, positive=matches)        # E(C, M+)
+            last_outputs[name] = found
             new_matches = found - matches
             if new_matches:
-                # The new matches are the message; neighborhoods containing any
-                # of their entities become active again.
-                affected = cover.neighbors_of_pairs(new_matches)
-                active.add_all(n for n in affected if n != name)
+                # The new matches are the message: it wakes neighborhoods
+                # holding both ends of a pair (never this one — its output).
+                active.add_all(woken_by(cover, new_matches, last_outputs))
                 messages_passed += len(new_matches)
                 matches |= new_matches
 

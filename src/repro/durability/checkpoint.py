@@ -48,8 +48,9 @@ _NAME_RE = re.compile(r"^checkpoint-(\d{10})\.json$")
 def _wrap(payload: Dict) -> bytes:
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps({"sha256": digest, "payload": payload},
-                      indent=1, sort_keys=True).encode("utf-8")
+    # The canonical body is embedded as encoded: one pass of the C encoder
+    # serves both the digest and the file.
+    return f'{{"payload":{body},"sha256":"{digest}"}}'.encode("utf-8")
 
 
 def _unwrap(data: bytes) -> Dict:

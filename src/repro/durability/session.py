@@ -250,7 +250,6 @@ class DurableStreamSession:
             max_rounds=config["max_rounds"],
             expansion_rounds=config["expansion_rounds"],
             rebase_threshold=config["rebase_threshold"],
-            fallback_dirty_fraction=config["fallback_dirty_fraction"],
             fault_policy=fault_policy,
             # Checkpoints written before the supervision history existed
             # fall back to the constructor default.

@@ -16,7 +16,9 @@ the neighborhoods containing both its entities), and each task carries its
 neighborhood's previous-round result as a warm start (per-neighborhood
 evidence only grows across rounds, so for idempotent + monotone matchers the
 old result seeds the new search — crucial under the process executor, where
-matcher-side caches do not survive pickling).
+matcher-side caches do not survive pickling).  The same two facts pick the
+next round's active set (:func:`repro.core.activation.woken_by`): a new pair
+wakes the neighborhoods it is routed to, unless their last output holds it.
 
 Two complementary views of grid wall-clock come out of one run:
 
@@ -41,8 +43,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..blocking import Cover
 from ..core import NeighborhoodRunner, SchemeResult
+from ..core.activation import woken_by
 from ..core.messages import MaximalMessageSet
-from ..core.mmp import SCORE_TOLERANCE
+from ..core.mmp import promote_messages
 from ..datamodel import CompactStore, EntityPair, EntityStore, StoreView
 from ..exceptions import ExperimentError, MatcherError
 from ..kernels.counters import KernelCounters, fold_into_registry
@@ -303,7 +306,6 @@ class GridExecutor:
         probed: Set[str] = set()
         active: Set[str] = set(cover.names()) if active_seed is None else active_seed
         rounds: List[List[Task]] = []
-        neighborhood_results: Dict[str, FrozenSet[EntityPair]] = {}
         neighborhood_runs = 0
         # Standing negative evidence, routed once per neighborhood (negatives
         # never change during a run).
@@ -324,9 +326,9 @@ class GridExecutor:
         evidence_index: Dict[str, Set[EntityPair]] = {
             name: set() for name in cover.names()}
         distributed: Set[EntityPair] = set()
-        # Previous-round result per neighborhood: its evidence only grows
-        # across rounds, so it warm-starts the next visit (for matchers that
-        # support it) even when the task is shipped to a fresh process.
+        # Last output of every neighborhood that ran: it decides which new
+        # pairs wake it again and, as its evidence only grows, warm-starts
+        # that visit (matchers that support it) even in a fresh process.
         warm_capable = bool(getattr(matcher, "supports_warm_start", False))
         last_results: Dict[str, FrozenSet[EntityPair]] = {}
 
@@ -432,10 +434,7 @@ class GridExecutor:
                             worker_metrics = getattr(result, "metric_deltas", ())
                             if worker_metrics:
                                 obs_registry.registry().apply_wire(worker_metrics)
-                            if collect_results:
-                                neighborhood_results[name] = result.matches
-                            if warm_capable:
-                                last_results[name] = result.matches
+                            last_results[name] = result.matches
                         rounds.append(round_tasks)
                         run_kernel.merge(round_kernel)
                         if current_report is not None:
@@ -449,15 +448,11 @@ class GridExecutor:
 
                         matches |= round_new
                         if self.scheme == "mmp":
-                            round_new |= self._promote_messages(matcher, store,
-                                                                matches, message_set)
+                            round_new |= promote_messages(matcher, store,
+                                                          matches, message_set)
 
-                        if self.scheme == "no-mp":
-                            active = set()
-                        elif not round_new:
-                            active = set()
-                        else:
-                            active = set(cover.neighbors_of_pairs(round_new))
+                        active = set() if self.scheme == "no-mp" \
+                            else woken_by(cover, round_new, last_results)
                         round_span.add_attrs(tasks=len(round_tasks),
                                              new_matches=len(round_new))
                     _GRID_ROUNDS.inc()
@@ -486,29 +481,8 @@ class GridExecutor:
             neighborhood_runs=neighborhood_runs,
             elapsed_seconds=elapsed,
             executor=self.executor.kind,
-            neighborhood_results=neighborhood_results,
+            neighborhood_results=last_results if collect_results else {},
             pair_origins=pair_origins,
             round_reports=round_reports,
             kernel_counters=run_kernel,
         )
-
-    # ---------------------------------------------------------------- helpers
-    @staticmethod
-    def _promote_messages(matcher: TypeIIMatcher, store: EntityStore,
-                          matches: Set[EntityPair],
-                          message_set: MaximalMessageSet) -> Set[EntityPair]:
-        promoted: Set[EntityPair] = set()
-        progress = True
-        while progress:
-            progress = False
-            for message in message_set.messages():
-                pending = frozenset(p for p in message if p not in matches)
-                if not pending:
-                    message_set.discard_pairs(message)
-                    continue
-                if matcher.score_delta(store, matches, pending) >= -SCORE_TOLERANCE:
-                    matches |= pending
-                    promoted |= pending
-                    message_set.discard_pairs(message)
-                    progress = True
-        return promoted

@@ -20,6 +20,8 @@ Routes::
 Typed service failures map to distinct statuses: 429 + ``Retry-After``
 (shed), 504 (deadline), 503 + ``Retry-After`` (not ready / draining /
 read-only), 404 (unknown entity), 400 (malformed request or batch).
+``Retry-After`` is whole seconds (rounded up); ``retry_after_seconds`` in
+the body is the precise hint.
 Every response carries the answering epoch where applicable, so clients
 can correlate reads with committed batches.
 
@@ -33,6 +35,7 @@ accepted into the bounded commit queue.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -71,12 +74,15 @@ class _Handler(BaseHTTPRequestHandler):
     # ----------------------------------------------------------- responses
     def _send_json(self, status: int, payload: dict,
                    retry_after: Optional[float] = None) -> None:
+        if retry_after is not None:
+            payload = dict(payload, retry_after_seconds=max(retry_after, 0.0))
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
-            self.send_header("Retry-After", f"{max(retry_after, 0.0):.3f}")
+            # RFC 9110 delay-seconds is a whole number.
+            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
         self.end_headers()
         self.wfile.write(body)
 

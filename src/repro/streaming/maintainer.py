@@ -7,24 +7,27 @@ of the instance, which makes them cacheable across delta batches:
 
 * ``canopy_fn(center)`` — the canopy and tight-removal set of one center —
   depends only on the center's profile, the token postings it touches and the
-  candidates' profiles.  A delta dirties it only when a changed entity shares
-  a token (old or new rendering) with the center.  The maintainer re-runs the
-  *acceptance sweep* (cheap set algebra over the seeded shuffle order) every
-  batch, but recomputes ``canopy_fn`` only for dirty centers — so the
-  resulting canopies are **byte-identical** to a cold
+  candidates' profiles, and membership is symmetric: ``x ∈ canopy(c)`` iff
+  ``c ∈ canopy(x)`` (same token-sharing candidate relation, same score
+  either way round).  So the sweep of a *changed* entity ``x`` — needed
+  anyway — names every cached entry it joins, with the score that decides
+  the tight set, and ``x``'s previous canopy names every entry it leaves:
+  cached entries are patched in place (set adds and discards, no center is
+  re-scored) and stay equal to a cold ``canopy_fn`` on the current instance.
+  The *acceptance sweep* (cheap set algebra over the seeded shuffle order)
+  re-runs every batch over the cached canopies, so the cover is
+  **byte-identical** to a cold
   :meth:`~repro.blocking.canopy.CanopyBlocker.build_cover` on the final
-  instance while the scoring work is proportional to the dirty fraction.
+  instance while the scoring work is proportional to the delta.
 * ``expand_members(relations, canopy)`` — the boundary expansion of one
   canopy — can only change when an added/removed relation tuple touches an
   entity inside the cached expanded set, so expansions are memoized per
   canopy member-set and invalidated by the tuple deltas.
 
-When the dirty-center fraction exceeds ``fallback_dirty_fraction`` the
-maintainer falls back to a full reblock (drop the canopy cache, recompute
-everything) — same output, less bookkeeping.  Blockers outside the profiled
-author-name canopy mode (TF-IDF canopies, custom similarities, key-based
-blockers) always take the full-reblock path: their covers depend on global
-state (e.g. IDF weights), so local repair is unsound for them.
+Blockers outside the profiled author-name canopy mode (TF-IDF canopies,
+custom similarities, key-based blockers) always reblock in full: their covers
+depend on global state (e.g. IDF weights), so local repair is unsound for
+them.
 """
 
 from __future__ import annotations
@@ -52,16 +55,12 @@ class IncrementalCoverMaintainer:
 
     def __init__(self, blocker: Blocker,
                  relation_names: Optional[Iterable[str]] = None,
-                 rounds: int = 1,
-                 fallback_dirty_fraction: float = 0.5):
+                 rounds: int = 1):
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if not 0.0 < fallback_dirty_fraction <= 1.0:
-            raise ValueError("fallback_dirty_fraction must be in (0, 1]")
         self.blocker = blocker
         self.relation_names = list(relation_names) if relation_names is not None else None
         self.rounds = rounds
-        self.fallback_dirty_fraction = fallback_dirty_fraction
         #: Whether the blocker supports local canopy repair (see module doc).
         self.supports_local_repair = (
             isinstance(blocker, CanopyBlocker)
@@ -72,11 +71,13 @@ class IncrementalCoverMaintainer:
         self._parts: Dict[str, Tuple[str, str]] = {}
         self._postings: Dict[str, Set[str]] = {}
         self._scorer = ProfiledNameScorer(self._parts)
-        self._canopy_cache: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+        # center -> (canopy, tight-removal set), patched in place by update().
+        self._canopy_cache: Dict[str, Tuple[Set[str], Set[str]]] = {}
         # --- expansion-side cache (all modes) ------------------------------
         self._expansion_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         # --- per-update statistics -----------------------------------------
         self.last_dirty_centers = 0
+        self.last_patched_entries = 0
         self.last_center_count = 0
         self.last_full_rebuild = False
 
@@ -86,30 +87,36 @@ class IncrementalCoverMaintainer:
         entity_type = getattr(blocker, "entity_type", None)
         return entity_type is None or entity.entity_type == entity_type
 
-    def _profile_of(self, entity) -> EntityProfile:
-        return EntityProfile(entity, self.blocker.text_attributes, default_tokenizer)
-
-    def _index_profile(self, entity) -> EntityProfile:
-        profile = self._profile_of(entity)
+    def _index_profile(self, entity) -> None:
+        profile = EntityProfile(entity, self.blocker.text_attributes,
+                                default_tokenizer)
         entity_id = entity.entity_id
         self._profiles[entity_id] = profile
         self._parts[entity_id] = (profile.norm_first, profile.norm_last)
         for token in profile.token_set:
             self._postings.setdefault(token, set()).add(entity_id)
-        return profile
 
-    def _drop_profile(self, entity_id: str) -> Optional[FrozenSet[str]]:
-        profile = self._profiles.pop(entity_id, None)
-        if profile is None:
-            return None
-        self._parts.pop(entity_id, None)
-        for token in profile.token_set:
-            bucket = self._postings.get(token)
-            if bucket is not None:
-                bucket.discard(entity_id)
-                if not bucket:
-                    del self._postings[token]
-        return profile.token_set
+    def _forget(self, entity_id: str) -> None:
+        """Take a removed (or about to be re-rendered) entity out of the
+        index and out of every cached canopy that holds it."""
+        if entity_id not in self._profiles:
+            return
+        own = self._canopy_cache.pop(entity_id, None)
+        # By symmetry its own canopy names the entries holding it; without
+        # one, every center sharing a token is a (superset) candidate.
+        for center_id in (own[0] if own is not None
+                          else self._candidates(entity_id)):
+            entry = self._canopy_cache.get(center_id)
+            if entry is not None and entity_id in entry[0]:
+                entry[0].discard(entity_id)
+                entry[1].discard(entity_id)
+                self.last_patched_entries += 1
+        del self._parts[entity_id]
+        for token in self._profiles.pop(entity_id).token_set:
+            bucket = self._postings[token]
+            bucket.discard(entity_id)
+            if not bucket:
+                del self._postings[token]
 
     def _candidates(self, center_id: str) -> Set[str]:
         out: Set[str] = set()
@@ -134,25 +141,25 @@ class IncrementalCoverMaintainer:
             canopy.add(candidate_id)
             if score >= blocker.tight_threshold:
                 removed.add(candidate_id)
-        self._canopy_cache[center_id] = (frozenset(canopy), frozenset(removed))
+        self._canopy_cache[center_id] = (set(canopy), set(removed))
         self.last_dirty_centers += 1
         return canopy, removed
 
     # ----------------------------------------------------------- base cover
-    def _base_cover_local(self, store) -> Cover:
-        """Canopy sweep with cached per-center canopies (local-repair mode)."""
-        blocker: CanopyBlocker = self.blocker  # type: ignore[assignment]
+    def _base_cover(self, store) -> Cover:
+        """The canopy cover: the acceptance sweep over the cached per-center
+        canopies in local-repair mode, a full reblock otherwise."""
+        blocker = self.blocker
+        if not self.supports_local_repair:
+            base_cover = blocker.build_cover(store)
+            self.last_center_count = len(base_cover)
+            self.last_full_rebuild = True
+            return base_cover
         entities = blocker.clustered_entities(store)
         self.last_center_count = len(entities)
         order = blocker.shuffled_order(entities)
-        canopies = blocker.sweep(order, self._canopy_fn)
-        assigned: Set[str] = set()
-        for canopy in canopies:
-            assigned |= canopy
-        for entity in entities:
-            if entity.entity_id not in assigned:
-                canopies.append({entity.entity_id})
-        return Blocker._make_neighborhoods(canopies, prefix="canopy-")
+        return blocker.canopy_cover(
+            entities, blocker.sweep(order, self._canopy_fn))
 
     def _sync_profiles(self, store) -> None:
         """Cold-start the profile index from the full instance."""
@@ -164,7 +171,9 @@ class IncrementalCoverMaintainer:
                 self._index_profile(entity)
 
     # ------------------------------------------------------------ expansion
-    def _expand(self, store, base_cover: Cover) -> Cover:
+    def _total_cover(self, store) -> Cover:
+        """Base cover, then boundary expansion through the expansion cache."""
+        base_cover = self._base_cover(store)
         names = self.relation_names if self.relation_names is not None \
             else store.relation_names()
         relations = [store.relation(name) for name in names]
@@ -182,23 +191,20 @@ class IncrementalCoverMaintainer:
         # disappears and later reappears must be recomputed: intermediate
         # batches did not track its staleness).
         self._expansion_cache = fresh_cache
-        return attach_leftover_singletons(expanded, store)
+        total = attach_leftover_singletons(expanded, store)
+        validate_total(total, store, self.relation_names)
+        return total
 
     # ----------------------------------------------------------------- cold
     def build(self, store) -> Cover:
         """Cold build: construct the total cover and seed every cache."""
-        self.last_dirty_centers = 0
-        self.last_full_rebuild = True
+        self.last_dirty_centers = self.last_patched_entries = 0
         self._canopy_cache.clear()
         self._expansion_cache.clear()
         if self.supports_local_repair:
             self._sync_profiles(store)
-            base_cover = self._base_cover_local(store)
-        else:
-            base_cover = self.blocker.build_cover(store)
-            self.last_center_count = len(base_cover)
-        total = self._expand(store, base_cover)
-        validate_total(total, store, self.relation_names)
+        total = self._total_cover(store)
+        self.last_full_rebuild = True
         return total
 
     # ---------------------------------------------------------- incremental
@@ -208,7 +214,7 @@ class IncrementalCoverMaintainer:
         ``store`` is the overlay *after* the batch was applied; ``impact``
         is the ledger of what the batch touched.
         """
-        self.last_dirty_centers = 0
+        self.last_dirty_centers = self.last_patched_entries = 0
         self.last_full_rebuild = False
 
         # Expansion invalidation first — it is mode-independent.  A cached
@@ -221,51 +227,33 @@ class IncrementalCoverMaintainer:
                 for members, expansion in self._expansion_cache.items()
                 if not (expansion & touched)}
 
-        if not self.supports_local_repair:
-            base_cover = self.blocker.build_cover(store)
-            self.last_center_count = len(base_cover)
-            self.last_full_rebuild = True
-            total = self._expand(store, base_cover)
-            validate_total(total, store, self.relation_names)
-            return total
+        if self.supports_local_repair:
+            self._patch_canopies(store, impact)
+        return self._total_cover(store)
 
-        # ---------------- canopy-side repair (profiled author-name mode) ---
-        dirty_tokens: Set[str] = set()
-        dirty_centers: Set[str] = set()
-        for entity_id in impact.removed_entities:
-            old_tokens = self._drop_profile(entity_id)
-            if old_tokens:
-                dirty_tokens |= old_tokens
-            self._canopy_cache.pop(entity_id, None)
-        for entity_id in impact.updated_entities:
-            old_tokens = self._drop_profile(entity_id)
-            if old_tokens:
-                dirty_tokens |= old_tokens
+    def _patch_canopies(self, store, impact: DeltaImpact) -> None:
+        """Bring every cached canopy up to the current instance (see module
+        doc): one sweep per changed entity, set edits everywhere else."""
+        for entity_id in impact.removed_entities | impact.updated_entities:
+            self._forget(entity_id)
+        changed: List[str] = []
+        for entity_id in impact.updated_entities | impact.added_entities:
             entity = store.entity(entity_id)
             if self._relevant(entity):
-                dirty_tokens |= self._index_profile(entity).token_set
-                dirty_centers.add(entity_id)
-        for entity_id in impact.added_entities:
-            entity = store.entity(entity_id)
-            if not self._relevant(entity):
-                continue
-            dirty_tokens |= self._index_profile(entity).token_set
-            dirty_centers.add(entity_id)
-        for token in dirty_tokens:
-            bucket = self._postings.get(token)
-            if bucket:
-                dirty_centers |= bucket
-        for center_id in dirty_centers:
-            self._canopy_cache.pop(center_id, None)
-
-        center_count = max(1, len(self._profiles))
-        if len(dirty_centers) / center_count > self.fallback_dirty_fraction:
-            return self.build(store)
-
-        base_cover = self._base_cover_local(store)
-        total = self._expand(store, base_cover)
-        validate_total(total, store, self.relation_names)
-        return total
+                self._index_profile(entity)
+                changed.append(entity_id)
+        # Every new rendering is indexed before any is scored, so each sweep
+        # sees the final instance.
+        for entity_id in changed:
+            canopy, tight = self._canopy_fn(entity_id)
+            canopy.discard(entity_id)
+            for center_id in canopy:
+                entry = self._canopy_cache.get(center_id)
+                if entry is not None and entity_id not in entry[0]:
+                    entry[0].add(entity_id)
+                    if center_id in tight:
+                        entry[1].add(entity_id)
+                    self.last_patched_entries += 1
 
     # ------------------------------------------------------------ telemetry
     def stats(self) -> Dict[str, float]:
@@ -273,6 +261,7 @@ class IncrementalCoverMaintainer:
         return {
             "centers": self.last_center_count,
             "rescored_centers": self.last_dirty_centers,
+            "patched_entries": self.last_patched_entries,
             "rescored_fraction": self.last_dirty_centers / centers,
             "full_rebuild": float(self.last_full_rebuild),
             "cached_expansions": len(self._expansion_cache),

@@ -167,24 +167,19 @@ class DeltaImpact:
     """What one applied change batch touched — the dirtiness ledger.
 
     The cover maintainer and the delta runner read this to decide which
-    canopies to re-score, which cached expansions to drop and which
-    neighborhoods to re-match.  ``previous_entities`` keeps the pre-mutation
-    record of updated/removed entities so token postings can be invalidated
-    for both the old and the new rendering of a name.
+    canopies to patch, which cached expansions to drop and which
+    neighborhoods to re-match.
     """
 
     added_entities: Set[str] = field(default_factory=set)
     updated_entities: Set[str] = field(default_factory=set)
     removed_entities: Set[str] = field(default_factory=set)
-    previous_entities: Dict[str, Entity] = field(default_factory=dict)
     #: Canonical (relation name, tuple) of every added or removed tuple.
     changed_tuples: Set[Tuple[str, RelationTuple]] = field(default_factory=set)
     #: Pairs whose similarity edge was added, removed or re-scored.
     changed_similarity: Set[EntityPair] = field(default_factory=set)
     #: Pairs whose standing external evidence changed (either polarity).
     changed_evidence: Set[EntityPair] = field(default_factory=set)
-    #: External positive-evidence pairs newly asserted this batch.
-    added_positive_evidence: Set[EntityPair] = field(default_factory=set)
 
     def is_empty(self) -> bool:
         return not (self.added_entities or self.updated_entities
@@ -472,20 +467,16 @@ class StoreOverlay:
             self.add_entity(delta.entity)
             impact.added_entities.add(delta.entity.entity_id)
         elif isinstance(delta, UpdateEntity):
-            previous = self.update_entity(delta.entity)
-            if previous != delta.entity:
+            if self.update_entity(delta.entity) != delta.entity:
                 impact.updated_entities.add(delta.entity.entity_id)
-                impact.previous_entities.setdefault(delta.entity.entity_id,
-                                                    previous)
         elif isinstance(delta, RemoveEntity):
-            previous, removed_tuples, removed_pairs = \
+            _, removed_tuples, removed_pairs = \
                 self.remove_entity(delta.entity_id)
             # An entity added (or updated) earlier in the same batch and
             # removed now leaves no add/update trace — only the removal.
             impact.added_entities.discard(delta.entity_id)
             impact.updated_entities.discard(delta.entity_id)
             impact.removed_entities.add(delta.entity_id)
-            impact.previous_entities.setdefault(delta.entity_id, previous)
             impact.changed_tuples.update(removed_tuples)
             impact.changed_similarity.update(removed_pairs)
         elif isinstance(delta, AddTuple):

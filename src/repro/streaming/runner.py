@@ -87,7 +87,7 @@ class BatchResult:
     added: FrozenSet[EntityPair]
     #: Tombstones: pairs retracted from the standing match set this batch.
     retracted: FrozenSet[EntityPair]
-    #: Neighborhoods scheduled initially (dirty + tainted + evidence-woken).
+    #: Neighborhoods scheduled initially (dirty + tainted).
     dirty_neighborhoods: int
     #: Neighborhoods that actually ran (includes chain activations).
     reran_neighborhoods: int
@@ -116,7 +116,6 @@ class StreamSession:
                  max_rounds: int = 50,
                  expansion_rounds: int = 1,
                  rebase_threshold: int = 5000,
-                 fallback_dirty_fraction: float = 0.5,
                  fault_policy=None,
                  supervision_limit: int = 64):
         normalized = scheme.lower().replace("_", "-")
@@ -138,8 +137,7 @@ class StreamSession:
         self.overlay = StoreOverlay(store)
         self.maintainer = IncrementalCoverMaintainer(
             self.blocker, relation_names=self.relation_names,
-            rounds=expansion_rounds,
-            fallback_dirty_fraction=fallback_dirty_fraction)
+            rounds=expansion_rounds)
         # With a fault policy every grid round of the session (cold run and
         # per-batch re-matching alike) is supervised: a lost worker or a
         # transiently failing task is retried/degraded instead of aborting
@@ -249,12 +247,15 @@ class StreamSession:
                     self._apply_delta(delta, impact)
                 self._cascade_evidence_removals(impact)
 
-            with span("stream.cover_repair"):
+            with span("stream.cover_repair") as repair_span:
                 cover = self.maintainer.update(self.overlay, impact)
+                repair_span.add_attrs(
+                    rescored_centers=self.maintainer.last_dirty_centers,
+                    patched_entries=self.maintainer.last_patched_entries)
 
             with span("stream.retract") as retract_span:
                 dirty_names = self._dirty_neighborhoods(cover, impact)
-                valid, active = self._retract(cover, dirty_names, impact)
+                valid, active = self._retract(cover, dirty_names)
                 retract_span.add_attrs(dirty=len(active))
 
             # Seed the grid with the cached stores of clean neighborhoods:
@@ -340,7 +341,6 @@ class StreamSession:
                 self.evidence = Evidence(
                     self.evidence.positive | {pair},
                     self.evidence.negative - {pair})
-                impact.added_positive_evidence.add(pair)
             else:
                 if pair in self.evidence.negative:
                     return
@@ -390,6 +390,8 @@ class StreamSession:
                 dirty.add(neighborhood.name)
         for entity_id in impact.updated_entities:
             dirty |= cover.neighborhoods_of(entity_id)
+        # Both ends inside — the activation rule; it also covers newly
+        # asserted positive evidence, so ``_retract`` need not wake for it.
         for pair in impact.changed_similarity | impact.changed_evidence:
             dirty |= cover.neighborhoods_of_pair(pair)
         for _, tup in impact.changed_tuples:
@@ -408,8 +410,8 @@ class StreamSession:
         return {name for name in dirty if len(cover.neighborhood(name)) > 1}
 
     # ------------------------------------------------------------ retraction
-    def _retract(self, cover: Cover, dirty_names: Set[str],
-                 impact: DeltaImpact) -> Tuple[Set[EntityPair], Set[str]]:
+    def _retract(self, cover: Cover, dirty_names: Set[str]
+                 ) -> Tuple[Set[EntityPair], Set[str]]:
         """Delete-and-rederive seed: the surviving matches and the active set.
 
         A standing pair survives iff its first-derivation neighborhood is
@@ -459,8 +461,6 @@ class StreamSession:
         active = set(dirty_names)
         for pair in self.matches - valid:
             active |= cover.neighborhoods_of_pair(pair)
-        if impact.added_positive_evidence:
-            active |= cover.neighbors_of_pairs(impact.added_positive_evidence)
         return valid, {name for name in active
                        if len(cover.neighborhood(name)) > 1}
 
@@ -573,7 +573,6 @@ class StreamSession:
             "max_rounds": self._grid.max_rounds,
             "expansion_rounds": self.maintainer.rounds,
             "rebase_threshold": self.rebase_threshold,
-            "fallback_dirty_fraction": self.maintainer.fallback_dirty_fraction,
             "supervision_limit": self.supervision.limit,
         }
 

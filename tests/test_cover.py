@@ -76,11 +76,6 @@ class TestCover:
         assert cover.neighborhoods_of_pair(EntityPair.of("b", "c")) == {"n2"}
         assert cover.neighborhoods_of_pair(EntityPair.of("a", "d")) == frozenset()
 
-    def test_neighbors_of_pairs_is_the_neighbor_operator(self):
-        cover = self.build()
-        affected = cover.neighbors_of_pairs([EntityPair.of("b", "c")])
-        assert affected == {"n1", "n2", "n3"}
-
     def test_covers_and_validate(self):
         cover = self.build()
         store = small_store()

@@ -195,6 +195,46 @@ def test_checkpoint_rejects_mismatched_embedded_batch_id(tmp_path):
         manager.load_latest()
 
 
+def _write_legacy_checkpoint(path, payload):
+    """The on-disk form before the body was embedded as encoded: the whole
+    document re-serialised with ``indent=1`` around the same digest."""
+    import hashlib
+    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps({"sha256": digest, "payload": payload},
+                               indent=1, sort_keys=True))
+
+
+def test_checkpoint_embeds_the_encoded_body_once(tmp_path):
+    import hashlib
+    manager = CheckpointManager(tmp_path, keep=2, fsync=False)
+    payload = {"value": [1.5, "é", {"k": None}], "nested": {"b": 1, "a": 2}}
+    data = manager.save(payload, 4).read_bytes()
+    body = json.dumps(dict(payload, format_version=1, batch_id=4),
+                      separators=(",", ":"), sort_keys=True)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    assert data.decode("utf-8") == f'{{"payload":{body},"sha256":"{digest}"}}'
+    assert manager.load_latest() == (4, dict(payload, format_version=1,
+                                             batch_id=4))
+
+
+def test_checkpoint_in_legacy_indented_form_still_loads(tmp_path):
+    manager = CheckpointManager(tmp_path, keep=2, fsync=False)
+    payload = {"value": 7, "format_version": 1, "batch_id": 3}
+    _write_legacy_checkpoint(manager.path_for(3), payload)
+    assert manager.load_latest() == (3, payload)
+
+
+def test_checkpoint_flipped_payload_byte_is_rejected(tmp_path):
+    manager = CheckpointManager(tmp_path, keep=1, fsync=False)
+    manager.save({"value": "abcdefgh"}, 1)
+    data = bytearray(manager.path_for(1).read_bytes())
+    data[data.index(b"abcdefgh") + 3] ^= 0x01  # still valid JSON
+    manager.path_for(1).write_bytes(bytes(data))
+    with pytest.raises(RecoveryError, match="checksum mismatch"):
+        manager.load_latest()
+
+
 # -------------------------------------------------------------- atomic writes
 def test_atomic_writes_leave_no_temp_files(tmp_path):
     target = tmp_path / "artifact.json"
@@ -346,6 +386,28 @@ def test_recover_rejects_inconsistent_checkpoint(tmp_path, dblp_dataset):
     durable.wal.close()
     with pytest.raises(RecoveryError, match="inconsistent"):
         DurableStreamSession.recover(tmp_path, fsync=False)
+
+
+def test_recover_ignores_retired_config_keys_in_old_checkpoints(tmp_path,
+                                                                 dblp_dataset):
+    """A checkpoint written before ``fallback_dirty_fraction`` was retired
+    (legacy indented form, the key still in its config) recovers as is."""
+    scenario = synthesize_stream(dblp_dataset, batches=3,
+                                 holdout_fraction=0.3, seed=7)
+    durable = DurableStreamSession(
+        StreamSession(MLNMatcher(), scenario.base.store.copy()),
+        tmp_path, checkpoint_every=0, fsync=False)
+    durable.replay(scenario.log)
+    reference = durable.session.standing_state()
+    durable.wal.close()
+    _, payload = durable.checkpoints.load_latest()
+    assert "fallback_dirty_fraction" not in payload["config"]
+    payload["config"]["fallback_dirty_fraction"] = 0.5
+    _write_legacy_checkpoint(durable.checkpoints.path_for(0), payload)
+
+    recovered = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert recovered.session.standing_state() == reference
+    recovered.close(checkpoint=False)
 
 
 def test_checkpoint_requires_started_session(tmp_path, dblp_dataset):

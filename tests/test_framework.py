@@ -76,6 +76,27 @@ class TestFrameworkWithBlocker:
         assert framework.cover.is_total(hepth_dataset.store, ["coauthor"])
         assert framework.cover.covers(hepth_dataset.store.entity_ids())
 
+    def test_streaming_entry_points_pay_for_one_cover_build(self, dblp_dataset):
+        """``open_stream``/``serve`` sessions build and maintain their own
+        cover (canopy by canopy, not through ``CanopyBlocker.build_cover``);
+        the framework's is built only when a batch scheme asks for it."""
+        from repro.blocking import CanopyBlocker, build_total_cover
+        from repro.obs import registry as obs_registry
+        cold_builds = obs_registry.counter("blocking_covers_total")
+        before = cold_builds.value()
+        framework = EMFramework(MLNMatcher(), dblp_dataset.store)
+        session = framework.open_stream()
+        framework.serve().start().drain()
+        assert cold_builds.value() == before
+        cover = framework.cover
+        assert framework.cover is cover
+        assert cold_builds.value() == before + 1
+        reference = build_total_cover(CanopyBlocker(), dblp_dataset.store,
+                                      relation_names=["coauthor"])
+        for built in (cover, session.cover):
+            assert [(n.name, n.entity_ids) for n in built] == \
+                [(n.name, n.entity_ids) for n in reference]
+
     def test_mmp_rejected_for_type1_matcher(self):
         store, cover = build_two_hop_store()
         framework = EMFramework(RulesMatcher(), store, cover=cover)

@@ -133,6 +133,17 @@ class TestDeltaRoute:
         assert service.current_epoch().epoch_id == 0
 
 
+def _assert_retry_after(headers, doc, seconds=None):
+    """``Retry-After`` is integer seconds (rounded up, at least 1); the
+    precise hint is ``retry_after_seconds`` in the JSON body."""
+    import math
+    header = headers["Retry-After"]
+    assert header.isdigit() and int(header) >= 1
+    assert int(header) == max(1, math.ceil(doc["retry_after_seconds"]))
+    if seconds is not None:
+        assert doc["retry_after_seconds"] == pytest.approx(seconds)
+
+
 class TestDegradedStatuses:
     def test_not_ready_is_503_with_retry_after(self):
         gate = threading.Event()
@@ -148,9 +159,10 @@ class TestDegradedStatuses:
             status, doc, headers = _request(server.url + "/ready")
             assert (status, doc["ready"], doc["state"]) == (503, False,
                                                             "starting")
-            assert "Retry-After" in headers
+            _assert_retry_after(headers, doc)
             status, doc, headers = _request(server.url + "/resolve/c1")
             assert status == 503
+            _assert_retry_after(headers, doc)
             status, doc, _ = _request(server.url + "/health")
             assert (status, doc["status"]) == (200, "ok")  # alive, not ready
             gate.set()
@@ -176,7 +188,8 @@ class TestDegradedStatuses:
                                             body=body)
             assert status == 503
             assert "read-only" in doc["error"]
-            assert float(headers["Retry-After"]) > 0
+            _assert_retry_after(headers, doc, seconds=30.0)
+            assert headers["Retry-After"] == "30"
             status, doc, _ = _request(server.url + "/health")
             assert (status, doc["mode"]) == (200, "read-only")
             # Reads keep working from the last epoch while degraded.
@@ -199,7 +212,11 @@ class TestDegradedStatuses:
                 assert occupied.wait(5)
                 status, doc, headers = _request(server.url + "/resolve/c1")
                 assert status == 429
-                assert float(headers["Retry-After"]) == pytest.approx(0.2)
+                # A sub-second hint still advertises a valid, non-zero
+                # delay: "0.200" is not an RFC 9110 delay-seconds and stock
+                # clients (urllib3.Retry) drop or choke on it.
+                _assert_retry_after(headers, doc, seconds=0.2)
+                assert headers["Retry-After"] == "1"
         finally:
             release.set()
             holder.join(timeout=10)

@@ -198,9 +198,15 @@ def test_maintainer_matches_cold_builds_across_batches(dblp_dataset):
 
 
 def test_maintainer_full_rebuild_fallback(dblp_dataset):
-    maintainer = IncrementalCoverMaintainer(
-        CanopyBlocker(), relation_names=["coauthor"],
-        fallback_dirty_fraction=1e-9)
+    """Outside the profiled author-name mode every update reblocks in full:
+    a TF-IDF canopy depends on corpus-wide IDF weights, so one added entity
+    can move any score."""
+    def blocker():
+        return CanopyBlocker(similarity="tfidf", loose_threshold=0.5,
+                             tight_threshold=0.8)
+    maintainer = IncrementalCoverMaintainer(blocker(),
+                                            relation_names=["coauthor"])
+    assert not maintainer.supports_local_repair
     overlay = StoreOverlay(dblp_dataset.store)
     maintainer.build(overlay)
     impact = DeltaImpact()
@@ -209,10 +215,44 @@ def test_maintainer_full_rebuild_fallback(dblp_dataset):
         impact)
     cover = maintainer.update(overlay, impact)
     assert maintainer.last_full_rebuild
-    cold = build_total_cover(CanopyBlocker(), overlay.to_entity_store(),
+    stats = maintainer.stats()
+    assert stats["full_rebuild"] == 1.0
+    assert stats["rescored_centers"] == stats["patched_entries"] == 0
+    cold = build_total_cover(blocker(), overlay.to_entity_store(),
                              relation_names=["coauthor"])
     assert [(n.name, n.entity_ids) for n in cover] == \
         [(n.name, n.entity_ids) for n in cold]
+
+
+def test_cover_repair_reports_how_much_of_the_instance_a_delta_touched(dblp_dataset):
+    """One arrival costs one canopy sweep plus set edits on the entries it
+    joins — readable from ``BatchResult.cover_stats`` and the repair span."""
+    from repro.obs import trace
+    session = StreamSession(MLNMatcher(), dblp_dataset.store.copy())
+    session.start()
+    twin = sorted(session.maintainer._canopy_cache)[0]
+    original = session.overlay.entity(twin)
+    previous = trace.tracer()
+    trace.enable()
+    try:
+        result = session.apply(ChangeBatch([AddEntity(make_author(
+            "zz-twin", original.get("fname"), original.get("lname"),
+            source="s9"))]))
+        repairs = [record for record in trace.spans()
+                   if record["name"] == "stream.cover_repair"]
+    finally:
+        if previous is not None:   # the REPRO_TRACE=1 leg keeps a tracer
+            trace.enable(previous.path)
+        else:
+            trace.disable()
+    stats = result.cover_stats
+    assert stats["full_rebuild"] == 0.0
+    assert 1 <= stats["rescored_centers"] <= 3 < stats["centers"]
+    assert stats["patched_entries"] >= 1      # at least its twin's canopy
+    assert len(repairs) == 1
+    assert repairs[0]["attrs"]["rescored_centers"] == stats["rescored_centers"]
+    assert repairs[0]["attrs"]["patched_entries"] == stats["patched_entries"]
+    assert session.verify()
 
 
 def test_maintainer_non_canopy_blocker_rebuilds_cold(dblp_dataset):

@@ -204,3 +204,81 @@ def test_streams_converging_to_same_instance_agree():
     session_b = StreamSession(MLNMatcher(), final.copy())
     session_b.start()
     assert session_b.matches == session_a.matches
+
+
+# ------------------------------------------------- canopy repair by symmetry
+_RENDERINGS_FIRST = ["John", "Jon", "J.", "Joan", "Johan", "K.", "Karl", "Carl", ""]
+_RENDERINGS_LAST = ["Smith", "Smyth", "Smithe", "Smit", "Jones", "Jonas",
+                    "Johnson", "Jonson"]
+
+
+def _random_author(entity_id: str, rng: random.Random) -> Entity:
+    return make_author(entity_id, rng.choice(_RENDERINGS_FIRST),
+                       rng.choice(_RENDERINGS_LAST), source="s0")
+
+
+def _assert_canopy_cache_is_cold(maintainer, overlay) -> None:
+    """Every cached canopy entry equals a cold ``canopy_fn`` on the current
+    instance, and the maintained cover equals a cold total-cover build."""
+    from repro.blocking import CanopyBlocker
+    blocker = CanopyBlocker()
+    store = overlay.to_entity_store()
+    cold_fn = blocker.canopy_factory(blocker.clustered_entities(store))
+    assert set(maintainer._canopy_cache) <= store.entity_ids()
+    for center_id, (canopy, tight) in maintainer._canopy_cache.items():
+        cold_canopy, cold_tight = cold_fn(center_id)
+        assert canopy == cold_canopy, center_id
+        assert tight == cold_tight, center_id
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=100_000),
+       base_size=st.integers(min_value=3, max_value=14),
+       batches=st.integers(min_value=1, max_value=5))
+def test_canopy_patches_keep_the_cache_equal_to_cold_sweeps(seed, base_size,
+                                                            batches):
+    from repro.blocking import CanopyBlocker, build_total_cover
+    from repro.streaming.maintainer import IncrementalCoverMaintainer
+    from repro.streaming.overlay import DeltaImpact, StoreOverlay
+    rng = random.Random(seed)
+    store = EntityStore()
+    for index in range(base_size):
+        store.add_entity(_random_author(f"b{index:02d}", rng))
+    present = sorted(store.entity_ids())
+    add_coauthor_edges(store, [tuple(rng.sample(present, 2))
+                               for _ in range(base_size // 2)])
+    overlay = StoreOverlay(store)
+    maintainer = IncrementalCoverMaintainer(CanopyBlocker(),
+                                            relation_names=["coauthor"])
+    maintainer.build(overlay)
+    _assert_canopy_cache_is_cold(maintainer, overlay)
+
+    serial = 0
+    for _ in range(batches):
+        impact = DeltaImpact()
+        for _ in range(rng.randint(1, 4)):
+            present = sorted(overlay.entity_ids())
+            kind = rng.randrange(4)
+            if kind == 0 or len(present) < 3:
+                serial += 1
+                op = AddEntity(_random_author(f"z{serial:02d}", rng))
+            elif kind == 1:
+                op = RemoveEntity(rng.choice(present))
+            elif kind == 2:
+                op = UpdateEntity(_random_author(rng.choice(present), rng))
+            else:
+                op = AddTuple("coauthor", tuple(sorted(rng.sample(present, 2))))
+            overlay.apply_delta(op, impact)
+        cover = maintainer.update(overlay, impact)
+        assert not maintainer.last_full_rebuild
+        _assert_canopy_cache_is_cold(maintainer, overlay)
+        cold = build_total_cover(CanopyBlocker(), overlay.to_entity_store(),
+                                 relation_names=["coauthor"])
+        assert [(n.name, n.entity_ids) for n in cover] == \
+            [(n.name, n.entity_ids) for n in cold]
+        stats = maintainer.stats()
+        # One sweep per changed author, plus centers the sweep newly reaches.
+        assert stats["rescored_centers"] >= len(
+            (impact.added_entities | impact.updated_entities)
+            & overlay.entity_ids())
