@@ -3,7 +3,7 @@
 from .compact import CompactRelation, CompactStore, EntityInterner, StoreView
 from .entity import AUTHOR_TYPE, PAPER_TYPE, Entity, entities_by_type, make_author, make_paper
 from .evidence import Evidence
-from .match_set import MatchSet
+from .match_set import DisjointSets, MatchSet
 from .pair import EntityPair, all_pairs, pairs_from, pairs_involving
 from .relation import (
     AUTHORED,
@@ -25,6 +25,7 @@ __all__ = [
     "SIMILAR",
     "CompactRelation",
     "CompactStore",
+    "DisjointSets",
     "Entity",
     "EntityInterner",
     "EntityPair",

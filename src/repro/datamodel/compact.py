@@ -62,6 +62,25 @@ IndexTuple = Tuple[int, ...]
 IndexPair = Tuple[int, int]
 
 
+def _csr_adjacency(size: int, rows: Sequence[Iterable[int]]
+                   ) -> Tuple[List[int], List[int]]:
+    """CSR adjacency: entity index -> indices of the ``rows`` it occurs in."""
+    counts = [0] * size
+    for row in rows:
+        for entity_index in row:
+            counts[entity_index] += 1
+    indptr = [0] * (size + 1)
+    for index, count in enumerate(counts):
+        indptr[index + 1] = indptr[index] + count
+    adj = [0] * indptr[-1]
+    cursor = indptr[:-1]
+    for row_index, row in enumerate(rows):
+        for entity_index in row:
+            adj[cursor[entity_index]] = row_index
+            cursor[entity_index] += 1
+    return indptr, adj
+
+
 class EntityInterner:
     """Bijection between entity-id strings and dense integer indices."""
 
@@ -133,7 +152,8 @@ class CompactRelation:
             encoded.add(self._encode(tup))
         self._tuples: List[IndexTuple] = sorted(encoded)
         self._tuple_set: Set[IndexTuple] = encoded
-        self._indptr, self._adj = self._build_adjacency()
+        self._indptr, self._adj = _csr_adjacency(
+            len(interner), [set(tup) for tup in self._tuples])
         self._decoded: Optional[FrozenSet[RelationTuple]] = None
 
     # ------------------------------------------------------------- encoding
@@ -153,22 +173,6 @@ class CompactRelation:
     def _decode(self, tup: IndexTuple) -> RelationTuple:
         ids = self.interner.ids_of(tup)
         return tuple(ids)
-
-    def _build_adjacency(self) -> Tuple[List[int], List[int]]:
-        counts = [0] * len(self.interner)
-        for tup in self._tuples:
-            for entity_index in set(tup):
-                counts[entity_index] += 1
-        indptr = [0] * (len(counts) + 1)
-        for index, count in enumerate(counts):
-            indptr[index + 1] = indptr[index] + count
-        adj = [0] * indptr[-1]
-        cursor = list(indptr[:-1])
-        for tuple_index, tup in enumerate(self._tuples):
-            for entity_index in set(tup):
-                adj[cursor[entity_index]] = tuple_index
-                cursor[entity_index] += 1
-        return indptr, adj
 
     # ---------------------------------------------------------- Relation API
     def __len__(self) -> int:
@@ -262,9 +266,6 @@ class CompactRelation:
         """Indices (into the flat tuple array) of tuples touching the entity."""
         return self._adj[self._indptr[entity_index]:self._indptr[entity_index + 1]]
 
-    def tuple_at(self, tuple_index: int) -> IndexTuple:
-        return self._tuples[tuple_index]
-
     def member_indices_touching(self, frontier: Set[int]) -> Set[int]:
         """All entity indices of tuples touching ``frontier`` (frontier included).
 
@@ -348,7 +349,8 @@ class CompactStore:
             key: index for index, key in enumerate(self._edge_pairs)}
         if len(self._edge_index) != len(self._edge_pairs):
             raise ValueError("duplicate similarity edges in snapshot input")
-        self._edge_indptr, self._edge_adj = self._build_edge_adjacency()
+        self._edge_indptr, self._edge_adj = _csr_adjacency(
+            len(self.interner), self._edge_pairs)
         #: Process-unique token used by the parallel layer to broadcast this
         #: snapshot once per worker (see :mod:`repro.parallel.shared`).
         self.snapshot_token = f"compact-{uuid.uuid4().hex}"
@@ -360,23 +362,6 @@ class CompactStore:
     def from_store(cls, store) -> "CompactStore":
         """Snapshot any store-like object exposing the EntityStore read API."""
         return cls(store.entities(), store.relations(), store.similarity_edges())
-
-    def _build_edge_adjacency(self) -> Tuple[List[int], List[int]]:
-        counts = [0] * len(self.interner)
-        for first, second in self._edge_pairs:
-            counts[first] += 1
-            counts[second] += 1
-        indptr = [0] * (len(counts) + 1)
-        for index, count in enumerate(counts):
-            indptr[index + 1] = indptr[index] + count
-        adj = [0] * indptr[-1]
-        cursor = list(indptr[:-1])
-        for edge_index, (first, second) in enumerate(self._edge_pairs):
-            adj[cursor[first]] = edge_index
-            cursor[first] += 1
-            adj[cursor[second]] = edge_index
-            cursor[second] += 1
-        return indptr, adj
 
     # --------------------------------------------------------------- entities
     def entity(self, entity_id: str) -> Entity:
@@ -520,7 +505,7 @@ class CompactStore:
     def related_entities(self, entity_id: str,
                          relation_names: Optional[Iterable[str]] = None) -> Set[str]:
         names = list(relation_names) if relation_names is not None \
-            else list(self._relations)
+            else self.relation_names()
         related: Set[str] = set()
         for name in names:
             related.update(self.relation(name).neighbors(entity_id))
@@ -718,14 +703,7 @@ class StoreView:
         return StoreView(self.base, frozenset(indices))
 
     # ---------------------------------------------------------------- utility
-    def related_entities(self, entity_id: str,
-                         relation_names: Optional[Iterable[str]] = None) -> Set[str]:
-        names = list(relation_names) if relation_names is not None \
-            else self.relation_names()
-        related: Set[str] = set()
-        for name in names:
-            related.update(self.relation(name).neighbors(entity_id))
-        return related
+    related_entities = CompactStore.related_entities    # reads only the store API
 
     def copy(self) -> EntityStore:
         return self.to_entity_store()

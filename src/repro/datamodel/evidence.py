@@ -9,7 +9,7 @@ object carrying those two sets through the framework.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, Tuple
 
 from ..exceptions import MatcherError
 from .pair import EntityPair, pairs_from
@@ -53,12 +53,17 @@ class Evidence:
         Used when handing global evidence to a neighborhood run: pairs outside
         the neighborhood carry no information for the local matcher.
         """
-        allowed = set(entity_ids)
-        keep_pos = frozenset(p for p in self.positive
-                             if p.first in allowed and p.second in allowed)
-        keep_neg = frozenset(p for p in self.negative
-                             if p.first in allowed and p.second in allowed)
-        return Evidence(keep_pos, keep_neg)
+        return Evidence(*self.pairs_inside(entity_ids))
+
+    def pairs_inside(self, entity_ids: Iterable[str]
+                     ) -> Tuple[FrozenSet[EntityPair], FrozenSet[EntityPair]]:
+        """``(V+, V−)`` without the pairs that leave ``entity_ids``."""
+        allowed = entity_ids if isinstance(entity_ids, (set, frozenset)) \
+            else set(entity_ids)
+        return (frozenset(p for p in self.positive
+                          if p.first in allowed and p.second in allowed),
+                frozenset(p for p in self.negative
+                          if p.first in allowed and p.second in allowed))
 
     def is_empty(self) -> bool:
         return not self.positive and not self.negative

@@ -15,7 +15,38 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set, Tuple
 
-from .pair import EntityPair, pairs_from
+from .pair import EntityPair, all_pairs, pairs_from
+
+
+class DisjointSets:
+    """Union-find over entity ids whose ``find`` is a dict lookup.
+
+    ``index`` maps every united id to the one member set its whole component
+    shares (read it, do not write it); :meth:`unite` folds the smaller set
+    into the larger, so all unions together cost O(n log n).
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, pairs: Iterable[Iterable[str]] = ()):
+        self.index: Dict[str, Set[str]] = {}
+        for first, second in pairs:
+            self.unite(first, second)
+
+    def unite(self, first: str, second: str) -> None:
+        large = self.index.setdefault(first, {first})
+        small = self.index.setdefault(second, {second})
+        if large is not small:
+            if len(large) < len(small):
+                large, small = small, large
+            large |= small
+            for member in small:
+                self.index[member] = large
+
+    def components(self) -> List[Set[str]]:
+        """The distinct member sets (every one has at least two members)."""
+        return list({id(members): members
+                     for members in self.index.values()}.values())
 
 
 class MatchSet:
@@ -80,30 +111,8 @@ class MatchSet:
 
     def clusters(self) -> List[FrozenSet[str]]:
         """Connected components of the match graph, as frozensets of entity ids."""
-        parent: Dict[str, str] = {}
-
-        def find(x: str) -> str:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for pair in self._pairs:
-            for entity_id in pair:
-                parent.setdefault(entity_id, entity_id)
-            union(pair.first, pair.second)
-
-        groups: Dict[str, Set[str]] = {}
-        for entity_id in parent:
-            groups.setdefault(find(entity_id), set()).add(entity_id)
-        return [frozenset(group) for group in groups.values()]
+        return [frozenset(component)
+                for component in DisjointSets(self._pairs).components()]
 
     def transitive_closure(self) -> "MatchSet":
         """All pairs implied by the equivalence relation generated by this set.
@@ -112,13 +121,7 @@ class MatchSet:
         monotone matcher preserves monotonicity; matchers that enforce
         transitivity call this at the end of each run.
         """
-        closed: Set[EntityPair] = set()
-        for cluster in self.clusters():
-            members = sorted(cluster)
-            for i, first in enumerate(members):
-                for second in members[i + 1:]:
-                    closed.add(EntityPair(first, second))
-        return MatchSet(closed)
+        return MatchSet.from_clusters(self.clusters())
 
     def is_transitively_closed(self) -> bool:
         return self.transitive_closure() == self
@@ -132,10 +135,7 @@ class MatchSet:
         """Build the fully-connected match set implied by entity clusters."""
         pairs: Set[EntityPair] = set()
         for cluster in clusters:
-            members = sorted(set(cluster))
-            for i, first in enumerate(members):
-                for second in members[i + 1:]:
-                    pairs.add(EntityPair(first, second))
+            pairs |= all_pairs(cluster)
         return cls(pairs)
 
     @classmethod

@@ -65,7 +65,11 @@ class Relation:
 
     def add(self, *entity_ids: str) -> None:
         """Add a tuple to the relation (idempotent)."""
-        tup = self._canonical(entity_ids)
+        self.add_canonical(self._canonical(entity_ids))
+
+    def add_canonical(self, tup: RelationTuple) -> None:
+        """:meth:`add` for a tuple already in this relation's canonical form
+        (one read from a relation with the same signature)."""
         if tup in self._tuples:
             return
         self._tuples.add(tup)
@@ -143,30 +147,25 @@ class Relation:
         """``R(C)``: the sub-relation whose tuples lie entirely inside ``entity_ids``."""
         allowed = set(entity_ids)
         induced = Relation(self.name, self.arity, self.symmetric)
-        # Iterate over tuples touching the allowed set rather than the whole
-        # relation: neighborhoods are small, relations can be large.
-        candidate_tuples: Set[RelationTuple] = set()
-        for entity_id in allowed:
-            candidate_tuples.update(self._index.get(entity_id, ()))  # type: ignore[arg-type]
-        for tup in candidate_tuples:
-            if all(entity_id in allowed for entity_id in tup):
-                induced.add(*tup)
+        # Only tuples touching the allowed set are looked at: neighborhoods
+        # are small, relations can be large.
+        for tup in self.tuples_touching(allowed):
+            if allowed.issuperset(tup):
+                induced.add_canonical(tup)
         return induced
 
     def union(self, other: "Relation") -> "Relation":
         """Union of two relations with the same signature."""
         self._check_signature(other)
-        merged = Relation(self.name, self.arity, self.symmetric)
-        for tup in self._tuples:
-            merged.add(*tup)
+        merged = self.copy()
         for tup in other._tuples:
-            merged.add(*tup)
+            merged.add_canonical(tup)
         return merged
 
     def copy(self) -> "Relation":
         clone = Relation(self.name, self.arity, self.symmetric)
         for tup in self._tuples:
-            clone.add(*tup)
+            clone.add_canonical(tup)
         return clone
 
     def _check_signature(self, other: "Relation") -> None:

@@ -105,9 +105,7 @@ class DedupalogProgram:
 
     def validate(self) -> None:
         """Check that rule names are unique across the program."""
-        names = ([r.name for r in self.hard_rules]
-                 + [r.name for r in self.soft_rules]
-                 + [r.name for r in self.negative_rules])
+        names = self.rule_names()
         duplicates = {name for name in names if names.count(name) > 1}
         if duplicates:
             raise RuleParseError(f"duplicate rule names in program: {sorted(duplicates)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
-from ..datamodel import EntityPair
+from ..datamodel import EntityPair, MatchSet
 
 
 def pivot_correlation_clustering(nodes: Iterable[str],
@@ -34,19 +34,12 @@ def pivot_correlation_clustering(nodes: Iterable[str],
     """
     rng = random.Random(seed)
     negative = set(negative_edges)
-    adjacency: Dict[str, Set[str]] = {}
-    node_list = sorted(set(nodes))
-    for node in node_list:
-        adjacency.setdefault(node, set())
+    adjacency: Dict[str, Set[str]] = {node: set() for node in nodes}
     for pair in positive_edges:
         if pair in negative:
             continue
         adjacency.setdefault(pair.first, set()).add(pair.second)
         adjacency.setdefault(pair.second, set()).add(pair.first)
-        if pair.first not in node_list:
-            node_list.append(pair.first)
-        if pair.second not in node_list:
-            node_list.append(pair.second)
 
     unclustered = set(adjacency)
     order = sorted(unclustered)
@@ -92,10 +85,4 @@ def clustering_cost(clusters: Sequence[FrozenSet[str]],
 
 def clusters_to_matches(clusters: Sequence[FrozenSet[str]]) -> FrozenSet[EntityPair]:
     """All intra-cluster pairs — the transitively-closed match set of a clustering."""
-    matches: Set[EntityPair] = set()
-    for cluster in clusters:
-        members = sorted(cluster)
-        for i, first in enumerate(members):
-            for second in members[i + 1:]:
-                matches.add(EntityPair(first, second))
-    return frozenset(matches)
+    return MatchSet.from_clusters(clusters).pairs

@@ -11,8 +11,9 @@ The engine evaluates a :class:`~repro.dedupalog.ast.DedupalogProgram` over an
    set and the positive evidence (Proposition 5).
 3. **Soft negative rules**, when present, are reconciled with the positive
    matches by pivot correlation clustering (3-approximation).
-4. **Transitive closure** is applied at the end when the program requests it;
-   Appendix A notes this preserves monotonicity.
+4. **Transitive closure**, when the program requests it, is part of the
+   positive fixpoint (closure-implied equalities support further rules) and
+   follows the clustering otherwise; Appendix A: it preserves monotonicity.
 
 Negative evidence pairs are never matched and are excluded from the closure's
 input edges (they may still end up implied by the closure of other matches,
@@ -21,11 +22,51 @@ in which case they are dropped again — negative evidence is authoritative).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from ..datamodel import COAUTHOR, EntityPair, EntityStore, MatchSet
-from .ast import DedupalogProgram, HardEqualityRule, SoftNegativeRule, SoftSimilarityRule
+from ..datamodel import (
+    COAUTHOR,
+    DisjointSets,
+    EntityPair,
+    EntityStore,
+    MatchSet,
+    all_pairs,
+)
+from ..obs import registry as obs_registry
+from .ast import DedupalogProgram
 from .clustering import clusters_to_matches, pivot_correlation_clustering
+
+_CANDIDATES = obs_registry.counter(
+    "dedupalog_candidates_total", "Similarity edges classified by the RULES evaluator")
+_SUPPORT_CHECKS = obs_registry.counter(
+    "dedupalog_support_checks_total",
+    "Pending candidates whose coauthor support was examined")
+
+#: ``equal[x]``: the ids known equal to ``x`` — its matched partners, or, under
+#: transitive closure, the member set of its component (``DisjointSets.index``).
+_Equalities = Dict[str, Set[str]]
+
+
+def _link(equal: _Equalities, first: str, second: str) -> None:
+    equal.setdefault(first, set()).add(second)
+    equal.setdefault(second, set()).add(first)
+
+
+def _equal_coauthor_pairs(first_coauthors: Set[str], second_coauthors: Set[str],
+                          equal: _Equalities,
+                          barred: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    """Distinct unordered ``{c1, c2}``, ``c1 != c2``, one coauthor of each end,
+    known equal and not ``barred`` (the paper's rule 3: ``{c1, c2} != {c3, c4}``)."""
+    found: Set[Tuple[str, str]] = set()
+    for c1 in first_coauthors:
+        known = equal.get(c1)
+        if known:
+            for c2 in known & second_coauthors:
+                key = (c1, c2) if c1 < c2 else (c2, c1)
+                if c1 != c2 and key not in barred:
+                    found.add(key)
+    return found
 
 
 class DedupalogEngine:
@@ -45,30 +86,14 @@ class DedupalogEngine:
         """Run the program and return the derived match set."""
         positive_set = frozenset(positive)
         negative_set = frozenset(negative) - positive_set
-
-        matches: Set[EntityPair] = set(p for p in positive_set if p not in negative_set)
-        matches |= self._apply_hard_rules(store, negative_set)
-        matches = self._positive_fixpoint(store, matches, negative_set)
-
-        if self.program.negative_rules:
+        seed = set(positive_set) | self._apply_hard_rules(store, negative_set)
+        monotone = not self.program.negative_rules
+        closed = self.program.transitive_closure
+        matches = self._positive_rules(store, seed, negative_set, closed and monotone)
+        if not monotone:
             matches = self._resolve_negative_rules(store, matches, negative_set)
-
-        if self.program.transitive_closure:
-            # Closure-derived equalities can enable further rule derivations
-            # (they count as matched coauthor pairs), so closure and the
-            # positive fixpoint are interleaved until nothing changes.  This is
-            # the "transitive closure at the end of each iteration" treatment
-            # of Appendix A and keeps the matcher monotone — and therefore the
-            # holistic run a superset of any message-passing run.
-            while True:
-                closed = MatchSet(matches).transitive_closure().pairs
-                closed = set(p for p in closed if p not in negative_set)
-                expanded = self._positive_fixpoint(store, set(closed), negative_set) \
-                    if not self.program.negative_rules else closed
-                if expanded == matches:
-                    break
-                matches = expanded
-
+            if closed:
+                matches = MatchSet(matches).transitive_closure().pairs - negative_set
         return frozenset(matches)
 
     # ------------------------------------------------------------ hard rules
@@ -76,73 +101,99 @@ class DedupalogEngine:
                           negative: FrozenSet[EntityPair]) -> Set[EntityPair]:
         derived: Set[EntityPair] = set()
         for rule in self.program.hard_rules:
-            if not store.has_relation(rule.source_relation):
-                continue
-            relation = store.relation(rule.source_relation)
-            if relation.arity != 2:
-                continue
-            for first, second in relation:
-                if first == second:
-                    continue
-                pair = EntityPair.of(first, second)
-                if pair not in negative:
-                    derived.add(pair)
-        return derived
+            if store.has_relation(rule.source_relation) \
+                    and store.relation(rule.source_relation).arity == 2:
+                derived.update(
+                    EntityPair.of(first, second)
+                    for first, second in store.relation(rule.source_relation)
+                    if first != second)
+        return derived - negative
 
     # ------------------------------------------------------- positive rules
-    def _coauthor_support(self, store: EntityStore, pair: EntityPair,
-                          matches: Set[EntityPair]) -> int:
-        """Number of distinct coauthor pairs of ``pair`` that are known equal.
-
-        A coauthor pair ``(c1, c2)`` supports the match when ``c1 == c2`` (a
-        literally shared coauthor) or ``(c1, c2)`` is already in the match
-        set.  Distinctness is over unordered coauthor pairs, as in the
-        paper's rule 3 (``{c1, c2} != {c3, c4}``).
-        """
+    def _coauthors(self, store: EntityStore):
+        """``entity id -> coauthor ids`` (empty without a coauthor relation)."""
         if not store.has_relation(self.coauthor_relation):
-            return 0
-        relation = store.relation(self.coauthor_relation)
-        coauthors_first = relation.neighbors(pair.first)
-        coauthors_second = relation.neighbors(pair.second)
-        if not coauthors_first or not coauthors_second:
-            return 0
-        support: Set[Tuple[str, ...]] = set()
-        for c1 in coauthors_first:
-            for c2 in coauthors_second:
-                if c1 == c2:
-                    support.add((c1,))
-                elif EntityPair.of(c1, c2) in matches:
-                    support.add(tuple(sorted((c1, c2))))
-        return len(support)
+            return lambda entity_id: set()
+        return store.relation(self.coauthor_relation).neighbors
 
-    def _positive_fixpoint(self, store: EntityStore, matches: Set[EntityPair],
-                           negative: FrozenSet[EntityPair]) -> Set[EntityPair]:
-        candidates = [pair for pair in sorted(store.similar_pairs())
-                      if pair not in negative]
-        soft_rules = sorted(self.program.soft_rules, key=lambda r: -r.level)
-        changed = True
-        while changed:
-            changed = False
-            for pair in candidates:
-                if pair in matches:
+    def _positive_rules(self, store: EntityStore, seed: Set[EntityPair],
+                        negative: FrozenSet[EntityPair],
+                        closed: bool) -> Set[EntityPair]:
+        """Least fixpoint of the soft positive rules above ``seed``.
+
+        One pass classifies every similarity edge — skipped, accepted, or
+        *pending* on the coauthor support it still misses — and only the
+        pending candidates are revisited, while a pass accepted something.
+        With ``closed`` the transitive closure is part of the fixpoint:
+        implied equalities count as support the moment a pair is accepted,
+        and the implied pairs are written out once, at the end.  Negative
+        evidence is never support and never output.  Rules and closure are
+        both monotone in the match set, so any fair order of application
+        reaches the same least fixpoint.
+        """
+        need: Dict[int, int] = {}       # level -> least support any rule asks
+        for rule in self.program.soft_rules:
+            need[rule.level] = min(rule.min_coauthor_support,
+                                   need.get(rule.level, rule.min_coauthor_support))
+        barred = {pair.as_tuple() for pair in negative}
+        components = DisjointSets()
+        equal: _Equalities = components.index if closed else {}
+        unite = components.unite if closed else partial(_link, equal)
+        for pair in seed:
+            unite(pair.first, pair.second)
+
+        neighbors = self._coauthors(store)
+        coauthors: Dict[str, Set[str]] = {}     # fetched once per entity
+        matches = set(seed)
+        pending: List[Tuple[EntityPair, Set[str], Set[str], int]] = []
+        edges = store.similarity_edges()
+        for edge in edges:
+            pair = edge.pair
+            missing = need.get(edge.level)
+            if missing is None or pair.second in equal.get(pair.first, ()) \
+                    or pair in negative:
+                continue
+            if missing:
+                for entity_id in pair:
+                    if entity_id not in coauthors:
+                        coauthors[entity_id] = neighbors(entity_id)
+                first, second = coauthors[pair.first], coauthors[pair.second]
+                # Literally shared coauthors support the pair from the start.
+                missing -= len(first & second)
+                if missing > 0:
+                    if first and second:
+                        pending.append((pair, first, second, missing))
                     continue
-                level = store.similarity_level(pair)
-                if level == 0:
-                    continue
-                support: Optional[int] = None
-                for rule in soft_rules:
-                    if rule.level != level:
-                        continue
-                    if rule.min_coauthor_support == 0:
-                        matches.add(pair)
-                        changed = True
-                        break
-                    if support is None:
-                        support = self._coauthor_support(store, pair, matches)
-                    if support >= rule.min_coauthor_support:
-                        matches.add(pair)
-                        changed = True
-                        break
+            unite(pair.first, pair.second)
+            matches.add(pair)
+
+        checks = 0
+        progressed = True
+        while pending and progressed:
+            progressed = False
+            waiting = []
+            for candidate in pending:
+                pair, first, second, missing = candidate
+                if pair.second in equal.get(pair.first, ()):
+                    continue            # implied by the closure meanwhile
+                checks += 1
+                if len(_equal_coauthor_pairs(first, second, equal, barred)) >= missing:
+                    unite(pair.first, pair.second)
+                    matches.add(pair)
+                    progressed = True
+                else:
+                    waiting.append(candidate)
+            pending = waiting
+        _CANDIDATES.inc(len(edges))
+        _SUPPORT_CHECKS.inc(checks)
+
+        if closed:
+            # A two-member component is the seeded or accepted pair itself;
+            # only larger ones imply pairs nobody derived.
+            for members in components.components():
+                if len(members) > 2:
+                    matches |= all_pairs(members)
+            matches -= negative
         return matches
 
     # ------------------------------------------------------- negative rules
@@ -152,8 +203,14 @@ class DedupalogEngine:
         votes: Set[EntityPair] = set()
         for rule in self.program.negative_rules:
             if rule.kind == "no_shared_coauthor":
+                neighbors = self._coauthors(store)
+                equal: _Equalities = {}
                 for pair in matches:
-                    if self._coauthor_support(store, pair, matches) == 0:
+                    _link(equal, pair.first, pair.second)
+                for pair in matches:
+                    first, second = neighbors(pair.first), neighbors(pair.second)
+                    if first.isdisjoint(second) and not _equal_coauthor_pairs(
+                            first, second, equal, set()):
                         votes.add(pair)
             elif rule.kind == "low_similarity":
                 for pair in matches:

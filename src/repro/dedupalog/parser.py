@@ -24,13 +24,14 @@ Soft negative rules::
     !equals(x, y) <- low_similarity(x, y, 1).
 
 ``<=`` marks hard rules, ``<-`` soft rules, a leading ``!`` marks negative
-rules.  Whitespace and the trailing period are optional.
+rules.  Whitespace and the trailing period are optional; a line ending in a
+comma continues on the next one.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..exceptions import RuleParseError
 from .ast import DedupalogProgram, HardEqualityRule, SoftNegativeRule, SoftSimilarityRule
@@ -74,10 +75,13 @@ def parse_rule_line(line: str, index: int) -> Optional[object]:
         if body_predicates[0] == "no_shared_coauthor":
             return SoftNegativeRule(f"neg_{index}", kind="no_shared_coauthor")
         if body_predicates[0] == "low_similarity":
-            level_match = re.search(r",\s*([123])\s*\)", body)
-            level = int(level_match.group(1)) if level_match else 1
+            arguments = [arg.strip() for arg in body_atoms[0][1].split(",")]
+            level = arguments[2] if len(arguments) > 2 else "1"
+            if level not in ("1", "2", "3"):
+                raise RuleParseError(
+                    f"rule {index}: low_similarity level must be 1, 2 or 3, got {level!r}")
             return SoftNegativeRule(f"neg_{index}", kind="low_similarity",
-                                    threshold_level=level)
+                                    threshold_level=int(level))
         raise RuleParseError(
             f"rule {index}: unsupported negative-rule body predicate {body_predicates[0]!r}"
         )
@@ -102,10 +106,23 @@ def parse_rule_line(line: str, index: int) -> Optional[object]:
     return SoftSimilarityRule(f"soft_{index}", level=level, min_coauthor_support=support)
 
 
+def _rule_lines(text: str) -> Iterator[Tuple[int, str]]:
+    """``(first line number, rule text)`` with continuation lines joined."""
+    rule, first = "", 0
+    for number, line in enumerate(text.splitlines(), start=1):
+        first = first if rule else number
+        rule = f"{rule} {_strip_comment(line)}".strip()
+        if not rule.endswith(","):
+            yield first, rule
+            rule = ""
+    if rule:
+        raise RuleParseError(f"rule {first}: continuation runs off the end: {rule!r}")
+
+
 def parse_program(text: str, transitive_closure: bool = True) -> DedupalogProgram:
     """Parse a multi-line RULES program into a :class:`DedupalogProgram`."""
     program = DedupalogProgram(transitive_closure=transitive_closure)
-    for index, line in enumerate(text.splitlines(), start=1):
+    for index, line in _rule_lines(text):
         rule = parse_rule_line(line, index)
         if rule is None:
             continue

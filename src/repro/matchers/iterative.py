@@ -86,11 +86,7 @@ class IterativeMatcher(TypeIMatcher):
               evidence: Optional[Evidence] = None) -> FrozenSet[EntityPair]:
         evidence = evidence if evidence is not None else Evidence.empty()
         self.match_calls += 1
-        entity_ids = store.entity_ids()
-        positive = {p for p in evidence.positive
-                    if p.first in entity_ids and p.second in entity_ids}
-        negative = {p for p in evidence.negative
-                    if p.first in entity_ids and p.second in entity_ids}
+        positive, negative = evidence.pairs_inside(store.entity_ids())
         matches: Set[EntityPair] = set(positive)
         candidates = [p for p in sorted(store.similar_pairs()) if p not in negative]
         changed = True

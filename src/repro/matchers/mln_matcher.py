@@ -175,11 +175,7 @@ class MLNMatcher(TypeIIMatcher):
         evidence = evidence if evidence is not None else Evidence.empty()
         self.match_calls += 1
         network = self.network_for(store)
-        entity_ids = store.entity_ids()
-        positive = frozenset(p for p in evidence.positive
-                             if p.first in entity_ids and p.second in entity_ids)
-        negative = frozenset(p for p in evidence.negative
-                             if p.first in entity_ids and p.second in entity_ids)
+        positive, negative = evidence.pairs_inside(store.entity_ids())
 
         warm: Set[EntityPair] = set(warm_start) if warm_start else set()
         results = self._results_for(store)

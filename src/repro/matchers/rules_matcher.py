@@ -33,11 +33,7 @@ class RulesMatcher(TypeIMatcher):
               evidence: Optional[Evidence] = None) -> FrozenSet[EntityPair]:
         evidence = evidence if evidence is not None else Evidence.empty()
         self.match_calls += 1
-        entity_ids = store.entity_ids()
-        positive = frozenset(p for p in evidence.positive
-                             if p.first in entity_ids and p.second in entity_ids)
-        negative = frozenset(p for p in evidence.negative
-                             if p.first in entity_ids and p.second in entity_ids)
+        positive, negative = evidence.pairs_inside(store.entity_ids())
         return self.engine.evaluate(store, positive=positive, negative=negative)
 
     @property

@@ -18,9 +18,9 @@ epoch with one atomic reference swap per committed batch, so:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
-from ..datamodel import EntityPair
+from ..datamodel import DisjointSets, EntityPair
 from ..exceptions import UnknownEntityError
 
 
@@ -40,31 +40,11 @@ class Epoch:
     @staticmethod
     def _index(matches: FrozenSet[EntityPair]) -> Tuple[Dict[str, str],
                                                         Dict[str, Tuple[str, ...]]]:
-        """Union-find over the matches; canonical = min id of the cluster."""
-        parent: Dict[str, str] = {}
-
-        def find(entity_id: str) -> str:
-            root = entity_id
-            while parent[root] != root:
-                root = parent[root]
-            while parent[entity_id] != root:  # path compression
-                parent[entity_id], entity_id = root, parent[entity_id]
-            return root
-
-        for pair in matches:
-            for entity_id in pair:
-                parent.setdefault(entity_id, entity_id)
-            first, second = find(pair.first), find(pair.second)
-            if first != second:
-                parent[max(first, second)] = min(first, second)
-
-        clusters: Dict[str, List[str]] = {}
-        for entity_id in parent:
-            clusters.setdefault(find(entity_id), []).append(entity_id)
+        """Cluster index over the matches; canonical = min id of the cluster."""
         canonical: Dict[str, str] = {}
         members: Dict[str, Tuple[str, ...]] = {}
-        for root, ids in clusters.items():
-            ordered = tuple(sorted(ids))
+        for component in DisjointSets(matches).components():
+            ordered = tuple(sorted(component))
             head = ordered[0]
             for entity_id in ordered:
                 canonical[entity_id] = head

@@ -146,12 +146,14 @@ class RelationOverlay:
     def induced(self, entity_ids: Iterable[str]) -> Relation:
         allowed = set(entity_ids)
         induced = Relation(self.name, self.arity, self.symmetric)
-        candidates: Set[RelationTuple] = set()
+        removed = self._removed
+        for tup in self._base.tuples_touching(allowed):
+            if allowed.issuperset(tup) and tup not in removed:
+                induced.add_canonical(tup)
         for entity_id in allowed:
-            candidates.update(self.tuples_of(entity_id))
-        for tup in candidates:
-            if all(entity_id in allowed for entity_id in tup):
-                induced.add(*tup)
+            for tup in self._added_index.get(entity_id, ()):
+                if allowed.issuperset(tup):
+                    induced.add_canonical(tup)
         return induced
 
     def copy(self) -> Relation:
@@ -436,15 +438,6 @@ class StoreOverlay:
         return restricted
 
     # -------------------------------------------------------------- utility
-    def related_entities(self, entity_id: str,
-                         relation_names: Optional[Iterable[str]] = None) -> Set[str]:
-        names = list(relation_names) if relation_names is not None \
-            else self.relation_names()
-        related: Set[str] = set()
-        for name in names:
-            related.update(self.relation(name).neighbors(entity_id))
-        return related
-
     def stats(self) -> Dict[str, int]:
         return {
             "entities": len(self),

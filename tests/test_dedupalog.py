@@ -240,3 +240,46 @@ class TestEngine:
         # shared coauthor), and correlation clustering resolves the conflict by
         # splitting the pair.
         assert pair("x1", "x2") not in matches
+
+
+class TestParserContinuationsAndLevels:
+    DOCSTRING_RULE = """
+        equals(x, y) <- similar(x, y, 1), coauthor(x, c1), coauthor(y, c2), equals(c1, c2),
+                        coauthor(x, c3), coauthor(y, c4), equals(c3, c4).
+    """
+
+    def test_documented_two_line_rule_parses(self):
+        (rule,) = parse_program(self.DOCSTRING_RULE).soft_rules
+        assert (rule.level, rule.min_coauthor_support) == (1, 2)
+
+    def test_continuation_skips_comments_and_blank_lines(self):
+        text = ("equals(x, y) <- similar(x, y, 2),   % needs one coauthor pair\n"
+                "\n"
+                "    coauthor(x, c1), coauthor(y, c2), equals(c1, c2).\n"
+                "equals(x, y) <- similar(x, y, 3).\n")
+        rules = parse_program(text).soft_rules
+        assert [(r.level, r.min_coauthor_support) for r in rules] == [(2, 1), (3, 0)]
+
+    def test_dangling_continuation_rejected(self):
+        with pytest.raises(RuleParseError, match="continuation"):
+            parse_program("equals(x, y) <- similar(x, y, 2),\n")
+
+    def test_rewrapped_paper_text_is_the_paper_program(self):
+        rewrapped = PAPER_RULES_TEXT.replace("), ", "),\n        ")
+        assert rewrapped.count("\n") > PAPER_RULES_TEXT.count("\n")
+        parsed, paper = parse_program(rewrapped), paper_rules_program()
+        assert [(r.level, r.min_coauthor_support) for r in parsed.soft_rules] \
+            == [(r.level, r.min_coauthor_support) for r in paper.soft_rules]
+        assert (parsed.hard_rules, parsed.negative_rules, parsed.transitive_closure) \
+            == (paper.hard_rules, paper.negative_rules, paper.transitive_closure)
+        store = build_rules_store()
+        assert DedupalogEngine(parsed).evaluate(store) \
+            == DedupalogEngine(paper).evaluate(store)
+
+    def test_low_similarity_level_out_of_range_rejected(self):
+        with pytest.raises(RuleParseError, match="level"):
+            parse_program("!equals(x, y) <- low_similarity(x, y, 5).")
+
+    def test_low_similarity_level_defaults_to_one(self):
+        (rule,) = parse_program("!equals(x, y) <- low_similarity(x, y).").negative_rules
+        assert rule.threshold_level == 1

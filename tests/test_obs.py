@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.timing import Stopwatch
-from repro.matchers import MLNMatcher
+from repro.matchers import MLNMatcher, RulesMatcher
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 from repro.obs.exposition import CONTENT_TYPE, render_prometheus
@@ -166,6 +166,18 @@ class TestProcessPoolReparenting:
         before = [obs_registry.counter(name).value() for name in names]
         GridExecutor(scheme="smp", executor="processes", workers=2).run(
             MLNMatcher(), hepth_dataset.store, hepth_cover)
+        after = [obs_registry.counter(name).value() for name in names]
+        assert all(new > old for new, old in zip(after, before))
+
+    def test_rules_evaluator_counts_ride_back_from_pool_workers(
+            self, fresh_tracer, hepth_dataset, hepth_cover):
+        # Bumped once per DedupalogEngine.evaluate, which under a process
+        # pool only ever runs in a worker: useful (classified) vs attempted
+        # (support checks) is then readable from the parent's /metrics.
+        names = ("dedupalog_candidates_total", "dedupalog_support_checks_total")
+        before = [obs_registry.counter(name).value() for name in names]
+        GridExecutor(scheme="smp", executor="processes", workers=2).run(
+            RulesMatcher(), hepth_dataset.store, hepth_cover)
         after = [obs_registry.counter(name).value() for name in names]
         assert all(new > old for new, old in zip(after, before))
 

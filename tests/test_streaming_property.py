@@ -17,7 +17,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datamodel import CompactStore, Entity, EntityPair, EntityStore, make_author
+from repro.datamodel import (
+    CompactStore,
+    Entity,
+    EntityPair,
+    EntityStore,
+    Relation,
+    make_author,
+)
 from repro.datasets import dblp_tiny
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.streaming import (
@@ -171,6 +178,51 @@ def test_random_delta_streams_equal_batch_runs_rules_matcher(seed):
     session.start()
     session.replay(log)
     assert session.matches == session.cold_matches()
+
+
+def _reference_induced(relation, entity_ids) -> Relation:
+    """``induced`` as it was before the one-pass walk: a ``tuples_of`` union
+    per member, an ``all(...)`` test and a re-canonicalising ``add`` each."""
+    allowed = set(entity_ids)
+    induced = Relation(relation.name, relation.arity, relation.symmetric)
+    candidates = set()
+    for entity_id in allowed:
+        candidates.update(relation.tuples_of(entity_id))
+    for tup in candidates:
+        if all(entity_id in allowed for entity_id in tup):
+            induced.add(*tup)
+    return induced
+
+
+@pytest.mark.parametrize("backend", ["dict", "compact"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       author_count=st.integers(min_value=2, max_value=5),
+       batches=st.integers(min_value=1, max_value=4))
+def test_induced_relations_equal_the_reference_over_overlay_histories(
+        backend, seed, author_count, batches):
+    from repro.streaming.overlay import DeltaImpact, StoreOverlay
+    rng = random.Random(seed)
+    store = _base_instance(author_count, rng)
+    log = _random_stream(store, rng, batches=batches, ops_per_batch=6,
+                         with_evidence=False)
+    overlay = StoreOverlay(CompactStore.from_store(store)
+                           if backend == "compact" else store.copy())
+    for batch in log:
+        for op in batch:
+            overlay.apply_delta(op, DeltaImpact())
+        present = sorted(overlay.entity_ids())
+        materialised = overlay.to_entity_store()
+        for _ in range(4):
+            subset = rng.sample(present, rng.randint(1, len(present)))
+            for layered, plain in zip(overlay.relations(), materialised.relations()):
+                expected = _reference_induced(layered, subset)
+                for induced in (layered.induced(subset), plain.induced(subset)):
+                    assert induced == expected
+                    assert induced._index == expected._index
+            assert overlay.restrict(subset).relations() == \
+                materialised.restrict(subset).relations()
 
 
 @pytest.mark.parametrize("backend", ["dict", "compact"])
