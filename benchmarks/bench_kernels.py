@@ -46,10 +46,12 @@ from repro.atomicio import atomic_write_json
 from repro.blocking import CanopyBlocker
 from repro.datamodel import EntityPair
 from repro.datasets import dblp_like, hepth_like
-from repro.kernels import backend, collecting, use
+from repro.kernels import backend, use
+from repro.kernels.counters import COUNTERS
 from repro.mln.grounding import GroundRule
 from repro.mln.network import GroundNetwork
 from repro.mln.state import WorldState
+from repro.obs import registry as obs_registry
 from repro.similarity import ProfiledNameScorer
 
 #: Named workload sizes.  ``smoke`` is the CI gate (seconds); ``default`` is
@@ -121,15 +123,29 @@ def run_canopy_workload(preset: str, scale: float, repeats: int,
     }
     if backend() != "numpy":
         return workload
-    with use("numpy"), collecting() as work:
+    with use("numpy"), obs_registry.capturing() as work:
         batch_seconds, batch_results = min(
             (batch_sweep() for _ in range(repeats)), key=lambda pair: pair[0])
     workload["seconds"]["batch"] = round(batch_seconds, 6)
     workload["speedup"] = round(scalar_seconds / batch_seconds, 2) \
         if batch_seconds > 0 else float("inf")
     workload["parity"] = batch_results == scalar_results
-    workload["counters"] = work.as_dict()
+    workload["counters"] = kernel_counts(work)
     return workload
+
+
+def kernel_counts(delta: obs_registry.RegistryDelta) -> Dict[str, float]:
+    """The ``kernel_*_total`` counts one ``capturing()`` scope collected."""
+    scope = obs_registry.MetricsRegistry()
+    scope.apply_wire(delta.as_wire())
+    counts: Dict[str, float] = {}
+    for name, counter in COUNTERS.items():
+        metric = scope.get(counter.name)
+        counts[name] = int(metric.value()) if metric is not None else 0
+    checked = counts["prefilter_checked"]
+    counts["prefilter_hit_rate"] = \
+        counts["prefilter_pruned"] / checked if checked else 0.0
+    return counts
 
 
 # -------------------------------------------------------------- probe sweep
@@ -200,14 +216,14 @@ def run_probe_workload(n_pairs: int, degree: int, body: int, rounds: int,
     }
     if backend() != "numpy":
         return workload
-    with use("numpy"), collecting() as work:
+    with use("numpy"), obs_registry.capturing() as work:
         batch_seconds, batch_results = min(
             (sweep(True) for _ in range(repeats)), key=lambda pair: pair[0])
     workload["seconds"]["batch"] = round(batch_seconds, 6)
     workload["speedup"] = round(scalar_seconds / batch_seconds, 2) \
         if batch_seconds > 0 else float("inf")
     workload["parity"] = batch_results == scalar_results
-    workload["counters"] = work.as_dict()
+    workload["counters"] = kernel_counts(work)
     return workload
 
 

@@ -14,17 +14,12 @@ The result is a set of overlapping neighborhoods such that every pair of
 sufficiently-similar entities shares at least one canopy — i.e. a total cover
 over the ``Similar`` relation.
 
-Two implementations coexist:
-
-* the **profiled** path (default): entities are tokenized and normalized once
-  into an :class:`~repro.similarity.profiles.EntityProfileIndex`, pair scores
-  go through memoized scorers with sound upper-bound pruning, and the
-  ``"tfidf"`` similarity gets its candidates *with scores* straight from the
-  postings index;
-* the **naive** path (``use_profiles=False``): the original string-at-a-time
-  reference implementation, kept verbatim as the parity baseline.
-
-Both produce bitwise-identical covers (``tests/test_profiles.py``).
+Entities are tokenized and normalized once into an
+:class:`~repro.similarity.profiles.EntityProfileIndex`, pair scores go through
+memoized scorers with sound upper-bound pruning, and the ``"tfidf"``
+similarity gets its candidates *with scores* straight from the postings
+index.  The string-at-a-time builder this replaced is the oracle
+``tests/reference/canopy.py``; covers are bitwise identical.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from ..obs import registry as obs_registry
 from ..obs.trace import span
 from ..similarity.name_similarity import DEFAULT_AUTHOR_SIMILARITY
 from ..similarity.profiles import EntityProfileIndex, ProfiledNameScorer
-from ..similarity.tfidf import TfIdfVectorizer, cosine_similarity, default_tokenizer
 from .base import Blocker
 from .cover import Cover
 
@@ -84,18 +78,13 @@ class CanopyBlocker(Blocker):
     seed:
         Seed for the random choice of canopy centers (canopies are randomised
         but the downstream framework is order-invariant).
-    use_profiles:
-        Route construction through the precomputed
-        :class:`~repro.similarity.profiles.EntityProfileIndex` (default).
-        ``False`` selects the naive string-at-a-time reference path; covers
-        are identical either way.
     """
 
     def __init__(self, loose_threshold: float = 0.78, tight_threshold: float = 0.92,
                  similarity: Union[CheapSimilarity, str] = author_name_cheap_similarity,
                  entity_type: Optional[str] = "author",
                  text_attributes: Sequence[str] = ("fname", "lname"),
-                 seed: int = 0, use_profiles: bool = True):
+                 seed: int = 0):
         if not 0.0 <= loose_threshold <= tight_threshold <= 1.0:
             raise ValueError("thresholds must satisfy 0 <= loose <= tight <= 1")
         if isinstance(similarity, str) and similarity != "tfidf":
@@ -107,7 +96,6 @@ class CanopyBlocker(Blocker):
         self.entity_type = entity_type
         self.text_attributes = tuple(text_attributes)
         self.seed = seed
-        self.use_profiles = use_profiles
         # The profiled scorer of the most recent canopy build (None until a
         # profiled build ran): holds the LRU memos whose hit/miss stats
         # :meth:`memo_stats` surfaces for the metrics registry.
@@ -118,26 +106,6 @@ class CanopyBlocker(Blocker):
         if self._last_scorer is None:
             return {}
         return self._last_scorer.memo_stats()
-
-    # ------------------------------------------------------------------ text
-    def _entity_text(self, entity: Entity) -> str:
-        parts = [str(entity.get(attr, "")) for attr in self.text_attributes]
-        return " ".join(part for part in parts if part)
-
-    def _build_inverted_index(self, entities: Sequence[Entity]) -> Dict[str, Set[str]]:
-        """Token → entity-id inverted index used to pre-filter candidates."""
-        index: Dict[str, Set[str]] = {}
-        for entity in entities:
-            for token in default_tokenizer(self._entity_text(entity)):
-                index.setdefault(token, set()).add(entity.entity_id)
-        return index
-
-    def _candidates(self, entity: Entity, index: Dict[str, Set[str]]) -> Set[str]:
-        candidates: Set[str] = set()
-        for token in default_tokenizer(self._entity_text(entity)):
-            candidates.update(index.get(token, ()))
-        candidates.discard(entity.entity_id)
-        return candidates
 
     # ------------------------------------------------------------- selection
     def clustered_entities(self, store: EntityStore) -> List[Entity]:
@@ -181,43 +149,6 @@ class CanopyBlocker(Blocker):
                        profiles: Optional[EntityProfileIndex] = None) -> CanopyFn:
         """Build the per-center canopy function for the configured mode."""
         loose, tight = self.loose_threshold, self.tight_threshold
-
-        if not self.use_profiles:
-            by_id = {entity.entity_id: entity for entity in entities}
-            index = self._build_inverted_index(entities)
-            if self.similarity == "tfidf":
-                texts = {entity.entity_id: self._entity_text(entity) for entity in entities}
-                vectorizer = TfIdfVectorizer().fit(
-                    texts[entity.entity_id] for entity in entities)
-
-                def naive_tfidf_score(a: str, b: str) -> float:
-                    return cosine_similarity(vectorizer.transform(texts[a]),
-                                             vectorizer.transform(texts[b]))
-
-                score = naive_tfidf_score
-            else:
-                similarity = self.similarity
-
-                def naive_entity_score(a: str, b: str) -> float:
-                    return similarity(by_id[a], by_id[b])
-
-                score = naive_entity_score
-
-            def naive_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-                canopy: Set[str] = {center_id}
-                removed: Set[str] = {center_id}
-                for candidate_id in self._candidates(by_id[center_id], index):
-                    if candidate_id not in by_id:
-                        continue
-                    candidate_score = score(center_id, candidate_id)
-                    if candidate_score >= loose:
-                        canopy.add(candidate_id)
-                        if candidate_score >= tight:
-                            removed.add(candidate_id)
-                return canopy, removed
-
-            return naive_canopy
-
         pindex = self.profile_index(entities, profiles)
         if self.similarity == "tfidf":
             tfidf = pindex.tfidf
@@ -288,7 +219,7 @@ class CanopyBlocker(Blocker):
         :class:`ProfiledNameScorer` arithmetic, so covers are identical to
         the string-keyed path (asserted in ``tests/test_compact_store.py``).
         """
-        if not self.use_profiles or self.similarity is not author_name_cheap_similarity:
+        if self.similarity is not author_name_cheap_similarity:
             return None
         return getattr(store, "interner", None)
 

@@ -108,9 +108,9 @@ class ParallelCoverBuilder:
     blocker:
         The base cover builder; defaults to :class:`CanopyBlocker`.  Canopy
         center sharding requires a :class:`CanopyBlocker` with the default
-        (author-name) similarity and profiles enabled; any other blocker or
-        canopy mode falls back to the blocker's own ``build_cover`` for the
-        base cover, with boundary expansion still parallelised.
+        (author-name) similarity; any other blocker or canopy similarity
+        falls back to the blocker's own ``build_cover`` for the base cover,
+        with boundary expansion still parallelised.
     executor:
         An :class:`~repro.parallel.executor.Executor`, a spec string
         (``"serial"``/``"threads"``/``"processes"``), or ``None`` for serial.
@@ -176,7 +176,6 @@ class ParallelCoverBuilder:
     # ----------------------------------------------------------- base cover
     def _supports_sharded_canopies(self) -> bool:
         return (isinstance(self.blocker, CanopyBlocker)
-                and self.blocker.use_profiles
                 and self.blocker.similarity is author_name_cheap_similarity)
 
     def build_cover(self, store: EntityStore,

@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet, Iterable, Optional, Union
 from ..blocking import Blocker, CanopyBlocker, Cover, ParallelCoverBuilder, build_total_cover
 from ..datamodel import CompactStore, EntityPair, EntityStore, Evidence, MatchSet
 from ..exceptions import ExperimentError, MatcherError
-from ..kernels.counters import fold_into_registry
 from ..matchers import TypeIIMatcher, TypeIMatcher
 from ..obs import registry as obs_registry
 from ..obs.trace import span
@@ -46,8 +45,8 @@ SCHEMES = ("no-mp", "smp", "mmp", "full")
 STORE_BACKENDS = ("dict", "compact")
 
 
-def _fold_blocking_telemetry(blocker, blocking_work) -> None:
-    """Surface one cover build's local tallies through the registry.
+def _fold_blocking_telemetry(blocker) -> None:
+    """Surface one cover build's scorer-memo tallies through the registry.
 
     Scorer memos keep plain-int hit/miss counts (the per-pair path is far
     too hot for registry updates); each build uses a fresh scorer, so the
@@ -62,7 +61,6 @@ def _fold_blocking_telemetry(blocker, blocking_work) -> None:
         for cache, stats in memo_stats().items():
             hits.inc(stats["hits"], cache=cache)
             misses.inc(stats["misses"], cache=cache)
-    fold_into_registry(blocking_work)
 
 
 class EMFramework:
@@ -103,8 +101,6 @@ class EMFramework:
         self.fault_policy = fault_policy
         self._runner: Optional[NeighborhoodRunner] = None
         self._stream = None
-        from ..kernels import KernelCounters
-        self._blocking_kernel_counters = KernelCounters()
         self._cover = cover
         # Also kept for open_stream()/serve(): the stream session builds its
         # own cover with the same blocker (None when a cover was supplied).
@@ -134,22 +130,11 @@ class EMFramework:
             self._build_cover()
         return self._cover
 
-    @property
-    def blocking_kernel_counters(self):
-        """Batch-kernel work of the cover build, which reading this forces
-        (this process only — parallel-cover workers do not report back; all
-        zeros when a cover was supplied or the scalar backend ran)."""
-        if self._cover is None:
-            self._build_cover()
-        return self._blocking_kernel_counters
-
     def _build_cover(self) -> None:
-        from ..kernels import collecting
         executor, workers = self._blocking_executor, self._blocking_workers
         parallel_blocking = executor is not None or workers is not None
         with span("blocking.total_cover",
-                  parallel=parallel_blocking) as cover_span, \
-                collecting() as blocking_work:
+                  parallel=parallel_blocking) as cover_span:
             if parallel_blocking:
                 # Parallel cover pipeline: sharded canopy waves + sharded
                 # boundary expansion, byte-identical to the serial build.
@@ -161,8 +146,7 @@ class EMFramework:
                 cover = build_total_cover(self._blocker, self.store,
                                           relation_names=self._relation_names)
             cover_span.add_attrs(neighborhoods=len(cover.names()))
-        self._blocking_kernel_counters.merge(blocking_work)
-        _fold_blocking_telemetry(self._blocker, blocking_work)
+        _fold_blocking_telemetry(self._blocker)
         cover.validate_covering(self.store)
         self._cover = cover
 

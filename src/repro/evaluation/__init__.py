@@ -11,7 +11,6 @@ from .experiment import ExperimentOutcome, ExperimentRow, ExperimentRunner
 from .metrics import PrecisionRecall, cluster_metrics, precision_recall_f1
 from .report import format_experiment, format_key_values, format_table
 from .soundness import SoundnessReport, soundness_completeness
-from .timing import Stopwatch, time_call
 
 __all__ = [
     "BlockingReport",
@@ -20,7 +19,6 @@ __all__ = [
     "ExperimentRunner",
     "PrecisionRecall",
     "SoundnessReport",
-    "Stopwatch",
     "cluster_metrics",
     "covered_pairs",
     "evaluate_cover",
@@ -31,5 +29,4 @@ __all__ = [
     "precision_recall_f1",
     "reduction_ratio",
     "soundness_completeness",
-    "time_call",
 ]

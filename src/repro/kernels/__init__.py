@@ -18,7 +18,7 @@ from .backend import (
     set_backend,
     use,
 )
-from .counters import KernelCounters, collecting, current, record
+from .counters import record
 from .names import BatchCanopyScorer, batch_canopy_scorer
 from .probes import ProbeIndex
 from .strings import (
@@ -33,15 +33,12 @@ __all__ = [
     "ADMISSION_MARGIN",
     "BACKEND_ENV_VAR",
     "BatchCanopyScorer",
-    "KernelCounters",
     "PackedStrings",
     "ProbeIndex",
     "TfIdfBlockScorer",
     "VALID_CHOICES",
     "backend",
     "batch_canopy_scorer",
-    "collecting",
-    "current",
     "damerau_levenshtein_block",
     "jaro_winkler_block",
     "jaro_winkler_bound_block",

@@ -1,149 +1,35 @@
-"""Per-phase kernel efficiency counters.
+"""Kernel work accounting: the four ``kernel_*_total`` registry counters.
 
-Kernel call sites report how much work the batch paths actually did —
+Batch kernels report through :func:`record` how much work they did —
 candidate pairs scored, batch invocations, and how many candidates the cheap
-vectorized prefilter eliminated before any exact scoring.  Collection is
-opt-in and scoped: a phase that wants the numbers wraps its work in
-:func:`collecting`, and kernel code reports through :func:`record`, which is
-a no-op when no collector is active on the current thread.  The thread-local
-stack means concurrently executing map tasks (the thread executor) each
-observe only their own kernel work.
-
-The counters ride back to the driver on
-:class:`~repro.parallel.tasks.MapResult`, are aggregated per round onto
-:class:`~repro.parallel.resilience.RoundReport` and per run onto
-:class:`~repro.parallel.grid.GridRunResult`, and surface in the serving
-layer's ``/metrics`` document.
-
-This module is the special-cased ancestor of the general telemetry layer in
-:mod:`repro.obs.registry`: the same capture-and-merge idea (thread-local
-scope in the worker, picklable deltas on the result, fold in the driver),
-generalized there to arbitrary named counters, gauges and histograms.  The
-kernel tallies stay on this dedicated hot path — a handful of plain int adds
-per batch call — and are folded into the process-wide registry at phase
-boundaries via :func:`fold_into_registry` (the grid and the blocking phase
-call it after merging each round's counters).
+vectorized prefilter examined and eliminated before any exact scoring.  The
+counts are plain :mod:`repro.obs.registry` counters: inside a map task the
+task's ``capturing()`` scope carries them back on ``MapResult.metric_deltas``,
+everywhere else (cover builds, thread-pool cover workers) they land in the
+process registry.  All stay zero on the scalar backend.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from ..obs import registry as obs_registry
 
-
-@dataclass
-class KernelCounters:
-    """Work accounting for the batch kernels over one collection scope."""
-
-    #: Candidate pairs whose score (or score bound) a kernel evaluated.
-    pairs_scored: int = 0
-    #: Vectorized batch invocations (one per kernel call, however wide).
-    batches: int = 0
-    #: Candidates examined by a cheap vectorized prefilter.
-    prefilter_checked: int = 0
-    #: Candidates the prefilter eliminated before exact scoring.
-    prefilter_pruned: int = 0
-
-    def add(self, pairs_scored: int = 0, batches: int = 0,
-            prefilter_checked: int = 0, prefilter_pruned: int = 0) -> None:
-        self.pairs_scored += pairs_scored
-        self.batches += batches
-        self.prefilter_checked += prefilter_checked
-        self.prefilter_pruned += prefilter_pruned
-
-    def merge(self, other: "KernelCounters") -> None:
-        self.add(other.pairs_scored, other.batches,
-                 other.prefilter_checked, other.prefilter_pruned)
-
-    @property
-    def prefilter_hit_rate(self) -> float:
-        """Fraction of prefilter-checked candidates that were pruned."""
-        if self.prefilter_checked == 0:
-            return 0.0
-        return self.prefilter_pruned / self.prefilter_checked
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        """Compact picklable form carried on :class:`MapResult`."""
-        return (self.pairs_scored, self.batches,
-                self.prefilter_checked, self.prefilter_pruned)
-
-    @classmethod
-    def from_tuple(cls, values: Tuple[int, ...]) -> "KernelCounters":
-        padded = tuple(values) + (0,) * (4 - len(values))
-        return cls(*padded[:4])
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "pairs_scored": self.pairs_scored,
-            "batches": self.batches,
-            "prefilter_checked": self.prefilter_checked,
-            "prefilter_pruned": self.prefilter_pruned,
-            "prefilter_hit_rate": self.prefilter_hit_rate,
-        }
-
-
-_local = threading.local()
-
-
-def _stack(create: bool = False):
-    stack = getattr(_local, "stack", None)
-    if stack is None and create:
-        stack = []
-        _local.stack = stack
-    return stack
-
-
-def current() -> Optional[KernelCounters]:
-    """The innermost active collector on this thread, if any."""
-    stack = _stack()
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def collecting() -> Iterator[KernelCounters]:
-    """Collect kernel counters for the duration of the ``with`` block."""
-    counters = KernelCounters()
-    stack = _stack(create=True)
-    stack.append(counters)
-    try:
-        yield counters
-    finally:
-        stack.pop()
-
-
-def record(pairs_scored: int = 0, batches: int = 0,
-           prefilter_checked: int = 0, prefilter_pruned: int = 0) -> None:
-    """Report kernel work to the active collector (no-op when none)."""
-    counters = current()
-    if counters is not None:
-        counters.add(pairs_scored, batches, prefilter_checked, prefilter_pruned)
-
-
-def fold_into_registry(counters: KernelCounters) -> None:
-    """Add a scope's tallies to the process-wide ``kernel_*_total`` counters.
-
-    Called at phase boundaries (after a grid round's merge, after a blocking
-    cover build) so the registry accumulates across runs without taxing the
-    per-batch hot path.  Registry handles are get-or-create, so repeated
-    folds hit the same four counters.
-    """
-    from ..obs import registry as obs_registry
-    registry = obs_registry.registry()
-    registry.counter(
+#: Work name (the keyword :func:`record` takes) -> its registry counter.
+COUNTERS = {
+    "pairs_scored": obs_registry.counter(
         "kernel_pairs_scored_total",
-        "Candidate pairs whose score a batch kernel evaluated",
-    ).inc(counters.pairs_scored)
-    registry.counter(
-        "kernel_batches_total",
-        "Vectorized batch kernel invocations",
-    ).inc(counters.batches)
-    registry.counter(
+        "Candidate pairs whose score a batch kernel evaluated"),
+    "batches": obs_registry.counter(
+        "kernel_batches_total", "Vectorized batch kernel invocations"),
+    "prefilter_checked": obs_registry.counter(
         "kernel_prefilter_checked_total",
-        "Candidates examined by the vectorized prefilter",
-    ).inc(counters.prefilter_checked)
-    registry.counter(
+        "Candidates examined by the vectorized prefilter"),
+    "prefilter_pruned": obs_registry.counter(
         "kernel_prefilter_pruned_total",
-        "Candidates eliminated by the prefilter before exact scoring",
-    ).inc(counters.prefilter_pruned)
+        "Candidates eliminated by the prefilter before exact scoring"),
+}
+
+
+def record(**work: int) -> None:
+    """Add one kernel call's work, e.g. ``record(batches=1, pairs_scored=n)``."""
+    for name, amount in work.items():
+        COUNTERS[name].inc(amount)

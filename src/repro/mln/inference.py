@@ -12,14 +12,14 @@ with the highest score.  Two inference procedures are provided:
   because the network is supermodular, never *removes* pairs — which keeps the
   resulting matcher monotone.
 
-  By default the search runs on the **incremental counting engine**
+  The search runs on the **incremental counting engine**
   (:class:`~repro.mln.state.WorldState`): every probe costs the degree of one
   pair instead of a frozenset rebuild per touching grounding, and greedy
   progress propagates through a worklist seeded from the touching index —
   supermodularity guarantees only pairs sharing a grounding with a newly
-  added pair can flip from non-positive to positive delta.  ``use_counting=
-  False`` selects the naive reference path (full rescans against
-  :meth:`GroundNetwork.delta`), kept verbatim so parity can always be checked.
+  added pair can flip from non-positive to positive delta.  The full-rescan
+  path against :meth:`GroundNetwork.delta` that it replaced is the oracle
+  ``tests/reference/inference.py``.
 
   ``infer(..., warm_start=...)`` seeds the search with a previous result.
   This is sound whenever the warm-start set is contained in the cold answer —
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Deque, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, FrozenSet, Iterable, Optional, Set
 
 from ..datamodel import EntityPair
 from ..exceptions import InferenceError
@@ -85,12 +85,6 @@ class GreedyCollectiveInference:
         accepted, implementing the Type-II tie-break "prefer the largest most
         likely set".  Disabled by default: strict improvement keeps the MAP
         state unique on generic weights.
-    use_counting:
-        When enabled (default) the search runs on the incremental
-        :class:`~repro.mln.state.WorldState` engine; when disabled it runs the
-        naive reference implementation against the network's set-based
-        ``score``/``delta``.  Both produce identical match sets on
-        well-behaved (supermodular) networks — asserted by the parity tests.
     """
 
     #: Callers may pass ``warm_start`` to :meth:`infer` (feature-detection
@@ -98,13 +92,12 @@ class GreedyCollectiveInference:
     supports_warm_start = True
 
     def __init__(self, max_iterations: int = 1000, enable_group_moves: bool = True,
-                 accept_zero_gain_groups: bool = False, use_counting: bool = True):
+                 accept_zero_gain_groups: bool = False):
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         self.max_iterations = max_iterations
         self.enable_group_moves = enable_group_moves
         self.accept_zero_gain_groups = accept_zero_gain_groups
-        self.use_counting = use_counting
 
     # ------------------------------------------------------------------ api
     def infer(self, network: GroundNetwork,
@@ -123,13 +116,6 @@ class GreedyCollectiveInference:
         seed = set(clamped_true)
         if warm_start:
             seed |= (frozenset(warm_start) & network.candidates) - clamped_false
-        if self.use_counting:
-            return self._infer_counting(network, seed, clamped_false)
-        return self._infer_naive(network, seed, clamped_false)
-
-    # ------------------------------------------------------ counting engine
-    def _infer_counting(self, network: GroundNetwork, seed: Set[EntityPair],
-                        clamped_false: FrozenSet[EntityPair]) -> InferenceResult:
         with span("mln.infer", engine="counting",
                   candidates=len(network.candidates)) as infer_span:
             state = WorldState(network, initial=seed)
@@ -262,92 +248,6 @@ class GreedyCollectiveInference:
                                 and neighbor not in queued:
                             worklist.append(neighbor)
                             queued.add(neighbor)
-        return group
-
-    # ------------------------------------------------------ naive reference
-    def _infer_naive(self, network: GroundNetwork, seed: Set[EntityPair],
-                     clamped_false: FrozenSet[EntityPair]) -> InferenceResult:
-        with span("mln.infer", engine="naive",
-                  candidates=len(network.candidates)) as infer_span:
-            world: Set[EntityPair] = set(seed)
-            free_candidates = [
-                pair for pair in sorted(network.candidates)
-                if pair not in world and pair not in clamped_false
-            ]
-
-            iterations = 0
-            changed = True
-            while changed and iterations < self.max_iterations:
-                iterations += 1
-                with span("mln.greedy_pass", iteration=iterations):
-                    changed = self._greedy_pass(network, world, free_candidates)
-                if self.enable_group_moves:
-                    with span("mln.group_pass", iteration=iterations):
-                        group_changed = self._group_pass(
-                            network, world, free_candidates)
-                    changed = changed or group_changed
-            infer_span.add_attrs(iterations=iterations, matches=len(world))
-        _INFERENCES.inc(engine="naive")
-        _ITERATIONS.inc(iterations)
-        matched = frozenset(world)
-        return InferenceResult(matches=matched, score=network.score(matched),
-                               iterations=iterations)
-
-    def _greedy_pass(self, network: GroundNetwork, world: Set[EntityPair],
-                     free_candidates: List[EntityPair]) -> bool:
-        """Add every single pair with a strictly positive delta; loop to fixpoint."""
-        changed_any = False
-        progress = True
-        while progress:
-            progress = False
-            for pair in free_candidates:
-                if pair in world:
-                    continue
-                if network.delta_single(pair, world) > SCORE_TOLERANCE:
-                    world.add(pair)
-                    progress = True
-                    changed_any = True
-        return changed_any
-
-    def _group_pass(self, network: GroundNetwork, world: Set[EntityPair],
-                    free_candidates: List[EntityPair]) -> bool:
-        """Try collective chain moves seeded at each unmatched pair."""
-        changed_any = False
-        for seed in free_candidates:
-            if seed in world:
-                continue
-            group = self._expand_group(network, world, free_candidates, seed)
-            joint_delta = network.delta(group, world)
-            accept = joint_delta > SCORE_TOLERANCE or (
-                self.accept_zero_gain_groups and joint_delta >= -SCORE_TOLERANCE
-            )
-            if accept:
-                world.update(group)
-                changed_any = True
-        return changed_any
-
-    @staticmethod
-    def _expand_group(network: GroundNetwork, world: Set[EntityPair],
-                      free_candidates: Sequence[EntityPair],
-                      seed: EntityPair) -> Set[EntityPair]:
-        """Grow a tentative group from ``seed`` by pulling in entailed pairs.
-
-        A pair is entailed when, with the current world plus the tentative
-        group assumed matched, its own delta becomes strictly positive.
-        Because the network is supermodular this expansion is monotone and
-        terminates once no further pair is entailed.
-        """
-        group: Set[EntityPair] = {seed}
-        progress = True
-        while progress:
-            progress = False
-            hypothetical = world | group
-            for pair in free_candidates:
-                if pair in hypothetical:
-                    continue
-                if network.delta_single(pair, hypothetical) > SCORE_TOLERANCE:
-                    group.add(pair)
-                    progress = True
         return group
 
 

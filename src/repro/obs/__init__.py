@@ -4,8 +4,7 @@ One coherent observability layer for the whole stack:
 
 * :mod:`repro.obs.registry` — process-wide named counters / gauges /
   fixed-bucket histograms with labels, locked updates, snapshot / merge
-  semantics, and picklable worker deltas (the generalization of
-  :class:`~repro.kernels.counters.KernelCounters`);
+  semantics, and picklable worker deltas;
 * :mod:`repro.obs.trace` — ``span()`` context managers forming a
   parent/child tree with monotonic timings, JSONL export, and re-parenting
   of spans captured inside pool worker processes;

@@ -1,7 +1,6 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
-This generalizes what :class:`~repro.kernels.counters.KernelCounters` does
-for the batch kernels into one named, labelled, process-wide facility:
+One named, labelled, process-wide facility:
 
 * **Counters** only go up (``inc``), or fold external monotonic tallies with
   :meth:`Counter.raise_to`.
@@ -17,9 +16,8 @@ into a picklable :class:`RegistryDelta` instead of the process registry —
 that is how map tasks running in pool worker *processes* ship their metric
 work back on :class:`~repro.parallel.tasks.MapResult` for the parent to
 :meth:`~MetricsRegistry.apply_wire` into its own registry.  The redirect is
-thread-local, mirroring :func:`repro.kernels.counters.collecting`, so under
-the thread executor each in-flight task observes only its own work and
-nothing is double-counted.
+thread-local, so under the thread executor each in-flight task observes only
+its own work and nothing is double-counted.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain dicts keyed by metric
 name; :func:`merge_snapshots` combines any number of them (counter and

@@ -48,7 +48,6 @@ from ..core.messages import MaximalMessageSet
 from ..core.mmp import promote_messages
 from ..datamodel import CompactStore, EntityPair, EntityStore, StoreView
 from ..exceptions import ExperimentError, MatcherError
-from ..kernels.counters import KernelCounters, fold_into_registry
 from ..matchers import TypeIIMatcher, TypeIMatcher
 from ..obs import registry as obs_registry
 from ..obs import trace as obs_trace
@@ -117,10 +116,6 @@ class GridRunResult:
     #: ``fault_policy`` was configured): attempts, retries, timeouts,
     #: speculative launches/wins, degraded tasks, pool rebuilds.
     round_reports: List[RoundReport] = field(default_factory=list)
-    #: Batch-kernel work aggregated over every committed map result of the
-    #: run (pairs scored, batch invocations, prefilter traffic).  All zeros
-    #: when the tasks resolved the scalar backend.
-    kernel_counters: KernelCounters = field(default_factory=KernelCounters)
 
     @property
     def round_count(self) -> int:
@@ -334,7 +329,6 @@ class GridExecutor:
 
         pair_origins: Dict[EntityPair, Tuple[str, int]] = {}
         round_reports: List[RoundReport] = []
-        run_kernel = KernelCounters()
         pop_report = getattr(self.executor, "pop_report", None)
         # One flag decides whether tasks capture spans for re-parenting; it
         # travels on the task payloads so pool workers (which have no tracer)
@@ -414,7 +408,6 @@ class GridExecutor:
                         # deltas land in this process's registry.
                         round_tasks: List[Task] = []
                         round_new: Set[EntityPair] = set()
-                        round_kernel = KernelCounters()
                         for name in sorted(results):
                             result: MapResult = results[name]
                             fresh = result.matches - evidence_snapshot
@@ -424,8 +417,6 @@ class GridExecutor:
                             round_new |= fresh
                             message_set.add_all(result.messages)
                             neighborhood_runs += result.matcher_calls
-                            round_kernel.merge(KernelCounters.from_tuple(
-                                getattr(result, "kernel_counters", ())))
                             round_tasks.append((name, result.duration))
                             _TASK_SECONDS.observe(result.duration)
                             worker_spans = getattr(result, "spans", ())
@@ -436,15 +427,6 @@ class GridExecutor:
                                 obs_registry.registry().apply_wire(worker_metrics)
                             last_results[name] = result.matches
                         rounds.append(round_tasks)
-                        run_kernel.merge(round_kernel)
-                        if current_report is not None:
-                            current_report.kernel_pairs_scored += round_kernel.pairs_scored
-                            current_report.kernel_batches += round_kernel.batches
-                            current_report.kernel_prefilter_checked += \
-                                round_kernel.prefilter_checked
-                            current_report.kernel_prefilter_pruned += \
-                                round_kernel.prefilter_pruned
-                        fold_into_registry(round_kernel)
 
                         matches |= round_new
                         if self.scheme == "mmp":
@@ -484,5 +466,4 @@ class GridExecutor:
             neighborhood_results=last_results if collect_results else {},
             pair_origins=pair_origins,
             round_reports=round_reports,
-            kernel_counters=run_kernel,
         )

@@ -158,14 +158,6 @@ class RoundReport:
     degraded: int = 0
     pool_rebuilds: int = 0
     duplicates_discarded: int = 0
-    #: Batch-kernel work reported by the round's committed map results
-    #: (folded in by the grid's reduce phase; zero when the tasks ran on the
-    #: scalar backend).  Plain ints so merge/aggregate/snapshot pick them up
-    #: through ``fields()`` like every other counter.
-    kernel_pairs_scored: int = 0
-    kernel_batches: int = 0
-    kernel_prefilter_checked: int = 0
-    kernel_prefilter_pruned: int = 0
 
     def merge(self, other: "RoundReport") -> None:
         """Accumulate another round's counters into this one."""

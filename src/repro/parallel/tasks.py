@@ -18,16 +18,18 @@ process by :class:`repro.parallel.executor.ProcessExecutor`:
   drops its per-store ground-network and result caches when pickled).
 
 :func:`execute_map_task` is the module-level entry point the executors call;
-its :class:`MapResult` carries everything the reduce phase needs back: the
+its :class:`MapResult` is the one channel back to the reduce phase: the
 neighborhood's matches, any maximal messages (MMP), the measured duration
-(which feeds the simulated-grid model) and the matcher-call count.
+(which feeds the simulated-grid model), the matcher-call count, and the
+task's telemetry — captured spans and every registry update made inside the
+task (kernel work, grounding and rule-evaluation counts alike).
 
 When the grid runs against a :class:`~repro.datamodel.CompactStore`, tasks
 take the :class:`CompactMapTask` form instead: the snapshot and the matcher
 are broadcast once per execution context (:mod:`repro.parallel.shared`) and
 each task ships only integer member lists and int-encoded evidence —
 :func:`execute_compact_map_task` reassembles the neighborhood as a zero-copy
-view on the receiving side.
+view on the receiving side.  Both entry points run the same task body.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import FrozenSet, Iterable, Tuple
 from ..core.maximal import compute_maximal_messages
 from ..core.messages import MaximalMessage
 from ..datamodel import EntityPair, EntityStore, Evidence
-from ..kernels.counters import collecting
 from ..matchers import TypeIMatcher
 from ..obs import registry as obs_registry
 from ..obs import trace as obs_trace
@@ -106,16 +107,11 @@ class MapResult:
     messages: Tuple[MaximalMessage, ...]
     duration: float
     matcher_calls: int
-    #: Batch-kernel work done inside this task, as the compact tuple form of
-    #: :class:`~repro.kernels.counters.KernelCounters` (all zeros on the
-    #: scalar backend).  A tuple keeps the payload cheap to pickle and
-    #: forward-compatible (older results default to zeros).
-    kernel_counters: Tuple[int, int, int, int] = (0, 0, 0, 0)
     #: Spans recorded inside the task, as :meth:`TaskCapture.wire` tuples —
     #: empty unless the task was dispatched with ``trace=True``.  The grid's
     #: reduce phase re-parents them under the round span.
     spans: Tuple = ()
-    #: Metric updates made inside the task
+    #: Metric updates made inside the task — kernel work included
     #: (:meth:`~repro.obs.registry.RegistryDelta.as_wire`), folded into the
     #: parent's registry by the reduce phase.
     metric_deltas: Tuple = ()
@@ -170,63 +166,22 @@ class _TaskRunner:
         return self.store.similar_pairs()
 
 
-def execute_map_task(task: MapTask) -> MapResult:
-    """Run one neighborhood against its evidence snapshot (any executor).
+def _run_task(task, resolve, **span_attrs) -> MapResult:
+    """The one map-task body: match, optional maximal-message probe, result.
 
-    Must stay a module-level function: :class:`ProcessExecutor` pickles
-    ``functools.partial(execute_map_task, task)`` to its workers.
+    ``resolve(task)`` yields ``(matcher, store, evidence, warm_start,
+    negative)`` and runs inside the task span, so resolving a compact task's
+    view is part of the task's measured time.  Registry updates (kernel
+    counters included) and spans made here ride back on the result.
     """
     started = time.perf_counter()
     with obs_registry.capturing() as metric_delta, \
-            obs_trace.task_capture(task.trace) as span_capture, \
-            collecting() as kernel_work:
-        with obs_trace.span("grid.task", task=task.name,
-                            evidence=len(task.evidence)) as task_span:
-            runner = _TaskRunner(task.matcher, task.store,
-                                 warm_start=task.warm_start,
-                                 negative=task.negative)
-            found = runner.run(task.name, positive=task.evidence)
-            messages: Tuple[MaximalMessage, ...] = ()
-            if task.compute_messages:
-                messages = tuple(compute_maximal_messages(
-                    runner, task.name, evidence_matches=task.evidence,
-                    unconditioned_output=found))
-            task_span.add_attrs(matches=len(found), calls=runner.calls)
-    return MapResult(
-        name=task.name,
-        matches=found,
-        messages=messages,
-        duration=time.perf_counter() - started,
-        matcher_calls=runner.calls,
-        kernel_counters=kernel_work.as_tuple(),
-        spans=span_capture.wire() if span_capture is not None else (),
-        metric_deltas=metric_delta.as_wire(),
-    )
-
-
-def execute_compact_map_task(task: CompactMapTask) -> MapResult:
-    """Run one neighborhood against a broadcast compact snapshot.
-
-    Resolves the snapshot and matcher from the process-local shared registry
-    (see :mod:`repro.parallel.shared`), restricts the snapshot to a cached
-    zero-copy view of the task's members, decodes the int-encoded evidence,
-    and then follows the same path as :func:`execute_map_task`.  Module-level
-    for the same pickling reason.
-    """
-    started = time.perf_counter()
-    with obs_registry.capturing() as metric_delta, \
-            obs_trace.task_capture(task.trace) as span_capture, \
-            collecting() as kernel_work:
+            obs_trace.task_capture(task.trace) as span_capture:
         with obs_trace.span("grid.task", task=task.name,
                             evidence=len(task.evidence),
-                            compact=True) as task_span:
-            snapshot = shared.get_shared(task.snapshot)
-            matcher: TypeIMatcher = shared.get_shared(task.matcher_key)
-            view = shared.view_for(task.snapshot, task.members)
-            evidence = frozenset(snapshot.decode_pairs(task.evidence))
-            warm_start = frozenset(snapshot.decode_pairs(task.warm_start))
-            negative = frozenset(snapshot.decode_pairs(task.negative))
-            runner = _TaskRunner(matcher, view, warm_start=warm_start,
+                            **span_attrs) as task_span:
+            matcher, store, evidence, warm_start, negative = resolve(task)
+            runner = _TaskRunner(matcher, store, warm_start=warm_start,
                                  negative=negative)
             found = runner.run(task.name, positive=evidence)
             messages: Tuple[MaximalMessage, ...] = ()
@@ -241,7 +196,40 @@ def execute_compact_map_task(task: CompactMapTask) -> MapResult:
         messages=messages,
         duration=time.perf_counter() - started,
         matcher_calls=runner.calls,
-        kernel_counters=kernel_work.as_tuple(),
         spans=span_capture.wire() if span_capture is not None else (),
         metric_deltas=metric_delta.as_wire(),
     )
+
+
+def _resolve_map_task(task: MapTask):
+    return (task.matcher, task.store, task.evidence, task.warm_start,
+            task.negative)
+
+
+def _resolve_compact_map_task(task: CompactMapTask):
+    snapshot = shared.get_shared(task.snapshot)
+    return (shared.get_shared(task.matcher_key),
+            shared.view_for(task.snapshot, task.members),
+            frozenset(snapshot.decode_pairs(task.evidence)),
+            frozenset(snapshot.decode_pairs(task.warm_start)),
+            frozenset(snapshot.decode_pairs(task.negative)))
+
+
+def execute_map_task(task: MapTask) -> MapResult:
+    """Run one neighborhood against its evidence snapshot (any executor).
+
+    Must stay a module-level function: :class:`ProcessExecutor` pickles
+    ``functools.partial(execute_map_task, task)`` to its workers.
+    """
+    return _run_task(task, _resolve_map_task)
+
+
+def execute_compact_map_task(task: CompactMapTask) -> MapResult:
+    """Run one neighborhood against a broadcast compact snapshot.
+
+    Resolves the snapshot and matcher from the process-local shared registry
+    (see :mod:`repro.parallel.shared`), restricts the snapshot to a cached
+    zero-copy view of the task's members and decodes the int-encoded
+    evidence.  Module-level for the same pickling reason.
+    """
+    return _run_task(task, _resolve_compact_map_task, compact=True)

@@ -189,6 +189,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(404, f"no such route: {parsed.path}")
 
     def _route_post(self) -> None:
+        # Any reply sent before the body is read ends the connection: the
+        # unread bytes would otherwise be parsed as the next request line.
+        keep_alive, self.close_connection = self.close_connection, True
         parsed = urllib.parse.urlsplit(self.path)
         if parsed.path.rstrip("/") != "/deltas":
             self._send_error(404, f"no such route: {parsed.path}")
@@ -205,6 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"limit {MAX_BODY_BYTES})",
                 retry_after=self.service.config.retry_after)
         raw = self.rfile.read(length)
+        self.close_connection = keep_alive
         try:
             document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:

@@ -47,6 +47,8 @@ from ..exceptions import (
     ServiceReadOnlyError,
     ServiceUnavailableError,
 )
+from ..kernels import backend as kernel_backend
+from ..kernels.counters import COUNTERS as KERNEL_COUNTERS
 from ..obs import registry as obs_registry
 from ..obs.exposition import render_prometheus
 from ..obs.trace import span
@@ -133,6 +135,17 @@ def _latency_summary(histogram: obs_registry.Histogram) -> Dict[str, float]:
     _, total, count = histogram.value()
     return {"count": count, "sum_seconds": total,
             "mean_seconds": (total / count) if count else 0.0}
+
+
+def _kernel_summary() -> Dict:
+    """The ``kernels`` block of the JSON document: this process's counters."""
+    block = {name: int(counter.value())
+             for name, counter in KERNEL_COUNTERS.items()}
+    checked = block["prefilter_checked"]
+    block["prefilter_hit_rate"] = \
+        block["prefilter_pruned"] / checked if checked else 0.0
+    block["backend"] = kernel_backend()
+    return block
 
 
 class CommitTicket:
@@ -661,16 +674,10 @@ class MatchService:
         epoch = self._epoch
         session = self._session
         supervision = None
-        kernels = None
         if session is not None:
-            inner = self._inner_session()
-            history = getattr(inner, "supervision", None)
+            history = getattr(self._inner_session(), "supervision", None)
             if history is not None:
                 supervision = history.snapshot()
-            kernel_work = getattr(inner, "kernel_counters", None)
-            if kernel_work is not None:
-                from ..kernels.backend import backend
-                kernels = dict(kernel_work.as_dict(), backend=backend())
         return {
             "state": self.state,
             "mode": "read-only" if self.read_only else "read-write",
@@ -685,7 +692,7 @@ class MatchService:
             "delta_queue_depth": self._deltas.qsize(),
             "delta_queue_limit": self.config.delta_queue_limit,
             "supervision": supervision,
-            "kernels": kernels,
+            "kernels": None if session is None else _kernel_summary(),
             "latency": {
                 "read": _latency_summary(self._read_seconds),
                 "commit": _latency_summary(self._commit_seconds),

@@ -64,7 +64,6 @@ class IncrementalCoverMaintainer:
         #: Whether the blocker supports local canopy repair (see module doc).
         self.supports_local_repair = (
             isinstance(blocker, CanopyBlocker)
-            and blocker.use_profiles
             and blocker.similarity is author_name_cheap_similarity)
         # --- canopy-side caches (local-repair mode only) -------------------
         self._profiles: Dict[str, EntityProfile] = {}

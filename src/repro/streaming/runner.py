@@ -170,10 +170,6 @@ class StreamSession:
         # while running totals cover everything (including evicted batches).
         from ..parallel.resilience import SupervisionHistory
         self.supervision = SupervisionHistory(limit=supervision_limit)
-        # Batch-kernel work aggregated over every grid run of the session
-        # (cold run + per-batch re-matching); all zeros on the scalar backend.
-        from ..kernels.counters import KernelCounters
-        self.kernel_counters = KernelCounters()
 
     # ------------------------------------------------------------ store view
     def _store_view(self):
@@ -211,7 +207,6 @@ class StreamSession:
             self._absorb(result, cover, clean_results={},
                          name_cache=name_cache)
             self.supervision.record(result.round_reports)
-            self.kernel_counters.merge(result.kernel_counters)
             self.started = True
             self.batches_applied = 0
             start_span.add_attrs(neighborhoods=len(cover),
@@ -284,7 +279,6 @@ class StreamSession:
             self._absorb(result, cover, clean_results=clean_results,
                          name_cache=name_cache)
             self.supervision.record(result.round_reports)
-            self.kernel_counters.merge(result.kernel_counters)
 
             rebased = False
             if self.overlay.delta_size() >= self.rebase_threshold:

@@ -11,7 +11,9 @@ possibly-wrong match set.
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 import random
 import struct
 
@@ -407,6 +409,40 @@ def test_recover_ignores_retired_config_keys_in_old_checkpoints(tmp_path,
 
     recovered = DurableStreamSession.recover(tmp_path, fsync=False)
     assert recovered.session.standing_state() == reference
+    recovered.close(checkpoint=False)
+
+
+def test_recover_tolerates_retired_attributes_on_pickled_objects(tmp_path,
+                                                                 dblp_dataset):
+    """A checkpoint whose pickled blocker still carries ``use_profiles`` and
+    whose pickled inference object still carries ``use_counting`` (both
+    retired with their naive paths) recovers to the same standing state."""
+    scenario = synthesize_stream(dblp_dataset, batches=3,
+                                 holdout_fraction=0.3, seed=7)
+    durable = DurableStreamSession(
+        StreamSession(MLNMatcher(), scenario.base.store.copy()),
+        tmp_path, checkpoint_every=0, fsync=False)
+    durable.replay(scenario.log)
+    reference = durable.session.standing_state()
+    durable.wal.close()
+    _, payload = durable.checkpoints.load_latest()
+
+    def repickled(key, mark):
+        restored = pickle.loads(base64.b64decode(payload[key]))
+        mark(restored)
+        payload[key] = base64.b64encode(pickle.dumps(restored)).decode("ascii")
+
+    repickled("blocker_pickle",
+              lambda blocker: setattr(blocker, "use_profiles", True))
+    repickled("matcher_pickle",
+              lambda matcher: setattr(matcher.mln.inference,
+                                      "use_counting", True))
+    durable.checkpoints.save(payload, 0)
+
+    recovered = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert recovered.session.blocker.use_profiles is True  # rode along, unused
+    assert recovered.session.standing_state() == reference
+    assert recovered.verify()
     recovered.close(checkpoint=False)
 
 

@@ -7,14 +7,12 @@ from repro.datamodel import EntityPair
 from repro.evaluation import (
     ExperimentRunner,
     PrecisionRecall,
-    Stopwatch,
     cluster_metrics,
     format_experiment,
     format_key_values,
     format_table,
     precision_recall_f1,
     soundness_completeness,
-    time_call,
 )
 from repro.exceptions import ExperimentError
 from repro.matchers import MLNMatcher, RulesMatcher
@@ -93,24 +91,6 @@ class TestSoundnessCompleteness:
     def test_as_dict(self):
         report = soundness_completeness({pair("a", "b")}, {pair("a", "b")})
         assert report.as_dict()["soundness"] == 1.0
-
-
-class TestTiming:
-    def test_stopwatch(self):
-        watch = Stopwatch()
-        with watch.measure("step"):
-            sum(range(1000))
-        with watch.measure("step"):
-            sum(range(1000))
-        assert watch.count("step") == 2
-        assert watch.total("step") > 0.0
-        assert "step" in watch.summary()
-        assert watch.total("missing") == 0.0
-
-    def test_time_call(self):
-        result, elapsed = time_call(sum, range(10))
-        assert result == 45
-        assert elapsed >= 0.0
 
 
 class TestReport:

@@ -18,8 +18,9 @@ from repro.core import (
     SimpleMessagePassing,
 )
 from repro.matchers import MLNMatcher, WarmStartCache
-from repro.mln import GreedyCollectiveInference, paper_author_rules
+from repro.mln import paper_author_rules
 from repro.parallel import GridExecutor
+from tests.reference.inference import NaiveCollectiveInference
 from tests.util import (
     build_chain_store,
     build_two_hop_store,
@@ -39,7 +40,7 @@ SEQUENTIAL_SCHEMES = {
 def naive_matcher(rules):
     """The pre-incremental reference: set-based inference, no caches."""
     return MLNMatcher(rules=rules,
-                      inference=GreedyCollectiveInference(use_counting=False),
+                      inference=NaiveCollectiveInference(),
                       cache_networks=False, cache_results=False)
 
 

@@ -4,7 +4,8 @@ The naive :class:`GroundNetwork` ``score``/``delta`` methods are the reference
 implementation; :class:`WorldState` must agree with them — to floating-point
 tolerance — for *arbitrary* networks and add sequences, and the counting
 inference engine must produce byte-identical match sets to the naive engine
-on well-behaved (supermodular) networks, warm-started or not.
+(``tests/reference/inference.py``) on well-behaved (supermodular) networks,
+warm-started or not.
 """
 
 from itertools import combinations
@@ -23,6 +24,7 @@ from repro.mln import (
     database_from_store,
     section2_example_rules,
 )
+from tests.reference.inference import NaiveCollectiveInference
 from tests.util import (
     build_chain_store,
     build_shared_coauthor_store,
@@ -179,10 +181,15 @@ class TestNetworkIndexViews:
 
 
 # ------------------------------------------------- inference parity
-def infer_both(network, **kwargs):
-    counting = GreedyCollectiveInference(use_counting=True).infer(network, **kwargs)
-    naive = GreedyCollectiveInference(use_counting=False).infer(network, **kwargs)
+def infer_both(network, options=None, **kwargs):
+    """The shipped engine and the ``tests/reference/inference.py`` oracle."""
+    options = options or {}
+    counting = GreedyCollectiveInference(**options).infer(network, **kwargs)
+    naive = NaiveCollectiveInference(**options).infer(network, **kwargs)
     return counting, naive
+
+
+ENGINES = (GreedyCollectiveInference, NaiveCollectiveInference)
 
 
 class TestCountingInferenceParity:
@@ -222,19 +229,37 @@ class TestCountingInferenceParity:
     @given(network=networks(supermodular=True))
     @settings(max_examples=40, deadline=None)
     def test_identical_without_group_moves(self, network):
-        counting = GreedyCollectiveInference(
-            use_counting=True, enable_group_moves=False).infer(network)
-        naive = GreedyCollectiveInference(
-            use_counting=False, enable_group_moves=False).infer(network)
+        counting, naive = infer_both(network, {"enable_group_moves": False})
         assert counting.matches == naive.matches
+
+    @given(network=networks(supermodular=True),
+           evidence=st.sets(st.sampled_from(ALL_PAIRS), max_size=3),
+           blocked=st.sets(st.sampled_from(ALL_PAIRS), max_size=2),
+           group_moves=st.booleans(), zero_gain=st.booleans(),
+           warm_fraction=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_identical_under_every_option(self, network, evidence, blocked,
+                                          group_moves, zero_gain,
+                                          warm_fraction):
+        options = {"enable_group_moves": group_moves,
+                   "accept_zero_gain_groups": zero_gain}
+        clamps = {"fixed_true": evidence, "fixed_false": blocked}
+        counting, naive = infer_both(network, options, **clamps)
+        assert counting.matches == naive.matches
+        # A warm start drawn from inside the cold answer reaches it again.
+        ordered = sorted(naive.matches)
+        warm = ordered[:int(len(ordered) * warm_fraction)]
+        warm_counting, warm_naive = infer_both(network, options,
+                                               warm_start=warm, **clamps)
+        assert warm_counting.matches == warm_naive.matches == naive.matches
 
 
 class TestWarmStartInference:
     def test_warm_equals_cold_on_fixtures(self):
         for store, rules in TestCountingInferenceParity.FIXTURES:
             network = ground(store, rules)
-            for use_counting in (True, False):
-                inference = GreedyCollectiveInference(use_counting=use_counting)
+            for engine in ENGINES:
+                inference = engine()
                 cold = inference.infer(network)
                 warm = inference.infer(network, warm_start=cold.matches)
                 assert warm.matches == cold.matches
@@ -245,8 +270,8 @@ class TestWarmStartInference:
         store = build_chain_store(6, level=2)
         network = ground(store, leveled_rules(-2.28, -3.84, 12.75, 2.46))
         ring = [chain_pair(i) for i in range(6)]
-        for use_counting in (True, False):
-            inference = GreedyCollectiveInference(use_counting=use_counting)
+        for engine in ENGINES:
+            inference = engine()
             previous = frozenset()
             for reveal in range(0, 7, 2):
                 evidence = frozenset(ring[:reveal])

@@ -30,12 +30,9 @@ from repro.datasets import GeneratorConfig, NameNoiseModel, generate_bibliograph
 from repro.exceptions import ExperimentError
 from repro.kernels import (
     BACKEND_ENV_VAR,
-    KernelCounters,
     PackedStrings,
     TfIdfBlockScorer,
     backend,
-    collecting,
-    current,
     damerau_levenshtein_block,
     jaro_winkler_block,
     jaro_winkler_bound_block,
@@ -53,7 +50,7 @@ from repro.similarity import (
     TfIdfVectorizer,
 )
 from repro.similarity.profiles import LruMemo
-from tests.util import build_chain_store, leveled_rules
+from tests.util import build_chain_store, kernel_work, leveled_rules
 
 backend_module = importlib.import_module("repro.kernels.backend")
 
@@ -193,33 +190,31 @@ class TestBackendResolution:
 
 # ----------------------------------------------------------------- counters
 class TestKernelCounters:
-    def test_record_is_noop_without_collector(self):
-        assert current() is None
-        record(pairs_scored=5, batches=1)   # must not raise
+    def test_record_lands_in_the_process_registry(self):
+        with kernel_work() as work:
+            record(pairs_scored=5, batches=1)
+            record(prefilter_checked=10, prefilter_pruned=4)
+        assert work == {"pairs_scored": 5, "batches": 1,
+                        "prefilter_checked": 10, "prefilter_pruned": 4}
 
-    def test_collecting_accumulates_and_nests(self):
-        with collecting() as outer:
-            record(pairs_scored=2, batches=1)
-            with collecting() as inner:
-                record(pairs_scored=3, batches=1,
-                       prefilter_checked=10, prefilter_pruned=4)
-            outer.merge(inner)
-        assert outer.pairs_scored == 5
-        assert outer.batches == 2
-        assert inner.prefilter_hit_rate == pytest.approx(0.4)
-
-    def test_tuple_roundtrip(self):
-        counters = KernelCounters(pairs_scored=7, batches=2,
-                                  prefilter_checked=11, prefilter_pruned=3)
-        assert KernelCounters.from_tuple(counters.as_tuple()) == counters
-        assert KernelCounters.from_tuple(()) == KernelCounters()
+    def test_record_inside_a_capture_rides_the_delta(self):
+        from repro.obs import registry as obs_registry
+        with kernel_work() as work:
+            with obs_registry.capturing() as delta:
+                record(pairs_scored=3, batches=1)
+        assert work["pairs_scored"] == 0       # redirected, not counted here
+        carried = obs_registry.MetricsRegistry()
+        carried.apply_wire(delta.as_wire())
+        assert carried.get("kernel_pairs_scored_total").value() == 3
+        assert carried.get("kernel_batches_total").value() == 1
+        assert carried.get("kernel_prefilter_checked_total") is None
 
     @requires_numpy
     def test_kernels_report_work(self):
-        with use("numpy"), collecting() as work:
+        with use("numpy"), kernel_work() as work:
             jaro_winkler_block("smith", ["smyth", "jones", "smith"])
-        assert work.batches == 1
-        assert work.pairs_scored == 3
+        assert work["batches"] == 1
+        assert work["pairs_scored"] == 3
 
 
 # ------------------------------------------------------------------ LruMemo
@@ -433,9 +428,9 @@ class TestDeltaBatchParity:
 
     def test_small_batches_fall_back_to_scalar(self):
         state, probes = self.make_state()
-        with use("numpy"), collecting() as work:
+        with use("numpy"), kernel_work() as work:
             state.delta_batch(probes[:3])
-        assert work.batches == 0     # under _MIN_BATCH: scalar loop, no kernel
+        assert work["batches"] == 0  # under _MIN_BATCH: scalar loop, no kernel
 
     def test_mirror_tracks_mutations(self):
         state, probes = self.make_state()
@@ -533,46 +528,109 @@ class TestEndToEndParity:
 
 # ------------------------------------------------------------- observability
 class TestKernelObservability:
+    def build_framework(self, dataset, **kwargs):
+        return EMFramework(MLNMatcher(), dataset.store, blocker=CanopyBlocker(),
+                           relation_names=["coauthor"], **kwargs)
+
     @requires_numpy
-    def test_framework_records_blocking_kernel_work(self, hepth_dataset):
-        framework = EMFramework(MLNMatcher(), hepth_dataset.store,
-                                blocker=CanopyBlocker(),
-                                relation_names=["coauthor"],
-                                kernel_backend="numpy")
+    def test_cover_build_counts_kernel_work(self, hepth_dataset):
+        framework = self.build_framework(hepth_dataset, kernel_backend="numpy")
         assert framework.kernel_backend == "numpy"
-        assert framework.blocking_kernel_counters.pairs_scored > 0
+        with kernel_work() as work:
+            framework.cover
         set_backend("auto")
+        assert work["pairs_scored"] > 0
+        assert 0 < work["prefilter_pruned"] < work["prefilter_checked"]
 
-    def test_framework_python_backend_records_nothing(self, hepth_dataset):
-        framework = EMFramework(MLNMatcher(), hepth_dataset.store,
-                                blocker=CanopyBlocker(),
-                                relation_names=["coauthor"],
-                                kernel_backend="python")
+    def test_python_backend_counts_nothing(self, hepth_dataset):
+        framework = self.build_framework(hepth_dataset, kernel_backend="python")
         assert framework.kernel_backend == "python"
-        assert framework.blocking_kernel_counters == KernelCounters()
+        with kernel_work() as work:
+            framework.run_grid("smp", executor="serial")
         set_backend("auto")
+        assert not any(work.values())
 
-    def test_grid_results_carry_kernel_counters(self, hepth_dataset):
-        from repro.parallel import FaultPolicy
-        from repro.parallel.resilience import RoundReport
-        framework = EMFramework(MLNMatcher(), hepth_dataset.store,
-                                blocker=CanopyBlocker(),
-                                relation_names=["coauthor"])
-        result = framework.run_grid("smp", executor="serial",
-                                    fault_policy=FaultPolicy())
-        assert result.kernel_counters == KernelCounters.from_tuple(
-            result.kernel_counters.as_tuple())
-        report = RoundReport.aggregate(result.round_reports)
-        assert report.kernel_pairs_scored == result.kernel_counters.pairs_scored
-        assert report.kernel_batches == result.kernel_counters.batches
+    @requires_numpy
+    def test_threaded_cover_build_counts_like_the_serial_one(self, hepth_dataset):
+        """Thread-pool canopy workers write to the same process registry."""
+        scored = {}
+        with use("numpy"):
+            for executor in ("serial", "threads"):
+                framework = self.build_framework(
+                    hepth_dataset, blocking_executor=executor,
+                    blocking_workers=2)
+                with kernel_work() as work:
+                    framework.cover
+                scored[executor] = work
+        assert scored["serial"]["pairs_scored"] > 0
+        assert scored["threads"] == scored["serial"]
 
-    def test_round_report_merges_kernel_fields(self):
+    @requires_numpy
+    def test_grid_kernel_work_identical_across_executors(self, hepth_dataset,
+                                                         hepth_cover):
+        """One transport: the same tasks report the same kernel work whether
+        their counters were written in-process or rode ``metric_deltas``."""
+        totals = {}
+        with use("numpy"):
+            for executor in ("serial", "threads", "processes"):
+                framework = EMFramework(MLNMatcher(), hepth_dataset.store,
+                                        cover=hepth_cover)
+                with kernel_work() as work:
+                    framework.run_grid("smp", executor=executor, workers=2)
+                totals[executor] = work
+        assert totals["serial"]["pairs_scored"] > 0
+        assert totals["serial"]["batches"] > 0
+        assert totals["threads"] == totals["serial"]
+        assert totals["processes"] == totals["serial"]
+
+    @requires_numpy
+    def test_served_session_reads_kernel_work_from_the_registry(
+            self, hepth_dataset):
+        """The service keeps no kernel tally of its own: both forms of
+        ``/metrics`` read the process registry, so work done outside any map
+        task is served too."""
+        from repro.serving import MatchService
+        from repro.streaming import StreamSession, synthesize_stream
+
+        def scraped(service, name):
+            for line in service.prometheus_metrics().splitlines():
+                if line.startswith(name + " "):
+                    return float(line.split()[1])
+            return 0.0
+
+        scenario = synthesize_stream(hepth_dataset, batches=1,
+                                     holdout_fraction=0.1, seed=7)
+        with use("numpy"):
+            with kernel_work() as startup:
+                service = MatchService(session=StreamSession(
+                    MLNMatcher(), scenario.base.store.copy())).start()
+            try:
+                assert startup["pairs_scored"] > 0      # the cold run's probes
+                scored = scraped(service, "kernel_pairs_scored_total")
+                assert scored >= startup["pairs_scored"]
+                checked = scraped(service, "kernel_prefilter_checked_total")
+                jaro_winkler_bound_block("smith", ["smyth", "jones"])
+                assert scraped(service, "kernel_prefilter_checked_total") \
+                    == checked + 2
+
+                service.submit_deltas(scenario.log.batches[0]).wait(30.0)
+                assert scraped(service, "kernel_pairs_scored_total") > scored
+
+                block = service.metrics()["kernels"]
+                assert set(block) == {
+                    "pairs_scored", "batches", "prefilter_checked",
+                    "prefilter_pruned", "prefilter_hit_rate", "backend"}
+                assert block["backend"] == "numpy"
+                assert block["pairs_scored"] == \
+                    scraped(service, "kernel_pairs_scored_total")
+                assert block["prefilter_checked"] == checked + 2
+            finally:
+                service.drain()
+
+    def test_results_and_reports_carry_no_kernel_field(self):
+        from dataclasses import fields
+        from repro.parallel import GridRunResult
         from repro.parallel.resilience import RoundReport
-        merged = RoundReport(kernel_pairs_scored=3, kernel_batches=1)
-        merged.merge(RoundReport(kernel_pairs_scored=4, kernel_batches=2,
-                                 kernel_prefilter_checked=10,
-                                 kernel_prefilter_pruned=7))
-        assert merged.kernel_pairs_scored == 7
-        assert merged.kernel_batches == 3
-        assert merged.kernel_prefilter_checked == 10
-        assert merged.kernel_prefilter_pruned == 7
+        from repro.parallel.tasks import MapResult
+        for cls in (MapResult, GridRunResult, RoundReport):
+            assert not [f.name for f in fields(cls) if "kernel" in f.name]

@@ -15,14 +15,12 @@ Three contracts anchor this suite:
 from __future__ import annotations
 
 import json
-import threading
 import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation.timing import Stopwatch
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
@@ -573,46 +571,3 @@ class TestServingMetrics:
 
             content_type, _ = fetch("application/json, text/plain;q=0.5")
             assert content_type == "application/json"
-
-
-# ---------------------------------------------------------------- stopwatch
-class TestStopwatchAdapter:
-    def test_public_interface_is_unchanged(self):
-        watch = Stopwatch()
-        assert watch == Stopwatch()          # dataclass equality survives
-        assert watch.total("missing") == 0.0
-        assert watch.count("missing") == 0
-        with watch.measure("step"):
-            pass
-        assert watch.count("step") == 1
-        assert watch.summary()["step"] >= 0.0
-
-    def test_measure_is_thread_safe_and_feeds_the_registry(self):
-        watch = Stopwatch()
-        label = "obs-test-spin"
-
-        def work():
-            for _ in range(50):
-                with watch.measure(label):
-                    pass
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert watch.count(label) == 200
-        assert watch.total(label) == pytest.approx(
-            sum(watch.durations[label]))
-        histogram = obs_registry.registry().get("stopwatch_seconds")
-        counts, _, count = histogram.value(label=label)
-        assert count == 200
-        assert sum(counts) == 200
-
-    def test_measure_opens_a_span(self, fresh_tracer):
-        obs_trace.enable()
-        watch = Stopwatch()
-        with watch.measure("traced-step"):
-            pass
-        assert "stopwatch.traced-step" in \
-            [record["name"] for record in obs_trace.spans()]

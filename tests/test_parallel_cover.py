@@ -89,11 +89,14 @@ class TestFallbackPaths:
                                        relation_names=["coauthor"])
         assert cover_signature(builder.build_total_cover(store)) == expected
 
-    def test_naive_canopy_blocker_falls_back(self, store, reference):
-        builder = ParallelCoverBuilder(CanopyBlocker(use_profiles=False),
-                                       executor="threads", workers=2,
+    def test_tfidf_canopy_blocker_falls_back(self, store):
+        blocker = CanopyBlocker(similarity="tfidf", loose_threshold=0.4,
+                                tight_threshold=0.7)
+        expected = cover_signature(build_total_cover(
+            blocker, store, relation_names=["coauthor"]))
+        builder = ParallelCoverBuilder(blocker, executor="threads", workers=2,
                                        relation_names=["coauthor"])
-        assert cover_signature(builder.build_total_cover(store)) == reference
+        assert cover_signature(builder.build_total_cover(store)) == expected
 
     def test_custom_similarity_falls_back(self, store):
         def exotic(a, b):

@@ -2,9 +2,10 @@
 
 The load-bearing guarantee of `repro.similarity.profiles` is *exactness*:
 profile-backed scoring and pruning must never shift a canopy decision, so
-covers built through profiles are byte-identical to the naive string-path
-covers.  The property tests here drive that across random generated stores
-and canopy seeds.
+covers built through profiles are byte-identical to the covers of the
+string-at-a-time reference builder (``tests/reference/canopy.py``).  The
+property tests here drive that across random generated stores and canopy
+seeds.
 """
 
 import random
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.blocking import CanopyBlocker, build_total_cover
-from repro.datamodel import EntityStore, make_author
+from repro.datamodel import CompactStore, EntityStore, make_author
 from repro.datasets import GeneratorConfig, NameNoiseModel, generate_bibliography
 from repro.similarity import (
     DEFAULT_AUTHOR_SIMILARITY,
@@ -27,6 +29,7 @@ from repro.similarity import (
 )
 from repro.similarity.jaro import jaro_winkler_similarity
 from repro.similarity.name_similarity import normalize_name_part
+from tests.reference.canopy import NaiveCanopyBlocker
 
 
 def small_dataset(seed: int, abbreviate: float = 0.5, authors: int = 40):
@@ -218,29 +221,55 @@ class TestTfIdfExtensions:
         assert tfidf_cosine("abc", "xyz") == 0.0
 
 
-# ------------------------------------------------------- cover parity (PR 3)
-class TestProfiledCanopyParity:
+# ------------------------------------------- cover parity with the reference
+BACKENDS = ["python", pytest.param("numpy", marks=pytest.mark.skipif(
+    kernels.numpy_or_none() is None, reason="numpy not installed"))]
+
+
+class TestCanopyParityWithReference:
+    """``CanopyBlocker`` against ``tests/reference/canopy.py``: same cover on
+    the string-keyed path (dict store) and the interned path (compact store),
+    on both kernel backends."""
+
+    @staticmethod
+    def assert_same_cover(store, **blocker_kwargs):
+        expected = cover_signature(
+            NaiveCanopyBlocker(**blocker_kwargs).build_cover(store))
+        blocker = CanopyBlocker(**blocker_kwargs)
+        assert cover_signature(blocker.build_cover(store)) == expected
+        assert cover_signature(
+            blocker.build_cover(CompactStore.from_store(store))) == expected
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
            canopy_seed=st.integers(min_value=0, max_value=50),
            abbreviate=st.sampled_from([0.0, 0.5, 1.0]))
-    def test_profiled_covers_identical_to_naive(self, seed, canopy_seed, abbreviate):
-        store = small_dataset(seed, abbreviate).store
-        naive = CanopyBlocker(seed=canopy_seed, use_profiles=False)
-        profiled = CanopyBlocker(seed=canopy_seed)
-        assert cover_signature(profiled.build_cover(store)) == \
-            cover_signature(naive.build_cover(store))
+    def test_covers_identical_to_reference(self, backend, seed, canopy_seed,
+                                           abbreviate):
+        with kernels.use(backend):
+            self.assert_same_cover(small_dataset(seed, abbreviate).store,
+                                   seed=canopy_seed)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_tfidf_mode_profiled_identical_to_naive(self, seed):
-        store = small_dataset(seed).store
-        naive = CanopyBlocker(similarity="tfidf", loose_threshold=0.4,
-                              tight_threshold=0.7, use_profiles=False)
-        profiled = CanopyBlocker(similarity="tfidf", loose_threshold=0.4,
-                                 tight_threshold=0.7)
-        assert cover_signature(profiled.build_cover(store)) == \
-            cover_signature(naive.build_cover(store))
+    def test_tfidf_mode_identical_to_reference(self, backend, seed):
+        with kernels.use(backend):
+            self.assert_same_cover(small_dataset(seed).store, similarity="tfidf",
+                                   loose_threshold=0.4, tight_threshold=0.7)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("preset", ["hepth_dataset", "dblp_dataset"])
+    def test_presets_identical_to_reference(self, request, backend, preset):
+        with kernels.use(backend):
+            self.assert_same_cover(request.getfixturevalue(preset).store)
+
+    def test_custom_similarity_identical_to_reference(self):
+        def same_last_name(a, b):
+            return 1.0 if a.get("lname") == b.get("lname") else 0.0
+        self.assert_same_cover(small_dataset(seed=3).store,
+                               similarity=same_last_name)
 
     def test_total_cover_and_downstream_matches_identical(self):
         from repro.datamodel import MatchSet
@@ -249,7 +278,7 @@ class TestProfiledCanopyParity:
         dataset = small_dataset(seed=5)
         covers = {}
         matches = {}
-        for label, blocker in (("naive", CanopyBlocker(use_profiles=False)),
+        for label, blocker in (("naive", NaiveCanopyBlocker()),
                                ("profiled", CanopyBlocker())):
             cover = build_total_cover(blocker, dataset.store,
                                       relation_names=["coauthor"])

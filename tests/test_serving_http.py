@@ -8,6 +8,7 @@ build their backoff behaviour on exactly these contracts.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -17,6 +18,7 @@ import pytest
 from repro.exceptions import TaskFailedError
 from repro.matchers import MLNMatcher
 from repro.serving import MatchService, MatchServingHTTPServer, ServiceConfig
+from repro.serving.http import MAX_BODY_BYTES
 from repro.streaming import StreamSession
 from test_serving import FakeClock
 from util import build_shared_coauthor_store
@@ -142,6 +144,43 @@ def _assert_retry_after(headers, doc, seconds=None):
     assert int(header) == max(1, math.ceil(doc["retry_after_seconds"]))
     if seconds is not None:
         assert doc["retry_after_seconds"] == pytest.approx(seconds)
+
+
+class TestKeepAliveAfterEarlyErrors:
+    """A reply sent before the request body was read must end the connection:
+    on a keep-alive connection the unread body would otherwise be parsed as
+    the next request line (and answered with a stdlib 400 HTML page)."""
+
+    BODY = json.dumps({"ops": [{"kind": "add_entity"}]}).encode()
+
+    @pytest.mark.parametrize("request_line, content_length, status", [
+        ("POST /nope", str(len(BODY)), 404),
+        ("POST /deltas", "many", 400),
+        ("POST /deltas", str(MAX_BODY_BYTES + 1), 429),
+    ])
+    def test_unread_body_never_becomes_the_next_request(
+            self, served, request_line, content_length, status):
+        _, url = served
+        host, port = url[len("http://"):].split(":")
+        follow_up = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+        with socket.create_connection((host, int(port)), timeout=30) as conn:
+            conn.sendall(f"{request_line} HTTP/1.1\r\nHost: test\r\n"
+                         f"Content-Type: application/json\r\n"
+                         f"Content-Length: {content_length}\r\n\r\n"
+                         .encode() + self.BODY + follow_up)
+            conn.shutdown(socket.SHUT_WR)
+            received = b""
+            try:
+                while chunk := conn.recv(65536):
+                    received += chunk
+            except ConnectionResetError:
+                pass  # closed with our unread bytes still queued
+        replies = [line for line in received.split(b"\r\n")
+                   if line.startswith(b"HTTP/1.")]
+        assert replies[0].split()[1] == str(status).encode()
+        # Then /health answered properly, or nothing at all — never a 400.
+        assert [reply.split()[1] for reply in replies[1:]] in ([], [b"200"])
+        assert b"Bad request" not in received
 
 
 class TestDegradedStatuses:

@@ -17,7 +17,8 @@ with known structure so that tests can assert exact outputs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blocking import Cover, Neighborhood
 from repro.datamodel import (
@@ -28,7 +29,21 @@ from repro.datamodel import (
     Relation,
     make_author,
 )
+from repro.kernels.counters import COUNTERS as KERNEL_COUNTERS
 from repro.mln import Rule, RuleSet, atom
+
+
+@contextmanager
+def kernel_work() -> Iterator[Dict[str, int]]:
+    """Growth of this process's four ``kernel_*_total`` registry counters over
+    the block, filled in on exit (work done in pool workers counts once the
+    grid's reduce phase has folded their deltas in)."""
+    before = {name: counter.value()
+              for name, counter in KERNEL_COUNTERS.items()}
+    work: Dict[str, int] = {}
+    yield work
+    work.update((name, int(counter.value() - before[name]))
+                for name, counter in KERNEL_COUNTERS.items())
 
 
 def add_coauthor_edges(store: EntityStore, edges: Sequence[Tuple[str, str]]) -> None:
