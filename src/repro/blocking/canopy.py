@@ -29,6 +29,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datamodel import Entity, EntityStore
+from ..kernels.names import canopy_sweep, pilot_rows
 from ..obs import registry as obs_registry
 from ..obs.trace import span
 from ..similarity.name_similarity import DEFAULT_AUTHOR_SIMILARITY
@@ -169,21 +170,18 @@ class CanopyBlocker(Blocker):
         if self.similarity is author_name_cheap_similarity:
             scorer = ProfiledNameScorer(pindex.name_parts())
             self._last_scorer = scorer
-            # Kernel-backed batch sweep when numpy is available; the batch
-            # scorer replays the scalar arithmetic bit-exactly over interned
-            # row caches, so the canopies are identical either way.
-            batch = scorer.batch_scorer(pindex.postings)
+            # One leg per sweep, chosen from its pilot; canopies are
+            # identical either way.
+            scores = canopy_sweep(scorer, pindex.postings, pilot_rows(
+                pindex.postings,
+                (pindex.profile(center_id).token_set
+                 for center_id in self.shuffled_order(entities))))
 
             def profiled_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
                 canopy: Set[str] = {center_id}
                 removed: Set[str] = {center_id}
-                if batch is not None:
-                    scored = batch.canopy_scores_from_tokens(
-                        center_id, pindex.profile(center_id).token_set, loose)
-                else:
-                    scored = scorer.canopy_scores(
-                        center_id, pindex.candidates(center_id), loose)
-                for candidate_id, candidate_score in scored:
+                for candidate_id, candidate_score in scores(
+                        center_id, pindex.profile(center_id).token_set, loose):
                     canopy.add(candidate_id)
                     if candidate_score >= tight:
                         removed.add(candidate_id)
@@ -231,26 +229,21 @@ class CanopyBlocker(Blocker):
         space = index.interned_space(interner)
         scorer = ProfiledNameScorer(space.parts)
         self._last_scorer = scorer
-        batch = scorer.batch_scorer(space.postings)
+        order = [interner.index_of(entity_id)
+                 for entity_id in self.shuffled_order(entities)]
+        scores = canopy_sweep(scorer, space.postings, pilot_rows(
+            space.postings, (space.tokens[center] for center in order)))
         loose, tight = self.loose_threshold, self.tight_threshold
 
         def interned_canopy(center: int) -> Tuple[Set[int], Set[int]]:
             canopy: Set[int] = {center}
             removed: Set[int] = {center}
-            if batch is not None:
-                scored = batch.canopy_scores_from_tokens(
-                    center, space.tokens[center], loose)
-            else:
-                scored = scorer.canopy_scores(
-                    center, space.candidates(center), loose)
-            for candidate, score in scored:
+            for candidate, score in scores(center, space.tokens[center], loose):
                 canopy.add(candidate)
                 if score >= tight:
                     removed.add(candidate)
             return canopy, removed
 
-        order = [interner.index_of(entity_id)
-                 for entity_id in self.shuffled_order(entities)]
         return [space.decode(canopy)
                 for canopy in self.sweep(order, interned_canopy)]
 

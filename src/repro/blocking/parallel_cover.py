@@ -31,6 +31,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 from typing import TYPE_CHECKING
 
 from ..datamodel import EntityStore, Relation
+from ..kernels.names import canopy_sweep, pilot_rows
 from ..similarity.name_similarity import AuthorNameSimilarity, DEFAULT_AUTHOR_SIMILARITY
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -51,7 +52,7 @@ def score_canopy_chunk(center_ids: Sequence,
                        parts: Mapping,
                        postings: Mapping[str, Sequence],
                        similarity: AuthorNameSimilarity,
-                       loose: float, tight: float
+                       loose: float, tight: float, pilot: float
                        ) -> List[Tuple[object, FrozenSetPair]]:
     """Worker: canopy + removed sets for each center in the chunk.
 
@@ -65,26 +66,16 @@ def score_canopy_chunk(center_ids: Sequence,
     compact stores (the payloads are then a fraction of the size); the
     scorer is generic over the key type.
     """
-    scorer = ProfiledNameScorer(parts, similarity)
-    # Batched sweep when the worker resolves the numpy kernel backend; the
-    # batch scorer shares the memos and replays the scalar arithmetic, so
-    # chunk results are bitwise identical across backends (and therefore
-    # across mixed fleets).
-    batch = scorer.batch_scorer(postings)
+    # One leg per chunk, chosen from the whole build's ``pilot`` rows: the
+    # legs are bit-exact, so chunk results are identical across backends
+    # (and therefore mixed fleets).
+    scores = canopy_sweep(ProfiledNameScorer(parts, similarity), postings, pilot)
     results: List[Tuple[object, FrozenSetPair]] = []
     for center_id in center_ids:
         canopy: Set[str] = {center_id}
         removed: Set[str] = {center_id}
-        if batch is not None:
-            scored = batch.canopy_scores_from_tokens(
-                center_id, center_tokens[center_id], loose)
-        else:
-            candidates: Set = set()
-            for token in center_tokens[center_id]:
-                candidates.update(postings.get(token, ()))
-            candidates.discard(center_id)
-            scored = scorer.canopy_scores(center_id, candidates, loose)
-        for candidate_id, score in scored:
+        for candidate_id, score in scores(center_id, center_tokens[center_id],
+                                          loose):
             canopy.add(candidate_id)
             if score >= tight:
                 removed.add(candidate_id)
@@ -220,6 +211,9 @@ class ParallelCoverBuilder:
             decode = set
             order = blocker.shuffled_order(entities)
         wave_size = self.wave_size if self.wave_size is not None else len(order)
+        # Chunks are name-sorted runs of any length: the pilot that picks
+        # their kernel leg is taken here, over the sweep order.
+        pilot = pilot_rows(postings, map(tokens_of, order))
 
         # Entities with identical raw text AND identical normalized parts are
         # fully interchangeable: same token set (hence the same candidate
@@ -287,7 +281,7 @@ class ParallelCoverBuilder:
                                        parts, postings,
                                        DEFAULT_AUTHOR_SIMILARITY,
                                        blocker.loose_threshold,
-                                       blocker.tight_threshold)))
+                                       blocker.tight_threshold, pilot)))
             speculated: Dict = {}
             for chunk_result in self._map(tasks).values():
                 speculated.update(chunk_result)

@@ -76,10 +76,9 @@ class EMFramework:
                  fault_policy=None,
                  kernel_backend: Optional[str] = None):
         # Kernel backend selection first: it governs how the cover built
-        # below is computed.  ``None`` leaves the process-wide probe alone
-        # (env var / auto-detection); the choice never changes any cover or
-        # match set — every numpy kernel is bit-exact against its scalar
-        # reference — only the speed.
+        # below is computed.  ``None`` leaves the process-wide request alone
+        # (the environment's, else auto); the choice never changes a cover
+        # or match set, only the speed.  Resolving it imports nothing.
         from ..kernels import backend as kernel_probe, set_backend
         if kernel_backend is not None:
             set_backend(kernel_backend)

@@ -2,12 +2,13 @@
 
 Vectorized counterparts of the hot scoring loops — TF-IDF cosine sweeps,
 Jaro-Winkler / Damerau-Levenshtein blocks, canopy scoring, MLN probe
-batches — with numpy as an *optional* accelerator (``pip install .[speed]``).
-The scalar code paths remain in place as the byte-identical parity
-reference; selection happens through a single capability probe
-(:func:`backend`) and every kernel falls back transparently, so installing
-or removing numpy never changes any cover, match set, or score — only the
-speed at which they are produced.
+batches — with numpy as an *optional* accelerator (``pip install .[speed]``),
+imported by the first batch that takes a vectorised leg.  The scalar code
+paths remain in place as the byte-identical parity reference; under the
+default ``auto`` backend each kernel family takes the leg that measured
+faster in situ (:mod:`repro.kernels.backend`), so installing or removing
+numpy never changes any cover, match set, or score — only the speed at which
+they are produced.
 """
 
 from .backend import (
@@ -19,7 +20,7 @@ from .backend import (
     use,
 )
 from .counters import record
-from .names import BatchCanopyScorer, batch_canopy_scorer
+from .names import BatchCanopyScorer, canopy_sweep
 from .probes import ProbeIndex
 from .strings import (
     PackedStrings,
@@ -38,7 +39,7 @@ __all__ = [
     "TfIdfBlockScorer",
     "VALID_CHOICES",
     "backend",
-    "batch_canopy_scorer",
+    "canopy_sweep",
     "damerau_levenshtein_block",
     "jaro_winkler_block",
     "jaro_winkler_bound_block",

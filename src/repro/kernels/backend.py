@@ -1,30 +1,29 @@
 """Capability probe and backend selection for the batch scoring kernels.
 
-The kernels in this package have two interchangeable execution legs:
+Every kernel has two interchangeable legs: ``"numpy"`` (vectorized batches
+over packed arrays; needs the ``pip install .[speed]`` extra) and
+``"python"`` (the scalar code paths, the byte-identical parity reference).
 
-* ``"numpy"`` — vectorized batch evaluation over packed arrays, available
-  when numpy is importable (the ``pip install .[speed]`` extra);
-* ``"python"`` — the existing scalar code paths, which remain the
-  byte-identical parity reference.
+The request is ``auto`` unless forced: by the ``REPRO_KERNEL_BACKEND``
+environment variable, read once when this module is imported, or by
+:func:`set_backend`, which also writes the variable so that process-executor
+workers start on their parent's choice.  Forced ``numpy`` runs every batch
+vectorised, forced ``python`` none; under ``auto`` each kernel family takes
+the vectorised leg only where it measured faster in situ: a canopy sweep
+whose pilot reaches its break-even (:func:`vectorized`), and no probe sweep
+(:func:`forced`).  Every numpy kernel is bit-exact against its scalar
+reference, so legs mix freely — across sweeps, or across a mixed fleet of
+workers — without changing any cover or match.
 
-Selection is a single process-wide probe (:func:`backend`), resolved in
-order: an explicit :func:`set_backend` call, the ``REPRO_KERNEL_BACKEND``
-environment variable, then auto-detection.  :func:`set_backend` also exports
-the choice through the environment variable so worker processes spawned by
-the process executor inherit it.  Because every numpy kernel is bit-exact
-against its scalar reference, a mixed fleet (say, a worker that resolves
-``numpy`` while the parent forced ``python``) still produces identical
-covers and matches — the env propagation is about predictable performance,
-not correctness.
-
-The first resolution emits one log line stating which backend was selected
-and why (numpy missing vs. forced), so production runs record what they ran
-on without log spam from the per-batch hot paths.
+numpy is a first-need import: :func:`backend` answers from
+``importlib.util.find_spec``, and the first batch to take the vectorised leg
+pays the import (~145 ms, ~16 MB).  A numpy that is installed but will not
+import degrades ``auto`` to the scalar legs.  The first resolution logs one line.
 """
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 import logging
 import os
 import threading
@@ -35,73 +34,87 @@ from ..exceptions import ExperimentError
 
 logger = logging.getLogger("repro.kernels")
 
-#: Environment variable consulted (and written by :func:`set_backend`) so
-#: spawned worker processes resolve the same backend as their parent.
+#: Environment variable read at import (and written by :func:`set_backend`)
+#: so spawned worker processes start on the same backend as their parent.
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 VALID_CHOICES = ("auto", "numpy", "python")
 
 _lock = threading.Lock()
-_forced: Optional[str] = None          # explicit set_backend() choice
-_numpy_module = None                   # cached module, or None when unprobed/missing
-_numpy_probed = False
+_inherited = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
+#: The forced backend, or ``None`` for auto: the environment's, until set_backend.
+_forced: Optional[str] = _inherited if _inherited in ("numpy", "python") else None
+_numpy_found: Optional[bool] = None    # find_spec verdict; None until asked
+_numpy_module = None                   # the module, once a batch needed it
 _announced: Optional[str] = None       # backend already logged, if any
 
 
-def _probe_numpy():
-    """Import numpy once; ``None`` when the accelerator is not installed."""
-    global _numpy_module, _numpy_probed
-    if not _numpy_probed:
+def _numpy_installed() -> bool:
+    """Whether numpy can be imported — answered without importing it."""
+    global _numpy_found
+    if _numpy_found is None:
         try:
-            _numpy_module = importlib.import_module("numpy")
-        except ImportError:
-            _numpy_module = None
-        _numpy_probed = True
-    return _numpy_module
+            _numpy_found = importlib.util.find_spec("numpy") is not None
+        except (ImportError, ValueError):
+            _numpy_found = False
+    return _numpy_found
 
 
 def numpy_or_none():
-    """The numpy module when the *resolved* backend is ``"numpy"``, else ``None``.
+    """The numpy module when the *resolved* backend is ``"numpy"``, else
+    ``None``; the first non-``None`` answer is what imports numpy."""
+    global _numpy_found, _numpy_module
+    if backend() != "numpy":
+        return None
+    if _numpy_module is None:
+        try:
+            _numpy_module = importlib.import_module("numpy")
+        except ImportError as error:
+            if _forced == "numpy":
+                raise
+            # Present but broken (ABI mismatch, partial install): under auto
+            # the scalar legs take over, as if it were not installed.
+            logger.warning("numpy is installed but failed to import (%s); "
+                           "kernel backend: python", error)
+            _numpy_found = False
+    return _numpy_module
 
-    Kernel call sites use this as their single gate: a non-``None`` return
-    both authorizes the vectorized leg and hands over the module.
-    """
-    if backend() == "numpy":
-        return _probe_numpy()
-    return None
+
+def forced() -> Optional[str]:
+    """The forced backend, or ``None`` when the request is ``auto``."""
+    return _forced
 
 
-def _requested() -> str:
-    if _forced is not None:
-        return _forced
-    env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if env in VALID_CHOICES:
-        return env
-    return "auto"
+def vectorized(size: float, break_even: float):
+    """The size rule: numpy when a batch of ``size`` should take the
+    vectorised leg, else ``None`` (take the scalar one).  Under ``auto``
+    that is ``size >= break_even``; a forced backend ignores the size."""
+    if _forced is None and size < break_even:
+        return None
+    return numpy_or_none()
 
 
 def backend() -> str:
     """Resolve the active kernel backend: ``"numpy"`` or ``"python"``.
 
-    The first call (and the first call after the selection changes) logs the
-    resolution and its reason exactly once.
+    Never imports numpy.  The first call (and the first call after the
+    selection changes) logs the resolution and its reason exactly once.
     """
     global _announced
-    requested = _requested()
-    module = _probe_numpy()
+    requested = _forced or "auto"
     if requested == "python":
         resolved, reason = "python", "forced"
-    elif requested == "numpy":
-        if module is None:
+    elif not _numpy_installed():
+        if requested == "numpy":
             raise ExperimentError(
                 "kernel backend 'numpy' was requested but numpy is not "
                 "installed; install the accelerator with 'pip install .[speed]' "
                 "or select --kernel-backend python")
-        resolved, reason = "numpy", "forced"
-    elif module is not None:
-        resolved, reason = "numpy", f"auto-detected numpy {module.__version__}"
-    else:
         resolved, reason = "python", "numpy not installed"
+    elif requested == "numpy":
+        resolved, reason = "numpy", "forced: every batch vectorised"
+    else:
+        resolved, reason = "numpy", "auto: cover builds past the canopy break-even"
     if _announced != resolved:
         with _lock:
             if _announced != resolved:
@@ -124,7 +137,7 @@ def set_backend(name: Optional[str]) -> Optional[str]:
         raise ExperimentError(
             f"unknown kernel backend {name!r}; expected one of {VALID_CHOICES}")
     previous = _forced
-    if name == "numpy" and _probe_numpy() is None:
+    if name == "numpy" and not _numpy_installed():
         raise ExperimentError(
             "kernel backend 'numpy' was requested but numpy is not installed; "
             "install the accelerator with 'pip install .[speed]'")
@@ -144,11 +157,3 @@ def use(name: Optional[str]) -> Iterator[str]:
         yield backend()
     finally:
         set_backend(previous if previous is not None else "auto")
-
-
-def _reset_probe_for_tests() -> None:
-    """Clear the cached numpy probe and announcement (test hook only)."""
-    global _numpy_module, _numpy_probed, _announced
-    _numpy_module = None
-    _numpy_probed = False
-    _announced = None

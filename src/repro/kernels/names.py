@@ -35,22 +35,59 @@ and a module-level back edge would be a cycle).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import counters
-from .backend import numpy_or_none
+from .backend import numpy_or_none, vectorized
 from .strings import PackedStrings, _jaro_winkler_bound_rows, _jaro_winkler_rows
 
+#: One leg per sweep, chosen before it starts from its pilot - the first
+#: ``CANOPY_PILOT`` centers in sweep order: vectorised when they average
+#: ``CANOPY_BREAK_EVEN`` candidate rows (:func:`pilot_rows`; counted, not
+#: scored).  Measured in situ (``build_cover``, accepted centers only;
+#: ``BENCH_kernels.json``): the scalar loop costs ~2.5 us a row, the vectorised
+#: sweep a flat 300-700 us a center once its row caches are warm, and whole
+#: covers cross where the pilot averages ~280 rows (dblp@3, 144: scalar 1.1-1.3x
+#: ahead; dblp@6, 284: vectorised 1.2-1.4x ahead - auto's known regret; hepth@4,
+#: 281: level, its names repeat more) - 320 leaves room for the 150 ms import.
+#: The legs memoise separately, so a sweep split between them center by center
+#: ran slower than either alone (dblp@3: 1.3x) - hence one leg per sweep.
+CANOPY_BREAK_EVEN = 320
+CANOPY_PILOT = 64
 
-def batch_canopy_scorer(scorer,
-                        postings: Optional[Mapping[str, Sequence]] = None
-                        ) -> Optional["BatchCanopyScorer"]:
-    """A :class:`BatchCanopyScorer` over ``scorer``'s parts, or ``None``
-    when the numpy backend is inactive — call sites keep a single gate."""
-    np = numpy_or_none()
-    if np is None:
-        return None
-    return BatchCanopyScorer(scorer, postings, np)
+
+def pilot_rows(postings: Mapping[str, Sequence], token_sets: Iterable) -> float:
+    """Mean rows of a sweep's pilot: the postings-union size (the candidates
+    and the center itself) over the first ``CANOPY_PILOT`` of ``token_sets``,
+    its centers' in sweep order.  A shorter sweep averages over the missing
+    centers too, which keeps it scalar."""
+    return sum(len(set().union(*(postings.get(token, ()) for token in tokens)))
+               for tokens in islice(token_sets, CANOPY_PILOT)) / CANOPY_PILOT
+
+
+def canopy_sweep(scorer, postings: Mapping[str, Sequence], pilot: float):
+    """The canopy family's one dispatch point, as ``sweep(center, tokens,
+    threshold)``: the ``(candidate, score)`` pairs reaching ``threshold``
+    among the entities sharing a token with ``center``.
+
+    ``pilot`` is the sweep's :func:`pilot_rows`; a sharded build computes it
+    once, in the parent, so every chunk takes the leg the whole cover calls
+    for.  The :class:`BatchCanopyScorer` is built here when the sweep is a
+    vectorised one - never, on small inputs.
+    """
+    np = vectorized(pilot, CANOPY_BREAK_EVEN)
+    if np is not None:
+        return BatchCanopyScorer(scorer, postings, np).canopy_scores_from_tokens
+
+    def sweep(center, tokens: Iterable[str], threshold: float):
+        candidates: set = set()
+        for token in tokens:
+            candidates.update(postings.get(token, ()))
+        candidates.discard(center)
+        return scorer.canopy_scores(center, candidates, threshold)
+
+    return sweep
 
 
 class BatchCanopyScorer:

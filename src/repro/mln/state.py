@@ -30,13 +30,9 @@ from typing import Dict, FrozenSet, Iterable, List, Set
 
 from ..datamodel import EntityPair
 from ..kernels import counters
-from ..kernels.backend import numpy_or_none
+from ..kernels.backend import forced, numpy_or_none
 from ..kernels.probes import ProbeIndex
 from .network import GroundNetwork
-
-#: Below this many probes the batched path's fixed costs (mirror refresh,
-#: array packing) outweigh the per-probe win; fall through to the scalar loop.
-_MIN_BATCH = 8
 
 
 class WorldState:
@@ -174,15 +170,19 @@ class WorldState:
     def delta_batch(self, pairs: Iterable[EntityPair]) -> List[float]:
         """:meth:`delta_single` for a whole worklist in one batched pass.
 
-        On the numpy kernel backend the probes run as one gather/mask/
-        segment-sum over the network's cached :class:`ProbeIndex`; each
-        pair's weights accumulate in touching-list order, so every returned
-        value is bit-identical to the scalar probe.  On the python backend
-        (or for tiny batches) this is literally the scalar loop.
+        The probe family's one dispatch point.  On the vectorised leg the
+        probes run as one gather/mask/segment-sum over the network's cached
+        :class:`ProbeIndex`; each pair's weights accumulate in touching-list
+        order, so every returned value is bit-identical to the scalar probe.
+        Otherwise this is literally the scalar loop - which ``auto`` takes at
+        every size: real touching lists hold 2-4 entries, and there it won
+        every sweep measured in situ, up to 1 346 probes (482 against 791 us);
+        the vectorised leg wins only on the lists of 19-49 of
+        ``bench_kernels.py``'s synthetic ladder, so it runs when forced.
         """
         probes = pairs if isinstance(pairs, list) else list(pairs)
-        np = numpy_or_none()
-        if np is None or len(probes) < _MIN_BATCH:
+        np = numpy_or_none() if forced() else None
+        if np is None:
             return [self.delta_single(pair) for pair in probes]
         index = ProbeIndex.for_network(self._network, np)
         counters.record(batches=1, pairs_scored=len(probes))

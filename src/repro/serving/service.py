@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import queue
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -145,6 +146,8 @@ def _kernel_summary() -> Dict:
     block["prefilter_hit_rate"] = \
         block["prefilter_pruned"] / checked if checked else 0.0
     block["backend"] = kernel_backend()
+    # True once any vectorised leg ran here: numpy is a first-need import.
+    block["numpy_loaded"] = "numpy" in sys.modules
     return block
 
 

@@ -238,15 +238,6 @@ class InternedProfileSpace:
             token: tuple(interner.index_of(entity_id) for entity_id in ids)
             for token, ids in index.postings.items()}
 
-    def candidates(self, entity_index: int) -> Set[int]:
-        """Entities sharing at least one token (excluding the entity itself)."""
-        out: Set[int] = set()
-        postings = self.postings
-        for token in self.tokens[entity_index]:
-            out.update(postings.get(token, ()))
-        out.discard(entity_index)
-        return out
-
     def decode(self, indices: Iterable[int]) -> Set[str]:
         return set(self.interner.ids_of(indices))
 
@@ -359,17 +350,6 @@ class ProfiledNameScorer:
             "memo_jw_first": self._first_memo.stats(),
             "memo_char_counts": self._char_counts.stats(),
         }
-
-    def batch_scorer(self, postings: Optional[Mapping[str, Sequence]] = None):
-        """A kernel-backed batch canopy scorer over this scorer's parts.
-
-        The batch scorer replays the scalar arithmetic bit-exactly, so
-        batched and scalar sweeps can interleave freely.  Returns ``None``
-        when the numpy kernel backend is inactive, so call sites keep a
-        single gate between the two.
-        """
-        from ..kernels.names import batch_canopy_scorer
-        return batch_canopy_scorer(self, postings)
 
     def _char_counts_of(self, text: str) -> Dict[str, int]:
         counts = self._char_counts.get(text)

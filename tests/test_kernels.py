@@ -11,25 +11,34 @@ matrix installs no numpy and doubles as the scalar leg); the explicit
 ``no_numpy`` fixture additionally simulates the missing accelerator *with*
 numpy installed, so both resolution branches are exercised from one
 environment.
+
+Under the default ``auto`` backend the leg is picked per batch and numpy is
+imported by the first batch that needs it; what a *process* ends up having
+imported is asserted in fresh subprocesses (``run_fresh``), since the test
+process itself loads numpy for the parity suites.
 """
 
 import importlib
 import importlib.util
+import json
 import logging
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import CanopyBlocker, build_total_cover
+from repro.blocking import CanopyBlocker, ParallelCoverBuilder, build_total_cover
 from repro.core import EMFramework
 from repro.datamodel import CompactStore, MatchSet
 from repro.datasets import GeneratorConfig, NameNoiseModel, generate_bibliography
 from repro.exceptions import ExperimentError
 from repro.kernels import (
     BACKEND_ENV_VAR,
+    BatchCanopyScorer,
     PackedStrings,
     TfIdfBlockScorer,
     backend,
@@ -53,6 +62,7 @@ from repro.similarity.profiles import LruMemo
 from tests.util import build_chain_store, kernel_work, leveled_rules
 
 backend_module = importlib.import_module("repro.kernels.backend")
+names_module = importlib.import_module("repro.kernels.names")
 
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
@@ -85,21 +95,47 @@ class _NumpyImportBlocker:
         return None
 
 
-@pytest.fixture
-def no_numpy():
-    """Simulate an environment without numpy: hide cached modules, block
-    fresh imports, clear the probe cache; everything restored afterwards."""
+class _BrokenNumpyFinder:
+    """Meta-path finder under which numpy is installed (``find_spec`` finds
+    it) but will not import - an ABI mismatch, a partial install."""
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname == "numpy":
+            return importlib.util.spec_from_loader(fullname, self)
+        return None
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        raise ImportError("numpy import broken by test fixture")
+
+
+def _numpy_behind(finder, monkeypatch):
+    """Hide the cached numpy modules, put ``finder`` first on the meta path
+    and clear the probe cache; everything restored afterwards."""
     hidden = {name: sys.modules.pop(name) for name in list(sys.modules)
               if name == "numpy" or name.startswith("numpy.")}
-    blocker = _NumpyImportBlocker()
-    sys.meta_path.insert(0, blocker)
-    backend_module._reset_probe_for_tests()
+    sys.meta_path.insert(0, finder)
+    for cached in ("_numpy_found", "_numpy_module", "_announced"):
+        monkeypatch.setattr(backend_module, cached, None)
     try:
         yield
     finally:
-        sys.meta_path.remove(blocker)
+        sys.meta_path.remove(finder)
         sys.modules.update(hidden)
-        backend_module._reset_probe_for_tests()
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Simulate an environment without numpy."""
+    yield from _numpy_behind(_NumpyImportBlocker(), monkeypatch)
+
+
+@pytest.fixture
+def broken_numpy(monkeypatch):
+    """Simulate a numpy that is installed but fails to import."""
+    yield from _numpy_behind(_BrokenNumpyFinder(), monkeypatch)
 
 
 def small_dataset(seed: int, authors: int = 30):
@@ -113,6 +149,18 @@ def small_dataset(seed: int, authors: int = 30):
 
 def cover_signature(cover):
     return [(n.name, tuple(sorted(n.entity_ids))) for n in cover]
+
+
+def run_fresh(script: str, **environment) -> dict:
+    """Run ``script`` in a new interpreter with an unforced backend (plus
+    ``environment``); it prints one JSON object, returned here."""
+    env = {key: value for key, value in os.environ.items()
+           if key != BACKEND_ENV_VAR}
+    env.update(environment, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 # ------------------------------------------------------------------ backend
@@ -129,10 +177,50 @@ class TestBackendResolution:
             assert backend() == "numpy"
             assert numpy_or_none() is not None
 
+    def test_env_var_selects_backend(self):
+        """The variable is read once, at import — which is how a spawned
+        worker starts on its parent's choice — and forced ``python`` never
+        imports numpy (at the parent ``backend()`` probed before it read)."""
+        seen = run_fresh(
+            "import json, sys\n"
+            "from repro import kernels\n"
+            "resolved = kernels.backend()\n"
+            "json.dump({'backend': resolved, 'numpy_or_none':\n"
+            "           kernels.numpy_or_none() is None,\n"
+            "           'loaded': 'numpy' in sys.modules}, sys.stdout)\n",
+            **{BACKEND_ENV_VAR: "python"})
+        assert seen == {"backend": "python", "numpy_or_none": True,
+                        "loaded": False}
+
+    def test_cli_forcing_python_never_imports_numpy(self, tmp_path):
+        seen = run_fresh(
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            f"path = {str(tmp_path / 'tiny.json')!r}\n"
+            "assert main(['generate', '--preset', 'hepth', '--scale', '0.1',\n"
+            "             '--output', path]) == 0\n"
+            "assert main(['match', '--dataset', path, '--matcher', 'mln',\n"
+            "             '--kernel-backend', 'python']) == 0\n"
+            "print()\n"
+            "json.dump({'loaded': 'numpy' in sys.modules}, sys.stdout)\n")
+        assert seen == {"loaded": False}
+
     @requires_numpy
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert backend() == "python"
+    def test_use_restores_a_backend_forced_from_the_environment(self):
+        """``use()`` must hand back what the environment forced: the CI leg
+        that runs every test on ``REPRO_KERNEL_BACKEND=numpy`` depends on it
+        (at the parent the first ``use()`` exit dropped the process to auto)."""
+        seen = run_fresh(
+            "import json, os, sys\n"
+            "from repro import kernels\n"
+            "from repro.kernels.backend import vectorized\n"
+            "with kernels.use('python'):\n"
+            "    pass\n"
+            "json.dump({'vectorised': vectorized(0, 1) is not None,\n"
+            f"           'env': os.environ.get({BACKEND_ENV_VAR!r})}},\n"
+            "          sys.stdout)\n",
+            **{BACKEND_ENV_VAR: "numpy"})
+        assert seen == {"vectorised": True, "env": "numpy"}
 
     @requires_numpy
     def test_forcing_overrides_env_var(self, monkeypatch):
@@ -178,6 +266,28 @@ class TestBackendResolution:
         block = ["smith", "smyth", "jones", ""]
         assert jaro_winkler_block("smith", block) == \
             [jaro_winkler_similarity("smith", other) for other in block]
+
+    def test_numpy_that_will_not_import_degrades_auto_to_scalar(
+            self, broken_numpy, monkeypatch, caplog, hepth_dataset):
+        """``auto`` resolves from ``find_spec``, so the failure surfaces in
+        the first batch past a break-even: it must take the scalar leg, warn
+        once and stay scalar - not raise from the middle of a cover build."""
+        monkeypatch.setattr(names_module, "CANOPY_BREAK_EVEN", 1e-9)
+        assert backend() == "numpy"
+        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
+            cover = CanopyBlocker().build_cover(hepth_dataset.store)
+            assert numpy_or_none() is None
+        assert backend() == "python"
+        assert len([r for r in caplog.records
+                    if "failed to import" in r.getMessage()]) == 1
+        with use("python"):
+            assert cover_signature(cover) == cover_signature(
+                CanopyBlocker().build_cover(hepth_dataset.store))
+
+    def test_numpy_that_will_not_import_raises_when_forced(self, broken_numpy):
+        with use("numpy"):
+            with pytest.raises(ImportError):
+                numpy_or_none()
 
     def test_without_numpy_cli_forcing_numpy_exits_2(self, no_numpy, capsys):
         from repro.cli import main
@@ -363,8 +473,7 @@ class TestBatchCanopyParity:
         candidates = sorted(scorer.parts)
         fresh, _ = self.scorer_and_postings(seed)
         with use("numpy"):
-            batch = scorer.batch_scorer(postings)
-            assert batch is not None
+            batch = BatchCanopyScorer(scorer, postings)
             for center in list(scorer.parts)[:10]:
                 batched = batch.canopy_scores(center, candidates, threshold)
                 scalar = list(fresh.canopy_scores(center, candidates, threshold))
@@ -375,7 +484,7 @@ class TestBatchCanopyParity:
     def test_candidate_rows_equal_postings_union(self, seed):
         scorer, postings = self.scorer_and_postings(seed)
         with use("numpy"):
-            batch = scorer.batch_scorer(postings)
+            batch = BatchCanopyScorer(scorer, postings)
             for center, (_, last) in list(scorer.parts.items())[:10]:
                 rows = batch.candidate_rows([last], exclude=center)
                 got = {batch.keys[row] for row in rows.tolist()}
@@ -386,7 +495,7 @@ class TestBatchCanopyParity:
         scorer, postings = self.scorer_and_postings(3)
         candidates = sorted(scorer.parts)
         with use("numpy"):
-            batch = scorer.batch_scorer(postings)
+            batch = BatchCanopyScorer(scorer, postings)
             center = candidates[0]
             batched = batch.canopy_scores(center, candidates, 0.7)
         with use("python"):
@@ -396,9 +505,99 @@ class TestBatchCanopyParity:
         assert sorted(batched) == sorted(scalar)
 
     def test_batch_scorer_none_on_scalar_backend(self):
+        """On the scalar backend there is no batch scorer: the dispatch point
+        hands out the scalar sweep and the class refuses to be built."""
         scorer, postings = self.scorer_and_postings(0)
+        def built(*args, **kwargs):
+            raise AssertionError("BatchCanopyScorer built on the python backend")
         with use("python"):
-            assert scorer.batch_scorer(postings) is None
+            with pytest.raises(RuntimeError):
+                BatchCanopyScorer(scorer, postings)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(BatchCanopyScorer, "__init__", built)
+                sweep = names_module.canopy_sweep(scorer, postings, pilot=1e9)
+            assert sorted(sweep("e0", [scorer.parts["e0"][1]], 0.6)) == sorted(
+                scorer.canopy_scores("e0", set(postings[scorer.parts["e0"][1]])
+                                     - {"e0"}, 0.6))
+
+
+# ------------------------------------------------ auto: one leg per sweep
+def all_cover_paths(store, **blocker_kwargs):
+    """The three canopy call sites: string-keyed, interned, sharded chunks
+    (in waves of 8 centers: 2 chunks of 4, far below the pilot's 64)."""
+    blocker = CanopyBlocker(**blocker_kwargs)
+    compact = CompactStore.from_store(store)
+    sharded = ParallelCoverBuilder(blocker, workers=2, wave_size=8)
+    return [cover_signature(cover) for cover in (
+        blocker.build_cover(store), blocker.build_cover(compact),
+        sharded.build_cover(store), sharded.build_cover(compact))]
+
+
+@requires_numpy
+class TestCanopyAutoDispatch:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           canopy_seed=st.integers(min_value=0, max_value=50))
+    def test_sweeps_on_either_side_of_the_break_even_equal_both_forced_legs(
+            self, seed, canopy_seed):
+        """A sweep whose pilot reaches the break-even runs vectorised, one
+        whose pilot does not runs scalar - at every call site, whatever the
+        chunk size - and the covers are the ones either forced leg builds."""
+        store = small_dataset(seed, authors=40).store
+        forced = {}
+        for name in ("python", "numpy"):
+            with use(name):
+                forced[name] = all_cover_paths(store, seed=canopy_seed)
+        scalar_sweeps = []
+        scalar = ProfiledNameScorer.canopy_scores
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ProfiledNameScorer, "canopy_scores",
+                          lambda self, center, *rest: scalar_sweeps.append(center)
+                          or scalar(self, center, *rest))
+            with use("auto"), kernel_work() as below:
+                scalar_covers = all_cover_paths(store, seed=canopy_seed)
+            assert scalar_sweeps and not any(below.values())
+            del scalar_sweeps[:]
+            patch.setattr(names_module, "CANOPY_BREAK_EVEN", 1e-9)
+            with use("auto"), kernel_work() as above:
+                batch_covers = all_cover_paths(store, seed=canopy_seed)
+            assert not scalar_sweeps and above["batches"] > 0
+        assert scalar_covers == batch_covers == forced["python"] == forced["numpy"]
+
+    def test_pilot_is_the_mean_postings_union_of_the_first_centers(self):
+        postings = {"a": ["x", "y", "z"], "b": ["y", "w"], "c": ["v"]}
+        pilot = names_module.CANOPY_PILOT
+        # {x,y,z,w} and {v}: counted, missing tokens ignored, nothing scored.
+        assert names_module.pilot_rows(postings, [("a", "b"), ("c", "nope")]) \
+            == (4 + 1) / pilot
+        assert names_module.pilot_rows(postings, []) == 0.0
+        # Only the first CANOPY_PILOT centers are read.
+        def centers():
+            yield from [("a",)] * pilot
+            raise AssertionError("read past the pilot")
+        assert names_module.pilot_rows(postings, centers()) == 3.0
+
+    @pytest.mark.parametrize("preset", ["hepth_dataset", "dblp_dataset"])
+    def test_sweep_below_the_break_even_never_builds_the_batch_scorer(
+            self, request, monkeypatch, preset):
+        def built(*args, **kwargs):
+            raise AssertionError("BatchCanopyScorer built below the break-even")
+        monkeypatch.setattr(names_module.BatchCanopyScorer, "__init__", built)
+        store = request.getfixturevalue(preset).store
+        with use("auto"), kernel_work() as work:
+            covers = all_cover_paths(store)
+        assert not any(work.values())
+        with use("python"):
+            assert covers == all_cover_paths(store)
+
+    def test_forced_numpy_vectorises_from_the_first_center(self, hepth_dataset):
+        scalar_sweeps = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ProfiledNameScorer, "canopy_scores",
+                          lambda self, center, *rest: scalar_sweeps.append(center))
+            with use("numpy"), kernel_work() as work:
+                CanopyBlocker().build_cover(hepth_dataset.store)
+        assert not scalar_sweeps and work["batches"] > 0
 
 
 # ------------------------------------------------------ batched probe sweep
@@ -427,10 +626,34 @@ class TestDeltaBatchParity:
         assert batched == scalar
 
     def test_small_batches_fall_back_to_scalar(self):
+        """Under ``auto`` a probe sweep is the scalar loop - no kernel call,
+        no :class:`ProbeIndex`; forced ``numpy`` vectorises every batch, even
+        three probes."""
         state, probes = self.make_state()
+        with use("auto"), kernel_work() as work:
+            assert state.delta_batch(probes) == \
+                [state.delta_single(pair) for pair in probes]
+        assert work["batches"] == 0
+        assert not hasattr(state.network, "_kernel_probe_index")
         with use("numpy"), kernel_work() as work:
             state.delta_batch(probes[:3])
-        assert work["batches"] == 0  # under _MIN_BATCH: scalar loop, no kernel
+        assert work["batches"] == 1 and work["pairs_scored"] == 3
+
+    @settings(max_examples=10, deadline=None)
+    @given(matched=st.integers(min_value=0, max_value=6),
+           cut=st.integers(min_value=1, max_value=100))
+    def test_auto_is_the_scalar_loop_at_every_size(self, matched, cut):
+        """No probe sweep of any length vectorises under ``auto`` (the scalar
+        loop won every in-situ sweep measured); forced ``numpy`` runs the
+        same sweeps through the kernel, and the deltas agree."""
+        state, probes = self.make_state(matched=matched)
+        sweep = probes[:1 + cut % len(probes)]
+        with use("auto"), kernel_work() as auto:
+            scalar = state.delta_batch(sweep)
+        with use("numpy"), kernel_work() as forced:
+            batched = state.delta_batch(sweep)
+        assert auto["batches"] == 0 and forced["pairs_scored"] == len(sweep)
+        assert scalar == batched == [state.delta_single(pair) for pair in sweep]
 
     def test_mirror_tracks_mutations(self):
         state, probes = self.make_state()
@@ -619,13 +842,60 @@ class TestKernelObservability:
                 block = service.metrics()["kernels"]
                 assert set(block) == {
                     "pairs_scored", "batches", "prefilter_checked",
-                    "prefilter_pruned", "prefilter_hit_rate", "backend"}
+                    "prefilter_pruned", "prefilter_hit_rate", "backend",
+                    "numpy_loaded"}
                 assert block["backend"] == "numpy"
+                assert block["numpy_loaded"] is True
                 assert block["pairs_scored"] == \
                     scraped(service, "kernel_pairs_scored_total")
                 assert block["prefilter_checked"] == checked + 2
             finally:
                 service.drain()
+
+    def test_runs_below_the_break_evens_never_import_numpy(self):
+        """numpy is a first-need import: a grid run, a stream session and a
+        scraped service on a tiny instance finish without it (at the parent
+        ``EMFramework.__init__``, ``delta_batch`` and the first ``/metrics``
+        scrape each imported it)."""
+        seen = run_fresh(
+            "import json, sys\n"
+            "import repro.cli\n"
+            "from repro import kernels\n"
+            "from repro.blocking import CanopyBlocker\n"
+            "from repro.core import EMFramework\n"
+            "from repro.datasets import hepth_tiny\n"
+            "from repro.matchers import MLNMatcher\n"
+            "from repro.serving import MatchService\n"
+            "from repro.streaming import StreamSession, synthesize_stream\n"
+            "loaded = {}\n"
+            "dataset = hepth_tiny()\n"
+            "framework = EMFramework(MLNMatcher(), dataset.store,\n"
+            "                        blocker=CanopyBlocker())\n"
+            "framework.run_grid('smp')\n"
+            "loaded['grid'] = 'numpy' in sys.modules\n"
+            "scenario = synthesize_stream(dataset, batches=1,\n"
+            "                             holdout_fraction=0.1, seed=7)\n"
+            "session = StreamSession(MLNMatcher(), scenario.base.store.copy())\n"
+            "session.start()\n"
+            "session.apply(scenario.log.batches[0])\n"
+            "loaded['stream'] = 'numpy' in sys.modules\n"
+            "service = MatchService(session=StreamSession(\n"
+            "    MLNMatcher(), scenario.base.store.copy())).start()\n"
+            "try:\n"
+            "    service.submit_deltas(scenario.log.batches[0]).wait(30.0)\n"
+            "    service.prometheus_metrics()\n"
+            "    block = service.metrics()['kernels']\n"
+            "finally:\n"
+            "    service.drain()\n"
+            "loaded['service'] = 'numpy' in sys.modules\n"
+            "json.dump({'loaded': loaded, 'block': block,\n"
+            "           'resolved': kernels.backend()}, sys.stdout)\n")
+        assert seen["loaded"] == {"grid": False, "stream": False,
+                                  "service": False}
+        assert seen["block"]["numpy_loaded"] is False
+        assert seen["block"]["backend"] == seen["resolved"] == \
+            ("numpy" if HAS_NUMPY else "python")
+        assert seen["block"]["batches"] == 0
 
     def test_results_and_reports_carry_no_kernel_field(self):
         from dataclasses import fields
