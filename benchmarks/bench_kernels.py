@@ -1,17 +1,13 @@
 """Bench: batched scoring kernels vs the scalar reference, with parity.
 
-PR 9 introduced the optional-numpy kernel layer (``repro.kernels``): batched
-canopy scoring over interned name parts, and batched MLN probe sweeps over a
-ground network's CSR-packed touching map.  The scalar code paths stay in
-place as the byte-identical parity reference, so this bench records, per
-workload:
+The optional-numpy kernel layer (``repro.kernels``) holds two families, both
+in the cover build: batched canopy scoring over interned name parts, and the
+TF-IDF block scorer.  The scalar code paths stay in place as the
+byte-identical parity reference, so this bench records, per workload:
 
 * **canopy sweep** — every canopy center's loose-threshold sweep over its
   token-posting candidates, scalar :meth:`ProfiledNameScorer.canopy_scores`
   vs the kernel-backed :class:`BatchCanopyScorer`;
-* **probe sweep** — repeated greedy worklist probes over a dense synthetic
-  ground network, scalar :meth:`WorldState.delta_single` loop vs
-  :meth:`WorldState.delta_batch`;
 * **parity** — the batched results must equal the scalar results exactly
   (same sets, same floats), which is the contract the whole kernel layer is
   built on;
@@ -24,24 +20,21 @@ workload:
   which whole covers cross (``CANOPY_BREAK_EVEN``); the sharded
   ``ParallelCoverBuilder`` build (every potential center, in name-sorted
   chunks) under the same three backends at the canopy workloads' scales;
-* **probe ladder** — the greedy probe/add loop on synthetic networks of 4 /
-  16 / 64 / 256 pairs (the worklist is the whole network, as a
-  neighborhood's first sweep is) under both forced legs, and the worklist
-  size where they cross.  A record, not a gate: ``auto`` runs every probe
-  sweep scalar, because real ground networks have touching lists of 2-4
-  entries where this ladder has 19-49, and there the scalar loop won every
-  sweep measured.
+* **TF-IDF cover build, in situ** — ``CanopyBlocker(similarity="tfidf")``
+  under forced ``python`` and forced ``numpy`` (``auto`` vectorises every
+  TF-IDF block whenever numpy resolves, so it is the ``numpy`` leg).  A
+  record with a parity check, not a speed gate.
 
 The acceptance gate of PR 9 (and the CI numpy-job smoke step) is intact
-parity with a **>= 3x canopy sweep speedup** and a **>= 2x probe sweep
-speedup** on the default (10x-scale) workloads; the smoke config gates the
-same shapes at CI-sized scales with proportionally lower bars.  Without
-numpy the bench records scalar timings only and the speedup gates are
-skipped — there is nothing to gate.  ``--check`` also fails when ``auto``
-is more than 10 % slower than the better forced leg on any recorded cover
-build, sequential or sharded: picking the leg must cost nothing on either
-side.  (The recorded default run fails that at dblp@6 — see
-``docs/benchmarks.md``; the smoke config is green.)
+parity with a **>= 3x canopy sweep speedup** on the default (10x-scale)
+workloads; the smoke config gates the same shape at a CI-sized scale with a
+proportionally lower bar.  Without numpy the bench records scalar timings
+only and the speedup gates are skipped — there is nothing to gate.
+``--check`` also fails when ``auto`` is more than 10 % slower than the better
+forced leg on any recorded canopy cover build, sequential or sharded: picking
+the leg must cost nothing on either side.  (The recorded default run fails
+that in the 150-450-row band — see ``docs/benchmarks.md``; the smoke config
+is green.)
 
 Run standalone (this is what the CI numpy-job smoke step does)::
 
@@ -56,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import subprocess
 import sys
 import time
@@ -65,52 +57,42 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.atomicio import atomic_write_json
 from repro.blocking import CanopyBlocker, ParallelCoverBuilder
-from repro.datamodel import CompactStore, EntityPair
+from repro.datamodel import CompactStore
 from repro.datasets import dblp_like, hepth_like
 from repro.kernels import BatchCanopyScorer, backend, numpy_or_none, use
 from repro.kernels.counters import COUNTERS
 from repro.kernels.names import CANOPY_BREAK_EVEN, pilot_rows
-from repro.mln.grounding import GroundRule
-from repro.mln.network import GroundNetwork
-from repro.mln.state import WorldState
 from repro.obs import registry as obs_registry
 from repro.similarity import ProfiledNameScorer
 
 #: Named workload sizes.  ``smoke`` is the CI gate (seconds); ``default`` is
 #: the recorded trajectory point at 10x workload scale.  Each canopy workload
-#: is ``(preset, scale, speedup_target)`` and each probe workload is
-#: ``(pairs, groundings_per_head, body_size, rounds, speedup_target)``; a
-#: ``None`` target records the number without gating it.  ``cover`` lists the
-#: in-situ cover builds as ``(preset, scale)`` — the canopy workloads,
-#: ``dblp@1.5`` (the largest ``BENCHMARK.json`` shape) and, in the default
-#: config, the scales between which the legs cross — ``sharded`` the
-#: ``ParallelCoverBuilder`` builds (one scale well on either side of the
-#: crossing), and ``ladder`` the ``(groundings_per_head, body_size)`` network
-#: shapes the probe ladder climbs.
+#: is ``(preset, scale, speedup_target)``.  ``cover`` lists the in-situ cover
+#: builds as ``(preset, scale)`` — the canopy workloads, ``dblp@1.5`` (the
+#: largest ``BENCHMARK.json`` shape) and, in the default config, the scales
+#: between which the legs cross — ``sharded`` the ``ParallelCoverBuilder``
+#: builds (one scale well on either side of the crossing), and ``tfidf`` the
+#: TF-IDF cover builds.
 CONFIGS: Dict[str, Dict] = {
     "smoke": {
         "repeats": 3,
         "canopy": [("hepth", 4.0, 1.3)],
-        "probe": [(2000, 6, 2, 8, 1.5)],
         "cover": [("dblp", 1.5), ("hepth", 4.0)],
         "sharded": [("dblp", 1.5)],
-        "ladder": [(6, 2)],
+        "tfidf": [("dblp", 1.5)],
     },
     "default": {
         "repeats": 2,
         "canopy": [("hepth", 8.0, 3.0), ("dblp", 10.0, 1.5)],
-        "probe": [(5000, 16, 2, 12, 2.0), (2000, 6, 2, 12, None)],
         "cover": [("dblp", 1.5), ("dblp", 3.0), ("hepth", 4.0),
                   ("dblp", 6.0), ("hepth", 8.0), ("dblp", 10.0)],
         "sharded": [("dblp", 1.5), ("hepth", 8.0), ("dblp", 10.0)],
-        "ladder": [(6, 2), (16, 2)],
+        "tfidf": [("dblp", 1.5), ("hepth", 4.0), ("dblp", 6.0)],
     },
 }
 
 #: The three ways a run can be configured; ``auto`` is the default.
 BACKENDS = ("python", "numpy", "auto")
-#: Worklist sizes of the probe ladder.
-LADDER_SIZES = (4, 16, 64, 256)
 #: ``auto`` may cost at most this much over the better forced leg.
 AUTO_TOLERANCE = 1.10
 #: Lower edges of the candidate-row buckets of the per-center cost table.
@@ -119,10 +101,6 @@ ROW_BUCKETS = (0, 32, 64, 96, 128, 160, 192, 256, 384, 512, 1024)
 _PRESETS = {"hepth": hepth_like, "dblp": dblp_like}
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernels.json"
-
-
-def best_of(repeats: int, measure) -> float:
-    return min(measure() for _ in range(repeats))
 
 
 # ------------------------------------------------------------- canopy sweep
@@ -192,93 +170,11 @@ def kernel_counts(delta: obs_registry.RegistryDelta) -> Dict[str, float]:
     return counts
 
 
-# -------------------------------------------------------------- probe sweep
-def synth_network(n_pairs: int, degree: int, body: int,
-                  seed: int = 7) -> GroundNetwork:
-    """A dense coauthor-shaped ground network with controlled degree.
-
-    Grounding a dense evidence graph through the rule joiner is quadratic in
-    the coauthor edges, so the bench synthesizes the ground rules directly:
-    ``degree`` support groundings per head pair (each requiring ``body``
-    other pairs, pseudo-randomly drawn) plus one prior grounding per pair.
-    This isolates the probe kernel from the grounder.
-    """
-    rng = random.Random(seed)
-    pairs = [EntityPair.of(f"a{i}", f"b{i}") for i in range(n_pairs)]
-    groundings = []
-    for head in range(n_pairs):
-        for _ in range(degree):
-            others = rng.sample(range(n_pairs), body + 1)
-            body_pairs = frozenset(
-                pairs[other] for other in others if other != head)
-            groundings.append(GroundRule(
-                rule_name="coauthor",
-                weight=rng.choice([2.46, -3.84, 12.75]),
-                head_pair=pairs[head],
-                body_pairs=frozenset(list(body_pairs)[:body])))
-        groundings.append(GroundRule(
-            rule_name="similar_2", weight=-3.84,
-            head_pair=pairs[head], body_pairs=frozenset()))
-    return GroundNetwork(groundings, pairs)
-
-
-def run_probe_workload(n_pairs: int, degree: int, body: int, rounds: int,
-                       repeats: int, target: Optional[float]) -> Dict:
-    """Time a greedy worklist sweep: probe every pair, add the best, repeat."""
-    network = synth_network(n_pairs, degree, body)
-    worklist = sorted(network.candidates)
-    touching = network.touching_map
-    avg_touch = sum(len(indices) for indices in touching.values()) / \
-        max(len(touching), 1)
-
-    def sweep(batching: bool):
-        state = WorldState(network)
-        started = time.perf_counter()
-        probed = []
-        for _ in range(rounds):
-            if batching:
-                deltas = state.delta_batch(worklist)
-            else:
-                deltas = [state.delta_single(pair) for pair in worklist]
-            probed.append(deltas)
-            best = max(range(len(worklist)),
-                       key=lambda position: (deltas[position], -position))
-            state.add(worklist[best])
-        return time.perf_counter() - started, probed
-
-    scalar_seconds, scalar_results = min(
-        (sweep(False) for _ in range(repeats)), key=lambda pair: pair[0])
-    workload = {
-        "pairs": n_pairs,
-        "groundings_per_head": degree,
-        "body_size": body,
-        "rounds": rounds,
-        "groundings": len(network.grounding_weights),
-        "avg_touching": round(avg_touch, 1),
-        "seconds": {"scalar": round(scalar_seconds, 6)},
-        "target": target,
-    }
-    if backend() != "numpy":
-        return workload
-    with use("numpy"), obs_registry.capturing() as work:
-        batch_seconds, batch_results = min(
-            (sweep(True) for _ in range(repeats)), key=lambda pair: pair[0])
-    workload["seconds"]["batch"] = round(batch_seconds, 6)
-    workload["speedup"] = round(scalar_seconds / batch_seconds, 2) \
-        if batch_seconds > 0 else float("inf")
-    workload["parity"] = batch_results == scalar_results
-    workload["counters"] = kernel_counts(work)
-    return workload
-
-
 # ----------------------------------------------------- cover build, in situ
-def run_cover_workload(preset: str, scale: float, repeats: int,
-                       sharded: bool = False) -> Dict:
-    """``build_cover`` under each backend; for the sequential build also each
-    leg's per-center cost."""
-    store = CompactStore.from_store(_PRESETS[preset](scale=scale).store)
-    blocker = CanopyBlocker()
-    builder = ParallelCoverBuilder(blocker, workers=2) if sharded else blocker
+def interleaved_builds(builder, store, backends: Tuple[str, ...],
+                       repeats: int) -> Tuple[Dict[str, float], Dict[str, List]]:
+    """``builder.build_cover(store)`` under each of ``backends``: CPU seconds
+    a build and the cover each backend built."""
 
     def build() -> Tuple[float, List]:
         started = time.process_time()
@@ -291,12 +187,13 @@ def run_cover_workload(preset: str, scale: float, repeats: int,
     # a forced leg are the very same code path, and the gate has to tell 10 %
     # from a shared machine, where the best of many is one lucky quiet moment
     # and the median sits inside a neighbour's burst.
-    samples: Dict[str, List[float]] = {name: [] for name in BACKENDS}
+    samples: Dict[str, List[float]] = {name: [] for name in backends}
     covers: Dict[str, List] = {}
     rounds = max(repeats, 5)
     turn = 0
     while turn < rounds:
-        for name in BACKENDS[turn % 3:] + BACKENDS[:turn % 3]:
+        shift = turn % len(backends)
+        for name in backends[shift:] + backends[:shift]:
             with use(name):
                 spent, covers[name] = build()
             samples[name].append(spent)
@@ -304,7 +201,18 @@ def run_cover_workload(preset: str, scale: float, repeats: int,
         if turn == 1:
             slowest = max(spent[0] for spent in samples.values())
             rounds = max(rounds, min(15, int(4.0 / slowest)))
-    seconds = {name: lower_quartile(spent) for name, spent in samples.items()}
+    return ({name: lower_quartile(spent) for name, spent in samples.items()},
+            covers)
+
+
+def run_cover_workload(preset: str, scale: float, repeats: int,
+                       sharded: bool = False) -> Dict:
+    """``build_cover`` under each backend; for the sequential build also each
+    leg's per-center cost."""
+    store = CompactStore.from_store(_PRESETS[preset](scale=scale).store)
+    blocker = CanopyBlocker()
+    builder = ParallelCoverBuilder(blocker, workers=2) if sharded else blocker
+    seconds, covers = interleaved_builds(builder, store, BACKENDS, repeats)
 
     entities = blocker.clustered_entities(store)
     pindex = blocker.profile_index(entities, None)
@@ -362,6 +270,23 @@ def run_cover_workload(preset: str, scale: float, repeats: int,
     return workload
 
 
+def run_tfidf_cover_workload(preset: str, scale: float, repeats: int) -> Dict:
+    """A TF-IDF canopy cover build under each forced leg."""
+    store = CompactStore.from_store(_PRESETS[preset](scale=scale).store)
+    blocker = CanopyBlocker(similarity="tfidf", loose_threshold=0.5,
+                            tight_threshold=0.8)
+    seconds, covers = interleaved_builds(
+        blocker, store, ("python", "numpy"), repeats)
+    return {
+        "preset": preset, "scale": scale,
+        "entities": len(blocker.clustered_entities(store)),
+        "neighborhoods": len(covers["python"]),
+        "seconds": {name: round(value, 6) for name, value in seconds.items()},
+        "speedup": round(seconds["python"] / seconds["numpy"], 2),
+        "parity": covers["python"] == covers["numpy"],
+    }
+
+
 def lower_quartile(samples: List[float]) -> float:
     return sorted(samples)[len(samples) // 4]
 
@@ -376,51 +301,6 @@ def crossing(ladder: List[Tuple[float, float, float]]) -> Optional[float]:
         else:
             found = None
     return found
-
-
-# -------------------------------------------------------------- probe ladder
-def run_probe_ladder(degree: int, body: int) -> Dict:
-    """The greedy probe/add loop at each ladder size, under each forced leg."""
-    rungs = []
-    for size in LADDER_SIZES:
-        rounds = min(12, size)
-        network = synth_network(size, degree, body)
-        worklist = sorted(network.candidates)
-        touching = network.touching_map
-
-        def sweep() -> float:
-            # A fresh network each time: a neighborhood's ProbeIndex is
-            # built by its first vectorised sweep and amortises over the
-            # handful that follow, not over a whole bench run.
-            state = WorldState(synth_network(size, degree, body))
-            started = time.process_time()
-            for _ in range(rounds):
-                deltas = state.delta_batch(worklist)
-                best = max(range(size),
-                           key=lambda position: (deltas[position], -position))
-                state.add(worklist[best])
-            return time.process_time() - started
-
-        # Interleaved, lower quartile of many, like the cover builds: the
-        # small rungs are microseconds a sweep.
-        samples: Dict[str, List[float]] = {"python": [], "numpy": []}
-        for _ in range(max(12, 4000 // size)):
-            for name, spent in samples.items():
-                with use(name):
-                    spent.append(sweep())
-        rungs.append({
-            "worklist": size,
-            "mean_touching": round(sum(map(len, touching.values()))
-                                   / max(len(touching), 1), 1),
-            "us_per_sweep": {
-                name: round(1e6 * lower_quartile(spent) / rounds, 2)
-                for name, spent in samples.items()}})
-    return {
-        "groundings_per_head": degree, "body_size": body, "rungs": rungs,
-        "crossing_worklist": crossing(
-            [(rung["worklist"], rung["us_per_sweep"]["python"],
-              rung["us_per_sweep"]["numpy"]) for rung in rungs]),
-    }
 
 
 # -------------------------------------------------------------------- bench
@@ -457,16 +337,12 @@ def run_bench(config_name: str) -> Dict:
                  w["seconds"]["numpy"]) for w in covers))},
         "cover_builds": covers,
         "sharded_cover_builds": sharded,
-        "probe_ladders": [run_probe_ladder(degree, body)
-                          for degree, body in config["ladder"]]
-        if vectorised else [],
+        "tfidf_cover_builds": [
+            run_tfidf_cover_workload(preset, scale, repeats)
+            for preset, scale in config["tfidf"]] if vectorised else [],
         "canopy_sweeps": [
             run_canopy_workload(preset, scale, repeats, target)
             for preset, scale, target in config["canopy"]
-        ],
-        "probe_sweeps": [
-            run_probe_workload(pairs, degree, body, rounds, repeats, target)
-            for pairs, degree, body, rounds, target in config["probe"]
         ],
     }
 
@@ -478,27 +354,24 @@ def check_report(report: Dict) -> List[str]:
         # Scalar-only recording; there is no batched leg to gate.
         return []
     failures = []
-    for kind in ("canopy_sweeps", "probe_sweeps"):
-        for workload in report[kind]:
-            if kind == "canopy_sweeps":
-                label = f"canopy {workload['preset']}@{workload['scale']}"
-            else:
-                label = f"probe {workload['pairs']}x" \
-                        f"{workload['groundings_per_head']}"
-            if not workload["parity"]:
-                failures.append(f"{label}: batched results differ from the "
-                                "scalar reference")
-            target = workload["target"]
-            if target is not None and workload["speedup"] < target:
-                failures.append(f"{label}: speedup {workload['speedup']}x is "
-                                f"below the {target}x target")
+    for workload in report["canopy_sweeps"]:
+        label = f"canopy {workload['preset']}@{workload['scale']}"
+        if not workload["parity"]:
+            failures.append(f"{label}: batched results differ from the "
+                            "scalar reference")
+        target = workload["target"]
+        if target is not None and workload["speedup"] < target:
+            failures.append(f"{label}: speedup {workload['speedup']}x is "
+                            f"below the {target}x target")
     for kind, builder in (("cover_builds", "cover"),
-                          ("sharded_cover_builds", "sharded cover")):
+                          ("sharded_cover_builds", "sharded cover"),
+                          ("tfidf_cover_builds", "tfidf cover")):
         for workload in report[kind]:
             label = f"{builder} {workload['preset']}@{workload['scale']}"
             if not workload["parity"]:
                 failures.append(f"{label}: covers differ between backends")
-            if workload["auto_vs_best"] > AUTO_TOLERANCE:
+            # TF-IDF builds record no ``auto`` leg: it is the ``numpy`` one.
+            if workload.get("auto_vs_best", 0.0) > AUTO_TOLERANCE:
                 failures.append(
                     f"{label}: auto is {workload['auto_vs_best']}x the better "
                     f"forced leg (limit {AUTO_TOLERANCE}x)")

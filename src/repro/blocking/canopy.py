@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from ..datamodel import Entity, EntityStore
 from ..kernels.names import canopy_sweep, pilot_rows
@@ -52,6 +53,23 @@ _COVER_SECONDS = obs_registry.histogram(
 def author_name_cheap_similarity(a: Entity, b: Entity) -> float:
     """Default cheap similarity for author references: structured name score."""
     return DEFAULT_AUTHOR_SIMILARITY.score_entities(a, b)
+
+
+def split_canopy(center, scored: Iterable[Tuple[object, float]],
+                 tight: float) -> Tuple[set, set]:
+    """One center's ``(canopy, removed)`` from its scored candidates.
+
+    ``scored`` yields ``(candidate, score)`` with every score already at or
+    above the loose threshold: each candidate joins the canopy, and those at
+    or above ``tight`` also leave the pool of future centers.
+    """
+    canopy = {center}
+    removed = {center}
+    for candidate, score in scored:
+        canopy.add(candidate)
+        if score >= tight:
+            removed.add(candidate)
+    return canopy, removed
 
 
 class CanopyBlocker(Blocker):
@@ -155,15 +173,10 @@ class CanopyBlocker(Blocker):
             tfidf = pindex.tfidf
 
             def tfidf_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-                canopy: Set[str] = {center_id}
-                removed: Set[str] = {center_id}
                 # Candidates arrive with their exact cosine already ≥ loose.
-                for candidate_id, candidate_score in tfidf.candidates_with_scores(
-                        center_id, loose):
-                    canopy.add(candidate_id)
-                    if candidate_score >= tight:
-                        removed.add(candidate_id)
-                return canopy, removed
+                return split_canopy(
+                    center_id, tfidf.candidates_with_scores(center_id, loose),
+                    tight)
 
             return tfidf_canopy
 
@@ -178,30 +191,20 @@ class CanopyBlocker(Blocker):
                  for center_id in self.shuffled_order(entities))))
 
             def profiled_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-                canopy: Set[str] = {center_id}
-                removed: Set[str] = {center_id}
-                for candidate_id, candidate_score in scores(
-                        center_id, pindex.profile(center_id).token_set, loose):
-                    canopy.add(candidate_id)
-                    if candidate_score >= tight:
-                        removed.add(candidate_id)
-                return canopy, removed
+                return split_canopy(center_id, scores(
+                    center_id, pindex.profile(center_id).token_set, loose), tight)
 
             return profiled_canopy
 
         similarity = self.similarity
 
         def custom_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-            canopy: Set[str] = {center_id}
-            removed: Set[str] = {center_id}
             center = pindex.entity(center_id)
-            for candidate_id in pindex.candidates(center_id):
-                candidate_score = similarity(center, pindex.entity(candidate_id))
-                if candidate_score >= loose:
-                    canopy.add(candidate_id)
-                    if candidate_score >= tight:
-                        removed.add(candidate_id)
-            return canopy, removed
+            return split_canopy(center_id, (
+                (candidate_id, score)
+                for candidate_id in pindex.candidates(center_id)
+                if (score := similarity(center, pindex.entity(candidate_id)))
+                >= loose), tight)
 
         return custom_canopy
 
@@ -236,13 +239,8 @@ class CanopyBlocker(Blocker):
         loose, tight = self.loose_threshold, self.tight_threshold
 
         def interned_canopy(center: int) -> Tuple[Set[int], Set[int]]:
-            canopy: Set[int] = {center}
-            removed: Set[int] = {center}
-            for candidate, score in scores(center, space.tokens[center], loose):
-                canopy.add(candidate)
-                if score >= tight:
-                    removed.add(candidate)
-            return canopy, removed
+            return split_canopy(
+                center, scores(center, space.tokens[center], loose), tight)
 
         return [space.decode(canopy)
                 for canopy in self.sweep(order, interned_canopy)]

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from ..similarity.profiles import EntityProfileIndex, ProfiledNameScorer
 from .base import Blocker
 from .boundary import _attach_leftover_singletons, expand_members, validate_total
-from .canopy import CanopyBlocker, author_name_cheap_similarity
+from .canopy import CanopyBlocker, author_name_cheap_similarity, split_canopy
 from .cover import Cover, Neighborhood
 
 #: Worker result shapes: ``(canopy, removed)`` and expanded member sets.
@@ -72,13 +72,8 @@ def score_canopy_chunk(center_ids: Sequence,
     scores = canopy_sweep(ProfiledNameScorer(parts, similarity), postings, pilot)
     results: List[Tuple[object, FrozenSetPair]] = []
     for center_id in center_ids:
-        canopy: Set[str] = {center_id}
-        removed: Set[str] = {center_id}
-        for candidate_id, score in scores(center_id, center_tokens[center_id],
-                                          loose):
-            canopy.add(candidate_id)
-            if score >= tight:
-                removed.add(candidate_id)
+        canopy, removed = split_canopy(
+            center_id, scores(center_id, center_tokens[center_id], loose), tight)
         results.append((center_id, (frozenset(canopy), frozenset(removed))))
     return results
 

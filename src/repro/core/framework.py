@@ -73,16 +73,7 @@ class EMFramework:
                  blocking_executor=None,
                  blocking_workers: Optional[int] = None,
                  store_backend: str = "dict",
-                 fault_policy=None,
-                 kernel_backend: Optional[str] = None):
-        # Kernel backend selection first: it governs how the cover built
-        # below is computed.  ``None`` leaves the process-wide request alone
-        # (the environment's, else auto); the choice never changes a cover
-        # or match set, only the speed.  Resolving it imports nothing.
-        from ..kernels import backend as kernel_probe, set_backend
-        if kernel_backend is not None:
-            set_backend(kernel_backend)
-        self.kernel_backend = kernel_probe()
+                 fault_policy=None):
         normalized_backend = store_backend.lower()
         if normalized_backend not in STORE_BACKENDS:
             raise ExperimentError(

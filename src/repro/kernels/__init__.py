@@ -1,14 +1,14 @@
 """Batch scoring kernels over the interned int space.
 
-Vectorized counterparts of the hot scoring loops — TF-IDF cosine sweeps,
-Jaro-Winkler / Damerau-Levenshtein blocks, canopy scoring, MLN probe
-batches — with numpy as an *optional* accelerator (``pip install .[speed]``),
-imported by the first batch that takes a vectorised leg.  The scalar code
-paths remain in place as the byte-identical parity reference; under the
-default ``auto`` backend each kernel family takes the leg that measured
-faster in situ (:mod:`repro.kernels.backend`), so installing or removing
-numpy never changes any cover, match set, or score — only the speed at which
-they are produced.
+Vectorized counterparts of the two cover-build scoring loops — the canopy
+sweep over author names (Jaro-Winkler blocks behind a sound prefilter) and
+the TF-IDF cosine sweep — with numpy as an *optional* accelerator
+(``pip install .[speed]``), imported by the first batch that takes a
+vectorised leg.  The scalar code paths remain in place as the byte-identical
+parity reference; under the default ``auto`` backend each family takes the
+leg that measured faster in situ (:mod:`repro.kernels.backend`), so
+installing or removing numpy never changes any cover, match set, or score —
+only the speed at which they are produced.  The matcher phase runs no kernel.
 """
 
 from .backend import (
@@ -21,13 +21,7 @@ from .backend import (
 )
 from .counters import record
 from .names import BatchCanopyScorer, canopy_sweep
-from .probes import ProbeIndex
-from .strings import (
-    PackedStrings,
-    damerau_levenshtein_block,
-    jaro_winkler_block,
-    jaro_winkler_bound_block,
-)
+from .strings import PackedStrings
 from .tfidf import ADMISSION_MARGIN, TfIdfBlockScorer
 
 __all__ = [
@@ -35,14 +29,10 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BatchCanopyScorer",
     "PackedStrings",
-    "ProbeIndex",
     "TfIdfBlockScorer",
     "VALID_CHOICES",
     "backend",
     "canopy_sweep",
-    "damerau_levenshtein_block",
-    "jaro_winkler_block",
-    "jaro_winkler_bound_block",
     "numpy_or_none",
     "record",
     "set_backend",

@@ -8,12 +8,12 @@ The request is ``auto`` unless forced: by the ``REPRO_KERNEL_BACKEND``
 environment variable, read once when this module is imported, or by
 :func:`set_backend`, which also writes the variable so that process-executor
 workers start on their parent's choice.  Forced ``numpy`` runs every batch
-vectorised, forced ``python`` none; under ``auto`` each kernel family takes
-the vectorised leg only where it measured faster in situ: a canopy sweep
-whose pilot reaches its break-even (:func:`vectorized`), and no probe sweep
-(:func:`forced`).  Every numpy kernel is bit-exact against its scalar
-reference, so legs mix freely — across sweeps, or across a mixed fleet of
-workers — without changing any cover or match.
+vectorised, forced ``python`` none; under ``auto`` a batch takes the
+vectorised leg only where it measured faster in situ: a canopy sweep whose
+pilot reaches its break-even (:func:`vectorized`) and every TF-IDF block.
+Every numpy kernel is bit-exact against its scalar reference, so legs mix
+freely — across sweeps, or across a mixed fleet of workers — without changing
+any cover or match.
 
 numpy is a first-need import: :func:`backend` answers from
 ``importlib.util.find_spec``, and the first batch to take the vectorised leg
@@ -78,11 +78,6 @@ def numpy_or_none():
                            "kernel backend: python", error)
             _numpy_found = False
     return _numpy_module
-
-
-def forced() -> Optional[str]:
-    """The forced backend, or ``None`` when the request is ``auto``."""
-    return _forced
 
 
 def vectorized(size: float, break_even: float):

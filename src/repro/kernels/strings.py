@@ -1,41 +1,30 @@
-"""Banded batch string-distance kernels over packed byte arrays.
+"""Batch string-similarity kernels over packed codepoint arrays.
 
 One *center* string is scored against a whole block of candidate strings per
 call.  Candidates are packed once into contiguous arrays
 (:class:`PackedStrings`: flat codepoint array + offsets, plus lazily derived
 padded matrices, char-multiset count matrices and prefix slices), and each
-kernel is a fixed number of vectorized passes over the block instead of a
-Python loop over pairs:
+kernel is a fixed number of vectorized passes over the selected rows instead
+of a Python loop over pairs.  The two kernels are private to the canopy
+family (:mod:`repro.kernels.names`), which owns the dispatch and the counters:
 
-* :func:`jaro_winkler_block` — exact Jaro-Winkler.  The greedy match
+* :func:`_jaro_winkler_rows` — exact Jaro-Winkler.  The greedy match
   assignment walks the center's characters (a handful of iterations, each
   vectorized over the whole block); match and transposition counts are
   integers, and the final formula replays the scalar expression order
   operation for operation, so scores are **bit-identical** to
   :func:`repro.similarity.jaro.jaro_winkler_similarity`.
-* :func:`damerau_levenshtein_block` — the three-row banded
-  Damerau-Levenshtein DP run column-wise over the block.  The
-  insertion-chain dependency inside a row is resolved with a min-plus prefix
-  scan, all in exact integer arithmetic; the optional band returns
-  ``max_distance + 1`` exactly like the scalar code.
-* :func:`jaro_winkler_bound_block` — the char-multiset upper bound of
+* :func:`_jaro_winkler_bound_rows` — the char-multiset upper bound of
   :meth:`~repro.similarity.profiles.ProfiledNameScorer.jaro_winkler_upper_bound`
   applied vectorized, used as the sound prefilter before any exact
   computation.  Same expression order, hence bit-identical bounds and
   therefore identical prune decisions.
-
-Every public function falls back to the scalar reference implementation when
-the resolved backend is ``"python"``, so callers never need their own gate
-and results are identical either way.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Sequence
 
-from ..similarity.jaro import jaro_winkler_similarity
-from ..similarity.levenshtein import damerau_levenshtein_distance
-from . import counters
 from .backend import numpy_or_none
 
 
@@ -221,121 +210,3 @@ def _jaro_winkler_bound_rows(np, packed: PackedStrings, center: str, rows):
     # Equal strings hit the bound formula at exactly 1.0; only empty
     # candidates (against the non-empty center) need the scalar's 0.0.
     return np.where(lb == 0, 0.0, bound)
-
-
-def _damerau_rows(np, packed: PackedStrings, center: str, rows,
-                  max_distance: Optional[int] = None):
-    """Banded Damerau-Levenshtein of ``center`` vs. the selected rows.
-
-    Column-wise three-row DP over the whole block.  The insertion chain
-    (``current[i]`` depends on ``current[i-1]``) is a min-plus prefix scan:
-    subtracting the column ramp turns it into a plain running minimum.  All
-    arithmetic is integer, so equality with the scalar reference is exact;
-    the band is applied as a final clamp, which returns the same
-    ``max_distance + 1`` sentinel as the scalar early exit (row minima never
-    decrease, so exceeding the band early and finishing above it coincide).
-    """
-    if max_distance is not None and max_distance < 0:
-        raise ValueError("max_distance must be >= 0")
-    block = packed.matrix[rows]
-    lb = packed.lengths[rows]
-    a_codes = _encode(center, np)
-    la = len(a_codes)
-    n, width = block.shape
-    ramp = np.arange(la + 1)
-    previous = np.tile(ramp, (n, 1))
-    two_ago = None
-    for j in range(1, width + 1):
-        char_b = block[:, j - 1]
-        cost = (a_codes[None, :] != char_b[:, None]).astype(np.int64)
-        best = np.minimum(previous[:, 1:] + 1, previous[:, :-1] + cost)
-        if j >= 2 and la >= 2:
-            swap = ((a_codes[None, 1:] == block[:, j - 2][:, None])
-                    & (a_codes[None, :-1] == char_b[:, None]))
-            best[:, 1:] = np.where(swap, np.minimum(best[:, 1:], two_ago[:, :-2] + 1),
-                                   best[:, 1:])
-        seed = np.concatenate(
-            (np.full((n, 1), j, dtype=np.int64), best), axis=1) - ramp
-        current = np.minimum.accumulate(seed, axis=1) + ramp
-        # Rows whose candidate is already exhausted keep their final row.
-        live = (j <= lb)[:, None]
-        two_ago = np.where(live, previous, two_ago if two_ago is not None else previous)
-        previous = np.where(live, current, previous)
-    distance = previous[:, la]
-    if max_distance is not None:
-        distance = np.where(distance > max_distance, max_distance + 1, distance)
-    return distance
-
-
-def _resolve_block(candidates: Union[PackedStrings, Sequence[str]], np):
-    if isinstance(candidates, PackedStrings):
-        return candidates, None
-    return PackedStrings(candidates, np), None
-
-
-def jaro_winkler_block(center: str,
-                       candidates: Union[PackedStrings, Sequence[str]],
-                       rows=None, prefix_weight: float = 0.1,
-                       max_prefix: int = 4) -> List[float]:
-    """Jaro-Winkler of ``center`` against every candidate, batched.
-
-    Bit-identical to calling
-    :func:`~repro.similarity.jaro.jaro_winkler_similarity` per pair; falls
-    back to exactly that loop when the scalar backend is active.
-    """
-    np = numpy_or_none()
-    if np is None or (rows is None and not isinstance(candidates, PackedStrings)
-                      and len(candidates) == 0):
-        block = candidates.strings if isinstance(candidates, PackedStrings) \
-            else candidates
-        if rows is not None:
-            block = [block[row] for row in rows]
-        return [jaro_winkler_similarity(center, other, prefix_weight, max_prefix)
-                for other in block]
-    packed, _ = _resolve_block(candidates, np)
-    if rows is None:
-        rows = np.arange(len(packed))
-    counters.record(pairs_scored=len(rows), batches=1)
-    return _jaro_winkler_rows(np, packed, center, rows,
-                              prefix_weight, max_prefix).tolist()
-
-
-def jaro_winkler_bound_block(center: str,
-                             candidates: Union[PackedStrings, Sequence[str]],
-                             rows=None) -> List[float]:
-    """The vectorized char-multiset upper bound on Jaro-Winkler, per candidate."""
-    np = numpy_or_none()
-    if np is None:
-        from ..similarity.profiles import ProfiledNameScorer
-        scorer = ProfiledNameScorer({})
-        block = candidates.strings if isinstance(candidates, PackedStrings) \
-            else candidates
-        if rows is not None:
-            block = [block[row] for row in rows]
-        return [scorer.jaro_winkler_upper_bound(center, other) for other in block]
-    packed, _ = _resolve_block(candidates, np)
-    if rows is None:
-        rows = np.arange(len(packed))
-    counters.record(prefilter_checked=len(rows), batches=1)
-    return _jaro_winkler_bound_rows(np, packed, center, rows).tolist()
-
-
-def damerau_levenshtein_block(center: str,
-                              candidates: Union[PackedStrings, Sequence[str]],
-                              rows=None,
-                              max_distance: Optional[int] = None) -> List[int]:
-    """Banded Damerau-Levenshtein of ``center`` against every candidate."""
-    np = numpy_or_none()
-    if np is None:
-        block = candidates.strings if isinstance(candidates, PackedStrings) \
-            else candidates
-        if rows is not None:
-            block = [block[row] for row in rows]
-        return [damerau_levenshtein_distance(center, other, max_distance)
-                for other in block]
-    packed, _ = _resolve_block(candidates, np)
-    if rows is None:
-        rows = np.arange(len(packed))
-    counters.record(pairs_scored=len(rows), batches=1)
-    return [int(value) for value in
-            _damerau_rows(np, packed, center, rows, max_distance)]

@@ -156,34 +156,18 @@ class GreedyCollectiveInference:
         worklist: Deque[EntityPair] = deque(sorted(free))
         queued: Set[EntityPair] = set(worklist)
         while worklist:
-            # Score the whole remaining worklist in one batched probe, then
-            # walk it in FIFO order.  An accepted add only changes the deltas
-            # of the pairs sharing a grounding with it (the dirty set), so
-            # every batched value consumed before the walk reaches a dirty
-            # (or newly appended) pair is exactly what delta_single would
-            # return at pop time; at the first such pair the walk stops and
-            # the remainder is re-batched.  The add sequence is therefore
-            # identical to probing one pair at a time.
-            batch = [pair for pair in worklist if pair in free]
-            deltas = dict(zip(batch, state.delta_batch(batch)))
-            dirty: Set[EntityPair] = set()
-            while worklist:
-                pair = worklist[0]
-                if pair in free and (pair in dirty or pair not in deltas):
-                    break
-                worklist.popleft()
-                queued.discard(pair)
-                if pair not in free:
-                    continue
-                if deltas[pair] > SCORE_TOLERANCE:
-                    state.add(pair)
-                    free.discard(pair)
-                    changed_any = True
-                    for neighbor in network.affected_pairs(pair):
-                        dirty.add(neighbor)
-                        if neighbor in free and neighbor not in queued:
-                            worklist.append(neighbor)
-                            queued.add(neighbor)
+            pair = worklist.popleft()
+            queued.discard(pair)
+            if pair not in free:
+                continue
+            if state.delta_single(pair) > SCORE_TOLERANCE:
+                state.add(pair)
+                free.discard(pair)
+                changed_any = True
+                for neighbor in network.affected_pairs(pair):
+                    if neighbor in free and neighbor not in queued:
+                        worklist.append(neighbor)
+                        queued.add(neighbor)
         return changed_any
 
     def _group_pass_counting(self, network: GroundNetwork, state: WorldState,
@@ -223,31 +207,18 @@ class GreedyCollectiveInference:
         worklist: Deque[EntityPair] = deque(sorted(free))
         queued: Set[EntityPair] = set(worklist)
         while worklist:
-            # Same batched-worklist walk as _greedy_pass_counting: values are
-            # consumed until the first pair whose delta an acceptance may
-            # have changed, then the remainder is re-batched.
-            batch = [pair for pair in worklist
-                     if pair in free and pair not in group]
-            deltas = dict(zip(batch, hypothetical.delta_batch(batch)))
-            dirty: Set[EntityPair] = set()
-            while worklist:
-                pair = worklist[0]
-                if pair in free and pair not in group \
-                        and (pair in dirty or pair not in deltas):
-                    break
-                worklist.popleft()
-                queued.discard(pair)
-                if pair in group or pair not in free:
-                    continue
-                if deltas[pair] > SCORE_TOLERANCE:
-                    hypothetical.add(pair)
-                    group.add(pair)
-                    for neighbor in network.affected_pairs(pair):
-                        dirty.add(neighbor)
-                        if neighbor in free and neighbor not in group \
-                                and neighbor not in queued:
-                            worklist.append(neighbor)
-                            queued.add(neighbor)
+            pair = worklist.popleft()
+            queued.discard(pair)
+            if pair in group or pair not in free:
+                continue
+            if hypothetical.delta_single(pair) > SCORE_TOLERANCE:
+                hypothetical.add(pair)
+                group.add(pair)
+                for neighbor in network.affected_pairs(pair):
+                    if neighbor in free and neighbor not in group \
+                            and neighbor not in queued:
+                        worklist.append(neighbor)
+                        queued.add(neighbor)
         return group
 
 

@@ -29,9 +29,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Set
 
 from ..datamodel import EntityPair
-from ..kernels import counters
-from ..kernels.backend import forced, numpy_or_none
-from ..kernels.probes import ProbeIndex
 from .network import GroundNetwork
 
 
@@ -45,8 +42,7 @@ class WorldState:
     """
 
     __slots__ = ("_network", "_touching", "_weights", "_missing", "_world",
-                 "_score", "_version", "_mirror", "_mirror_version",
-                 "_world_mask", "_probe_slot")
+                 "_score")
 
     def __init__(self, network: GroundNetwork,
                  initial: Iterable[EntityPair] = ()):
@@ -59,16 +55,6 @@ class WorldState:
         self._missing: List[int] = list(network.grounding_sizes)
         self._world: Set[EntityPair] = set()
         self._score = 0.0
-        # Lazily maintained numpy mirror of the missing counters, refreshed
-        # (once per batch of mutations) when delta_batch runs on the numpy
-        # kernel backend.  _version counts mutations so staleness is O(1).
-        self._version = 0
-        self._mirror = None
-        self._mirror_version = -1
-        # Lazily built numpy mask of ProbeIndex rows currently in the world,
-        # kept current by add() so batched probes skip the per-pair set test.
-        self._world_mask = None
-        self._probe_slot = None
         for pair in initial:
             self.add(pair)
 
@@ -108,11 +94,6 @@ class WorldState:
         if pair in self._world:
             return 0.0
         self._world.add(pair)
-        self._version += 1
-        if self._world_mask is not None:
-            row = self._probe_slot.get(pair)
-            if row is not None:
-                self._world_mask[row] = True
         gained = 0.0
         missing = self._missing
         weights = self._weights
@@ -167,55 +148,6 @@ class WorldState:
         return sum(weights[index] for index, supplied in hits.items()
                    if missing[index] == supplied)
 
-    def delta_batch(self, pairs: Iterable[EntityPair]) -> List[float]:
-        """:meth:`delta_single` for a whole worklist in one batched pass.
-
-        The probe family's one dispatch point.  On the vectorised leg the
-        probes run as one gather/mask/segment-sum over the network's cached
-        :class:`ProbeIndex`; each pair's weights accumulate in touching-list
-        order, so every returned value is bit-identical to the scalar probe.
-        Otherwise this is literally the scalar loop - which ``auto`` takes at
-        every size: real touching lists hold 2-4 entries, and there it won
-        every sweep measured in situ, up to 1 346 probes (482 against 791 us);
-        the vectorised leg wins only on the lists of 19-49 of
-        ``bench_kernels.py``'s synthetic ladder, so it runs when forced.
-        """
-        probes = pairs if isinstance(pairs, list) else list(pairs)
-        np = numpy_or_none() if forced() else None
-        if np is None:
-            return [self.delta_single(pair) for pair in probes]
-        index = ProbeIndex.for_network(self._network, np)
-        counters.record(batches=1, pairs_scored=len(probes))
-        if self._world_mask is None:
-            # Built once per state; add() keeps it current from here on.
-            slot = index.slot
-            mask = np.zeros(len(slot), dtype=bool)
-            slot_get = slot.get
-            for pair in self._world:
-                row = slot_get(pair)
-                if row is not None:
-                    mask[row] = True
-            self._world_mask = mask
-            self._probe_slot = slot
-        slot_get = index.slot.get
-        rows_all = np.fromiter((slot_get(pair, -1) for pair in probes),
-                               np.int64, len(probes))
-        known = rows_all >= 0
-        rows = rows_all[known]
-        if len(rows) == 0:
-            return [0.0] * len(probes)
-        if self._mirror_version != self._version:
-            self._mirror = np.asarray(self._missing, dtype=np.int64)
-            self._mirror_version = self._version
-        values = index.delta_rows(np, rows, self._mirror)
-        # Pairs already in the world probe to 0.0, matching delta_single.
-        values[self._world_mask[rows]] = 0.0
-        if len(rows) == len(probes):
-            return values.tolist()
-        out = np.zeros(len(probes), dtype=np.float64)
-        out[known] = values
-        return out.tolist()
-
     # ------------------------------------------------------------------ copy
     def copy(self) -> "WorldState":
         """An independent hypothetical world sharing the (immutable) indexes."""
@@ -226,11 +158,6 @@ class WorldState:
         clone._missing = list(self._missing)
         clone._world = set(self._world)
         clone._score = self._score
-        clone._version = 0
-        clone._mirror = None
-        clone._mirror_version = -1
-        clone._world_mask = None
-        clone._probe_slot = None
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..blocking import Blocker, CanopyBlocker, Cover, Neighborhood
 from ..blocking.boundary import attach_leftover_singletons, expand_members, validate_total
-from ..blocking.canopy import author_name_cheap_similarity
+from ..blocking.canopy import author_name_cheap_similarity, split_canopy
 from ..similarity.profiles import EntityProfile, ProfiledNameScorer
 from ..similarity.tfidf import default_tokenizer
 from .overlay import DeltaImpact
@@ -133,13 +133,9 @@ class IncrementalCoverMaintainer:
         if cached is not None:
             return set(cached[0]), set(cached[1])
         blocker: CanopyBlocker = self.blocker  # type: ignore[assignment]
-        canopy: Set[str] = {center_id}
-        removed: Set[str] = {center_id}
-        for candidate_id, score in self._scorer.canopy_scores(
-                center_id, self._candidates(center_id), blocker.loose_threshold):
-            canopy.add(candidate_id)
-            if score >= blocker.tight_threshold:
-                removed.add(candidate_id)
+        canopy, removed = split_canopy(center_id, self._scorer.canopy_scores(
+            center_id, self._candidates(center_id), blocker.loose_threshold),
+            blocker.tight_threshold)
         self._canopy_cache[center_id] = (set(canopy), set(removed))
         self.last_dirty_centers += 1
         return canopy, removed

@@ -42,9 +42,6 @@ from repro.kernels import (
     PackedStrings,
     TfIdfBlockScorer,
     backend,
-    damerau_levenshtein_block,
-    jaro_winkler_block,
-    jaro_winkler_bound_block,
     numpy_or_none,
     record,
     set_backend,
@@ -52,14 +49,20 @@ from repro.kernels import (
 )
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.mln import GreedyCollectiveInference, Grounder, GroundNetwork, database_from_store
-from repro.mln.state import WorldState
+from repro.kernels.strings import _jaro_winkler_bound_rows, _jaro_winkler_rows
 from repro.similarity import (
     ProfiledNameScorer,
     TfIdfPostingsIndex,
     TfIdfVectorizer,
 )
+from repro.similarity.jaro import jaro_winkler_similarity
 from repro.similarity.profiles import LruMemo
-from tests.util import build_chain_store, kernel_work, leveled_rules
+from tests.util import (
+    KERNEL_COUNTERS,
+    build_chain_store,
+    kernel_work,
+    leveled_rules,
+)
 
 backend_module = importlib.import_module("repro.kernels.backend")
 names_module = importlib.import_module("repro.kernels.names")
@@ -261,11 +264,21 @@ class TestBackendResolution:
         with pytest.raises(ExperimentError):
             set_backend("numpy")
 
-    def test_without_numpy_kernels_fall_back_to_scalar(self, no_numpy):
-        from repro.similarity.jaro import jaro_winkler_similarity
-        block = ["smith", "smyth", "jones", ""]
-        assert jaro_winkler_block("smith", block) == \
-            [jaro_winkler_similarity("smith", other) for other in block]
+    def test_without_numpy_kernels_fall_back_to_scalar(self, no_numpy,
+                                                       monkeypatch):
+        """Both families' dispatch points hand out the scalar leg: a canopy
+        sweep past the break-even and a TF-IDF cover run no batch."""
+        monkeypatch.setattr(names_module, "CANOPY_BREAK_EVEN", 1e-9)
+        store = small_dataset(seed=3).store
+        blockers = (CanopyBlocker(), CanopyBlocker(
+            similarity="tfidf", loose_threshold=0.4, tight_threshold=0.7))
+        with kernel_work() as work:
+            covers = [cover_signature(blocker.build_cover(store))
+                      for blocker in blockers]
+        assert not any(work.values())
+        with use("python"):
+            assert covers == [cover_signature(blocker.build_cover(store))
+                              for blocker in blockers]
 
     def test_numpy_that_will_not_import_degrades_auto_to_scalar(
             self, broken_numpy, monkeypatch, caplog, hepth_dataset):
@@ -322,9 +335,10 @@ class TestKernelCounters:
     @requires_numpy
     def test_kernels_report_work(self):
         with use("numpy"), kernel_work() as work:
-            jaro_winkler_block("smith", ["smyth", "jones", "smith"])
-        assert work["batches"] == 1
-        assert work["pairs_scored"] == 3
+            TfIdfBlockScorer({"d0": {"a": 1.0}, "d1": {"b": 1.0}}).search(
+                {"a": 1.0}, 0.5)
+        assert work == {"batches": 1, "pairs_scored": 1,
+                        "prefilter_checked": 2, "prefilter_pruned": 1}
 
 
 # ------------------------------------------------------------------ LruMemo
@@ -361,55 +375,51 @@ class TestLruMemo:
 
 
 # ------------------------------------------------- string kernels (parity)
+def packed_rows(kernel, center, block, rows=None):
+    """``kernel`` (a ``_*_rows`` function) of ``center`` against ``block`` -
+    strings or a :class:`PackedStrings` - as a list; needs ``use("numpy")``."""
+    np = numpy_or_none()
+    packed = block if isinstance(block, PackedStrings) else PackedStrings(block)
+    rows = np.arange(len(packed)) if rows is None else np.asarray(rows)
+    return kernel(np, packed, center, rows).tolist()
+
+
 @requires_numpy
 class TestStringKernelParity:
     @settings(max_examples=30, deadline=None)
     @given(center=names, block=st.lists(names, max_size=12))
     def test_jaro_winkler_block_bit_identical(self, center, block):
         with use("numpy"):
-            vectorized = jaro_winkler_block(center, block)
-        with use("python"):
-            scalar = jaro_winkler_block(center, block)
-        assert vectorized == scalar
+            vectorized = packed_rows(_jaro_winkler_rows, center, block)
+        assert vectorized == [jaro_winkler_similarity(center, other)
+                              for other in block]
 
     @settings(max_examples=30, deadline=None)
     @given(center=names, block=st.lists(names, max_size=12))
     def test_bound_block_bit_identical_and_sound(self, center, block):
         with use("numpy"):
-            bounds = jaro_winkler_bound_block(center, block)
-            exact = jaro_winkler_block(center, block)
-        with use("python"):
-            scalar = jaro_winkler_bound_block(center, block)
-        assert bounds == scalar
+            bounds = packed_rows(_jaro_winkler_bound_rows, center, block)
+            exact = packed_rows(_jaro_winkler_rows, center, block)
+        scalar = ProfiledNameScorer({}).jaro_winkler_upper_bound
+        assert bounds == [scalar(center, other) for other in block]
         for bound, score in zip(bounds, exact):
             assert bound >= score
-
-    @settings(max_examples=30, deadline=None)
-    @given(center=names, block=st.lists(names, max_size=10),
-           max_distance=st.sampled_from([None, 0, 1, 2, 3]))
-    def test_damerau_block_identical(self, center, block, max_distance):
-        with use("numpy"):
-            vectorized = damerau_levenshtein_block(center, block,
-                                                   max_distance=max_distance)
-        with use("python"):
-            scalar = damerau_levenshtein_block(center, block,
-                                               max_distance=max_distance)
-        assert vectorized == scalar
 
     def test_packed_strings_reused_across_centers(self):
         with use("numpy"):
             block = ["smith", "smyth", "jones"]
             packed = PackedStrings(block)
             for center in ("smith", "smithe", "zzz"):
-                assert jaro_winkler_block(center, packed) == \
-                    jaro_winkler_block(center, block)
+                for kernel in (_jaro_winkler_rows, _jaro_winkler_bound_rows):
+                    assert packed_rows(kernel, center, packed) == \
+                        packed_rows(kernel, center, block)
 
     def test_row_subset_selects_candidates(self):
         with use("numpy"):
             block = ["smith", "smyth", "jones", "doe"]
-            full = jaro_winkler_block("smith", block)
-            subset = jaro_winkler_block("smith", PackedStrings(block),
-                                        rows=[1, 3])
+            full = packed_rows(_jaro_winkler_rows, "smith", block)
+            subset = packed_rows(_jaro_winkler_rows, "smith",
+                                 PackedStrings(block), rows=[1, 3])
         assert subset == [full[1], full[3]]
 
 
@@ -600,96 +610,6 @@ class TestCanopyAutoDispatch:
         assert not scalar_sweeps and work["batches"] > 0
 
 
-# ------------------------------------------------------ batched probe sweep
-@requires_numpy
-class TestDeltaBatchParity:
-    def make_state(self, length=10, matched=0):
-        store = build_chain_store(length=length, level=2)
-        db = database_from_store(store)
-        network = GroundNetwork(
-            Grounder(leveled_rules(-2.28, -3.84, 12.75, 2.46)).ground(db),
-            db.candidates())
-        state = WorldState(network)
-        probes = sorted(network.touching_map)
-        for pair in probes[:matched]:
-            state.add(pair)
-        return state, probes
-
-    @settings(max_examples=10, deadline=None)
-    @given(matched=st.integers(min_value=0, max_value=6))
-    def test_delta_batch_bit_identical_to_delta_single(self, matched):
-        state, probes = self.make_state(matched=matched)
-        assert len(probes) >= 8   # large enough to take the vectorized leg
-        with use("numpy"):
-            batched = state.delta_batch(probes)
-        scalar = [state.delta_single(pair) for pair in probes]
-        assert batched == scalar
-
-    def test_small_batches_fall_back_to_scalar(self):
-        """Under ``auto`` a probe sweep is the scalar loop - no kernel call,
-        no :class:`ProbeIndex`; forced ``numpy`` vectorises every batch, even
-        three probes."""
-        state, probes = self.make_state()
-        with use("auto"), kernel_work() as work:
-            assert state.delta_batch(probes) == \
-                [state.delta_single(pair) for pair in probes]
-        assert work["batches"] == 0
-        assert not hasattr(state.network, "_kernel_probe_index")
-        with use("numpy"), kernel_work() as work:
-            state.delta_batch(probes[:3])
-        assert work["batches"] == 1 and work["pairs_scored"] == 3
-
-    @settings(max_examples=10, deadline=None)
-    @given(matched=st.integers(min_value=0, max_value=6),
-           cut=st.integers(min_value=1, max_value=100))
-    def test_auto_is_the_scalar_loop_at_every_size(self, matched, cut):
-        """No probe sweep of any length vectorises under ``auto`` (the scalar
-        loop won every in-situ sweep measured); forced ``numpy`` runs the
-        same sweeps through the kernel, and the deltas agree."""
-        state, probes = self.make_state(matched=matched)
-        sweep = probes[:1 + cut % len(probes)]
-        with use("auto"), kernel_work() as auto:
-            scalar = state.delta_batch(sweep)
-        with use("numpy"), kernel_work() as forced:
-            batched = state.delta_batch(sweep)
-        assert auto["batches"] == 0 and forced["pairs_scored"] == len(sweep)
-        assert scalar == batched == [state.delta_single(pair) for pair in sweep]
-
-    def test_mirror_tracks_mutations(self):
-        state, probes = self.make_state()
-        with use("numpy"):
-            before = state.delta_batch(probes)
-            added = next(p for p, d in zip(probes, before) if p not in state)
-            state.add(added)
-            after = state.delta_batch(probes)
-        assert after == [state.delta_single(pair) for pair in probes]
-        assert after[probes.index(added)] == 0.0
-
-    def test_copy_rebuilds_mirror_independently(self):
-        state, probes = self.make_state()
-        with use("numpy"):
-            state.delta_batch(probes)          # materialize the mirror
-            clone = state.copy()
-            clone.add(probes[0])
-            assert clone.delta_batch(probes) == \
-                [clone.delta_single(pair) for pair in probes]
-            assert state.delta_batch(probes) == \
-                [state.delta_single(pair) for pair in probes]
-
-    def test_greedy_inference_identical_across_backends(self):
-        store = build_chain_store(length=10, level=2)
-        db = database_from_store(store)
-        network = GroundNetwork(
-            Grounder(leveled_rules(-2.28, -3.84, 12.75, 2.46)).ground(db),
-            db.candidates())
-        results = {}
-        for name in ("numpy", "python"):
-            with use(name):
-                results[name] = GreedyCollectiveInference().infer(network)
-        assert results["numpy"].matches == results["python"].matches
-        assert results["numpy"].score == results["python"].score
-
-
 # ------------------------------------------------- end-to-end cover parity
 @requires_numpy
 class TestEndToEndParity:
@@ -737,6 +657,19 @@ class TestEndToEndParity:
                 matches[name] = MatchSet(result.matches).transitive_closure().pairs
         assert matches["numpy"] == matches["python"]
 
+    def test_greedy_inference_identical_across_backends(self):
+        store = build_chain_store(length=10, level=2)
+        db = database_from_store(store)
+        network = GroundNetwork(
+            Grounder(leveled_rules(-2.28, -3.84, 12.75, 2.46)).ground(db),
+            db.candidates())
+        results = {}
+        for name in ("numpy", "python"):
+            with use(name):
+                results[name] = GreedyCollectiveInference().infer(network)
+        assert results["numpy"].matches == results["python"].matches
+        assert results["numpy"].score == results["python"].score
+
     def test_sequential_schemes_identical_across_backends(self, hepth_dataset):
         matches = {}
         for name in ("numpy", "python"):
@@ -757,20 +690,15 @@ class TestKernelObservability:
 
     @requires_numpy
     def test_cover_build_counts_kernel_work(self, hepth_dataset):
-        framework = self.build_framework(hepth_dataset, kernel_backend="numpy")
-        assert framework.kernel_backend == "numpy"
-        with kernel_work() as work:
-            framework.cover
-        set_backend("auto")
+        with use("numpy"), kernel_work() as work:
+            self.build_framework(hepth_dataset).cover
         assert work["pairs_scored"] > 0
         assert 0 < work["prefilter_pruned"] < work["prefilter_checked"]
 
     def test_python_backend_counts_nothing(self, hepth_dataset):
-        framework = self.build_framework(hepth_dataset, kernel_backend="python")
-        assert framework.kernel_backend == "python"
-        with kernel_work() as work:
-            framework.run_grid("smp", executor="serial")
-        set_backend("auto")
+        with use("python"), kernel_work() as work:
+            self.build_framework(hepth_dataset).run_grid(
+                "smp", executor="serial")
         assert not any(work.values())
 
     @requires_numpy
@@ -789,55 +717,33 @@ class TestKernelObservability:
         assert scored["threads"] == scored["serial"]
 
     @requires_numpy
-    def test_grid_kernel_work_identical_across_executors(self, hepth_dataset,
-                                                         hepth_cover):
-        """One transport: the same tasks report the same kernel work whether
-        their counters were written in-process or rode ``metric_deltas``."""
-        totals = {}
-        with use("numpy"):
-            for executor in ("serial", "threads", "processes"):
-                framework = EMFramework(MLNMatcher(), hepth_dataset.store,
-                                        cover=hepth_cover)
-                with kernel_work() as work:
-                    framework.run_grid("smp", executor=executor, workers=2)
-                totals[executor] = work
-        assert totals["serial"]["pairs_scored"] > 0
-        assert totals["serial"]["batches"] > 0
-        assert totals["threads"] == totals["serial"]
-        assert totals["processes"] == totals["serial"]
-
-    @requires_numpy
     def test_served_session_reads_kernel_work_from_the_registry(
             self, hepth_dataset):
         """The service keeps no kernel tally of its own: both forms of
         ``/metrics`` read the process registry, so work done outside any map
-        task is served too."""
+        task - here a cover build beside the running service - is served."""
         from repro.serving import MatchService
-        from repro.streaming import StreamSession, synthesize_stream
+        from repro.streaming import StreamSession
 
-        def scraped(service, name):
-            for line in service.prometheus_metrics().splitlines():
-                if line.startswith(name + " "):
-                    return float(line.split()[1])
-            return 0.0
+        def scraped(service):
+            lines = dict(line.split()[:2]
+                         for line in service.prometheus_metrics().splitlines()
+                         if line.startswith("kernel_"))
+            return {name: int(float(lines.get(counter.name, 0)))
+                    for name, counter in KERNEL_COUNTERS.items()}
 
-        scenario = synthesize_stream(hepth_dataset, batches=1,
-                                     holdout_fraction=0.1, seed=7)
         with use("numpy"):
-            with kernel_work() as startup:
-                service = MatchService(session=StreamSession(
-                    MLNMatcher(), scenario.base.store.copy())).start()
+            service = MatchService(session=StreamSession(
+                MLNMatcher(), hepth_dataset.store.copy())).start()
             try:
-                assert startup["pairs_scored"] > 0      # the cold run's probes
-                scored = scraped(service, "kernel_pairs_scored_total")
-                assert scored >= startup["pairs_scored"]
-                checked = scraped(service, "kernel_prefilter_checked_total")
-                jaro_winkler_bound_block("smith", ["smyth", "jones"])
-                assert scraped(service, "kernel_prefilter_checked_total") \
-                    == checked + 2
-
-                service.submit_deltas(scenario.log.batches[0]).wait(30.0)
-                assert scraped(service, "kernel_pairs_scored_total") > scored
+                before = scraped(service)
+                with kernel_work() as work:
+                    CanopyBlocker().build_cover(hepth_dataset.store)
+                assert work["pairs_scored"] > 0
+                assert work["prefilter_checked"] > 0
+                served = scraped(service)
+                assert served == {name: before[name] + work[name]
+                                  for name in work}
 
                 block = service.metrics()["kernels"]
                 assert set(block) == {
@@ -846,17 +752,15 @@ class TestKernelObservability:
                     "numpy_loaded"}
                 assert block["backend"] == "numpy"
                 assert block["numpy_loaded"] is True
-                assert block["pairs_scored"] == \
-                    scraped(service, "kernel_pairs_scored_total")
-                assert block["prefilter_checked"] == checked + 2
+                assert {name: block[name] for name in served} == served
             finally:
                 service.drain()
 
     def test_runs_below_the_break_evens_never_import_numpy(self):
         """numpy is a first-need import: a grid run, a stream session and a
-        scraped service on a tiny instance finish without it (at the parent
-        ``EMFramework.__init__``, ``delta_batch`` and the first ``/metrics``
-        scrape each imported it)."""
+        scraped service on a tiny instance finish without it - and the
+        matcher phase never needs it: over a cover built on the scalar leg,
+        an MLN MMP grid run under forced ``numpy`` finishes without it too."""
         seen = run_fresh(
             "import json, sys\n"
             "import repro.cli\n"
@@ -873,6 +777,10 @@ class TestKernelObservability:
             "                        blocker=CanopyBlocker())\n"
             "framework.run_grid('smp')\n"
             "loaded['grid'] = 'numpy' in sys.modules\n"
+            f"with kernels.use({'numpy' if HAS_NUMPY else 'python'!r}):\n"
+            "    EMFramework(MLNMatcher(), dataset.store,\n"
+            "                cover=framework.cover).run_grid('mmp')\n"
+            "loaded['forced_mmp'] = 'numpy' in sys.modules\n"
             "scenario = synthesize_stream(dataset, batches=1,\n"
             "                             holdout_fraction=0.1, seed=7)\n"
             "session = StreamSession(MLNMatcher(), scenario.base.store.copy())\n"
@@ -890,8 +798,8 @@ class TestKernelObservability:
             "loaded['service'] = 'numpy' in sys.modules\n"
             "json.dump({'loaded': loaded, 'block': block,\n"
             "           'resolved': kernels.backend()}, sys.stdout)\n")
-        assert seen["loaded"] == {"grid": False, "stream": False,
-                                  "service": False}
+        assert seen["loaded"] == {"grid": False, "forced_mmp": False,
+                                  "stream": False, "service": False}
         assert seen["block"]["numpy_loaded"] is False
         assert seen["block"]["backend"] == seen["resolved"] == \
             ("numpy" if HAS_NUMPY else "python")
