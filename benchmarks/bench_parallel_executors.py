@@ -6,9 +6,10 @@ simulated 1-vs-30-machine comparison (``bench_table1_grid.py``) with the
 engine: serial, thread pool, process pool.
 
 The interesting shape is honesty, not a guaranteed speedup: the MLN matcher
-is pure Python, so threads serialise on the GIL and processes pay per-task
-pickling of the neighborhood payloads; whether processes win depends on how
-neighborhood compute compares to shipping cost on this machine.  What *is*
+is pure Python, so threads serialise on the GIL and processes pay one
+pickled round trip per chunk of tasks (at most ``4 × workers`` chunks a
+round); whether processes win depends on how neighborhood compute compares
+to shipping cost on this machine.  What *is*
 guaranteed — and asserted — is that every executor produces the identical
 match set (the map reads an immutable snapshot, the reduce merges in
 deterministic order).

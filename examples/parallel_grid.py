@@ -58,7 +58,8 @@ def main() -> None:
                                    f"({workers} workers, SMP scheme)"))
     print("\nThe match sets are identical across executors; wall-clock depends"
           "\non how well this matcher parallelises on this machine (threads"
-          "\nshare the GIL, processes pay per-task pickling).")
+          "\nshare the GIL, processes pay one pickled round trip per chunk"
+          "\nof tasks).")
 
     # 2. Simulated grid: deployment questions from the recorded durations.
     grid_run = runs["serial"]

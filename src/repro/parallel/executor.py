@@ -9,7 +9,7 @@ matcher computation through one of these executors:
   releases the GIL (e.g. a matcher shelling out to an external process or
   native code) and harmless otherwise.
 * :class:`ProcessExecutor` — a process pool; real CPU parallelism for pure
-  Python matchers, at the cost of pickling each task's payload to the worker.
+  Python matchers, at the cost of pickling task payloads to the workers.
 
 All executors consume generic ``(name, callable)`` tasks and return results
 keyed by task name, so applications can also drive their own per-neighborhood
@@ -18,21 +18,15 @@ callable (and its return value) to be picklable — a module-level function
 wrapped with :func:`functools.partial` over picklable arguments, as
 :func:`repro.parallel.tasks.execute_map_task` is used by the grid.
 
-Pool-backed executors create a fresh pool per :meth:`~Executor.map_tasks`
-call by default.  To amortise pool start-up across calls (the grid issues one
-call per round), use the executor as a context manager::
+Pool-backed executors ship a round's tasks in at most ``4 × workers`` chunks,
+one pool round trip each.  Outside a ``with`` block every non-empty call opens
+a one-shot pool; the grid keeps one open across its rounds::
 
     with ProcessExecutor(workers=8) as executor:
         GridExecutor(scheme="mmp", executor=executor).run(matcher, store, cover)
 
-Failure semantics are uniform across executors: the first task failure (in
-completion order) propagates to the caller, all not-yet-started tasks are
-cancelled, and partial results are discarded.  Tasks already running when the
-failure surfaces do complete, but their results are dropped.  When that
-all-or-nothing contract is too brittle (lossy workers, stragglers), wrap any
-executor in :class:`repro.parallel.resilience.ResilientExecutor`, which
-supervises tasks individually — retries, deadlines, speculative duplicates,
-pool rebuilds — through the :meth:`Executor.submit_task` seam below.
+:class:`repro.parallel.resilience.ResilientExecutor` supervises tasks one by
+one instead, through the :meth:`Executor.submit_task` seam below.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-from typing import Callable, ClassVar, Dict, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..exceptions import ExperimentError
 from . import shared as _shared
@@ -69,7 +63,9 @@ class Executor(abc.ABC):
         """Execute all tasks and return their results keyed by task name.
 
         Raises the first failure (in completion order) after cancelling every
-        task that has not started; partial results are discarded.
+        task that has not started; partial results are discarded.  Pool
+        executors cancel whole chunks, and a failing task's chunk-mates
+        after it never run.
         """
 
     def close(self) -> None:
@@ -139,6 +135,11 @@ class SerialExecutor(Executor):
         return {name: task() for name, task in tasks}
 
 
+def _run_chunk(tasks: Sequence[NamedTask]) -> List[Tuple[str, ResultT]]:
+    """Run one chunk of a pool round in order (module-level so it pickles)."""
+    return [(name, task()) for name, task in tasks]
+
+
 class _PoolExecutor(Executor):
     """Shared submit/collect/cancel logic for pool-backed executors."""
 
@@ -176,22 +177,26 @@ class _PoolExecutor(Executor):
         self._pool = self._make_pool()
 
     def map_tasks(self, tasks: Sequence[NamedTask]) -> Dict[str, ResultT]:
+        if not tasks:
+            return {}
         if self._pool is not None:
             return self._collect(self._pool, tasks)
         with self._make_pool() as pool:
             return self._collect(pool, tasks)
 
-    @staticmethod
-    def _collect(pool: concurrent.futures.Executor,
+    def _collect(self, pool: concurrent.futures.Executor,
                  tasks: Sequence[NamedTask]) -> Dict[str, ResultT]:
+        # Round-robin deal: a round's tasks cost one pool round trip per
+        # chunk, not per task.
+        count = min(len(tasks), 4 * self.workers)
+        futures = [pool.submit(_run_chunk, tasks[i::count]) for i in range(count)]
         results: Dict[str, ResultT] = {}
-        futures = {pool.submit(task): name for name, task in tasks}
         try:
             for future in concurrent.futures.as_completed(futures):
-                results[futures[future]] = future.result()
+                results.update(future.result())
         except BaseException:
-            # First failure wins: cancel everything not yet started and
-            # propagate.  Running tasks finish but their results are dropped.
+            # First failure wins: cancel every chunk not yet started and
+            # propagate.  Running chunks finish but their results are dropped.
             for pending in futures:
                 pending.cancel()
             raise
@@ -219,15 +224,7 @@ class _PoolExecutor(Executor):
 
 
 class ThreadedExecutor(_PoolExecutor):
-    """Runs tasks in a thread pool of ``workers`` threads.
-
-    Results are collected into a dict keyed by task name.  On the first task
-    failure (in completion order) every not-yet-started task is cancelled, the
-    partial results are discarded, and the failing task's exception propagates
-    to the caller.  Cancellation is best-effort — workers may dequeue a few
-    more tasks while the failure surfaces — but a failing round never drains
-    the whole remaining batch.
-    """
+    """Runs tasks in a thread pool of ``workers`` threads."""
 
     kind = "threads"
 
@@ -246,9 +243,6 @@ class ProcessExecutor(_PoolExecutor):
     :func:`functools.partial`) over picklable payloads, never lambdas or
     closures.  The grid satisfies this by shipping
     :class:`repro.parallel.tasks.MapTask` payloads.
-
-    Failure semantics match :class:`ThreadedExecutor`: first failure wins,
-    outstanding tasks are cancelled, partial results are discarded.
     """
 
     kind = "processes"

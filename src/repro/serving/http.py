@@ -119,8 +119,8 @@ class _Handler(BaseHTTPRequestHandler):
             value = float(raw)
         except ValueError:
             raise DeltaError(f"X-Deadline is not a number: {raw!r}")
-        if value <= 0:
-            raise DeltaError("X-Deadline must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise DeltaError("X-Deadline must be a positive finite number")
         return value
 
     def _guarded(self, fn) -> None:
@@ -219,9 +219,9 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(ops, list) or not ops:
             raise DeltaError("ops must be a non-empty list of delta records")
         batch = ChangeBatch([op_from_dict(record) for record in ops])
+        deadline = self._deadline()  # a bad header must not commit the batch
         ticket = self.service.submit_deltas(batch)
         if document.get("wait", True):
-            deadline = self._deadline()
             result = ticket.wait(deadline
                                  if deadline is not None
                                  else self.service.config.default_deadline)

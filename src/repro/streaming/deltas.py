@@ -215,7 +215,9 @@ def op_from_dict(record: Dict) -> Delta:
                        record["polarity"])
     except KeyError as missing:
         raise DeltaError(f"delta record missing field {missing}") from None
-    raise DeltaError(f"unknown delta op {record.get('op')!r}")
+    except (TypeError, ValueError) as error:
+        raise DeltaError(f"malformed delta record: {error}") from None
+    raise DeltaError(f"unknown delta op {op!r}")
 
 
 def log_to_dict(log: DeltaLog) -> Dict:

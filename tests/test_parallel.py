@@ -1,5 +1,6 @@
 """Tests for the parallel grid executor, partitioner and local executors."""
 
+import concurrent.futures
 import time
 from functools import partial
 
@@ -165,6 +166,33 @@ def _raise_boom():
     raise RuntimeError("boom")
 
 
+def _touch(path):
+    """Leave a trace of having run that a process-pool test can count."""
+    time.sleep(0.02)
+    path.touch()
+    return path.name
+
+
+class _SpyPool(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that counts its ``submit`` calls."""
+
+    submits = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submits += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+class _SpyExecutor(ThreadedExecutor):
+    """A threaded executor whose pools count submissions."""
+
+    pools = 0
+
+    def _make_pool(self):
+        self.pools += 1
+        return _SpyPool(max_workers=self.workers)
+
+
 class TestLocalExecutors:
     def test_serial_executor(self):
         results = SerialExecutor().map_tasks([("a", lambda: 1), ("b", lambda: 2)])
@@ -269,6 +297,34 @@ class TestLocalExecutors:
                 executor.map_tasks([("x", _raise_boom)])
             assert executor._pool is pool  # same pool, reused
             assert executor.map_tasks([("s", partial(_square, 3))]) == {"s": 9}
+
+    def test_process_executor_cancels_outstanding_on_first_failure(self, tmp_path):
+        tasks = [("boom", _raise_boom)] + [
+            (f"t{i}", partial(_touch, tmp_path / f"t{i}")) for i in range(49)]
+        with ProcessExecutor(workers=2) as executor:
+            pool = executor._pool
+            with pytest.raises(RuntimeError, match="boom"):
+                executor.map_tasks(tasks)
+            assert executor._pool is pool
+            assert executor.map_tasks([("s", partial(_square, 3))]) == {"s": 9}
+        # Shut down: every chunk that started has finished.  The failing
+        # task's chunk-mates after it never ran.
+        assert len(list(tmp_path.iterdir())) < 49
+
+    def test_pool_round_is_chunked(self):
+        tasks = [(f"t{i}", partial(_square, i)) for i in range(1000)]
+        with _SpyExecutor(workers=3) as executor:
+            results = executor.map_tasks(tasks)
+            assert executor._pool.submits <= 4 * executor.workers
+        assert results == SerialExecutor().map_tasks(tasks)
+
+    def test_empty_round_touches_no_pool(self):
+        executor = _SpyExecutor(workers=2)
+        assert executor.map_tasks([]) == {}
+        assert executor.pools == 0  # no one-shot pool opened
+        with executor:
+            assert executor.map_tasks([]) == {}
+            assert executor._pool.submits == 0
 
     def test_nested_context_manager_is_reentrant(self):
         executor = ThreadedExecutor(workers=2)

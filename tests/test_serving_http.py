@@ -134,6 +134,32 @@ class TestDeltaRoute:
         assert "ghost" in doc["error"]
         assert service.current_epoch().epoch_id == 0
 
+    @pytest.mark.parametrize("deadline", ["banana", "-1", "inf", "nan"])
+    def test_bad_deadline_is_400_without_commit(self, served, deadline):
+        service, url = served
+        body = {"ops": [{"op": "upsert_similarity", "first": "c1",
+                         "second": "d1", "score": 0.2, "level": 1}]}
+        status, doc, _ = _request(url + "/deltas", body=body,
+                                  headers={"X-Deadline": deadline})
+        assert status == 400
+        assert "X-Deadline" in doc["error"]
+        assert service.current_epoch().epoch_id == 0
+        assert _request(url + "/resolve/c1",
+                        headers={"X-Deadline": deadline})[0] == 400
+
+    @pytest.mark.parametrize("records", [
+        [1],
+        [{"op": "upsert_similarity", "first": "c1", "second": "d1",
+          "score": "x", "level": 1}],
+        [{"op": "add_tuple", "relation": "coauthor", "members": 5}],
+    ])
+    def test_malformed_records_are_400_without_commit(self, served, records):
+        service, url = served
+        status, doc, _ = _request(url + "/deltas", body={"ops": records})
+        assert status == 400
+        assert "malformed delta record" in doc["error"]
+        assert service.current_epoch().epoch_id == 0
+
 
 def _assert_retry_after(headers, doc, seconds=None):
     """``Retry-After`` is integer seconds (rounded up, at least 1); the
