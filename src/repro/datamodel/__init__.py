@@ -1,6 +1,7 @@
 """Entity/relation data model shared by every component of the library."""
 
-from .compact import CompactRelation, CompactStore, EntityInterner, StoreView
+from .compact import (CompactRelation, CompactStore, EntityInterner, InducedRelation,
+                      StoreView)
 from .entity import AUTHOR_TYPE, PAPER_TYPE, Entity, entities_by_type, make_author, make_paper
 from .evidence import Evidence
 from .match_set import DisjointSets, MatchSet
@@ -31,6 +32,7 @@ __all__ = [
     "EntityPair",
     "EntityStore",
     "Evidence",
+    "InducedRelation",
     "MatchSet",
     "Relation",
     "SimilarityEdge",

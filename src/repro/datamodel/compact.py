@@ -19,11 +19,10 @@ This module provides the compact alternative:
   parallel flat arrays (pairs / scores / levels) with their own CSR adjacency.
   ``restrict()`` is O(subset): it returns a :class:`StoreView`, never copies.
 * :class:`StoreView` — a lazy window over an id-subset of a snapshot.  It
-  implements the :class:`EntityStore` *read* interface; similarity reads
-  resolve directly through the snapshot's shared arrays, and induced
-  relations are materialised lazily (per relation, on first access, via the
-  CSR adjacency — so a neighborhood only ever pays for the relations its
-  matcher actually reads).
+  implements the :class:`EntityStore` *read* interface; every read resolves
+  through the snapshot's shared arrays, and its relations are
+  :class:`InducedRelation` windows that filter the snapshot's CSR adjacency
+  by membership instead of copying ``R(C)``.
 
 Snapshots carry a process-unique ``snapshot_token`` so the parallel layer can
 broadcast one pickled copy per worker and ship only integer neighborhood
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import uuid
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -99,6 +99,10 @@ class EntityInterner:
     def __contains__(self, entity_id: str) -> bool:
         return entity_id in self._index
 
+    def find(self, entity_id: str) -> Optional[int]:
+        """The id's index, or ``None`` when it is not interned."""
+        return self._index.get(entity_id)
+
     def index_of(self, entity_id: str) -> int:
         try:
             return self._index[entity_id]
@@ -129,8 +133,11 @@ class CompactRelation:
 
     Implements the read interface of
     :class:`~repro.datamodel.relation.Relation` (decoding to strings at the
-    edge) plus integer-space traversals.  Immutable: built once from a
-    relation's tuples against a fixed :class:`EntityInterner`.
+    edge, each tuple once per snapshot) plus integer-space traversals.
+    Immutable: built once from a relation's tuples against a fixed
+    :class:`EntityInterner`.  Reads go through three hooks —
+    :meth:`_index_of`, :meth:`tuple_indices_of` and :meth:`_visible` — which
+    :class:`InducedRelation` narrows to a member set.
     """
 
     __slots__ = ("name", "arity", "symmetric", "interner",
@@ -154,7 +161,7 @@ class CompactRelation:
         self._tuple_set: Set[IndexTuple] = encoded
         self._indptr, self._adj = _csr_adjacency(
             len(interner), [set(tup) for tup in self._tuples])
-        self._decoded: Optional[FrozenSet[RelationTuple]] = None
+        self._decoded: Optional[List[RelationTuple]] = None
 
     # ------------------------------------------------------------- encoding
     def _encode(self, tup: Sequence[str]) -> IndexTuple:
@@ -170,80 +177,91 @@ class CompactRelation:
                 encoded = (encoded[1], encoded[0])
         return encoded
 
-    def _decode(self, tup: IndexTuple) -> RelationTuple:
-        ids = self.interner.ids_of(tup)
-        return tuple(ids)
+    def decoded(self) -> List[RelationTuple]:
+        """Every tuple as entity ids, parallel to the flat array (built once
+        per snapshot, in Relation's canonical order; do not mutate)."""
+        if self._decoded is None:
+            ids = self.interner.ids()
+            self._decoded = [tuple([ids[index] for index in tup])
+                             for tup in self._tuples]
+        return self._decoded
+
+    # ---------------------------------------------------------- visibility
+    def _index_of(self, entity_id: str) -> Optional[int]:
+        """The entity's index, or ``None`` when no visible tuple can hold it."""
+        return self.interner.find(entity_id)
+
+    def _visible(self) -> Sequence[int]:
+        """Indices of the tuples this relation shows, ascending."""
+        return range(len(self._tuples))
 
     # ---------------------------------------------------------- Relation API
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._visible())
 
     def __iter__(self) -> Iterator[RelationTuple]:
-        for tup in self._tuples:
-            yield self._decode(tup)
+        decoded = self.decoded()
+        return (decoded[tuple_index] for tuple_index in self._visible())
 
     def __contains__(self, tup: Sequence[str]) -> bool:
         return self.contains(*tup)
 
     def contains(self, *entity_ids: str) -> bool:
-        if any(entity_id not in self.interner for entity_id in entity_ids):
+        if any(self._index_of(entity_id) is None for entity_id in entity_ids):
             return False
         return self._encode(entity_ids) in self._tuple_set
 
     def tuples(self) -> FrozenSet[RelationTuple]:
-        if self._decoded is None:
-            self._decoded = frozenset(self._decode(tup) for tup in self._tuples)
-        return self._decoded
+        return frozenset(self)
 
     def tuples_of(self, entity_id: str) -> FrozenSet[RelationTuple]:
-        if entity_id not in self.interner:
+        entity_index = self._index_of(entity_id)
+        if entity_index is None:
             return frozenset()
-        return frozenset(self._decode(self._tuples[tuple_index])
-                         for tuple_index in self.tuple_indices_of(
-                             self.interner.index_of(entity_id)))
+        decoded = self.decoded()
+        return frozenset(decoded[tuple_index]
+                         for tuple_index in self.tuple_indices_of(entity_index))
 
     def neighbors(self, entity_id: str) -> Set[str]:
-        if entity_id not in self.interner:
+        entity_index = self._index_of(entity_id)
+        if entity_index is None:
             return set()
-        entity_index = self.interner.index_of(entity_id)
         out: Set[int] = set()
+        tuples = self._tuples
         for tuple_index in self.tuple_indices_of(entity_index):
-            out.update(self._tuples[tuple_index])
+            out.update(tuples[tuple_index])
         out.discard(entity_index)
         return set(self.interner.ids_of(out))
 
     def participants(self) -> Set[str]:
-        indptr = self._indptr
-        return {self.interner.id_of(index)
-                for index in range(len(self.interner))
-                if indptr[index + 1] > indptr[index]}
+        tuples = self._tuples
+        return set(self.interner.ids_of(
+            {entity_index for tuple_index in self._visible()
+             for entity_index in tuples[tuple_index]}))
 
     def tuples_touching(self, entity_ids: Iterable[str]) -> Iterator[RelationTuple]:
         """Tuples with at least one member in ``entity_ids`` (may yield dups)."""
-        members = entity_ids if isinstance(entity_ids, (set, frozenset)) \
-            else set(entity_ids)
-        known = [self.interner.index_of(m) for m in members if m in self.interner]
-        if len(known) <= len(self._tuples):
-            for entity_index in known:
+        decoded = self.decoded()
+        for entity_index in {self._index_of(entity_id) for entity_id in entity_ids}:
+            if entity_index is not None:
                 for tuple_index in self.tuple_indices_of(entity_index):
-                    yield self._decode(self._tuples[tuple_index])
-        else:
-            member_indices = set(known)
-            for tup in self._tuples:
-                if not member_indices.isdisjoint(tup):
-                    yield self._decode(tup)
+                    yield decoded[tuple_index]
 
     def induced(self, entity_ids: Iterable[str]) -> Relation:
         """``R(C)`` as a plain (dict-backed) :class:`Relation`."""
-        allowed = {self.interner.index_of(entity_id)
-                   for entity_id in entity_ids if entity_id in self.interner}
-        return self.induced_relation(allowed)
+        members = {entity_index for entity_index in map(self._index_of, entity_ids)
+                   if entity_index is not None}
+        induced = Relation(self.name, self.arity, self.symmetric)
+        decoded = self.decoded()
+        for tuple_index in self.induced_tuple_indices(members):
+            induced.add_canonical(decoded[tuple_index])
+        return induced
 
     def copy(self) -> Relation:
         """A mutable dict-backed copy (compact relations are immutable)."""
         clone = Relation(self.name, self.arity, self.symmetric)
         for tup in self:
-            clone.add(*tup)
+            clone.add_canonical(tup)
         return clone
 
     def __eq__(self, other: object) -> bool:
@@ -258,8 +276,8 @@ class CompactRelation:
         return hash((self.name, self.arity, self.symmetric))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CompactRelation({self.name!r}, arity={self.arity}, "
-                f"tuples={len(self._tuples)})")
+        return (f"{type(self).__name__}({self.name!r}, arity={self.arity}, "
+                f"tuples={len(self)})")
 
     # ---------------------------------------------------------- integer API
     def tuple_indices_of(self, entity_index: int) -> Sequence[int]:
@@ -270,39 +288,59 @@ class CompactRelation:
         """All entity indices of tuples touching ``frontier`` (frontier included).
 
         This is the integer-space core of boundary expansion: one CSR walk
-        over whichever side is smaller, no string re-keying.
+        over the frontier's adjacency (linear in the tuples it touches), no
+        string re-keying.
         """
         out: Set[int] = set()
-        if len(frontier) <= len(self._tuples):
-            tuples = self._tuples
-            for entity_index in frontier:
-                for tuple_index in self.tuple_indices_of(entity_index):
-                    out.update(tuples[tuple_index])
-        else:
-            for tup in self._tuples:
-                if not frontier.isdisjoint(tup):
-                    out.update(tup)
+        tuples = self._tuples
+        for entity_index in frontier:
+            for tuple_index in self.tuple_indices_of(entity_index):
+                out.update(tuples[tuple_index])
         return out
 
-    def induced_tuple_indices(self, members: Set[int]) -> List[int]:
-        """Sorted indices of tuples lying entirely inside ``members``."""
+    def induced_tuple_indices(self, members: AbstractSet[int]) -> List[int]:
+        """Sorted indices of visible tuples lying entirely inside ``members``."""
+        tuples = self._tuples
         candidates: Set[int] = set()
-        if len(members) <= len(self._tuples):
-            for entity_index in members:
-                candidates.update(self.tuple_indices_of(entity_index))
-            tuples = self._tuples
-            return sorted(
-                tuple_index for tuple_index in candidates
-                if all(e in members for e in tuples[tuple_index]))
-        return [tuple_index for tuple_index, tup in enumerate(self._tuples)
-                if all(e in members for e in tup)]
+        for entity_index in members:
+            candidates.update(self.tuple_indices_of(entity_index))
+        return sorted(tuple_index for tuple_index in candidates
+                      if members.issuperset(tuples[tuple_index]))
 
-    def induced_relation(self, members: Set[int]) -> Relation:
-        """``R(C)`` for an integer member set, as a dict-backed Relation."""
-        induced = Relation(self.name, self.arity, self.symmetric)
-        for tuple_index in self.induced_tuple_indices(members):
-            induced.add(*self._decode(self._tuples[tuple_index]))
-        return induced
+
+class InducedRelation(CompactRelation):
+    """``R(C)`` without materialising it: a :class:`CompactRelation` seen
+    through a view's member set.
+
+    Shares the snapshot relation's arrays and decoded tuples; reads filter
+    them by membership as they go, so a caller pays only for the entities
+    it asks about.  The full tuple list is worked out on first need.
+    """
+
+    __slots__ = ("base", "members", "_shown")
+
+    def __init__(self, base: CompactRelation, members: FrozenSet[int]):
+        self.base, self.members, self._shown = base, members, None
+        self.name, self.arity, self.symmetric = base.name, base.arity, base.symmetric
+        self.interner, self._tuples, self._tuple_set = \
+            base.interner, base._tuples, base._tuple_set
+
+    def decoded(self) -> List[RelationTuple]:
+        return self.base.decoded()
+
+    def _index_of(self, entity_id: str) -> Optional[int]:
+        entity_index = self.interner.find(entity_id)
+        return entity_index if entity_index in self.members else None
+
+    def _visible(self) -> Sequence[int]:
+        if self._shown is None:
+            self._shown = self.base.induced_tuple_indices(self.members)
+        return self._shown
+
+    def tuple_indices_of(self, entity_index: int) -> Sequence[int]:
+        members, tuples = self.members, self._tuples
+        return [tuple_index for tuple_index in self.base.tuple_indices_of(entity_index)
+                if members.issuperset(tuples[tuple_index])]
 
 
 class CompactStore:
@@ -412,18 +450,24 @@ class CompactStore:
 
     # ------------------------------------------------------------- similarity
     def _edge_key(self, pair: EntityPair) -> Optional[IndexPair]:
-        if pair.first not in self.interner or pair.second not in self.interner:
+        first, second = self.interner.find(pair.first), self.interner.find(pair.second)
+        if first is None or second is None:
             return None
-        first = self.interner.index_of(pair.first)
-        second = self.interner.index_of(pair.second)
         return (first, second) if first < second else (second, first)
 
+    def decoded_edges(self) -> List[SimilarityEdge]:
+        """Every similarity edge decoded, parallel to the flat arrays (built
+        once per snapshot; do not mutate)."""
+        if self._decoded_edges is None:
+            ids = self.interner.ids()
+            self._decoded_edges = [
+                SimilarityEdge(EntityPair.of(ids[first], ids[second]), score, level)
+                for (first, second), score, level in zip(
+                    self._edge_pairs, self._edge_scores, self._edge_levels)]
+        return self._decoded_edges
+
     def edge_at(self, edge_index: int) -> SimilarityEdge:
-        first, second = self._edge_pairs[edge_index]
-        pair = EntityPair.of(self.interner.id_of(first),
-                             self.interner.id_of(second))
-        return SimilarityEdge(pair, self._edge_scores[edge_index],
-                              self._edge_levels[edge_index])
+        return self.decoded_edges()[edge_index]
 
     def similarity(self, pair: EntityPair) -> Optional[SimilarityEdge]:
         key = self._edge_key(pair)
@@ -443,27 +487,20 @@ class CompactStore:
 
     def similar_pairs(self) -> FrozenSet[EntityPair]:
         if self._similar_pairs is None:
-            ids = self.interner.ids()
             self._similar_pairs = frozenset(
-                EntityPair.of(ids[first], ids[second])
-                for first, second in self._edge_pairs)
+                edge.pair for edge in self.decoded_edges())
         return self._similar_pairs
 
     def similar_pairs_of(self, entity_id: str) -> FrozenSet[EntityPair]:
-        if entity_id not in self.interner:
+        entity_index = self.interner.find(entity_id)
+        if entity_index is None:
             return frozenset()
-        entity_index = self.interner.index_of(entity_id)
-        ids = self.interner.ids()
-        return frozenset(
-            EntityPair.of(ids[self._edge_pairs[edge_index][0]],
-                          ids[self._edge_pairs[edge_index][1]])
-            for edge_index in self.edge_indices_of(entity_index))
+        edges = self.decoded_edges()
+        return frozenset(edges[edge_index].pair
+                         for edge_index in self.edge_indices_of(entity_index))
 
     def similarity_edges(self) -> List[SimilarityEdge]:
-        if self._decoded_edges is None:
-            self._decoded_edges = [self.edge_at(index)
-                                   for index in range(len(self._edge_pairs))]
-        return list(self._decoded_edges)
+        return list(self.decoded_edges())
 
     def edge_indices_of(self, entity_index: int) -> Sequence[int]:
         """Indices (into the flat edge arrays) of edges touching the entity."""
@@ -560,15 +597,14 @@ class StoreView:
     """Lazy, zero-copy window over an id-subset of a :class:`CompactStore`.
 
     Construction is O(1) beyond holding the member set; every read resolves
-    through the snapshot's shared arrays.  Induced relations are materialised
-    lazily per relation (first access) from the CSR adjacency and cached, so
-    a neighborhood pays only for the relations its matcher actually reads.
-    Views are read-only; ``to_entity_store()`` materialises a mutable copy.
+    through the snapshot's shared arrays and its once-decoded tuples and
+    edges.  Relations are zero-copy :class:`InducedRelation` windows, so a
+    neighborhood pays only for the entities its matcher asks about.  Views
+    are read-only; ``to_entity_store()`` materialises a mutable copy.
     """
 
     __slots__ = ("base", "_members", "_member_order", "_entity_ids",
-                 "_similar_pairs", "_edge_indices", "_relation_cache",
-                 "_decoded_edges")
+                 "_similar_pairs", "_edge_indices")
 
     def __init__(self, base: CompactStore, member_indices: FrozenSet[int]):
         self.base = base
@@ -577,8 +613,6 @@ class StoreView:
         self._entity_ids: Optional[FrozenSet[str]] = None
         self._similar_pairs: Optional[FrozenSet[EntityPair]] = None
         self._edge_indices: Optional[List[int]] = None
-        self._relation_cache: Dict[str, Relation] = {}
-        self._decoded_edges: Optional[List[SimilarityEdge]] = None
 
     # --------------------------------------------------------------- members
     @property
@@ -601,8 +635,7 @@ class StoreView:
         return self.base.entity_at(self._index_of_member(entity_id))
 
     def has_entity(self, entity_id: str) -> bool:
-        return (entity_id in self.base.interner
-                and self.base.interner.index_of(entity_id) in self._members)
+        return self.base.interner.find(entity_id) in self._members
 
     def entity_ids(self) -> FrozenSet[str]:
         if self._entity_ids is None:
@@ -627,12 +660,8 @@ class StoreView:
         return iter(self.entities())
 
     # -------------------------------------------------------------- relations
-    def relation(self, name: str) -> Relation:
-        cached = self._relation_cache.get(name)
-        if cached is None:
-            cached = self.base.relation(name).induced_relation(set(self._members))
-            self._relation_cache[name] = cached
-        return cached
+    def relation(self, name: str) -> InducedRelation:
+        return InducedRelation(self.base.relation(name), self._members)
 
     def has_relation(self, name: str) -> bool:
         return self.base.has_relation(name)
@@ -640,7 +669,7 @@ class StoreView:
     def relation_names(self) -> List[str]:
         return self.base.relation_names()
 
-    def relations(self) -> List[Relation]:
+    def relations(self) -> List[InducedRelation]:
         return [self.relation(name) for name in self.relation_names()]
 
     # ------------------------------------------------------------- similarity
@@ -669,31 +698,23 @@ class StoreView:
 
     def similar_pairs(self) -> FrozenSet[EntityPair]:
         if self._similar_pairs is None:
-            ids = self.base.interner.ids()
             self._similar_pairs = frozenset(
-                EntityPair.of(ids[self.base.edge_pair_at(edge_index)[0]],
-                              ids[self.base.edge_pair_at(edge_index)[1]])
-                for edge_index in self._member_edge_indices())
+                edge.pair for edge in self.similarity_edges())
         return self._similar_pairs
 
     def similar_pairs_of(self, entity_id: str) -> FrozenSet[EntityPair]:
         if not self.has_entity(entity_id):
             return frozenset()
-        entity_index = self.base.interner.index_of(entity_id)
-        members = self._members
-        ids = self.base.interner.ids()
-        out = []
-        for edge_index in self.base.edge_indices_of(entity_index):
-            first, second = self.base.edge_pair_at(edge_index)
-            if first in members and second in members:
-                out.append(EntityPair.of(ids[first], ids[second]))
-        return frozenset(out)
+        base, members = self.base, self._members
+        edges = base.decoded_edges()
+        return frozenset(
+            edges[edge_index].pair
+            for edge_index in base.edge_indices_of(base.interner.index_of(entity_id))
+            if members.issuperset(base.edge_pair_at(edge_index)))
 
     def similarity_edges(self) -> List[SimilarityEdge]:
-        if self._decoded_edges is None:
-            self._decoded_edges = [self.base.edge_at(edge_index)
-                                   for edge_index in self._member_edge_indices()]
-        return list(self._decoded_edges)
+        edges = self.base.decoded_edges()
+        return [edges[edge_index] for edge_index in self._member_edge_indices()]
 
     # ------------------------------------------------------------ restriction
     def restrict(self, entity_ids: Iterable[str]) -> "StoreView":

@@ -46,11 +46,11 @@ from .strings import PackedStrings, _jaro_winkler_bound_rows, _jaro_winkler_rows
 #: ``CANOPY_PILOT`` centers in sweep order: vectorised when they average
 #: ``CANOPY_BREAK_EVEN`` candidate rows (:func:`pilot_rows`; counted, not
 #: scored).  Measured in situ (``build_cover``, accepted centers only;
-#: ``BENCH_kernels.json``): the scalar loop costs ~2.5 us a row, the vectorised
-#: sweep a flat 300-700 us a center once its row caches are warm, and whole
-#: covers cross where the pilot averages ~280 rows (dblp@3, 144: scalar 1.1-1.3x
-#: ahead; dblp@6, 284: vectorised 1.2-1.4x ahead - auto's known regret; hepth@4,
-#: 281: level, its names repeat more) - 320 leaves room for the 150 ms import.
+#: ``BENCH_kernels.json``): the vectorised sweep costs a flat 300-700 us a center
+#: once its row caches are warm, and whole covers cross between ~280 and ~470
+#: pilot rows (dblp@3, 144 and hepth@4, 281: scalar 1.3-1.5x ahead; dblp@6, 284:
+#: level; dblp@10, 466: vectorised 1.3x ahead) - 320 sits in that band and
+#: leaves room for the 150 ms import.
 #: The legs memoise separately, so a sweep split between them center by center
 #: ran slower than either alone (dblp@3: 1.3x) - hence one leg per sweep.
 CANOPY_BREAK_EVEN = 320

@@ -28,7 +28,8 @@ class EvidenceDatabase:
 
     def __init__(self) -> None:
         self._facts: Dict[str, Set[GroundTuple]] = {}
-        # Per-predicate, per-position index: position -> value -> tuples.
+        # Per-predicate, per-position index: position -> value -> tuples,
+        # built on the first ``index_for`` of that position.
         self._index: Dict[str, Dict[int, Dict[GroundValue, Set[GroundTuple]]]] = {}
         self._candidates: Set[EntityPair] = set()
         # Both orientations of every candidate, keyed by the two ids.
@@ -42,9 +43,9 @@ class EvidenceDatabase:
         if tup in facts:
             return
         facts.add(tup)
-        index = self._index.setdefault(predicate, {})
-        for position, value in enumerate(tup):
-            index.setdefault(position, {}).setdefault(value, set()).add(tup)
+        for position, index in self._index.get(predicate, {}).items():
+            if position < len(tup):
+                index.setdefault(tup[position], set()).add(tup)
 
     def facts(self, predicate: str) -> FrozenSet[GroundTuple]:
         return frozenset(self._facts.get(predicate, frozenset()))
@@ -63,8 +64,19 @@ class EvidenceDatabase:
 
     def index_for(self, predicate: str,
                   position: int) -> Mapping[GroundValue, AbstractSet[GroundTuple]]:
-        """value → tuples of ``predicate`` holding it at ``position``, shared."""
-        return self._index.get(predicate, _NO_INDEX).get(position, _NO_INDEX)
+        """value → tuples of ``predicate`` holding it at ``position``, shared
+        (built on first request, then kept current by :meth:`add_fact`)."""
+        facts = self._facts.get(predicate)
+        if not facts:
+            return _NO_INDEX
+        indexes = self._index.setdefault(predicate, {})
+        index = indexes.get(position)
+        if index is None:
+            index = indexes[position] = {}
+            for tup in facts:
+                if position < len(tup):
+                    index.setdefault(tup[position], set()).add(tup)
+        return index
 
     def lookup(self, predicate: str,
                bound: Dict[int, GroundValue]) -> AbstractSet[GroundTuple]:

@@ -17,7 +17,7 @@ identical to covers built from raw strings — asserted by the parity tests in
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter
 from typing import (
     Callable,
     Dict,
@@ -242,71 +242,6 @@ class InternedProfileSpace:
         return set(self.interner.ids_of(indices))
 
 
-class LruMemo:
-    """A bounded memo dict with least-recently-used eviction.
-
-    The scorer memos used to grow without bound for the lifetime of a
-    scorer; on long-lived processes (streaming sessions, the serving layer)
-    that is a slow leak proportional to the number of *distinct* pairs ever
-    scored.  This applies the same discipline as
-    ``MLNMatcher.max_cached_stores``: hits refresh recency, inserts beyond
-    ``capacity`` evict the stalest entry.  Only the mapping operations the
-    scorers use are provided (``get``/``[]``/``in``/``len``).
-    """
-
-    __slots__ = ("capacity", "_data", "hits", "misses")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._data: "OrderedDict" = OrderedDict()
-        # Efficacy tallies: plain int bumps on the per-pair hot path (a
-        # registry update here would be far too hot); surfaced per cover
-        # build through ``ProfiledNameScorer.memo_stats()``.
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key, default=None):
-        data = self._data
-        try:
-            value = data[key]
-        except KeyError:
-            self.misses += 1
-            return default
-        self.hits += 1
-        data.move_to_end(key)
-        return value
-
-    def __getitem__(self, key):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            raise
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._data), "capacity": self.capacity}
-
-    def __setitem__(self, key, value) -> None:
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        if len(data) > self.capacity:
-            data.popitem(last=False)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
 class ProfiledNameScorer:
     """Memoized :class:`AuthorNameSimilarity` scoring over cached name parts.
 
@@ -327,14 +262,21 @@ class ProfiledNameScorer:
     def __init__(self, parts: Mapping[str, Tuple[str, str]],
                  similarity: AuthorNameSimilarity = DEFAULT_AUTHOR_SIMILARITY,
                  max_memo_entries: int = DEFAULT_MAX_MEMO_ENTRIES):
+        if max_memo_entries < 1:
+            raise ValueError("max_memo_entries must be >= 1")
         #: ``entity_id → (norm_first, norm_last)`` — see
         #: :meth:`EntityProfileIndex.name_parts`.
         self.parts = parts
         self.similarity = similarity
-        self._last_memo = LruMemo(max_memo_entries)
-        self._last_bound = LruMemo(max_memo_entries)
-        self._first_memo = LruMemo(max_memo_entries)
-        self._char_counts = LruMemo(max_memo_entries)
+        self.max_memo_entries = max_memo_entries
+        # name -> (memo, [hits, misses]).  Memos are plain dicts, so a hit is
+        # one C-level ``dict.get``; the bound keeps long-lived scorers
+        # (streaming, serving) from growing with every distinct pair ever
+        # scored, evicting first-in, first-out (:meth:`_remember`).  Tallies
+        # are plain ints; :meth:`canopy_scores` adds its own once per sweep.
+        self._memos: Dict[str, Tuple[dict, List[int]]] = {
+            name: ({}, [0, 0]) for name in ("memo_jw_last", "memo_jw_last_bound",
+                                            "memo_jw_first", "memo_char_counts")}
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/occupancy of every memo (keys name the memoized value).
@@ -344,21 +286,28 @@ class ProfiledNameScorer:
         framework folds them into the ``lru_cache_{hits,misses}_total``
         registry counters after each cover build.
         """
-        return {
-            "memo_jw_last": self._last_memo.stats(),
-            "memo_jw_last_bound": self._last_bound.stats(),
-            "memo_jw_first": self._first_memo.stats(),
-            "memo_char_counts": self._char_counts.stats(),
-        }
+        return {name: {"hits": hits, "misses": misses, "entries": len(memo),
+                       "capacity": self.max_memo_entries}
+                for name, (memo, (hits, misses)) in self._memos.items()}
 
-    def _char_counts_of(self, text: str) -> Dict[str, int]:
-        counts = self._char_counts.get(text)
-        if counts is None:
-            counts = {}
-            for char in text:
-                counts[char] = counts.get(char, 0) + 1
-            self._char_counts[text] = counts
-        return counts
+    def _remember(self, memo: dict, key, value):
+        """Store a computed ``value``, evicting the oldest entry past the bound."""
+        memo[key] = value
+        if len(memo) > self.max_memo_entries:
+            del memo[next(iter(memo))]
+        return value
+
+    def _memoized(self, name: str, key, compute, *args):
+        memo, tally = self._memos[name]
+        value = memo.get(key)
+        if value is None:
+            tally[1] += 1
+            return self._remember(memo, key, compute(*args))
+        tally[0] += 1
+        return value
+
+    def _char_counts_of(self, text: str) -> Counter:
+        return self._memoized("memo_char_counts", text, Counter, text)
 
     def jaro_winkler_upper_bound(self, a: str, b: str) -> float:
         """A cheap, sound upper bound on ``jaro_winkler_similarity(a, b)``.
@@ -394,22 +343,12 @@ class ProfiledNameScorer:
         return min(jaro_bound + prefix_length * 0.1 * (1.0 - jaro_bound), 1.0)
 
     def _memo_jw(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        try:
-            return self._last_memo[key]
-        except KeyError:
-            value = jaro_winkler_similarity(a, b)
-            self._last_memo[key] = value
-            return value
+        return self._memoized("memo_jw_last", (a, b) if a <= b else (b, a),
+                              jaro_winkler_similarity, a, b)
 
     def _memo_first(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        try:
-            return self._first_memo[key]
-        except KeyError:
-            value = self.similarity.first_name_score_normalized(a, b)
-            self._first_memo[key] = value
-            return value
+        return self._memoized("memo_jw_first", (a, b) if a <= b else (b, a),
+                              self.similarity.first_name_score_normalized, a, b)
 
     def score(self, id_a: str, id_b: str) -> float:
         first_a, last_a = self.parts[id_a]
@@ -444,41 +383,60 @@ class ProfiledNameScorer:
         Yields only the ``(candidate_id, score)`` pairs reaching
         ``threshold``.  Semantically identical to calling
         :meth:`score_at_least` per candidate; the memo lookups are inlined
-        because this loop dominates profiled canopy construction.
+        and tallied in locals because this loop dominates profiled canopy
+        construction.
         """
         parts = self.parts
         first_a, last_a = parts[center_id]
         weight = self.similarity.last_name_weight
         complement = 1.0 - weight
-        last_memo, first_memo = self._last_memo, self._first_memo
-        last_bound = self._last_bound
+        memos = self._memos
+        last_memo, last_bound, first_memo = (memos[name][0] for name in (
+            "memo_jw_last", "memo_jw_last_bound", "memo_jw_first"))
+        last_get, bound_get, first_get = last_memo.get, last_bound.get, first_memo.get
+        remember = self._remember
         similarity = self.similarity
-        for candidate_id in candidate_ids:
-            first_b, last_b = parts[candidate_id]
-            last_key = (last_a, last_b) if last_a <= last_b else (last_b, last_a)
-            last_score = last_memo.get(last_key)
-            if last_score is None:
-                # Sound two-stage prune: a cheap upper bound on the last-name
-                # Jaro-Winkler rejects most non-matching pairs before the
-                # exact O(|a|·|b|) computation is ever paid.
-                bound = last_bound.get(last_key)
-                if bound is None:
-                    bound = self.jaro_winkler_upper_bound(last_a, last_b)
-                    last_bound[last_key] = bound
-                if weight * bound + complement < threshold:
+        asked = last_missed = bound_missed = first_asked = first_missed = 0
+        try:
+            for candidate_id in candidate_ids:
+                asked += 1
+                first_b, last_b = parts[candidate_id]
+                last_key = (last_a, last_b) if last_a <= last_b else (last_b, last_a)
+                last_score = last_get(last_key)
+                if last_score is None:
+                    last_missed += 1
+                    # Sound two-stage prune: a cheap upper bound on the
+                    # last-name Jaro-Winkler rejects most non-matching pairs
+                    # before the exact O(|a|·|b|) computation is ever paid.
+                    bound = bound_get(last_key)
+                    if bound is None:
+                        bound_missed += 1
+                        bound = remember(last_bound, last_key,
+                                         self.jaro_winkler_upper_bound(last_a, last_b))
+                    if weight * bound + complement < threshold:
+                        continue
+                    last_score = remember(last_memo, last_key,
+                                          jaro_winkler_similarity(last_a, last_b))
+                if weight * last_score + complement < threshold:
                     continue
-                last_score = jaro_winkler_similarity(last_a, last_b)
-                last_memo[last_key] = last_score
-            if weight * last_score + complement < threshold:
-                continue
-            first_key = (first_a, first_b) if first_a <= first_b else (first_b, first_a)
-            first_score = first_memo.get(first_key)
-            if first_score is None:
-                first_score = similarity.first_name_score_normalized(first_a, first_b)
-                first_memo[first_key] = first_score
-            score = weight * last_score + complement * first_score
-            if score >= threshold:
-                yield candidate_id, score
+                first_asked += 1
+                first_key = (first_a, first_b) if first_a <= first_b else (first_b, first_a)
+                first_score = first_get(first_key)
+                if first_score is None:
+                    first_missed += 1
+                    first_score = remember(
+                        first_memo, first_key,
+                        similarity.first_name_score_normalized(first_a, first_b))
+                score = weight * last_score + complement * first_score
+                if score >= threshold:
+                    yield candidate_id, score
+        finally:
+            for name, looked, missed in (("memo_jw_last", asked, last_missed),
+                                         ("memo_jw_last_bound", last_missed, bound_missed),
+                                         ("memo_jw_first", first_asked, first_missed)):
+                tally = memos[name][1]
+                tally[0] += looked - missed
+                tally[1] += missed
 
 
 class ProfiledTfIdfScorer:

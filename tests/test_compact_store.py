@@ -26,6 +26,7 @@ from repro.datamodel import (
     CompactStore,
     EntityPair,
     EntityStore,
+    InducedRelation,
     Relation,
     StoreView,
     make_author,
@@ -221,6 +222,89 @@ class TestViewParity:
         assert_store_parity(store.restrict(subset), materialized)
         materialized.add_entity(make_author("zz", "New", "Author"))
         assert not view.has_entity("zz")
+
+
+# ------------------------------------------------------- induced relations
+def assert_relation_parity(reference: Relation, induced, full, probe_ids):
+    """Every read of a view's relation equals the dict ``Relation.induced``;
+    ``full`` is the snapshot relation, whose tuples probe ``contains``."""
+    assert isinstance(induced, InducedRelation)
+    assert (induced.name, induced.arity, induced.symmetric) == \
+        (reference.name, reference.arity, reference.symmetric)
+    assert len(induced) == len(reference)
+    assert sorted(induced) == sorted(reference)
+    assert induced.tuples() == reference.tuples()
+    assert induced.participants() == reference.participants()
+    assert induced == reference
+    copy = induced.copy()
+    assert isinstance(copy, Relation) and copy == reference
+    for entity_id in probe_ids:
+        assert induced.tuples_of(entity_id) == reference.tuples_of(entity_id)
+        assert induced.neighbors(entity_id) == reference.neighbors(entity_id)
+    for tup in full:
+        for probe in (tup, tup[::-1]):
+            assert induced.contains(*probe) == reference.contains(*probe)
+            assert (probe in induced) == (probe in reference)
+    rng = random.Random(len(probe_ids))
+    for size in (0, 1, 3, len(probe_ids)):
+        subset = set(rng.sample(probe_ids, size))
+        assert set(induced.tuples_touching(subset)) == \
+            set(reference.tuples_touching(subset))
+        assert induced.induced(subset) == reference.induced(subset)
+
+
+class TestInducedRelationParity:
+    @SETTINGS
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=0, max_value=10_000),
+           st.booleans())
+    def test_every_read_matches_dict_induced(self, seed, subset_seed, nested):
+        store = random_store(seed)
+        compact = CompactStore.from_store(store)
+        ids = sorted(store.entity_ids())
+        rng = random.Random(subset_seed)
+        subset = set(rng.sample(ids, rng.randint(1, len(ids))))
+        reference, view = store.restrict(subset), compact.restrict(subset)
+        if nested:
+            inner = set(rng.sample(sorted(subset), rng.randint(1, len(subset))))
+            reference, view = reference.restrict(inner), view.restrict(inner)
+        for name in store.relation_names():
+            assert_relation_parity(reference.relation(name), view.relation(name),
+                                   compact.relation(name), ids + ["nope"])
+        materialized = view.to_entity_store()
+        assert isinstance(materialized, EntityStore)
+        assert_store_parity(reference, materialized)
+        for name in store.relation_names():
+            assert materialized.relation(name) == reference.relation(name)
+
+    def test_snapshot_decodes_each_tuple_and_edge_once(self):
+        compact = CompactStore.from_store(random_store(seed=11))
+        ids = sorted(compact.entity_ids())
+        first, second = compact.restrict(ids[:8]), compact.restrict(ids[4:])
+        for name in compact.relation_names():
+            shared = {id(tup) for tup in compact.relation(name)}
+            assert {id(tup) for tup in first.relation(name)} <= shared
+            assert {id(tup) for tup in second.relation(name)} <= shared
+        edges = {id(edge) for edge in compact.similarity_edges()}
+        assert {id(edge) for edge in first.similarity_edges()} <= edges
+        assert all(compact.similarity(edge.pair) is edge
+                   for edge in compact.similarity_edges())
+
+    def test_mln_ground_networks_identical_on_view_and_materialized(
+            self, hepth_dataset, hepth_cover):
+        compact = CompactStore.from_store(hepth_dataset.store)
+        grounded = 0
+        for neighborhood in list(hepth_cover)[:40]:
+            view = compact.restrict(neighborhood.entity_ids)
+            networks = [MLNMatcher().network_for(store)
+                        for store in (view, view.to_entity_store())]
+            on_view, materialized = (
+                [(g.rule_name, g.weight, g.head_pair, g.body_pairs)
+                 for g in network.groundings] for network in networks)
+            assert on_view == materialized
+            assert networks[0].candidates == networks[1].candidates
+            grounded += len(on_view)
+        assert grounded > 0
 
 
 # ---------------------------------------------------------------- blocking

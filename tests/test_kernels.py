@@ -36,6 +36,7 @@ from repro.core import EMFramework
 from repro.datamodel import CompactStore, MatchSet
 from repro.datasets import GeneratorConfig, NameNoiseModel, generate_bibliography
 from repro.exceptions import ExperimentError
+from repro.obs import registry as obs_registry
 from repro.kernels import (
     BACKEND_ENV_VAR,
     BatchCanopyScorer,
@@ -56,7 +57,6 @@ from repro.similarity import (
     TfIdfVectorizer,
 )
 from repro.similarity.jaro import jaro_winkler_similarity
-from repro.similarity.profiles import LruMemo
 from tests.util import (
     KERNEL_COUNTERS,
     build_chain_store,
@@ -341,37 +341,102 @@ class TestKernelCounters:
                         "prefilter_checked": 2, "prefilter_pruned": 1}
 
 
-# ------------------------------------------------------------------ LruMemo
-class TestLruMemo:
+# ------------------------------------------------------------ scorer memos
+class CountingDict(dict):
+    """A memo that counts its lookups: the scorer reads memos only via ``get``."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+MEMOS = ("memo_jw_last", "memo_jw_last_bound", "memo_jw_first", "memo_char_counts")
+
+
+class TestScorerMemos:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            LruMemo(0)
+            ProfiledNameScorer({}, max_memo_entries=0)
 
-    def test_eviction_is_least_recently_used(self):
-        memo = LruMemo(2)
-        memo["a"] = 1
-        memo["b"] = 2
-        assert memo["a"] == 1          # refreshes "a"
-        memo["c"] = 3                  # evicts "b", the stalest
-        assert "b" not in memo
-        assert memo.get("a") == 1
-        assert memo.get("c") == 3
-        assert len(memo) == 2
-
-    def test_overwrite_refreshes_instead_of_evicting(self):
-        memo = LruMemo(2)
-        memo["a"] = 1
-        memo["b"] = 2
-        memo["a"] = 10
-        memo["c"] = 3                  # evicts "b"
-        assert memo.get("a") == 10
-        assert "b" not in memo
+    def test_eviction_is_first_in_first_out(self):
+        scorer = ProfiledNameScorer({}, max_memo_entries=2)
+        scorer._memo_jw("a", "smith")
+        scorer._memo_jw("b", "smith")
+        scorer._memo_jw("a", "smith")          # a hit does not refresh "a"
+        scorer._memo_jw("c", "smith")          # evicts "a", the oldest insert
+        assert list(scorer._memos["memo_jw_last"][0]) == [("b", "smith"),
+                                                          ("c", "smith")]
+        assert scorer.memo_stats()["memo_jw_last"] == {
+            "hits": 1, "misses": 3, "entries": 2, "capacity": 2}
 
     def test_scorer_memos_are_bounded(self):
         scorer = ProfiledNameScorer({}, max_memo_entries=4)
         for i in range(32):
             scorer._memo_jw(f"name{i}", "smith")
-        assert len(scorer._last_memo) == 4
+        assert len(scorer._memos["memo_jw_last"][0]) == 4
+
+    def test_memo_stats_count_every_lookup(self, monkeypatch):
+        """``memo_stats`` hits + misses are exactly the lookups the scalar
+        sweep made.  Nothing evicts here, so every miss stored one entry -
+        except on the last-name memo, whose misses the bound mostly prunes."""
+        scorers = []
+        init = ProfiledNameScorer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            for name, (_, tally) in self._memos.items():
+                self._memos[name] = (CountingDict(), tally)
+            scorers.append(self)
+
+        monkeypatch.setattr(ProfiledNameScorer, "__init__", counting_init)
+        blocker = CanopyBlocker()
+        with use("python"):
+            blocker.build_cover(small_dataset(5, authors=60).store)
+        (scorer,) = scorers
+        stats = blocker.memo_stats()
+        assert stats["memo_jw_last"]["hits"] > 0
+        for name in MEMOS:
+            memo = scorer._memos[name][0]
+            assert stats[name]["hits"] + stats[name]["misses"] == memo.lookups
+            assert stats[name]["entries"] == len(memo)
+            if name != "memo_jw_last":
+                assert stats[name]["misses"] == len(memo)
+        assert 0 < stats["memo_jw_last"]["entries"] < stats["memo_jw_last"]["misses"]
+
+    def test_registry_counters_rise_by_the_memo_tallies(self, hepth_dataset):
+        hits = obs_registry.counter("lru_cache_hits_total", labels=("cache",))
+        misses = obs_registry.counter("lru_cache_misses_total", labels=("cache",))
+        before = {name: (hits.value(cache=name), misses.value(cache=name))
+                  for name in MEMOS}
+        blocker = CanopyBlocker()
+        with use("python"):
+            EMFramework(RulesMatcher(), hepth_dataset.store, blocker=blocker,
+                        relation_names=["coauthor"]).cover
+        for name, stats in blocker.memo_stats().items():
+            assert (hits.value(cache=name) - before[name][0],
+                    misses.value(cache=name) - before[name][1]) == \
+                (stats["hits"], stats["misses"])
+        assert sum(stats["hits"] for stats in blocker.memo_stats().values()) > 0
+
+    def test_covers_identical_with_the_bound_forced_to_one(self, monkeypatch,
+                                                           hepth_dataset):
+        store = hepth_dataset.store
+        init = ProfiledNameScorer.__init__
+        with use("python"):
+            unbounded = cover_signature(CanopyBlocker().build_cover(store))
+            monkeypatch.setattr(ProfiledNameScorer, "__init__",
+                                lambda self, *args: init(self, *args,
+                                                         max_memo_entries=1))
+            blocker = CanopyBlocker()
+            bounded = cover_signature(blocker.build_cover(store))
+        stats = blocker.memo_stats()
+        assert all(memo["entries"] <= 1 for memo in stats.values())
+        assert stats["memo_jw_last"]["misses"] > 1
+        assert bounded == unbounded
 
 
 # ------------------------------------------------- string kernels (parity)

@@ -1,11 +1,13 @@
 """Tests for repro.mln.logic and repro.mln.database."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import EntityPair
 from repro.exceptions import MatcherError
 from repro.mln import (
     PAPER_WEIGHTS,
+    EvidenceDatabase,
     Rule,
     RuleSet,
     atom,
@@ -126,6 +128,43 @@ class TestEvidenceDatabase:
         # both arities of `similar` share the per-position buckets
         assert db.lookup("similar", {0: "c1", 1: "c2"}) == {
             ("c1", "c2"), ("c1", "c2", 3)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(facts=st.lists(st.tuples(
+               st.sampled_from(["coauthor", "similar"]),
+               st.lists(st.sampled_from(["a", "b", "c", 1, 2]),
+                        min_size=2, max_size=3).map(tuple))),
+           built_early=st.lists(st.tuples(st.sampled_from(["coauthor", "similar"]),
+                                          st.integers(0, 3))),
+           split=st.integers(0, 20))
+    def test_lazy_indexes_answer_like_eager_ones(self, facts, built_early, split):
+        """Indexes are built on first request, yet every ``index_for`` and
+        ``lookup`` answer equals one over all facts indexed up front -
+        including facts added after an index was built."""
+        db = EvidenceDatabase()
+        for predicate, values in facts[:split]:
+            db.add_fact(predicate, *values)
+        for predicate, position in built_early:
+            db.index_for(predicate, position)
+        for predicate, values in facts[split:]:
+            db.add_fact(predicate, *values)
+        everything = {(predicate, values) for predicate, values in facts}
+        for predicate in ("coauthor", "similar", "nope"):
+            stored = {values for name, values in everything if name == predicate}
+            for position in range(4):
+                eager = {}
+                for values in stored:
+                    if position < len(values):
+                        eager.setdefault(values[position], set()).add(values)
+                assert dict(db.index_for(predicate, position)) == eager
+                for value in ("a", 1, "zz"):
+                    assert db.lookup(predicate, {position: value}) == \
+                        eager.get(value, set())
+            for bound in ({}, {0: "a", 1: "b"}, {0: 1, 2: "c"}):
+                assert db.lookup(predicate, bound) == {
+                    values for values in stored
+                    if all(position < len(values) and values[position] == value
+                           for position, value in bound.items())}
 
     def test_stats(self):
         db = database_from_store(build_shared_coauthor_store())
