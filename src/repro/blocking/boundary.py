@@ -175,10 +175,6 @@ def attach_leftover_singletons(expanded: List[Neighborhood],
     return Cover(expanded)
 
 
-#: Backwards-compatible private alias.
-_attach_leftover_singletons = attach_leftover_singletons
-
-
 def build_total_cover(blocker, store: EntityStore,
                       relation_names: Optional[Iterable[str]] = None,
                       rounds: int = 1, validate: bool = True) -> Cover:

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..parallel.executor import Executor
 from ..similarity.profiles import EntityProfileIndex, ProfiledNameScorer
 from .base import Blocker
-from .boundary import _attach_leftover_singletons, expand_members, validate_total
+from .boundary import attach_leftover_singletons, expand_members, validate_total
 from .canopy import CanopyBlocker, author_name_cheap_similarity, split_canopy
 from .cover import Cover, Neighborhood
 
@@ -310,7 +310,7 @@ class ParallelCoverBuilder:
             expanded_by_name.update(chunk_result)
         expanded = [Neighborhood(neighborhood.name, expanded_by_name[neighborhood.name])
                     for neighborhood in cover]
-        return _attach_leftover_singletons(expanded, store)
+        return attach_leftover_singletons(expanded, store)
 
     # ---------------------------------------------------------------- pipeline
     def build_total_cover(self, store: EntityStore,

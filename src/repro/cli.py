@@ -566,6 +566,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         service = MatchService.recover(args.durable_dir, config=config,
                                        executor=args.executor,
                                        workers=args.workers,
+                                       checkpoint_every=args.checkpoint_every,
                                        fault_policy=fault_policy)
         origin = f"recovery from {args.durable_dir}"
 

@@ -3,9 +3,9 @@
 A checkpoint is one self-contained JSON document: the materialised instance
 (the overlay rebased into a plain store layout), the standing match set,
 per-neighborhood results, pair provenance, external evidence, the session
-configuration, and pickled blueprints of the matcher and blocker — enough
-for :meth:`DurableStreamSession.recover` to rebuild the session without
-re-running the cold start.
+configuration, pickled blueprints of the matcher and blocker, and the cover
+maintainer's canopy cache — enough for :meth:`DurableStreamSession.recover`
+to rebuild the session without re-running the cold start or scoring a canopy.
 
 Checkpoints are published with the classic dance: write a temp file in the
 checkpoint directory, fsync it, ``os.replace`` it onto its final
@@ -53,11 +53,21 @@ def _wrap(payload: Dict) -> bytes:
     return f'{{"payload":{body},"sha256":"{digest}"}}'.encode("utf-8")
 
 
+_HEAD, _TAIL = b'{"payload":', re.compile(rb',"sha256":"([0-9a-f]{64})"\}')
+
+
 def _unwrap(data: bytes) -> Dict:
-    document = json.loads(data.decode("utf-8"))
-    payload = document["payload"]
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != document["sha256"]:
+    # _wrap's last 77 bytes are the digest field, the body sits before them.
+    tail = _TAIL.fullmatch(data, max(len(_HEAD), len(data) - 77))
+    if data.startswith(_HEAD) and tail:  # hash the embedded body, parse once
+        body, digest = data[len(_HEAD):tail.start()], tail.group(1).decode()
+        payload = json.loads(body)
+    else:  # the legacy indented form: re-encode the parsed payload
+        document = json.loads(data)
+        payload, digest = document["payload"], document["sha256"]
+        body = json.dumps(payload, separators=(",", ":"),
+                          sort_keys=True).encode("utf-8")
+    if hashlib.sha256(body).hexdigest() != digest:
         raise ValueError("checkpoint checksum mismatch")
     return payload
 

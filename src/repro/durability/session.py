@@ -9,7 +9,7 @@ and periodic checkpoints so a standing match set survives process death:
   applied through the wrapped session; every ``checkpoint_every`` batches a
   snapshot checkpoint is published and the WAL tail truncated;
 * **recover** — :meth:`DurableStreamSession.recover` loads the latest valid
-  checkpoint (rebuilding the store, matcher, blocker and standing
+  checkpoint (rebuilding the store, matcher, blocker, cover and standing
   provenance without re-running the cold start) and replays the WAL tail
   through the ordinary ``apply`` path.  Torn tail records are detected by
   checksum and dropped — they were never acknowledged; anything else that
@@ -148,9 +148,7 @@ class DurableStreamSession:
                 apply_span.add_attrs(batch_id=batch_id)
                 self.wal.append(batch_id, batch)
                 result = self.session.apply(batch)
-                if self.checkpoint_every and \
-                        self.session.batches_applied % self.checkpoint_every == 0:
-                    self.checkpoint()
+                self._checkpoint_on_cadence()
         finally:
             self._applying = False
         # A signal that arrived mid-batch deferred to here: the batch is
@@ -184,6 +182,8 @@ class DurableStreamSession:
                 session._matcher_blueprint).decode("ascii"),
             "blocker_pickle": base64.b64encode(
                 pickle.dumps(session.blocker)).decode("ascii"),
+            # Optional: without it recovery builds the cover cold.
+            "canopies": session.maintainer.canopy_state(),
         }
 
     def checkpoint(self) -> Path:
@@ -196,6 +196,12 @@ class DurableStreamSession:
         crash_point("checkpoint.committed")
         return path
 
+    def _checkpoint_on_cadence(self) -> None:
+        """The periodic rule (none when ``checkpoint_every`` is 0)."""
+        if self.checkpoint_every and \
+                self.session.batches_applied % self.checkpoint_every == 0:
+            self.checkpoint()
+
     # ------------------------------------------------------------- recovery
     @classmethod
     def recover(cls, directory: PathLike, executor=None,
@@ -203,13 +209,14 @@ class DurableStreamSession:
                 fsync: bool = True, keep_checkpoints: int = 2,
                 fault_policy=None,
                 checkpoint_on_signal: bool = False) -> "DurableStreamSession":
-        """Rebuild a durable session from its directory after a crash.
+        """Resume a durable session from its directory after a crash.
 
         Loads the latest valid checkpoint, reconstructs the session (store,
-        matcher, blocker, cover, standing results and provenance), replays
-        the committed WAL tail through the normal ``apply`` path, and —
-        when anything was replayed — publishes a fresh checkpoint so the
-        next crash re-replays only new work.
+        matcher, blocker, standing results and provenance) and the cover
+        from the checkpoint's canopy cache without scoring a canopy (cold
+        for files without one), then replays the committed WAL tail through
+        the normal ``apply`` path under the periodic rule: recovery
+        checkpoints exactly where an uninterrupted session would have.
         """
         directory = Path(directory)
         if not directory.exists():
@@ -254,9 +261,13 @@ class DurableStreamSession:
             # Checkpoints written before the supervision history existed
             # fall back to the constructor default.
             supervision_limit=config.get("supervision_limit", 64))
-        session.restore_standing(standing)
+        session.restore_standing(standing, payload.get("canopies"))
 
         wal = DeltaWAL.open(directory / WAL_FILENAME, fsync=fsync)
+        # Signal handlers go in only after the replay: a signal mid-replay
+        # must not checkpoint a half-applied batch.
+        durable = cls(session, directory, checkpoint_every=checkpoint_every,
+                      fsync=fsync, keep_checkpoints=keep_checkpoints, _wal=wal)
         replayed = 0
         with span("durable.recover", checkpoint=checkpoint_id) as recover_span:
             for batch_id, batch in wal.scan():
@@ -272,16 +283,13 @@ class DurableStreamSession:
                         f"next, found {batch_id} (checkpoint at "
                         f"{checkpoint_id})")
                 session.apply(batch)
+                durable._checkpoint_on_cadence()
                 replayed += 1
             recover_span.add_attrs(replayed=replayed)
         _RECOVERIES.inc()
         _REPLAYED_BATCHES.inc(replayed)
-
-        durable = cls(session, directory, checkpoint_every=checkpoint_every,
-                      fsync=fsync, keep_checkpoints=keep_checkpoints,
-                      _wal=wal, checkpoint_on_signal=checkpoint_on_signal)
-        if replayed:
-            durable.checkpoint()
+        if checkpoint_on_signal:
+            durable.install_signal_handlers()
         return durable
 
     # ------------------------------------------------------------ delegation

@@ -120,17 +120,6 @@ class MLNMatcher(TypeIIMatcher):
         self._network_cache.clear()
         self._result_cache.clear()
 
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Lifetime cache efficacy per internal LRU cache."""
-        network_hits, network_misses = self._cache_stats["mln_network"]
-        result_hits, result_misses = self._cache_stats["mln_result"]
-        return {
-            "mln_network": {"hits": network_hits, "misses": network_misses,
-                            "entries": len(self._network_cache)},
-            "mln_result": {"hits": result_hits, "misses": result_misses,
-                           "entries": len(self._result_cache)},
-        }
-
     def consume_cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Hits/misses since the last consume (registry-fold protocol).
 

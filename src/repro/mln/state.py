@@ -79,10 +79,6 @@ class WorldState:
     def __len__(self) -> int:
         return len(self._world)
 
-    def missing_count(self, grounding_index: int) -> int:
-        """How many query pairs grounding ``grounding_index`` still lacks."""
-        return self._missing[grounding_index]
-
     # ------------------------------------------------------------- mutation
     def add(self, pair: EntityPair) -> float:
         """Add ``pair`` to the world; return the score gained.

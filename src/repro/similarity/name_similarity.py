@@ -84,11 +84,6 @@ class AuthorNameSimilarity:
             if not 0.0 <= value <= 1.0:
                 raise ValueError("first-name component scores must be in [0, 1]")
 
-    def first_name_score(self, first_a: str, first_b: str) -> float:
-        """Similarity of the first-name components."""
-        return self.first_name_score_normalized(
-            normalize_name_part(first_a), normalize_name_part(first_b))
-
     def first_name_score_normalized(self, norm_a: str, norm_b: str) -> float:
         """First-name score from parts already passed through :func:`normalize_name_part`."""
         if not norm_a or not norm_b:
@@ -102,9 +97,6 @@ class AuthorNameSimilarity:
                 return self.initial_pair_score
             return self.initial_full_score
         return jaro_winkler_similarity(norm_a, norm_b)
-
-    def last_name_score(self, last_a: str, last_b: str) -> float:
-        return jaro_winkler_similarity(normalize_name_part(last_a), normalize_name_part(last_b))
 
     def score_normalized(self, first_a: str, last_a: str,
                          first_b: str, last_b: str) -> float:

@@ -191,16 +191,28 @@ class IncrementalCoverMaintainer:
         return total
 
     # ----------------------------------------------------------------- cold
-    def build(self, store) -> Cover:
-        """Cold build: construct the total cover and seed every cache."""
+    def build(self, store, canopies: Optional[Dict] = None) -> Cover:
+        """Build the total cover from scratch and seed every cache;
+        ``canopies`` (a :meth:`canopy_state` of this instance) seeds the
+        canopy cache, so no canopy is scored."""
         self.last_dirty_centers = self.last_patched_entries = 0
         self._canopy_cache.clear()
         self._expansion_cache.clear()
         if self.supports_local_repair:
             self._sync_profiles(store)
+            for center_id, (canopy, tight) in (canopies or {}).items():
+                self._canopy_cache[center_id] = (set(canopy), set(tight))
         total = self._total_cover(store)
         self.last_full_rebuild = True
         return total
+
+    def canopy_state(self) -> Optional[Dict[str, List[List[str]]]]:
+        """The canopy cache as JSON, ``center -> [canopy, tight set]`` with
+        both sorted; ``None`` for a blocker without local repair."""
+        if not self.supports_local_repair:
+            return None
+        return {center_id: [sorted(canopy), sorted(tight)]
+                for center_id, (canopy, tight) in self._canopy_cache.items()}
 
     # ---------------------------------------------------------- incremental
     def update(self, store, impact: DeltaImpact) -> Cover:

@@ -526,12 +526,14 @@ class StreamSession:
             ],
         }
 
-    def restore_standing(self, state: Dict) -> None:
+    def restore_standing(self, state: Dict,
+                         canopies: Optional[Dict] = None) -> None:
         """Restore a :meth:`standing_state` snapshot into this (fresh) session.
 
-        The cover is rebuilt cold from the current store — byte-identical to
-        the incrementally-maintained cover the snapshot was taken against
-        (the maintainer contract) — and the standing results/provenance are
+        The cover is rebuilt from the current store (from the snapshot's
+        ``canopies`` cache when given, else cold) — byte-identical to the
+        incrementally-maintained cover the snapshot was taken against (the
+        maintainer contract) — and the standing results/provenance are
         reinstalled, so the next :meth:`apply` behaves exactly as it would
         have in the original session.  Neighborhood-store caches are *not*
         part of the snapshot; they repopulate lazily (performance only).
@@ -539,7 +541,7 @@ class StreamSession:
         if self.started:
             raise DeltaError("cannot restore standing state into a session "
                              "that already started")
-        self.cover = self.maintainer.build(self._store_view())
+        self.cover = self.maintainer.build(self._store_view(), canopies)
         self.matches = frozenset(EntityPair.of(a, b)
                                  for a, b in state["matches"])
         self.evidence = Evidence(

@@ -20,7 +20,8 @@ import struct
 import pytest
 
 from repro.atomicio import atomic_write_bytes, atomic_write_json
-from repro.datamodel import EntityPair, make_author
+from repro.blocking import CanopyBlocker, build_total_cover
+from repro.datamodel import CompactStore, EntityPair, make_author
 from repro.datamodel.serialize import store_from_dict, store_to_dict
 from repro.durability import CheckpointManager, DeltaWAL, DurableStreamSession, WAL_FILENAME
 from repro.exceptions import DurabilityError, RecoveryError
@@ -237,6 +238,51 @@ def test_checkpoint_flipped_payload_byte_is_rejected(tmp_path):
         manager.load_latest()
 
 
+def test_checkpoint_flipped_digest_character_is_rejected(tmp_path):
+    manager = CheckpointManager(tmp_path, keep=1, fsync=False)
+    manager.save({"value": "abcdefgh"}, 1)
+    data = bytearray(manager.path_for(1).read_bytes())
+    at = data.rindex(b'"sha256":"') + len(b'"sha256":"') + 5
+    data[at] = ord("0") if data[at] != ord("0") else ord("1")  # still hex
+    manager.path_for(1).write_bytes(bytes(data))
+    with pytest.raises(RecoveryError, match="checksum mismatch"):
+        manager.load_latest()
+
+
+def test_checkpoint_in_legacy_form_with_a_flipped_digest_is_rejected(tmp_path):
+    manager = CheckpointManager(tmp_path, keep=1, fsync=False)
+    payload = {"value": 7, "format_version": 1, "batch_id": 3}
+    _write_legacy_checkpoint(manager.path_for(3), payload)
+    document = json.loads(manager.path_for(3).read_text())
+    document["sha256"] = "0" * 64
+    manager.path_for(3).write_text(json.dumps(document, indent=1))
+    with pytest.raises(RecoveryError, match="checksum mismatch"):
+        manager.load_latest()
+
+
+def test_checkpoint_body_containing_the_digest_marker_loads(tmp_path):
+    manager = CheckpointManager(tmp_path, keep=1, fsync=False)
+    marker = ',"sha256":"' + "f" * 64 + '"}'
+    # Once inside a string value (escaped on disk), once as a real key that
+    # ends the body (not escaped): only the file's last 77 bytes are the
+    # digest field.
+    payload = {"text": marker, "value": {"a": 1, "sha256": "f" * 64}}
+    manager.save(payload, 1)
+    assert b',"sha256":"' + b"f" * 64 in manager.path_for(1).read_bytes()
+    assert manager.load_latest() == (1, dict(payload, format_version=1,
+                                             batch_id=1))
+
+
+def test_checkpoint_truncated_file_is_rejected(tmp_path):
+    manager = CheckpointManager(tmp_path, keep=1, fsync=False)
+    manager.save({"value": "abcdefgh"}, 1)
+    data = manager.path_for(1).read_bytes()
+    for cut in (1, 2, 40, len(data) // 2, len(data) - 1):
+        manager.path_for(1).write_bytes(data[:cut])
+        with pytest.raises(RecoveryError, match="every checkpoint generation"):
+            manager.load_latest()
+
+
 # -------------------------------------------------------------- atomic writes
 def test_atomic_writes_leave_no_temp_files(tmp_path):
     target = tmp_path / "artifact.json"
@@ -328,9 +374,16 @@ def test_recover_replays_uncheckpointed_wal_tail(tmp_path, dblp_dataset):
 
     recovered = DurableStreamSession.recover(tmp_path, fsync=False)
     assert recovered.session.standing_state() == reference
-    # Recovery published a fresh checkpoint covering the replayed tail.
-    assert recovered.checkpoints.load_latest()[0] == len(scenario.log)
-    recovered.close(checkpoint=False)
+    # Three batches cross no multiple of the default cadence (8): recovery
+    # publishes nothing, so the tail stays in the WAL ...
+    assert recovered.checkpoints.load_latest()[0] == 0
+    assert [rid for rid, _ in recovered.wal.scan()] == [1, 2, 3]
+    recovered.wal.close()
+    # ... and a second recovery replays the same tail to the same state.
+    again = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert again.session.standing_state() == reference
+    assert [rid for rid, _ in again.wal.scan()] == [1, 2, 3]
+    again.close(checkpoint=False)
 
 
 def test_recover_skips_wal_records_older_than_checkpoint(tmp_path, dblp_dataset):
@@ -446,6 +499,100 @@ def test_recover_tolerates_retired_attributes_on_pickled_objects(tmp_path,
     recovered.close(checkpoint=False)
 
 
+def _cover_rows(cover):
+    return [(neighborhood.name, neighborhood.entity_ids)
+            for neighborhood in cover]
+
+
+@pytest.mark.parametrize("backend", ["dict", "compact"])
+def test_recovery_resumes_the_cover_from_the_canopy_cache(tmp_path,
+                                                          dblp_dataset,
+                                                          backend):
+    scenario = synthesize_stream(dblp_dataset, batches=3,
+                                 holdout_fraction=0.3, seed=7)
+    store = scenario.base.store.copy()
+    if backend == "compact":
+        store = CompactStore.from_store(store)
+    durable = DurableStreamSession(StreamSession(MLNMatcher(), store),
+                                   tmp_path, checkpoint_every=0, fsync=False)
+    durable.replay(scenario.log)
+    original = durable.session
+    durable.close()  # the final checkpoint carries the canopy cache
+    _, payload = durable.checkpoints.load_latest()
+    assert payload["canopies"] == original.maintainer.canopy_state()
+    assert payload["canopies"]
+    assert "canopies" not in payload["standing"]
+
+    recovered = DurableStreamSession.recover(tmp_path, fsync=False)
+    session = recovered.session
+    assert isinstance(session.overlay.base, type(store))
+    assert session.maintainer.last_dirty_centers == 0  # no canopy scored
+    cold = build_total_cover(CanopyBlocker(), session.final_store(),
+                             relation_names=session.relation_names)
+    assert _cover_rows(session.cover) == _cover_rows(cold) == \
+        _cover_rows(original.cover)
+    assert session.maintainer.canopy_state() == \
+        original.maintainer.canopy_state()
+    assert session.standing_state() == original.standing_state()
+    recovered.close(checkpoint=False)
+
+
+def test_checkpoint_without_canopy_cache_recovers_cold(tmp_path,
+                                                       dblp_dataset):
+    """A checkpoint written before the canopy cache was carried rebuilds the
+    cover cold and recovers to the same standing state."""
+    scenario = synthesize_stream(dblp_dataset, batches=3,
+                                 holdout_fraction=0.3, seed=7)
+    durable = DurableStreamSession(
+        StreamSession(MLNMatcher(), scenario.base.store.copy()),
+        tmp_path, checkpoint_every=0, fsync=False)
+    durable.replay(scenario.log)
+    reference = durable.session.standing_state()
+    durable.wal.close()
+    _, payload = durable.checkpoints.load_latest()
+    del payload["canopies"]
+    durable.checkpoints.save(payload, 0)
+
+    recovered = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert recovered.session.standing_state() == reference
+    assert recovered.verify()
+    recovered.close()
+    # Without a tail to replay, the build is visible in the stats: the
+    # closing checkpoint's cache resumes, the same file without it rescores.
+    resumed = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert resumed.session.maintainer.last_dirty_centers == 0
+    _, payload = resumed.checkpoints.load_latest()
+    del payload["canopies"]
+    resumed.checkpoints.save(payload, 3)
+    resumed.close(checkpoint=False)
+    rebuilt = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert rebuilt.session.maintainer.last_dirty_centers > 0
+    assert rebuilt.session.standing_state() == reference
+    rebuilt.close(checkpoint=False)
+
+
+def test_blocker_without_local_repair_recovers_cold(tmp_path, dblp_dataset):
+    blocker = CanopyBlocker(similarity="tfidf")
+    durable = DurableStreamSession(
+        StreamSession(MLNMatcher(), dblp_dataset.store.copy(),
+                      blocker=blocker),
+        tmp_path, checkpoint_every=0, fsync=False)
+    durable.start()
+    reference = durable.session.standing_state()
+    durable.close()
+    _, payload = durable.checkpoints.load_latest()
+    assert payload["canopies"] is None
+
+    recovered = DurableStreamSession.recover(tmp_path, fsync=False)
+    session = recovered.session
+    assert session.maintainer.last_full_rebuild
+    cold = build_total_cover(blocker, session.final_store(),
+                             relation_names=session.relation_names)
+    assert _cover_rows(session.cover) == _cover_rows(cold)
+    assert session.standing_state() == reference
+    recovered.close(checkpoint=False)
+
+
 def test_checkpoint_requires_started_session(tmp_path, dblp_dataset):
     durable = DurableStreamSession(
         StreamSession(MLNMatcher(), dblp_dataset.store.copy()),
@@ -499,6 +646,30 @@ def test_cli_stream_durable_and_recover(tmp_path, dblp_dataset):
                  "--output", str(clusters_path)]) == 0
     clusters = json.loads(clusters_path.read_text())
     assert all(len(cluster) > 1 for cluster in clusters)
+
+
+def _checkpoint_ids(directory):
+    return sorted(int(path.name[len("checkpoint-"):-len(".json")])
+                  for path in directory.glob("checkpoint-*.json"))
+
+
+def test_cli_serve_recovery_keeps_the_checkpoint_cadence(tmp_path,
+                                                         dblp_dataset):
+    """``serve --durable-dir D --checkpoint-every 2`` recovers on that
+    cadence: the replayed tail checkpoints at batch 2, the drain at 3."""
+    from repro.cli import main
+    scenario = synthesize_stream(dblp_dataset, batches=3,
+                                 holdout_fraction=0.3, seed=7)
+    durable = DurableStreamSession(
+        StreamSession(MLNMatcher(), scenario.base.store.copy()),
+        tmp_path, checkpoint_every=0, fsync=False)
+    durable.replay(scenario.log)
+    durable.wal.close()  # crash: only the base checkpoint, WAL holds 1-3
+    assert _checkpoint_ids(tmp_path) == [0]
+
+    assert main(["serve", "--durable-dir", str(tmp_path), "--port", "0",
+                 "--checkpoint-every", "2", "--duration", "0.05"]) == 0
+    assert _checkpoint_ids(tmp_path) == [2, 3]
 
 
 def test_cli_recover_without_state_exits_nonzero(tmp_path, capsys):

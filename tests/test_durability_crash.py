@@ -14,6 +14,7 @@ occurrences at the same invariant.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from repro.exceptions import RecoveryError
 from repro.matchers import MLNMatcher
 from repro.streaming import StreamSession
 from tests.faultinject import SimulatedCrash, crash_at
+from tests.test_durability import _checkpoint_ids
 from tests.test_streaming_property import _base_instance, _random_stream
 
 #: Small fixed-seed scenario; rebase_threshold=1 and checkpoint_every=1
@@ -171,8 +173,8 @@ def test_crash_during_recovery_checkpoint_is_recoverable(tmp_path):
     store, log = _scenario()
     session = StreamSession(MLNMatcher(), _session_store("dict"),
                             rebase_threshold=1)
-    # checkpoint_every=0: the whole stream lives in the WAL tail, so
-    # recovery must replay it and then publish its own fresh checkpoint.
+    # checkpoint_every=0: the whole stream lives in the WAL tail.  Recovering
+    # with a cadence the tail crosses makes recovery publish a checkpoint.
     durable = DurableStreamSession(session, tmp_path, checkpoint_every=0,
                                    fsync=False)
     durable.start()
@@ -181,7 +183,8 @@ def test_crash_during_recovery_checkpoint_is_recoverable(tmp_path):
 
     with crash_at("checkpoint.published") as plan:
         with pytest.raises(SimulatedCrash):
-            DurableStreamSession.recover(tmp_path, fsync=False)
+            DurableStreamSession.recover(tmp_path, fsync=False,
+                                         checkpoint_every=len(log))
     assert plan.fired
 
     recovered = DurableStreamSession.recover(tmp_path, fsync=False)
@@ -232,3 +235,58 @@ def test_random_streams_random_crash_points_recover(tmp_path_factory, seed,
         recovered.apply(batch)
     assert recovered.session.standing_state() == reference.standing_state()
     recovered.close(checkpoint=False)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       cadence=st.integers(min_value=0, max_value=3),
+       point=st.sampled_from((None,) + tuple(CRASH_POINTS)),
+       skip=st.integers(min_value=0, max_value=2),
+       data=st.data())
+def test_recovery_resumes_exactly_where_the_session_died(
+        tmp_path_factory, seed, cadence, point, skip, data):
+    """Hypothesis: crash after a random batch (or at a random seam), recover
+    with the same cadence, finish the stream: the standing state, the
+    canopy cache and the checkpoint ids on disk all equal the uninterrupted
+    run's."""
+    rng = random.Random(seed)
+    store = _base_instance(2, rng)
+    log = _random_stream(store, rng, batches=4, ops_per_batch=4,
+                         with_evidence=True)
+    stop = data.draw(st.integers(min_value=0, max_value=len(log)))
+
+    def durable_session(directory):
+        session = StreamSession(MLNMatcher(), store.copy(),
+                                rebase_threshold=1)
+        durable = DurableStreamSession(session, directory,
+                                       checkpoint_every=cadence, fsync=False)
+        durable.start()
+        return durable
+
+    reference_dir = tmp_path_factory.mktemp("uninterrupted")
+    reference = durable_session(reference_dir)
+    reference.replay(log)
+
+    directory = tmp_path_factory.mktemp("crashed")
+    durable = durable_session(directory)
+    with crash_at(point, skip=skip) if point else contextlib.nullcontext():
+        try:
+            for batch in log.batches[:stop]:
+                durable.apply(batch)
+        except SimulatedCrash:
+            pass
+    durable.wal.close()  # the process dies: no closing checkpoint
+
+    recovered = DurableStreamSession.recover(directory, fsync=False,
+                                             checkpoint_every=cadence)
+    for batch in log.batches[recovered.batches_applied:]:
+        recovered.apply(batch)
+    assert recovered.session.standing_state() == \
+        reference.session.standing_state()
+    assert recovered.session.maintainer.canopy_state() == \
+        reference.session.maintainer.canopy_state()
+    assert _checkpoint_ids(directory) == _checkpoint_ids(reference_dir)
+    recovered.close(checkpoint=False)
+    reference.close(checkpoint=False)
