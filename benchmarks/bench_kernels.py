@@ -17,9 +17,7 @@ byte-identical parity reference, so this bench records, per workload:
   ``auto`` on a ladder of scales, each leg's per-center cost bucketed by
   candidate rows, and the pilot mean (the rows the first ``CANOPY_PILOT``
   centers in sweep order average, which is what ``auto`` decides on) at
-  which whole covers cross (``CANOPY_BREAK_EVEN``); the sharded
-  ``ParallelCoverBuilder`` build (every potential center, in name-sorted
-  chunks) under the same three backends at the canopy workloads' scales;
+  which whole covers cross (``CANOPY_BREAK_EVEN``);
 * **TF-IDF cover build, in situ** — ``CanopyBlocker(similarity="tfidf")``
   under forced ``python`` and forced ``numpy`` (``auto`` vectorises every
   TF-IDF block whenever numpy resolves, so it is the ``numpy`` leg).  A
@@ -31,11 +29,10 @@ reference lowers the ratio, so the targets are set against the measured one
 (``docs/benchmarks.md``).  Without numpy the bench records scalar timings
 only and the speedup gates are skipped — there is nothing to gate.
 ``--check`` also fails when ``auto`` is more than 10 % slower than the better
-forced leg on any recorded canopy cover build, sequential or sharded: picking
-the leg must cost nothing on either side.  (The 150-450-row band is where
-the legs sit closest and the gate has failed before — see
-``docs/benchmarks.md``; the recorded default run and the smoke config are
-green.)
+forced leg on any recorded canopy cover build: picking the leg must cost
+nothing on either side.  (The 150-450-row band is where the legs sit
+closest; on the default config the gate also fails on machine noise alone
+— see ``docs/benchmarks.md``.  The smoke config is green.)
 
 Run standalone (this is what the CI numpy-job smoke step does)::
 
@@ -57,7 +54,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.atomicio import atomic_write_json
-from repro.blocking import CanopyBlocker, ParallelCoverBuilder
+from repro.blocking import CanopyBlocker
 from repro.datamodel import CompactStore
 from repro.datasets import dblp_like, hepth_like
 from repro.kernels import BatchCanopyScorer, backend, numpy_or_none, use
@@ -71,15 +68,12 @@ from repro.similarity import ProfiledNameScorer
 #: is ``(preset, scale, speedup_target)``.  ``cover`` lists the in-situ cover
 #: builds as ``(preset, scale)`` — the canopy workloads, ``dblp@1.5`` (the
 #: largest ``BENCHMARK.json`` shape) and, in the default config, the scales
-#: between which the legs cross — ``sharded`` the ``ParallelCoverBuilder``
-#: builds (one scale well on either side of the crossing), and ``tfidf`` the
-#: TF-IDF cover builds.
+#: between which the legs cross — and ``tfidf`` the TF-IDF cover builds.
 CONFIGS: Dict[str, Dict] = {
     "smoke": {
         "repeats": 3,
         "canopy": [("hepth", 4.0, 1.15)],
         "cover": [("dblp", 1.5), ("hepth", 4.0)],
-        "sharded": [("dblp", 1.5)],
         "tfidf": [("dblp", 1.5)],
     },
     "default": {
@@ -87,7 +81,6 @@ CONFIGS: Dict[str, Dict] = {
         "canopy": [("hepth", 8.0, 2.3), ("dblp", 10.0, 1.1)],
         "cover": [("dblp", 1.5), ("dblp", 3.0), ("hepth", 4.0),
                   ("dblp", 6.0), ("hepth", 8.0), ("dblp", 10.0)],
-        "sharded": [("dblp", 1.5), ("hepth", 8.0), ("dblp", 10.0)],
         "tfidf": [("dblp", 1.5), ("hepth", 4.0), ("dblp", 6.0)],
     },
 }
@@ -172,14 +165,14 @@ def kernel_counts(delta: obs_registry.RegistryDelta) -> Dict[str, float]:
 
 
 # ----------------------------------------------------- cover build, in situ
-def interleaved_builds(builder, store, backends: Tuple[str, ...],
+def interleaved_builds(blocker, store, backends: Tuple[str, ...],
                        repeats: int) -> Tuple[Dict[str, float], Dict[str, List]]:
-    """``builder.build_cover(store)`` under each of ``backends``: CPU seconds
+    """``blocker.build_cover(store)`` under each of ``backends``: CPU seconds
     a build and the cover each backend built."""
 
     def build() -> Tuple[float, List]:
         started = time.process_time()
-        cover = builder.build_cover(store)
+        cover = blocker.build_cover(store)
         return time.process_time() - started, \
             [(n.name, sorted(n.entity_ids)) for n in cover]
 
@@ -206,21 +199,18 @@ def interleaved_builds(builder, store, backends: Tuple[str, ...],
             covers)
 
 
-def run_cover_workload(preset: str, scale: float, repeats: int,
-                       sharded: bool = False) -> Dict:
-    """``build_cover`` under each backend; for the sequential build also each
-    leg's per-center cost."""
+def run_cover_workload(preset: str, scale: float, repeats: int) -> Dict:
+    """``build_cover`` under each backend, and each leg's per-center cost."""
     store = CompactStore.from_store(_PRESETS[preset](scale=scale).store)
     blocker = CanopyBlocker()
-    builder = ParallelCoverBuilder(blocker, workers=2) if sharded else blocker
-    seconds, covers = interleaved_builds(builder, store, BACKENDS, repeats)
+    seconds, covers = interleaved_builds(blocker, store, BACKENDS, repeats)
 
     entities = blocker.clustered_entities(store)
     pindex = blocker.profile_index(entities, None)
     order = blocker.shuffled_order(entities)
     workload = {
         "preset": preset, "scale": scale, "entities": len(entities),
-        # What ``auto`` decides on, computed the way the builders do.
+        # What ``auto`` decides on, computed the way the sweep does.
         "pilot_mean_rows": round(pilot_rows(
             pindex.postings,
             (pindex.profile(center).token_set for center in order)), 1),
@@ -229,9 +219,6 @@ def run_cover_workload(preset: str, scale: float, repeats: int,
                               min(seconds["python"], seconds["numpy"]), 3),
         "parity": covers["python"] == covers["numpy"] == covers["auto"],
     }
-    if sharded:
-        return workload
-
     # Per-center cost of each leg over the same accepted centers, by
     # candidate rows.
     cost: Dict[str, Dict[str, float]] = {}
@@ -322,8 +309,6 @@ def run_bench(config_name: str) -> Dict:
             numpy_or_none()
     covers = [run_cover_workload(preset, scale, repeats)
               for preset, scale in config["cover"]] if vectorised else []
-    sharded = [run_cover_workload(preset, scale, repeats, sharded=True)
-               for preset, scale in config["sharded"]] if vectorised else []
     return {
         "bench": "kernels",
         "backend": backend(),
@@ -337,7 +322,6 @@ def run_bench(config_name: str) -> Dict:
                 (w["pilot_mean_rows"], w["seconds"]["python"],
                  w["seconds"]["numpy"]) for w in covers))},
         "cover_builds": covers,
-        "sharded_cover_builds": sharded,
         "tfidf_cover_builds": [
             run_tfidf_cover_workload(preset, scale, repeats)
             for preset, scale in config["tfidf"]] if vectorised else [],
@@ -365,7 +349,6 @@ def check_report(report: Dict) -> List[str]:
             failures.append(f"{label}: speedup {workload['speedup']}x is "
                             f"below the {target}x target")
     for kind, builder in (("cover_builds", "cover"),
-                          ("sharded_cover_builds", "sharded cover"),
                           ("tfidf_cover_builds", "tfidf cover")):
         for workload in report[kind]:
             label = f"{builder} {workload['preset']}@{workload['scale']}"

@@ -11,7 +11,6 @@ from .boundary import (
 )
 from .canopy import CanopyBlocker, author_name_cheap_similarity
 from .cover import Cover, Neighborhood
-from .parallel_cover import ParallelCoverBuilder
 from .sorted_neighborhood import SortedNeighborhoodBlocker, full_name_sort_key
 from .standard import (
     MultiPassBlocker,
@@ -28,7 +27,6 @@ __all__ = [
     "KeyFunction",
     "MultiPassBlocker",
     "Neighborhood",
-    "ParallelCoverBuilder",
     "SortedNeighborhoodBlocker",
     "StandardBlocker",
     "TokenBlocker",

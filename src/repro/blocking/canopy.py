@@ -30,7 +30,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from ..datamodel import Entity, EntityStore
-from ..kernels.names import canopy_sweep, pilot_rows
+from ..kernels.names import canopy_sweep
 from ..obs import registry as obs_registry
 from ..obs.trace import span
 from ..similarity.name_similarity import DEFAULT_AUTHOR_SIMILARITY
@@ -185,10 +185,9 @@ class CanopyBlocker(Blocker):
             self._last_scorer = scorer
             # One leg per sweep, chosen from its pilot; canopies are
             # identical either way.
-            scores = canopy_sweep(scorer, pindex.postings, pilot_rows(
-                pindex.postings,
-                (pindex.profile(center_id).token_set
-                 for center_id in self.shuffled_order(entities))))
+            scores = canopy_sweep(scorer, pindex.postings, (
+                pindex.profile(center_id).token_set
+                for center_id in self.shuffled_order(entities)))
 
             def profiled_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
                 return split_canopy(center_id, scores(
@@ -234,8 +233,8 @@ class CanopyBlocker(Blocker):
         self._last_scorer = scorer
         order = [interner.index_of(entity_id)
                  for entity_id in self.shuffled_order(entities)]
-        scores = canopy_sweep(scorer, space.postings, pilot_rows(
-            space.postings, (space.tokens[center] for center in order)))
+        scores = canopy_sweep(scorer, space.postings,
+                              (space.tokens[center] for center in order))
         loose, tight = self.loose_threshold, self.tight_threshold
 
         def interned_canopy(center: int) -> Tuple[Set[int], Set[int]]:
@@ -251,8 +250,8 @@ class CanopyBlocker(Blocker):
 
         Walks ``order``, accepting each id still in the remaining pool as a
         center and removing that canopy's tight-threshold members from the
-        pool.  The parallel cover builder reproduces exactly this acceptance
-        sequence with speculative waves.
+        pool.  The streaming cover maintainer replays this same loop over its
+        cached per-center canopies.
         """
         remaining: Set[str] = set(order)
         canopies: List[Set[str]] = []

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .blocking import CanopyBlocker, ParallelCoverBuilder, build_total_cover
+from .blocking import CanopyBlocker, build_total_cover
 from .core import EMFramework
 from .core.framework import STORE_BACKENDS
 from .datamodel import CompactStore, MatchSet
@@ -125,6 +125,19 @@ def _fault_policy(args: argparse.Namespace):
     return FaultPolicy(**kwargs)
 
 
+def _check_shared_arguments(args: argparse.Namespace) -> None:
+    """The pool and checkpoint-cadence rules of every subcommand that takes
+    ``--workers`` or ``--checkpoint-every``, checked before any work starts."""
+    workers = getattr(args, "workers", None)
+    if workers is not None:
+        if args.executor is None:
+            raise SystemExit("--workers requires --executor")
+        if workers < 1:
+            raise SystemExit("--workers must be >= 1")
+    if getattr(args, "checkpoint_every", 0) < 0:
+        raise SystemExit("--checkpoint-every must be >= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-em",
@@ -144,10 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--dataset", type=Path, required=True)
     cover.add_argument("--loose", type=float, default=0.78, help="canopy loose threshold")
     cover.add_argument("--tight", type=float, default=0.92, help="canopy tight threshold")
-    cover.add_argument("--blocking-workers", type=int, default=None,
-                       help="build the cover through the parallel cover "
-                            "pipeline with this many workers (process pool); "
-                            "the cover is identical to the serial build")
     cover.add_argument("--store-backend", choices=list(STORE_BACKENDS),
                        default="dict",
                        help="storage backend the cover is built against; "
@@ -166,9 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "omit for the plain sequential scheme")
     match.add_argument("--workers", type=int, default=None,
                        help="pool size for --executor threads/processes")
-    match.add_argument("--blocking-workers", type=int, default=None,
-                       help="build the total cover through the parallel cover "
-                            "pipeline with this many workers (process pool)")
     match.add_argument("--store-backend", choices=list(STORE_BACKENDS),
                        default="dict",
                        help="storage backend: 'dict' is the reference "
@@ -338,19 +344,11 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _command_cover(args: argparse.Namespace) -> int:
     dataset = _load(args.dataset)
-    if args.blocking_workers is not None and args.blocking_workers < 1:
-        raise SystemExit("--blocking-workers must be >= 1")
     store = dataset.store
     if args.store_backend == "compact":
         store = CompactStore.from_store(store)
     blocker = CanopyBlocker(loose_threshold=args.loose, tight_threshold=args.tight)
-    if args.blocking_workers is not None:
-        builder = ParallelCoverBuilder(blocker, executor="processes",
-                                       workers=args.blocking_workers,
-                                       relation_names=["coauthor"])
-        cover = builder.build_total_cover(store)
-    else:
-        cover = build_total_cover(blocker, store, relation_names=["coauthor"])
+    cover = build_total_cover(blocker, store, relation_names=["coauthor"])
     print(format_key_values(cover.stats(), title="cover"))
     report = evaluate_cover(cover, dataset.true_matches(),
                             entity_count=len(dataset.store.entity_ids()))
@@ -361,20 +359,12 @@ def _command_cover(args: argparse.Namespace) -> int:
 def _command_match(args: argparse.Namespace) -> int:
     dataset = _load(args.dataset)
     matcher = _MATCHERS[args.matcher]()
-    if args.blocking_workers is not None and args.blocking_workers < 1:
-        raise SystemExit("--blocking-workers must be >= 1")
     framework = EMFramework(matcher, dataset.store,
                             blocker=CanopyBlocker(), relation_names=["coauthor"],
-                            blocking_workers=args.blocking_workers,
                             store_backend=args.store_backend)
     if args.scheme == "mmp" and not matcher.is_probabilistic:
         raise SystemExit(f"matcher {args.matcher!r} is not probabilistic; "
                          "mmp requires a Type-II matcher")
-    if args.workers is not None:
-        if args.executor is None:
-            raise SystemExit("--workers requires --executor")
-        if args.workers < 1:
-            raise SystemExit("--workers must be >= 1")
     fault_policy = _fault_policy(args)
     if fault_policy is not None and args.executor is None:
         raise SystemExit("--task-timeout/--retries/--speculate supervise the "
@@ -433,10 +423,6 @@ def _command_stream_trace(args: argparse.Namespace) -> int:
 
 def _command_stream(args: argparse.Namespace) -> int:
     from .streaming import StreamSession, load_delta_log
-    if args.workers is not None and args.executor is None:
-        raise SystemExit("--workers requires --executor")
-    if args.checkpoint_every < 0:
-        raise SystemExit("--checkpoint-every must be >= 0")
     if args.checkpoint_on_signal and args.durable_dir is None:
         raise SystemExit("--checkpoint-on-signal requires --durable-dir")
     dataset = _load(args.dataset)
@@ -506,8 +492,6 @@ def _command_recover(args: argparse.Namespace) -> int:
     from .durability import DurableStreamSession
     # A missing/empty directory surfaces as the typed RecoveryError from
     # DurableStreamSession.recover (exit code 5), naming the path.
-    if args.workers is not None and args.executor is None:
-        raise SystemExit("--workers requires --executor")
     started = time.perf_counter()
     session = DurableStreamSession.recover(args.durable_dir,
                                            executor=args.executor,
@@ -538,8 +522,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise SystemExit("serve needs --dataset (fresh session) or "
                          "--durable-dir (crash recovery), or both "
                          "(durable serving)")
-    if args.workers is not None and args.executor is None:
-        raise SystemExit("--workers requires --executor")
     if args.duration is not None and args.duration <= 0:
         raise SystemExit("--duration must be positive")
     config = ServiceConfig(max_inflight=args.max_inflight,
@@ -664,6 +646,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_shared_arguments(args)
     if getattr(args, "kernel_backend", None) is not None:
         from .exceptions import ExperimentError
         from .kernels import set_backend

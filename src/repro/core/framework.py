@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Optional, Union
 
-from ..blocking import Blocker, CanopyBlocker, Cover, ParallelCoverBuilder, build_total_cover
+from ..blocking import Blocker, CanopyBlocker, Cover, build_total_cover
 from ..datamodel import CompactStore, EntityPair, EntityStore, Evidence, MatchSet
 from ..exceptions import ExperimentError, MatcherError
 from ..matchers import TypeIIMatcher, TypeIMatcher
@@ -70,8 +70,6 @@ class EMFramework:
                  cover: Optional[Cover] = None,
                  blocker: Optional[Blocker] = None,
                  relation_names: Optional[Iterable[str]] = None,
-                 blocking_executor=None,
-                 blocking_workers: Optional[int] = None,
                  store_backend: str = "dict",
                  fault_policy=None):
         normalized_backend = store_backend.lower()
@@ -96,8 +94,6 @@ class EMFramework:
         # own cover with the same blocker (None when a cover was supplied).
         self._blocker: Optional[Blocker] = None
         self._relation_names: Optional[list] = None
-        self._blocking_executor = blocking_executor
-        self._blocking_workers = blocking_workers
         if cover is not None:
             cover.validate_covering(store)
         else:
@@ -121,20 +117,9 @@ class EMFramework:
         return self._cover
 
     def _build_cover(self) -> None:
-        executor, workers = self._blocking_executor, self._blocking_workers
-        parallel_blocking = executor is not None or workers is not None
-        with span("blocking.total_cover",
-                  parallel=parallel_blocking) as cover_span:
-            if parallel_blocking:
-                # Parallel cover pipeline: sharded canopy waves + sharded
-                # boundary expansion, byte-identical to the serial build.
-                builder = ParallelCoverBuilder(
-                    self._blocker, executor=executor or "processes",
-                    workers=workers, relation_names=self._relation_names)
-                cover = builder.build_total_cover(self.store)
-            else:
-                cover = build_total_cover(self._blocker, self.store,
-                                          relation_names=self._relation_names)
+        with span("blocking.total_cover") as cover_span:
+            cover = build_total_cover(self._blocker, self.store,
+                                      relation_names=self._relation_names)
             cover_span.add_attrs(neighborhoods=len(cover.names()))
         _fold_blocking_telemetry(self._blocker)
         cover.validate_covering(self.store)

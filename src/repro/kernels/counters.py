@@ -5,8 +5,8 @@ candidate pairs scored, batch invocations, and how many candidates the cheap
 vectorized prefilter examined and eliminated before any exact scoring.  The
 counts are plain :mod:`repro.obs.registry` counters: inside a map task the
 task's ``capturing()`` scope carries them back on ``MapResult.metric_deltas``,
-everywhere else (cover builds, thread-pool cover workers) they land in the
-process registry.  All stay zero on the scalar backend.
+everywhere else (cover builds) they land in the process registry.  All stay
+zero on the scalar backend.
 """
 
 from __future__ import annotations

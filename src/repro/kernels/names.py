@@ -66,17 +66,16 @@ def pilot_rows(postings: Mapping[str, Sequence], token_sets: Iterable) -> float:
                for tokens in islice(token_sets, CANOPY_PILOT)) / CANOPY_PILOT
 
 
-def canopy_sweep(scorer, postings: Mapping[str, Sequence], pilot: float):
+def canopy_sweep(scorer, postings: Mapping[str, Sequence], token_sets: Iterable):
     """The canopy family's one dispatch point, as ``sweep(center, tokens,
     threshold)``: the ``(candidate, score)`` pairs reaching ``threshold``
     among the entities sharing a token with ``center``.
 
-    ``pilot`` is the sweep's :func:`pilot_rows`; a sharded build computes it
-    once, in the parent, so every chunk takes the leg the whole cover calls
-    for.  The :class:`BatchCanopyScorer` is built here when the sweep is a
-    vectorised one - never, on small inputs.
+    ``token_sets`` are the sweep's centers' token sets in sweep order; their
+    :func:`pilot_rows` pick the leg.  The :class:`BatchCanopyScorer` is built
+    here when the sweep is a vectorised one - never, on small inputs.
     """
-    np = vectorized(pilot, CANOPY_BREAK_EVEN)
+    np = vectorized(pilot_rows(postings, token_sets), CANOPY_BREAK_EVEN)
     if np is not None:
         return BatchCanopyScorer(scorer, postings, np).canopy_scores_from_tokens
 

@@ -188,8 +188,8 @@ class EntityProfileIndex:
         return self._tfidf
 
     def name_parts(self) -> Dict[str, Tuple[str, str]]:
-        """``entity_id → (norm_first, norm_last)`` — the picklable payload the
-        parallel cover builder ships to worker processes."""
+        """``entity_id → (norm_first, norm_last)`` — what
+        :class:`ProfiledNameScorer` scores."""
         if self._name_parts is None:
             self._name_parts = {entity_id: (profile.norm_first, profile.norm_last)
                                 for entity_id, profile in self._profiles.items()}
@@ -200,8 +200,8 @@ class EntityProfileIndex:
 
         Memoized per interner: a blocker working against a
         :class:`~repro.datamodel.CompactStore` builds the space once and all
-        downstream structures (candidate sets, canopy sweeps, worker
-        payloads) stay in integer space instead of re-keying by string ids.
+        downstream structures (candidate sets, canopy sweeps) stay in
+        integer space instead of re-keying by string ids.
         """
         if self._interned is not None and self._interned[0] == id(interner):
             return self._interned[1]
@@ -219,7 +219,7 @@ class InternedProfileSpace:
     :class:`ProfiledNameScorer` is generic over its key type, so the *same*
     scoring code (and therefore bitwise-identical covers) runs over either
     key space; the integer space makes the hot candidate-set operations
-    cheaper and shrinks the payloads the parallel cover builder ships.
+    cheaper.
     """
 
     __slots__ = ("interner", "parts", "tokens", "postings")

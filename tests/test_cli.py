@@ -135,6 +135,40 @@ class TestFaultFlags:
                   "--deltas", str(deltas), "--checkpoint-on-signal"])
 
 
+class TestSharedArgumentChecks:
+    """``--workers`` and ``--checkpoint-every`` are checked once, for every
+    subcommand that takes them, before anything is loaded, run or served."""
+
+    @staticmethod
+    def argv(command, dataset_file, tmp_path):
+        return {
+            "match": ["match", "--dataset", str(dataset_file)],
+            "stream": ["stream", "--dataset", str(dataset_file),
+                       "--deltas", str(dataset_file)],
+            "recover": ["recover", "--durable-dir", str(tmp_path)],
+            "serve": ["serve", "--dataset", str(dataset_file), "--port", "0"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["match", "stream", "recover", "serve"])
+    def test_workers_below_one_rejected(self, dataset_file, tmp_path, command):
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(self.argv(command, dataset_file, tmp_path)
+                 + ["--executor", "threads", "--workers", "0"])
+
+    @pytest.mark.parametrize("command", ["match", "stream", "recover", "serve"])
+    def test_workers_require_executor(self, dataset_file, tmp_path, command):
+        with pytest.raises(SystemExit, match="--workers requires --executor"):
+            main(self.argv(command, dataset_file, tmp_path) + ["--workers", "2"])
+
+    @pytest.mark.parametrize("command", ["stream", "serve"])
+    def test_negative_checkpoint_cadence_rejected(self, dataset_file,
+                                                  tmp_path, command):
+        with pytest.raises(SystemExit, match="--checkpoint-every must be >= 0"):
+            main(self.argv(command, dataset_file, tmp_path)
+                 + ["--durable-dir", str(tmp_path / "wal"),
+                    "--checkpoint-every", "-1"])
+
+
 class TestExitCodes:
     """Typed operational failures map to one-line messages + distinct codes."""
 

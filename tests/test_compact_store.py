@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.blocking import (
     CanopyBlocker,
-    ParallelCoverBuilder,
     build_total_cover,
     expand_members,
 )
@@ -320,18 +319,6 @@ class TestBlockingParity:
         interned = build_total_cover(CanopyBlocker(), compact,
                                      relation_names=["coauthor"])
         assert self.cover_signature(interned) == self.cover_signature(reference)
-
-    def test_parallel_cover_identical_across_backends(self, hepth_dataset):
-        store = hepth_dataset.store
-        compact = CompactStore.from_store(store)
-        reference = build_total_cover(CanopyBlocker(), store,
-                                      relation_names=["coauthor"])
-        for executor in ("serial", "threads"):
-            builder = ParallelCoverBuilder(CanopyBlocker(), executor=executor,
-                                           workers=2,
-                                           relation_names=["coauthor"])
-            assert self.cover_signature(builder.build_total_cover(compact)) == \
-                self.cover_signature(reference)
 
     @SETTINGS
     @given(st.integers(min_value=0, max_value=10_000),

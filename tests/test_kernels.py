@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import CanopyBlocker, ParallelCoverBuilder, build_total_cover
+from repro.blocking import CanopyBlocker, build_total_cover
 from repro.core import EMFramework
 from repro.datamodel import CompactStore, MatchSet
 from repro.datasets import GeneratorConfig, NameNoiseModel, generate_bibliography
@@ -590,7 +590,8 @@ class TestBatchCanopyParity:
                 BatchCanopyScorer(scorer, postings)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(BatchCanopyScorer, "__init__", built)
-                sweep = names_module.canopy_sweep(scorer, postings, pilot=1e9)
+                patch.setattr(names_module, "CANOPY_BREAK_EVEN", 0)
+                sweep = names_module.canopy_sweep(scorer, postings, [])
             assert sorted(sweep("e0", [scorer.parts["e0"][1]], 0.6)) == sorted(
                 scorer.canopy_scores("e0", set(postings[scorer.parts["e0"][1]])
                                      - {"e0"}, 0.6))
@@ -598,14 +599,10 @@ class TestBatchCanopyParity:
 
 # ------------------------------------------------ auto: one leg per sweep
 def all_cover_paths(store, **blocker_kwargs):
-    """The three canopy call sites: string-keyed, interned, sharded chunks
-    (in waves of 8 centers: 2 chunks of 4, far below the pilot's 64)."""
+    """The two canopy call sites: string-keyed and interned."""
     blocker = CanopyBlocker(**blocker_kwargs)
-    compact = CompactStore.from_store(store)
-    sharded = ParallelCoverBuilder(blocker, workers=2, wave_size=8)
-    return [cover_signature(cover) for cover in (
-        blocker.build_cover(store), blocker.build_cover(compact),
-        sharded.build_cover(store), sharded.build_cover(compact))]
+    return [cover_signature(blocker.build_cover(store)),
+            cover_signature(blocker.build_cover(CompactStore.from_store(store)))]
 
 
 @requires_numpy
@@ -616,8 +613,8 @@ class TestCanopyAutoDispatch:
     def test_sweeps_on_either_side_of_the_break_even_equal_both_forced_legs(
             self, seed, canopy_seed):
         """A sweep whose pilot reaches the break-even runs vectorised, one
-        whose pilot does not runs scalar - at every call site, whatever the
-        chunk size - and the covers are the ones either forced leg builds."""
+        whose pilot does not runs scalar - at both call sites - and the
+        covers are the ones either forced leg builds."""
         store = small_dataset(seed, authors=40).store
         forced = {}
         for name in ("python", "numpy"):
@@ -765,21 +762,6 @@ class TestKernelObservability:
             self.build_framework(hepth_dataset).run_grid(
                 "smp", executor="serial")
         assert not any(work.values())
-
-    @requires_numpy
-    def test_threaded_cover_build_counts_like_the_serial_one(self, hepth_dataset):
-        """Thread-pool canopy workers write to the same process registry."""
-        scored = {}
-        with use("numpy"):
-            for executor in ("serial", "threads"):
-                framework = self.build_framework(
-                    hepth_dataset, blocking_executor=executor,
-                    blocking_workers=2)
-                with kernel_work() as work:
-                    framework.cover
-                scored[executor] = work
-        assert scored["serial"]["pairs_scored"] > 0
-        assert scored["threads"] == scored["serial"]
 
     @requires_numpy
     def test_served_session_reads_kernel_work_from_the_registry(

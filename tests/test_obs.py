@@ -97,6 +97,22 @@ class TestSpans:
             [r["name"] for r in obs_trace.spans()]
         assert tree_errors(loaded) == []
 
+    def test_framework_cover_emits_one_total_cover_span(self, fresh_tracer):
+        """The end-to-end harness reads ``blocking.neighborhoods`` off this
+        span's attribute: one span per build, counting the total cover."""
+        from repro.blocking import CanopyBlocker
+        from repro.core import EMFramework
+        from repro.datasets import dblp_tiny
+        obs_trace.enable()
+        framework = EMFramework(RulesMatcher(), dblp_tiny().store,
+                                blocker=CanopyBlocker(),
+                                relation_names=["coauthor"])
+        cover = framework.cover
+        assert framework.cover is cover
+        (record,) = [r for r in obs_trace.spans()
+                     if r["name"] == "blocking.total_cover"]
+        assert record["attrs"]["neighborhoods"] == len(cover) > 0
+
     def test_load_trace_rejects_malformed_lines(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": 1, "parent": 0, "name": "x"}\n')
