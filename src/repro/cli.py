@@ -41,6 +41,7 @@ from .datasets import (
 )
 from .evaluation import evaluate_cover, format_key_values, format_table, precision_recall_f1
 from .exceptions import (
+    DeltaError,
     DurabilityError,
     RecoveryError,
     ServiceError,
@@ -67,6 +68,7 @@ EXIT_TASK_FAILED = 4
 EXIT_RECOVERY_FAILED = 5
 EXIT_DURABILITY_ERROR = 6
 EXIT_SERVICE_ERROR = 7
+EXIT_DELTA_ERROR = 8
 
 
 def _add_kernel_argument(subparser: argparse.ArgumentParser) -> None:
@@ -126,8 +128,8 @@ def _fault_policy(args: argparse.Namespace):
 
 
 def _check_shared_arguments(args: argparse.Namespace) -> None:
-    """The pool and checkpoint-cadence rules of every subcommand that takes
-    ``--workers`` or ``--checkpoint-every``, checked before any work starts."""
+    """Rules on ``--workers``, ``--checkpoint-every`` and ``--rebase-threshold``
+    for every subcommand that takes them, checked before any work starts."""
     workers = getattr(args, "workers", None)
     if workers is not None:
         if args.executor is None:
@@ -136,6 +138,8 @@ def _check_shared_arguments(args: argparse.Namespace) -> None:
             raise SystemExit("--workers must be >= 1")
     if getattr(args, "checkpoint_every", 0) < 0:
         raise SystemExit("--checkpoint-every must be >= 0")
+    if getattr(args, "rebase_threshold", 1) < 1:
+        raise SystemExit("--rebase-threshold must be >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -641,8 +645,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with distinct exit codes instead of tracebacks: a grid task that
     exhausted its fault-tolerance budget exits ``4``, a failed crash
     recovery exits ``5``, any other durability violation exits ``6``, a
-    serving-layer failure exits ``7``.  Programming errors still
-    traceback — those are bugs, not conditions.
+    serving-layer failure ``7``, a bad delta trace ``8``.  Programming
+    errors still traceback — those are bugs, not conditions.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -673,6 +677,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ServiceError as error:
         print(f"repro-em: service error: {error}", file=sys.stderr)
         return EXIT_SERVICE_ERROR
+    except DeltaError as error:
+        print(f"repro-em: delta error: {error}", file=sys.stderr)
+        return EXIT_DELTA_ERROR
     finally:
         # The trace is flushed even when the command failed — a trace of
         # the failing run is exactly what one wants to look at.

@@ -3,7 +3,7 @@
 The API is built around one invariant: **when tracing is off, the cost of an
 instrumented call site is a single module-global check** — :func:`span`
 returns a shared no-op object without allocating anything
-(``benchmarks/bench_observability.py`` gates this).  When tracing is on,
+(``tests/test_obs.py`` checks it is one shared object).  When tracing is on,
 spans form a parent/child tree per thread via a thread-local stack, carry
 monotonic start/duration timings relative to the tracer's epoch, and are
 exportable as JSONL (one line per span).

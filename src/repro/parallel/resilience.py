@@ -69,14 +69,20 @@ from .executor import Executor, NamedTask, ResultT
 #: Result validator signature: ``(task name, result) -> is the result sane?``
 Validator = Callable[[str, object], bool]
 
+#: Speculation copies an attempt once SPECULATION_MIN_DONE tasks of its round
+#: finished and it ran SPECULATION_FACTOR x their SPECULATION_QUANTILE time.
+SPECULATION_QUANTILE = 0.75
+SPECULATION_FACTOR = 2.0
+SPECULATION_MIN_DONE = 3
+
 
 @dataclass(frozen=True)
 class FaultPolicy:
     """Knobs of one supervised round (immutable, picklable).
 
     The defaults are conservative: retries on, no deadline, no speculation —
-    a clean run pays only the supervision loop itself (benchmarked under 5%
-    on the default dblp workload, see ``benchmarks/BENCH_faults.json``).
+    a clean run pays only the supervision loop itself, one pool submission
+    per attempt (``tests/test_counted_invariants.py`` counts them).
     """
 
     #: Seconds an attempt may run before it is abandoned and retried
@@ -93,14 +99,8 @@ class FaultPolicy:
     backoff_max: float = 2.0
     #: Seed of the deterministic jitter (hash of seed, task name, attempt).
     jitter_seed: int = 0
-    #: Launch speculative duplicates of straggler tasks.
+    #: Launch speculative duplicates of straggler tasks (``SPECULATION_*``).
     speculate: bool = False
-    #: Completed-duration quantile that defines the straggler threshold.
-    speculation_quantile: float = 0.75
-    #: Multiplier on that quantile: speculate when ``elapsed > q * factor``.
-    speculation_factor: float = 2.0
-    #: Completions required before the quantile is considered meaningful.
-    speculation_min_done: int = 3
     #: Re-run quarantined tasks inline on the caller before giving up.
     degrade_serially: bool = True
     #: Pool rebuilds tolerated per round before the round is abandoned.
@@ -115,11 +115,6 @@ class FaultPolicy:
                 or self.backoff_max < self.backoff_base:
             raise ExperimentError(
                 "backoff must satisfy base >= 0, factor >= 1, max >= base")
-        if not 0.0 < self.speculation_quantile <= 1.0:
-            raise ExperimentError("speculation_quantile must be in (0, 1]")
-        if self.speculation_factor < 1.0 or self.speculation_min_done < 1:
-            raise ExperimentError(
-                "speculation_factor must be >= 1 and speculation_min_done >= 1")
         if self.max_pool_rebuilds < 0:
             raise ExperimentError("max_pool_rebuilds must be >= 0")
 
@@ -474,10 +469,9 @@ class ResilientExecutor(Executor):
                 # meaningful latency distribution.
                 threshold: Optional[float] = None
                 if policy.speculate and \
-                        len(durations) >= policy.speculation_min_done:
-                    threshold = _quantile(durations,
-                                          policy.speculation_quantile) \
-                        * policy.speculation_factor
+                        len(durations) >= SPECULATION_MIN_DONE:
+                    threshold = _quantile(durations, SPECULATION_QUANTILE) \
+                        * SPECULATION_FACTOR
                     for state, attempt, started in list(active.values()):
                         if state.speculated or state.name in results:
                             continue
@@ -578,7 +572,7 @@ class ResilientExecutor(Executor):
                     started + threshold
                     for state, _, started in active.values()
                     if not state.speculated)
-            elif len(durations) >= policy.speculation_min_done:
+            elif len(durations) >= SPECULATION_MIN_DONE:
                 deadlines.append(now)  # threshold just became computable
         timeout = None
         if deadlines:

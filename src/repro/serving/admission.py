@@ -8,16 +8,15 @@ Overload policy of the serving layer, in one place:
   :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 429 +
   ``Retry-After``) instead of growing an unbounded backlog — under
   saturation the latency of *accepted* requests stays bounded by
-  ``max_waiting / throughput``, which is the property the overload
-  benchmark asserts.
+  ``max_waiting / throughput``.
 * :class:`Deadline` — a monotonic per-request budget.  A request that
   cannot get a slot (or finish) inside its budget fails with
   :class:`~repro.exceptions.DeadlineExceededError` (HTTP 504); a late
   response is worthless, so the server stops working on it at the next
   check.
 
-Both are plain threading constructs with an injectable clock so tests and
-benchmarks drive them deterministically.
+Both are plain threading constructs with an injectable clock so tests
+drive them deterministically.
 """
 
 from __future__ import annotations

@@ -107,10 +107,6 @@ class ServiceConfig:
     breaker_threshold: int = 3
     #: Seconds the breaker stays open before admitting a half-open probe.
     breaker_cooldown: float = 5.0
-    #: Artificial per-read service time, in seconds.  A fault-injection /
-    #: benchmark knob (the overload schedule uses it to saturate the gate
-    #: deterministically); keep 0 in production.
-    read_delay: float = 0.0
 
     def __post_init__(self):
         if self.max_inflight < 1:
@@ -127,8 +123,6 @@ class ServiceConfig:
             raise ServiceError("breaker_threshold must be >= 1")
         if self.breaker_cooldown <= 0:
             raise ServiceError("breaker_cooldown must be positive")
-        if self.read_delay < 0:
-            raise ServiceError("read_delay must be >= 0")
 
 
 def _latency_summary(histogram: obs_registry.Histogram) -> Dict[str, float]:
@@ -412,8 +406,6 @@ class MatchService:
                 raise
             try:
                 epoch = self._pin_epoch()
-                if self.config.read_delay:
-                    time.sleep(self.config.read_delay)
                 result = fn(epoch)
                 deadline.check("read")
             except Exception:

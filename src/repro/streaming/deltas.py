@@ -229,12 +229,16 @@ def log_to_dict(log: DeltaLog) -> Dict:
 
 
 def log_from_dict(payload: Dict) -> DeltaLog:
+    batches = payload.get("batches") if isinstance(payload, dict) else None
+    if not isinstance(batches, list) \
+            or not all(isinstance(batch, list) for batch in batches):
+        raise DeltaError("not a delta trace: no list of op lists in 'batches'")
     version = payload.get("format_version")
     if version != _TRACE_FORMAT_VERSION:
         raise DeltaError(f"unsupported delta trace format version: {version!r}")
     return DeltaLog(
         batches=[ChangeBatch([op_from_dict(record) for record in batch])
-                 for batch in payload.get("batches", [])],
+                 for batch in batches],
         name=payload.get("name", "delta-log"),
     )
 
@@ -247,4 +251,8 @@ def save_delta_log(log: DeltaLog, path: PathLike) -> Path:
 def load_delta_log(path: PathLike) -> DeltaLog:
     """Read a delta trace previously written by :func:`save_delta_log`."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        return log_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as error:  # not JSON, or not UTF-8
+            raise DeltaError(f"not a JSON delta trace: {error}") from None
+    return log_from_dict(payload)

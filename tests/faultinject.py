@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -130,7 +130,8 @@ class FaultSpec:
     """What goes wrong with one task, and for how many attempts (picklable).
 
     * ``fail`` — raise :class:`FaultInjected`;
-    * ``hang`` — sleep ``delay`` seconds *then* compute the correct result
+    * ``hang`` — wait ``delay`` seconds (or until the executor closes, in
+      a thread) *then* compute the correct result
       (a straggler / deadline-buster; correctness is unaffected if a late
       result ever slipped through — which the supervisor must prevent);
     * ``wrong-result`` — compute the result, then corrupt it (a
@@ -157,6 +158,13 @@ class FaultSpec:
             raise ValueError("times must be >= 1")
 
 
+#: Set when a :class:`FaultyExecutor` closes, so a hang in one of its pool
+#: threads ends then instead of sleeping out its delay.  A process worker
+#: holds its own copy, which closing does not set: there a hang lasts its
+#: full delay.
+_release_hangs = threading.Event()
+
+
 def _corrupt(result: object) -> object:
     """Make a result the grid's validator must reject."""
     if dataclasses.is_dataclass(result) and hasattr(result, "name"):
@@ -172,7 +180,7 @@ def _faulted_call(kind: Optional[str], name: str, attempt: int, delay: float,
     if kind == "fail":
         raise FaultInjected(name, attempt)
     if kind == "hang":
-        time.sleep(delay)
+        _release_hangs.wait(timeout=delay)
         return fn()
     if kind == "wrong-result":
         return _corrupt(fn())
@@ -235,12 +243,17 @@ class FaultyExecutor(Executor):
     def unshare(self, key):
         self.inner.unshare(key)
 
+    # Leaving releases the hangs still waiting, so the inner pool's shutdown
+    # does not sit out their delay; entering re-arms them.
     def close(self):
+        _release_hangs.set()
         self.inner.close()
 
     def __enter__(self):
+        _release_hangs.clear()
         self.inner.__enter__()
         return self
 
     def __exit__(self, *exc_info):
+        _release_hangs.set()
         self.inner.__exit__(*exc_info)

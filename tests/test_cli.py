@@ -168,6 +168,11 @@ class TestSharedArgumentChecks:
                  + ["--durable-dir", str(tmp_path / "wal"),
                     "--checkpoint-every", "-1"])
 
+    def test_rebase_threshold_below_one_rejected(self, dataset_file, tmp_path):
+        with pytest.raises(SystemExit, match="--rebase-threshold must be >= 1"):
+            main(self.argv("stream", dataset_file, tmp_path)
+                 + ["--rebase-threshold", "0"])
+
 
 class TestExitCodes:
     """Typed operational failures map to one-line messages + distinct codes."""
@@ -204,3 +209,17 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "info", corrupted)
         assert main(["info"]) == 6
         assert "repro-em: durability error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trace", ["dataset", "unknown-op"])
+    def test_bad_delta_trace_exits_8(self, dataset_file, tmp_path, capsys,
+                                     trace):
+        deltas = dataset_file
+        if trace == "unknown-op":
+            deltas = tmp_path / "trace.json"
+            deltas.write_text(json.dumps(
+                {"format_version": 1, "batches": [[{"op": "frobnicate"}]]}))
+        assert main(["stream", "--dataset", str(dataset_file),
+                     "--deltas", str(deltas)]) == 8
+        err = capsys.readouterr().err
+        assert err.startswith("repro-em: delta error:")
+        assert err.count("\n") == 1

@@ -1,0 +1,438 @@
+"""Counted invariants: the per-layer contracts as counts, which do not flake.
+
+Each invariant here is a deterministic count read off one small workload:
+dblp@0.25 streamed in as ``synthesize_stream(batches=8,
+holdout_fraction=0.2, seed=7)``, with ``MLNMatcher`` and ``CanopyBlocker``.
+Each one replaces a timing gate that used to sit on a per-layer bench:
+
+===============================  ==========================================
+timing gate                      counted invariant
+===============================  ==========================================
+supervision overhead <= 5%       pool submissions per round <= 4 x workers;
+                                 supervised: one submission per attempt
+WAL overhead <= 25%              one WAL append and one fsync per commit,
+                                 <= 160 WAL bytes per op; checkpoints on
+                                 the cadence only
+tracing overhead ceiling         spans per commit follow a fixed formula;
+                                 an untraced run records no span
+streaming re-run fraction        mean re-run fraction <= 0.25
+compact task payloads >= 3x      dict / compact round payload bytes >= 3
+===============================  ==========================================
+
+Every invariant is checked twice: on the code as it is, where it holds, and
+on a *broken variant* (a monkeypatched regression of the kind the gate was
+there to catch), where the same check must fail.  Timed numbers come only
+from the end-to-end benchmark (``BENCHMARK.json``).
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import os
+import pickle
+from contextlib import contextmanager
+
+import pytest
+
+from repro.blocking import CanopyBlocker, build_total_cover
+from repro.datamodel import CompactStore
+from repro.datasets import dblp_like
+from repro.durability import DeltaWAL, DurableStreamSession
+from repro.matchers import MLNMatcher
+from repro.obs import registry as obs_registry
+from repro.obs import trace as obs_trace
+from repro.parallel import grid as grid_module
+from repro.parallel.executor import (
+    Executor,
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadedExecutor,
+    _PoolExecutor,
+    _run_chunk,
+)
+from repro.parallel.grid import GridExecutor
+from repro.parallel.resilience import FaultPolicy
+from repro.streaming import StreamSession, synthesize_stream
+
+WORKERS = 2
+#: Chunks a pool round may ship (``_PoolExecutor._collect``'s deal).
+MAX_CHUNKS_PER_ROUND = 4 * WORKERS
+#: WAL record bytes per delta op; the workload reads 101-113.
+MAX_WAL_BYTES_PER_OP = 160
+#: Mean fraction of neighborhoods a batch re-runs; the workload reads 0.16.
+MAX_MEAN_RERAN_FRACTION = 0.25
+#: Dict-store / compact-store pickled bytes of one round; the workload
+#: reads 9.6.
+MIN_PAYLOAD_REDUCTION = 3.0
+#: Spans every durable commit opens once: durable.apply, wal.append,
+#: stream.batch, stream.mutate, stream.cover_repair, stream.retract,
+#: stream.rematch and grid.run.
+SPANS_PER_COMMIT = 8
+#: Batches the broken variants replay: enough for each check to trip.
+BROKEN_BATCHES = 3
+
+_COUNTERS = ("wal_appends_total", "wal_appended_bytes_total",
+             "checkpoints_total", "grid_rounds_total", "grid_tasks_total",
+             "mln_inference_iterations_total")
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return synthesize_stream(dblp_like(scale=0.25), batches=8,
+                             holdout_fraction=0.2, seed=7)
+
+
+@pytest.fixture(scope="module")
+def cover(scenario):
+    return build_total_cover(CanopyBlocker(), scenario.final.store,
+                             relation_names=["coauthor"])
+
+
+@contextmanager
+def tracing(on: bool):
+    """Run the block with a fresh tracer (or none); restore the one before."""
+    previous = obs_trace.tracer()
+    if on:
+        obs_trace.enable()
+    else:
+        obs_trace.disable()
+    try:
+        yield
+    finally:
+        if previous is not None:
+            obs_trace.enable(previous.path)
+        else:
+            obs_trace.disable()
+
+
+# ------------------------------------------------------------- pool rounds
+@pytest.fixture()
+def submissions(monkeypatch):
+    """Futures submitted to any thread or process pool of this process."""
+    count = [0]
+    for pool_class in (concurrent.futures.ThreadPoolExecutor,
+                       concurrent.futures.ProcessPoolExecutor):
+        def counted(self, *args, _submit=pool_class.submit, **kwargs):
+            count[0] += 1
+            return _submit(self, *args, **kwargs)
+        monkeypatch.setattr(pool_class, "submit", counted)
+    return count
+
+
+def pool_rounds(scenario, cover, kind, submissions, fault_policy=None):
+    """Run an SMP grid on a pool of ``kind``; return ``(submissions, tasks)``
+    per round and the supervision reports."""
+    executor = ThreadedExecutor(WORKERS) if kind == "threads" \
+        else ProcessExecutor(WORKERS)
+    grid = GridExecutor(scheme="smp", executor=executor,
+                        fault_policy=fault_policy)
+    rounds = []
+    map_tasks = grid.executor.map_tasks
+
+    def counted(tasks):
+        before = submissions[0]
+        results = map_tasks(tasks)
+        rounds.append((submissions[0] - before, len(tasks)))
+        return results
+
+    grid.executor.map_tasks = counted
+    result = grid.run(MLNMatcher(), scenario.final.store, cover)
+    return rounds, result.round_reports
+
+
+def assert_rounds_ship_in_chunks(rounds):
+    for index, (submitted, tasks) in enumerate(rounds):
+        assert submitted <= MAX_CHUNKS_PER_ROUND, (
+            f"round {index}: {submitted} pool submissions for {tasks} tasks, "
+            f"more than {MAX_CHUNKS_PER_ROUND} chunks")
+
+
+def assert_one_submission_per_attempt(rounds, reports):
+    submitted = [count for count, _ in rounds]
+    attempts = [report.attempts for report in reports]
+    assert submitted == attempts, (
+        f"pool submissions per round {submitted} != attempts {attempts}")
+    assert attempts == [tasks for _, tasks in rounds], \
+        "a clean supervised run makes one attempt per task"
+
+
+@pytest.mark.parametrize("kind", ["threads", "processes"])
+def test_a_pool_round_ships_in_chunks(scenario, cover, submissions, kind):
+    rounds, _ = pool_rounds(scenario, cover, kind, submissions)
+    assert len(rounds) > 1 and rounds[0][1] > MAX_CHUNKS_PER_ROUND
+    assert_rounds_ship_in_chunks(rounds)
+
+
+@pytest.mark.parametrize("kind", ["threads", "processes"])
+def test_a_supervised_round_submits_once_per_attempt(scenario, cover,
+                                                     submissions, kind):
+    rounds, reports = pool_rounds(scenario, cover, kind, submissions,
+                                  FaultPolicy())
+    assert len(reports) == len(rounds) > 1
+    assert_one_submission_per_attempt(rounds, reports)
+
+
+def test_chunk_count_catches_one_future_per_task(scenario, cover, submissions,
+                                                 monkeypatch):
+    def one_future_per_task(self, pool, tasks):
+        futures = [pool.submit(_run_chunk, [task]) for task in tasks]
+        return {name: value for future in futures
+                for name, value in future.result()}
+
+    monkeypatch.setattr(_PoolExecutor, "_collect", one_future_per_task)
+    rounds, _ = pool_rounds(scenario, cover, "threads", submissions)
+    with pytest.raises(AssertionError, match="more than 8 chunks"):
+        assert_rounds_ship_in_chunks(rounds)
+
+
+def test_attempt_count_catches_a_doubled_submission(scenario, cover,
+                                                    submissions, monkeypatch):
+    submit_task = _PoolExecutor.submit_task
+
+    def submit_twice(self, name, fn):
+        submit_task(self, name, fn)
+        return submit_task(self, name, fn)
+
+    monkeypatch.setattr(_PoolExecutor, "submit_task", submit_twice)
+    rounds, reports = pool_rounds(scenario, cover, "threads", submissions,
+                                  FaultPolicy())
+    with pytest.raises(AssertionError, match="!= attempts"):
+        assert_one_submission_per_attempt(rounds, reports)
+
+
+# ---------------------------------------------------------- durable commits
+def replay(scenario, directory, checkpoint_every, traced, batches=None):
+    """Replay the stream through a durable session on the serial executor.
+
+    Returns ``(checkpoints at start, rows)``, one row of counts per commit:
+    its ops, ``os.fsync`` calls, spans recorded, re-run fraction and the
+    growth of each registry counter in ``_COUNTERS``.
+    """
+    registry = obs_registry.registry()
+    fsyncs = [0]
+    recorded = [0]
+    real_fsync = os.fsync
+
+    def counted_fsync(fd):
+        fsyncs[0] += 1
+        real_fsync(fd)
+
+    def counting(add):
+        def counted(self, *args, **kwargs):
+            recorded[0] += 1
+            return add(self, *args, **kwargs)
+        return counted
+
+    def counts():
+        return {name: registry.get(name).value() for name in _COUNTERS}
+
+    with tracing(traced), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fsync", counted_fsync)
+        # Every span lands in one of these two sinks (task spans are
+        # captured, then folded into the tracer without another ``add``).
+        patch.setattr(obs_trace.Tracer, "add", counting(obs_trace.Tracer.add))
+        patch.setattr(obs_trace.TaskCapture, "add",
+                      counting(obs_trace.TaskCapture.add))
+        session = DurableStreamSession(
+            StreamSession(MLNMatcher(), scenario.base.store.copy(),
+                          blocker=CanopyBlocker(),
+                          relation_names=["coauthor"]),
+            directory, checkpoint_every=checkpoint_every)
+        before = counts()
+        session.start()
+        start_checkpoints = counts()["checkpoints_total"] \
+            - before["checkpoints_total"]
+        rows = []
+        for batch in list(scenario.log)[:batches]:
+            before, fsyncs[0], recorded[0] = counts(), 0, 0
+            result = session.apply(batch)
+            after = counts()
+            row = {name: after[name] - before[name] for name in _COUNTERS}
+            row.update(ops=len(batch), fsyncs=fsyncs[0], spans=recorded[0],
+                       reran_fraction=result.reran_fraction)
+            rows.append(row)
+        session.close(checkpoint=False)
+    return start_checkpoints, rows
+
+
+@pytest.fixture(scope="module")
+def untraced_replay(scenario, tmp_path_factory):
+    """The replay without checkpoints or tracing."""
+    return replay(scenario, tmp_path_factory.mktemp("wal"),
+                  checkpoint_every=0, traced=False)
+
+
+@pytest.fixture(scope="module")
+def traced_replay(scenario, tmp_path_factory):
+    """The replay checkpointing every 3 batches, traced."""
+    return replay(scenario, tmp_path_factory.mktemp("traced"),
+                  checkpoint_every=3, traced=True)
+
+
+def assert_one_durable_append_per_commit(rows):
+    for index, row in enumerate(rows, start=1):
+        assert (row["wal_appends_total"], row["fsyncs"]) == (1, 1), (
+            f"batch {index}: {row['wal_appends_total']} WAL appends and "
+            f"{row['fsyncs']} fsyncs, not one each")
+        per_op = row["wal_appended_bytes_total"] / row["ops"]
+        assert per_op <= MAX_WAL_BYTES_PER_OP, (
+            f"batch {index}: {per_op:.0f} WAL bytes per op")
+
+
+def assert_checkpoints_on_cadence(start_checkpoints, rows, every):
+    taken = start_checkpoints + sum(row["checkpoints_total"] for row in rows)
+    assert taken == 1 + len(rows) // every, (
+        f"{taken} checkpoints over the start and {len(rows)} batches, "
+        f"checkpointing every {every}")
+
+
+def assert_spans_per_commit(rows):
+    for index, row in enumerate(rows, start=1):
+        expected = (SPANS_PER_COMMIT + row["grid_rounds_total"]
+                    + 2 * row["grid_tasks_total"]
+                    + 2 * row["mln_inference_iterations_total"]
+                    + row["checkpoints_total"])
+        assert row["spans"] == expected, (
+            f"batch {index}: {row['spans']} spans, the formula gives "
+            f"{expected}")
+
+
+def assert_no_span_recorded(rows):
+    recorded = [row["spans"] for row in rows]
+    assert not any(recorded), f"an untraced run recorded spans: {recorded}"
+
+
+def assert_reran_fraction_bounded(rows):
+    mean = sum(row["reran_fraction"] for row in rows) / len(rows)
+    assert mean <= MAX_MEAN_RERAN_FRACTION, (
+        f"batches re-ran {mean:.2f} of the neighborhoods on average")
+
+
+def test_each_commit_appends_and_fsyncs_once(untraced_replay):
+    _, rows = untraced_replay
+    assert len(rows) == 8
+    assert_one_durable_append_per_commit(rows)
+
+
+def test_append_count_catches_a_batch_written_twice(scenario, tmp_path,
+                                                    monkeypatch):
+    append = DeltaWAL.append
+
+    def append_twice(self, batch_id, batch):
+        previous = self.last_batch_id
+        append(self, batch_id, batch)
+        self._last_batch_id = previous
+        append(self, batch_id, batch)
+
+    monkeypatch.setattr(DeltaWAL, "append", append_twice)
+    _, rows = replay(scenario, tmp_path, checkpoint_every=0, traced=False,
+                     batches=BROKEN_BATCHES)
+    with pytest.raises(AssertionError, match="2 WAL appends and 2 fsyncs"):
+        assert_one_durable_append_per_commit(rows)
+
+
+def test_checkpoints_follow_the_cadence(traced_replay):
+    start_checkpoints, rows = traced_replay
+    assert start_checkpoints == 1
+    assert_checkpoints_on_cadence(start_checkpoints, rows, every=3)
+
+
+def test_checkpoint_count_catches_a_checkpoint_per_batch(scenario, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(DurableStreamSession, "_checkpoint_on_cadence",
+                        DurableStreamSession.checkpoint)
+    start_checkpoints, rows = replay(scenario, tmp_path, checkpoint_every=3,
+                                     traced=False, batches=BROKEN_BATCHES)
+    with pytest.raises(AssertionError, match="4 checkpoints"):
+        assert_checkpoints_on_cadence(start_checkpoints, rows, every=3)
+
+
+def test_spans_per_commit_follow_the_formula(traced_replay):
+    _, rows = traced_replay
+    assert any(row["checkpoints_total"] for row in rows)
+    assert_spans_per_commit(rows)
+
+
+def test_span_formula_catches_an_extra_span_per_task(scenario, tmp_path,
+                                                     monkeypatch):
+    execute_map_task = grid_module.execute_map_task
+
+    def with_extra_span(task):
+        with obs_trace.span("grid.task.extra"):
+            return execute_map_task(task)
+
+    monkeypatch.setattr(grid_module, "execute_map_task", with_extra_span)
+    _, rows = replay(scenario, tmp_path, checkpoint_every=3, traced=True,
+                     batches=BROKEN_BATCHES)
+    with pytest.raises(AssertionError, match="the formula gives"):
+        assert_spans_per_commit(rows)
+
+
+def test_an_untraced_run_records_no_span(untraced_replay):
+    _, rows = untraced_replay
+    assert_no_span_recorded(rows)
+
+
+def test_span_count_catches_tasks_capturing_while_untraced(scenario, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(obs_trace, "enabled", lambda: True)
+    _, rows = replay(scenario, tmp_path, checkpoint_every=0, traced=False,
+                     batches=BROKEN_BATCHES)
+    with pytest.raises(AssertionError, match="recorded spans"):
+        assert_no_span_recorded(rows)
+
+
+# ---------------------------------------------------------------- streaming
+def test_batches_rerun_a_bounded_fraction(untraced_replay):
+    _, rows = untraced_replay
+    assert_reran_fraction_bounded(rows)
+
+
+def test_rerun_fraction_catches_every_neighborhood_dirty(scenario, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(StreamSession, "_dirty_neighborhoods",
+                        lambda self, cover, impact: set(cover.names()))
+    _, rows = replay(scenario, tmp_path, checkpoint_every=0, traced=False,
+                     batches=BROKEN_BATCHES)
+    with pytest.raises(AssertionError, match="on average"):
+        assert_reran_fraction_bounded(rows)
+
+
+# ---------------------------------------------------------- task payloads
+class _PayloadMeter(SerialExecutor):
+    """Serial executor that records the pickled bytes of each round."""
+
+    def __init__(self):
+        self.round_bytes = []
+
+    def map_tasks(self, tasks):
+        self.round_bytes.append(sum(len(pickle.dumps(fn)) for _, fn in tasks))
+        return super().map_tasks(tasks)
+
+
+def payload_reduction(store, cover):
+    """Pickled bytes of the first round's tasks, dict store / compact store."""
+    first_round = []
+    for backend in (store, CompactStore.from_store(store)):
+        meter = _PayloadMeter()
+        GridExecutor(scheme="smp", executor=meter, max_rounds=1).run(
+            MLNMatcher(), backend, cover)
+        first_round.append(meter.round_bytes[0])
+    return first_round[0] / first_round[1]
+
+
+def assert_payload_reduced(reduction):
+    assert reduction >= MIN_PAYLOAD_REDUCTION, (
+        f"compact tasks are only {reduction:.1f}x smaller than dict tasks")
+
+
+def test_compact_tasks_ship_a_fraction_of_the_bytes(scenario, cover):
+    assert_payload_reduced(payload_reduction(scenario.final.store, cover))
+
+
+def test_payload_ratio_catches_compact_tasks_shipped_as_map_tasks(
+        scenario, cover, monkeypatch):
+    # Without the broadcast, the grid falls back to self-contained MapTasks.
+    monkeypatch.setattr(Executor, "share", lambda self, key, value: False)
+    with pytest.raises(AssertionError, match="smaller than dict tasks"):
+        assert_payload_reduced(payload_reduction(scenario.final.store, cover))

@@ -65,10 +65,10 @@ class TestFaultPolicy:
         {"backoff_base": -0.1},
         {"backoff_factor": 0.5},
         {"backoff_base": 1.0, "backoff_max": 0.5},
-        {"speculation_quantile": 0.0},
-        {"speculation_quantile": 1.5},
-        {"speculation_factor": 0.9},
-        {"speculation_min_done": 0},
+        {"backoff_max": 0.01},
+        {"backoff_factor": 0.0},
+        {"retries": -1, "speculate": True},
+        {"max_pool_rebuilds": -1, "degrade_serially": False},
         {"max_pool_rebuilds": -1},
     ])
     def test_invalid_policies_rejected(self, kwargs):
@@ -171,9 +171,7 @@ class TestSupervisedExecution:
     def test_speculation_beats_straggler(self):
         faulty = FaultyExecutor(
             ThreadedExecutor(4), {"n7": FaultSpec("hang", times=1, delay=5.0)})
-        policy = FaultPolicy(speculate=True, speculation_quantile=0.5,
-                             speculation_factor=1.5, speculation_min_done=3)
-        executor = ResilientExecutor(faulty, policy)
+        executor = ResilientExecutor(faulty, FaultPolicy(speculate=True))
         import time
         with executor:
             started = time.monotonic()

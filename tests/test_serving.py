@@ -254,7 +254,6 @@ class TestServiceConfig:
         {"retry_after": -1.0},
         {"breaker_threshold": 0},
         {"breaker_cooldown": 0.0},
-        {"read_delay": -0.1},
     ])
     def test_invalid_configs_rejected_at_construction(self, kwargs):
         with pytest.raises(ServiceError):
@@ -263,7 +262,6 @@ class TestServiceConfig:
     def test_defaults_are_valid(self):
         config = ServiceConfig()
         assert config.max_inflight == 32
-        assert config.read_delay == 0.0
 
 
 @pytest.fixture()

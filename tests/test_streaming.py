@@ -62,6 +62,35 @@ def test_delta_json_rejects_unknown_op():
         log_from_dict({"format_version": 99, "batches": []})
 
 
+@pytest.mark.parametrize("payload", [
+    [],
+    "trace",
+    {"format_version": 1},
+    {"format_version": 1, "batches": 5},
+    {"format_version": 1, "batches": [5]},
+    {"format_version": 1, "batches": [{"op": "remove_entity", "id": "a1"}]},
+])
+def test_delta_trace_loader_rejects_what_is_not_a_trace(payload):
+    with pytest.raises(DeltaError):
+        log_from_dict(payload)
+
+
+def test_delta_trace_loader_rejects_a_dataset_file(tmp_path, dblp_dataset):
+    from repro.datasets import save_dataset
+    path = tmp_path / "dataset.json"
+    save_dataset(dblp_dataset, path)
+    assert json.loads(path.read_text())["format_version"] == 1
+    with pytest.raises(DeltaError, match="batches"):
+        load_delta_log(path)
+
+
+def test_delta_trace_loader_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text("batches: []")
+    with pytest.raises(DeltaError, match="not a JSON delta trace"):
+        load_delta_log(path)
+
+
 def test_evidence_polarity_validated():
     with pytest.raises(DeltaError):
         AddEvidence(EntityPair.of("a", "b"), "maybe")
