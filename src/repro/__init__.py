@@ -26,9 +26,7 @@ from .blocking import (
     Cover,
     MultiPassBlocker,
     Neighborhood,
-    SortedNeighborhoodBlocker,
     StandardBlocker,
-    TokenBlocker,
     build_total_cover,
     expand_to_total_cover,
 )
@@ -125,11 +123,9 @@ __all__ = [
     "RulesMatcher",
     "SchemeResult",
     "SimpleMessagePassing",
-    "SortedNeighborhoodBlocker",
     "StandardBlocker",
     "StoreOverlay",
     "StreamSession",
-    "TokenBlocker",
     "TypeIIMatcher",
     "TypeIMatcher",
     "UpperBoundScheme",

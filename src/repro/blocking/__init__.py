@@ -11,14 +11,12 @@ from .boundary import (
 )
 from .canopy import CanopyBlocker, author_name_cheap_similarity
 from .cover import Cover, Neighborhood
-from .sorted_neighborhood import SortedNeighborhoodBlocker, full_name_sort_key
 from .standard import (
     MultiPassBlocker,
     StandardBlocker,
     last_name_initial_key,
     last_name_soundex_key,
 )
-from .token_blocking import TokenBlocker
 
 __all__ = [
     "Blocker",
@@ -27,14 +25,11 @@ __all__ = [
     "KeyFunction",
     "MultiPassBlocker",
     "Neighborhood",
-    "SortedNeighborhoodBlocker",
     "StandardBlocker",
-    "TokenBlocker",
     "author_name_cheap_similarity",
     "build_total_cover",
     "expand_members",
     "expand_to_total_cover",
-    "full_name_sort_key",
     "last_name_initial_key",
     "last_name_soundex_key",
     "neighborhood_boundary",

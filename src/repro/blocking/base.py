@@ -1,10 +1,10 @@
 """Blocker interface.
 
 A *blocker* turns an :class:`~repro.datamodel.store.EntityStore` into a
-:class:`~repro.blocking.cover.Cover`.  Concrete blockers include Canopy
-clustering (the one used in the paper), standard key-based blocking, sorted
-neighborhood and token blocking.  Blockers only group entities; turning the
-cover into a *total* cover is the job of
+:class:`~repro.blocking.cover.Cover`.  Concrete blockers are Canopy
+clustering (the one used in the paper) and standard key-based blocking.
+Blockers only group entities; turning the cover into a *total* cover is the
+job of
 :func:`repro.blocking.boundary.expand_to_total_cover`.
 """
 
@@ -52,6 +52,5 @@ class Blocker(abc.ABC):
         return Cover(neighborhoods)
 
 
-#: A blocking key function maps an entity to one key (or several, see
-#: :class:`repro.blocking.token_blocking.TokenBlocker`).
+#: A blocking key function maps an entity to one key.
 KeyFunction = Callable[[Entity], str]

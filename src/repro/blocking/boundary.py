@@ -21,7 +21,7 @@ round — since older members' neighbors are already inside.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from ..datamodel import EntityStore, Relation
 from ..exceptions import CoverError
@@ -160,19 +160,24 @@ def expand_to_total_cover(cover: Cover, store: EntityStore,
 
 
 def attach_leftover_singletons(expanded: List[Neighborhood],
-                               store: EntityStore) -> Cover:
+                               store: EntityStore,
+                               previous: Optional[Cover] = None) -> Cover:
     """Cover of ``expanded`` plus a singleton per still-uncovered store entity.
 
     Public because the streaming cover maintainer replays exactly this step
-    when it rebuilds a total cover incrementally.
+    when it patches a total cover: it passes its ``previous`` cover, whose
+    unchanged singletons are reused and whose index is patched (see
+    :class:`~repro.blocking.cover.Cover`).
     """
     covered: Set[str] = set()
     for neighborhood in expanded:
         covered.update(neighborhood.entity_ids)
-    leftovers = sorted(store.entity_ids() - covered)
-    for index, entity_id in enumerate(leftovers):
-        expanded.append(Neighborhood(f"singleton-{index}", frozenset({entity_id})))
-    return Cover(expanded)
+    for index, entity_id in enumerate(sorted(store.entity_ids() - covered)):
+        name = f"singleton-{index}"
+        kept = previous.get(name) if previous is not None else None
+        expanded.append(kept if kept is not None and entity_id in kept.entity_ids
+                        else Neighborhood(name, frozenset({entity_id})))
+    return Cover(expanded, previous)
 
 
 def build_total_cover(blocker, store: EntityStore,

@@ -116,8 +116,8 @@ class CanopyBlocker(Blocker):
         self.text_attributes = tuple(text_attributes)
         self.seed = seed
         # The profiled scorer of the most recent canopy build (None until a
-        # profiled build ran): holds the LRU memos whose hit/miss stats
-        # :meth:`memo_stats` surfaces for the metrics registry.
+        # profiled build ran): holds the bounded FIFO memos whose hit/miss
+        # stats :meth:`memo_stats` surfaces for the metrics registry.
         self._last_scorer: Optional[ProfiledNameScorer] = None
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
@@ -146,14 +146,17 @@ class CanopyBlocker(Blocker):
         changes by a single element, which would force the streaming cover
         maintainer to treat every canopy as dirty on every delta batch.)
         """
-        seed = str(self.seed).encode("utf-8")
+        return sorted((entity.entity_id for entity in entities),
+                      key=self.center_rank)
 
-        def rank(entity_id: str) -> Tuple[bytes, str]:
-            digest = hashlib.blake2b(entity_id.encode("utf-8"), key=seed[:64],
-                                     digest_size=8).digest()
-            return digest, entity_id
-
-        return sorted((entity.entity_id for entity in entities), key=rank)
+    def center_rank(self, entity_id: str) -> Tuple[bytes, str]:
+        """An entity's sort key in :meth:`shuffled_order`; the streaming
+        cover maintainer keeps the order sorted by it, one insert or delete
+        per changed entity."""
+        digest = hashlib.blake2b(entity_id.encode("utf-8"),
+                                 key=str(self.seed).encode("utf-8")[:64],
+                                 digest_size=8).digest()
+        return digest, entity_id
 
     def profile_index(self, entities: Sequence[Entity],
                       profiles: Optional[EntityProfileIndex] = None) -> EntityProfileIndex:
@@ -250,8 +253,10 @@ class CanopyBlocker(Blocker):
 
         Walks ``order``, accepting each id still in the remaining pool as a
         center and removing that canopy's tight-threshold members from the
-        pool.  The streaming cover maintainer replays this same loop over its
-        cached per-center canopies.
+        pool.  Every id of ``order`` ends up in a canopy: a center is in its
+        own, and an id leaves the pool only through the tight set of a canopy
+        holding it.  The streaming cover maintainer replays this same loop
+        over its cached per-center canopies.
         """
         remaining: Set[str] = set(order)
         canopies: List[Set[str]] = []
@@ -264,15 +269,6 @@ class CanopyBlocker(Blocker):
         return canopies
 
     # ----------------------------------------------------------------- cover
-    @staticmethod
-    def canopy_cover(entities: Sequence[Entity], canopies: List[Set[str]]) -> Cover:
-        """The swept canopies as a cover of ``entities``; an entity no canopy
-        reached (no similar neighbour at all) becomes a singleton."""
-        assigned: Set[str] = set().union(*canopies)
-        canopies = canopies + [{entity.entity_id} for entity in entities
-                               if entity.entity_id not in assigned]
-        return Blocker._make_neighborhoods(canopies, prefix="canopy-")
-
     def build_cover(self, store: EntityStore,
                     profiles: Optional[EntityProfileIndex] = None) -> Cover:
         """Run the canopy algorithm and return the resulting cover.
@@ -294,7 +290,7 @@ class CanopyBlocker(Blocker):
                 canopy_fn = self.canopy_factory(entities, profiles)
                 canopies = self.sweep(self.shuffled_order(entities), canopy_fn)
 
-            cover = self.canopy_cover(entities, canopies)
+            cover = self._make_neighborhoods(canopies, prefix="canopy-")
             cover_span.add_attrs(neighborhoods=len(cover.names()))
         _COVERS.inc()
         _COVER_SECONDS.observe(time.perf_counter() - started)

@@ -10,10 +10,10 @@ in any matching decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..datamodel import EntityPair, EntityStore, Relation
+from ..datamodel import EntityPair, EntityStore
 from ..exceptions import CoverError
 
 
@@ -52,18 +52,42 @@ class Neighborhood:
 
 
 class Cover:
-    """An ordered collection of neighborhoods covering (part of) the entities."""
+    """An ordered collection of neighborhoods covering (part of) the entities.
 
-    def __init__(self, neighborhoods: Iterable[Neighborhood] = ()):
+    Membership is indexed by member set: ``entity -> member sets holding
+    it``, ``member set -> names``.  A cover built with ``previous`` edits a
+    copy of that cover's index for the member sets that appeared or
+    disappeared, instead of re-indexing every neighborhood — how the
+    streaming maintainer patches its cover each batch (neighborhood names
+    shift as canopies come and go, member sets mostly do not).
+    """
+
+    def __init__(self, neighborhoods: Iterable[Neighborhood] = (),
+                 previous: Optional["Cover"] = None):
         self._neighborhoods: List[Neighborhood] = list(neighborhoods)
-        names = [n.name for n in self._neighborhoods]
-        if len(names) != len(set(names)):
-            raise CoverError("neighborhood names within a cover must be unique")
-        self._membership: Dict[str, Set[str]] = {}
-        for neighborhood in self._neighborhoods:
-            for entity_id in neighborhood:
-                self._membership.setdefault(entity_id, set()).add(neighborhood.name)
         self._by_name: Dict[str, Neighborhood] = {n.name: n for n in self._neighborhoods}
+        if len(self._by_name) != len(self._neighborhoods):
+            raise CoverError("neighborhood names within a cover must be unique")
+        self._names: Dict[FrozenSet[str], List[str]] = {}
+        for neighborhood in self._neighborhoods:
+            self._names.setdefault(neighborhood.entity_ids, []).append(neighborhood.name)
+        old_names, membership = ({}, {}) if previous is None \
+            else (previous._names, dict(previous._membership))
+        dropped = old_names.keys() - self._names.keys()
+        added = self._names.keys() - old_names.keys()
+        touched = set().union(*dropped, *added)
+        for entity_id in touched:       # copied: ``previous`` keeps its index
+            membership[entity_id] = set(membership.get(entity_id, ()))
+        for members in dropped:
+            for entity_id in members:
+                membership[entity_id].discard(members)
+        for members in added:
+            for entity_id in members:
+                membership[entity_id].add(members)
+        for entity_id in touched:
+            if not membership[entity_id]:
+                del membership[entity_id]
+        self._membership: Dict[str, Set[FrozenSet[str]]] = membership
 
     # ---------------------------------------------------------------- basics
     def __len__(self) -> int:
@@ -74,6 +98,10 @@ class Cover:
 
     def __getitem__(self, index: int) -> Neighborhood:
         return self._neighborhoods[index]
+
+    def get(self, name: str) -> Optional[Neighborhood]:
+        """The neighborhood named ``name``, or ``None``."""
+        return self._by_name.get(name)
 
     def neighborhood(self, name: str) -> Neighborhood:
         try:
@@ -88,14 +116,20 @@ class Cover:
         """Union of all neighborhoods."""
         return frozenset(self._membership)
 
+    def _names_of(self, member_sets: Iterable[FrozenSet[str]]) -> FrozenSet[str]:
+        names = self._names
+        return frozenset(name for members in member_sets for name in names[members])
+
     def neighborhoods_of(self, entity_id: str) -> FrozenSet[str]:
         """Names of the neighborhoods containing ``entity_id``."""
-        return frozenset(self._membership.get(entity_id, frozenset()))
+        return self._names_of(self._membership.get(entity_id, ()))
 
     def neighborhoods_of_pair(self, pair: EntityPair) -> FrozenSet[str]:
         """Names of the neighborhoods containing *both* members of ``pair``."""
-        return frozenset(self._membership.get(pair.first, frozenset())
-                         & self._membership.get(pair.second, frozenset()))
+        held = self._membership.get(pair.first)
+        if not held:
+            return frozenset()
+        return self._names_of(held.intersection(self._membership.get(pair.second, ())))
 
     # ------------------------------------------------------------ validation
     def covers(self, entity_ids: Iterable[str]) -> bool:
@@ -129,15 +163,13 @@ class Cover:
         return missing
 
     def _tuple_covered(self, tup: Sequence[str]) -> bool:
-        common: Optional[Set[str]] = None
-        for entity_id in tup:
-            neighborhoods = self._membership.get(entity_id)
-            if not neighborhoods:
-                return False
-            common = set(neighborhoods) if common is None else common & neighborhoods
-            if not common:
-                return False
-        return bool(common)
+        membership = self._membership
+        held = membership.get(tup[0])
+        if not held:
+            return False
+        if len(tup) == 2:       # the common case, without building a set
+            return not held.isdisjoint(membership.get(tup[1], ()))
+        return bool(held.intersection(*(membership.get(e, ()) for e in tup[1:])))
 
     def is_total(self, store: EntityStore,
                  relation_names: Optional[Iterable[str]] = None) -> bool:

@@ -53,8 +53,8 @@ from typing import (
 from ..exceptions import UnknownEntityError, UnknownRelationError
 from .entity import Entity
 from .pair import EntityPair
-from .relation import Relation, RelationTuple
-from .store import EntityStore, SimilarityEdge
+from .relation import Relation, RelationReads, RelationTuple
+from .store import SimilarityEdge, StoreReads
 
 #: An int-encoded relation tuple.
 IndexTuple = Tuple[int, ...]
@@ -128,7 +128,7 @@ class EntityInterner:
         return self._ids
 
 
-class CompactRelation:
+class CompactRelation(RelationReads):
     """A relation as flat int-encoded tuples with CSR adjacency.
 
     Implements the read interface of
@@ -211,9 +211,6 @@ class CompactRelation:
             return False
         return self._encode(entity_ids) in self._tuple_set
 
-    def tuples(self) -> FrozenSet[RelationTuple]:
-        return frozenset(self)
-
     def tuples_of(self, entity_id: str) -> FrozenSet[RelationTuple]:
         entity_index = self._index_of(entity_id)
         if entity_index is None:
@@ -256,21 +253,6 @@ class CompactRelation:
         for tuple_index in self.induced_tuple_indices(members):
             induced.add_canonical(decoded[tuple_index])
         return induced
-
-    def copy(self) -> Relation:
-        """A mutable dict-backed copy (compact relations are immutable)."""
-        clone = Relation(self.name, self.arity, self.symmetric)
-        for tup in self:
-            clone.add_canonical(tup)
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (CompactRelation, Relation)):
-            return NotImplemented
-        return (self.name == other.name
-                and self.arity == other.arity
-                and self.symmetric == other.symmetric
-                and self.tuples() == other.tuples())
 
     def __hash__(self) -> int:  # pragma: no cover - relations rarely hashed
         return hash((self.name, self.arity, self.symmetric))
@@ -343,7 +325,7 @@ class InducedRelation(CompactRelation):
                 if members.issuperset(tuples[tuple_index])]
 
 
-class CompactStore:
+class CompactStore(StoreReads):
     """Immutable columnar snapshot of an EM instance.
 
     Exposes the read interface of :class:`EntityStore`; mutation methods
@@ -426,12 +408,6 @@ class CompactStore:
     def __len__(self) -> int:
         return len(self._entities)
 
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self.interner
-
-    def __iter__(self) -> Iterator[Entity]:
-        return iter(self._entities)
-
     # -------------------------------------------------------------- relations
     def relation(self, name: str) -> CompactRelation:
         try:
@@ -444,9 +420,6 @@ class CompactStore:
 
     def relation_names(self) -> List[str]:
         return sorted(self._relations)
-
-    def relations(self) -> List[CompactRelation]:
-        return [self._relations[name] for name in sorted(self._relations)]
 
     # ------------------------------------------------------------- similarity
     def _edge_key(self, pair: EntityPair) -> Optional[IndexPair]:
@@ -539,25 +512,8 @@ class CompactStore:
                 for first, second in encoded]
 
     # ---------------------------------------------------------------- utility
-    def related_entities(self, entity_id: str,
-                         relation_names: Optional[Iterable[str]] = None) -> Set[str]:
-        names = list(relation_names) if relation_names is not None \
-            else self.relation_names()
-        related: Set[str] = set()
-        for name in names:
-            related.update(self.relation(name).neighbors(entity_id))
-        return related
-
     def copy(self) -> "CompactStore":
         return CompactStore.from_store(self)
-
-    def to_entity_store(self) -> EntityStore:
-        """Materialise a mutable dict-backed :class:`EntityStore`."""
-        store = EntityStore(entities=self._entities,
-                            relations=(rel.copy() for rel in self.relations()))
-        for edge in self.similarity_edges():
-            store.add_similarity(edge.pair, edge.score, edge.level)
-        return store
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -593,7 +549,7 @@ class CompactStore:
                 f"similar_pairs={stats['similar_pairs']})")
 
 
-class StoreView:
+class StoreView(StoreReads):
     """Lazy, zero-copy window over an id-subset of a :class:`CompactStore`.
 
     Construction is O(1) beyond holding the member set; every read resolves
@@ -646,18 +602,8 @@ class StoreView:
     def entities(self) -> List[Entity]:
         return [self.base.entity_at(index) for index in self._ordered_members()]
 
-    def entities_of_type(self, entity_type: str) -> List[Entity]:
-        return [entity for entity in self.entities()
-                if entity.entity_type == entity_type]
-
     def __len__(self) -> int:
         return len(self._members)
-
-    def __contains__(self, entity_id: str) -> bool:
-        return self.has_entity(entity_id)
-
-    def __iter__(self) -> Iterator[Entity]:
-        return iter(self.entities())
 
     # -------------------------------------------------------------- relations
     def relation(self, name: str) -> InducedRelation:
@@ -668,9 +614,6 @@ class StoreView:
 
     def relation_names(self) -> List[str]:
         return self.base.relation_names()
-
-    def relations(self) -> List[InducedRelation]:
-        return [self.relation(name) for name in self.relation_names()]
 
     # ------------------------------------------------------------- similarity
     def _member_edge_indices(self) -> List[int]:
@@ -691,10 +634,6 @@ class StoreView:
         if key is None or key[0] not in self._members or key[1] not in self._members:
             return None
         return self.base.similarity(pair)
-
-    def similarity_level(self, pair: EntityPair, default: int = 0) -> int:
-        edge = self.similarity(pair)
-        return edge.level if edge is not None else default
 
     def similar_pairs(self) -> FrozenSet[EntityPair]:
         if self._similar_pairs is None:
@@ -722,30 +661,6 @@ class StoreView:
         for entity_id in entity_ids:
             indices.append(self._index_of_member(entity_id))
         return StoreView(self.base, frozenset(indices))
-
-    # ---------------------------------------------------------------- utility
-    related_entities = CompactStore.related_entities    # reads only the store API
-
-    def copy(self) -> EntityStore:
-        return self.to_entity_store()
-
-    def to_entity_store(self) -> EntityStore:
-        """Materialise the induced sub-instance as a dict-backed store."""
-        store = EntityStore(entities=self.entities(),
-                            relations=(self.relation(name).copy()
-                                       for name in self.relation_names()))
-        for edge in self.similarity_edges():
-            store.add_similarity(edge.pair, edge.score, edge.level)
-        return store
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entities": len(self._members),
-            "relations": len(self.relation_names()),
-            "relation_tuples": sum(len(self.relation(name))
-                                   for name in self.relation_names()),
-            "similar_pairs": len(self._member_edge_indices()),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StoreView(entities={len(self._members)}, "

@@ -185,6 +185,51 @@ class Relation:
         )
 
 
+class RelationReads:
+    """The relation read interface that follows from ``tuples_of``,
+    iteration and ``in``: mixed into the relation-likes besides
+    :class:`Relation` (compact relations, overlaid relations, induced
+    windows), which answer those three their own way."""
+
+    __slots__ = ()
+
+    def contains(self, *entity_ids: str) -> bool:
+        return entity_ids in self
+
+    def tuples(self) -> FrozenSet[RelationTuple]:
+        return frozenset(self)
+
+    def neighbors(self, entity_id: str) -> Set[str]:
+        out: Set[str] = set()
+        for tup in self.tuples_of(entity_id):
+            out.update(tup)
+        out.discard(entity_id)
+        return out
+
+    def participants(self) -> Set[str]:
+        return {entity_id for tup in self for entity_id in tup}
+
+    def tuples_touching(self, entity_ids: Iterable[str]) -> Iterator[RelationTuple]:
+        """Tuples with at least one member in ``entity_ids`` (may repeat)."""
+        members = entity_ids if isinstance(entity_ids, (set, frozenset)) \
+            else set(entity_ids)
+        for entity_id in members:
+            yield from self.tuples_of(entity_id)
+
+    def copy(self) -> Relation:
+        """A plain mutable :class:`Relation` with the same tuples."""
+        clone = Relation(self.name, self.arity, self.symmetric)
+        for tup in self:
+            clone.add_canonical(tup)
+        return clone
+
+    def __eq__(self, other: object) -> bool:
+        if not hasattr(other, "tuples"):
+            return NotImplemented
+        return (self.name, self.arity, self.symmetric, self.tuples()) == \
+            (other.name, other.arity, other.symmetric, other.tuples())
+
+
 def coauthor_from_authored(authored: Relation, name: str = COAUTHOR) -> Relation:
     """Derive the symmetric ``Coauthor`` relation by self-joining ``Authored``.
 

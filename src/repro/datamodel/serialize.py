@@ -42,7 +42,8 @@ def store_to_dict(store) -> Dict:
                 "score": edge.score,
                 "level": edge.level,
             }
-            for edge in sorted(store.similarity_edges(), key=lambda e: e.pair)
+            for edge in sorted(store.similarity_edges(),
+                               key=lambda e: (e.pair.first, e.pair.second))
         ],
     }
 

@@ -324,3 +324,51 @@ class EntityStore:
         stats = self.stats()
         return (f"EntityStore(entities={stats['entities']}, relations={stats['relations']}, "
                 f"similar_pairs={stats['similar_pairs']})")
+
+
+class StoreReads:
+    """The store read interface that follows from the rest of it: mixed
+    into the stores besides :class:`EntityStore` (compact snapshots and their
+    views, the streaming overlay and its views)."""
+
+    __slots__ = ()
+
+    def entities_of_type(self, entity_type: str) -> List[Entity]:
+        return [entity for entity in self.entities()
+                if entity.entity_type == entity_type]
+
+    def __contains__(self, entity_id: str) -> bool:
+        return self.has_entity(entity_id)
+
+    def __iter__(self) -> Iterator[Entity]:
+        return iter(self.entities())
+
+    def relations(self) -> list:
+        return [self.relation(name) for name in self.relation_names()]
+
+    def similarity_level(self, pair: EntityPair, default: int = 0) -> int:
+        edge = self.similarity(pair)
+        return edge.level if edge is not None else default
+
+    def related_entities(self, entity_id: str,
+                         relation_names: Optional[Iterable[str]] = None) -> Set[str]:
+        related: Set[str] = set()
+        for name in self.relation_names() if relation_names is None else relation_names:
+            related.update(self.relation(name).neighbors(entity_id))
+        return related
+
+    def to_entity_store(self) -> EntityStore:
+        """Materialise a mutable dict store."""
+        store = EntityStore(entities=self.entities(),
+                            relations=(relation.copy() for relation in self.relations()))
+        for edge in self.similarity_edges():
+            store.add_similarity(edge.pair, edge.score, edge.level)
+        return store
+
+    def copy(self) -> EntityStore:
+        return self.to_entity_store()
+
+    def stats(self) -> Dict[str, int]:
+        return {"entities": len(self), "relations": len(self.relation_names()),
+                "relation_tuples": sum(len(relation) for relation in self.relations()),
+                "similar_pairs": len(self.similarity_edges())}

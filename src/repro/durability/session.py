@@ -175,7 +175,7 @@ class DurableStreamSession:
             else "dict"
         return {
             "backend": backend,
-            "store": store_to_dict(session.overlay.to_entity_store()),
+            "store": store_to_dict(session.overlay),
             "standing": session.standing_state(),
             "config": session.session_config(),
             "matcher_pickle": base64.b64encode(

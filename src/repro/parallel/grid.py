@@ -46,7 +46,7 @@ from ..core import NeighborhoodRunner, SchemeResult
 from ..core.activation import woken_by
 from ..core.messages import MaximalMessageSet
 from ..core.mmp import promote_messages
-from ..datamodel import CompactStore, EntityPair, EntityStore, StoreView
+from ..datamodel import CompactStore, EntityPair, EntityStore
 from ..exceptions import ExperimentError, MatcherError
 from ..matchers import TypeIIMatcher, TypeIMatcher
 from ..obs import registry as obs_registry
@@ -282,13 +282,16 @@ class GridExecutor:
                     self.executor.unshare(token)
         use_snapshot = bool(snapshot_keys)
         member_cache: Dict[str, tuple] = {}
-        # Fallback for compact stores without broadcast: ship materialised
-        # dict sub-stores (a StoreView pickles its whole base snapshot).
+        # Without a broadcast, a process pool is shipped each neighborhood as
+        # a materialised dict sub-store, once per run: a view (a StoreView,
+        # or a streaming OverlayView) pickles its whole base.  In-process
+        # executors read the view itself.
+        ships = "processes" in self.executor.kind
         shippable_cache: Dict[str, EntityStore] = {}
 
         def shippable_store(name: str) -> EntityStore:
             neighborhood_store = runner.neighborhood_store(name)
-            if isinstance(neighborhood_store, StoreView):
+            if ships and not isinstance(neighborhood_store, EntityStore):
                 cached = shippable_cache.get(name)
                 if cached is None:
                     cached = neighborhood_store.to_entity_store()

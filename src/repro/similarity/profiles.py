@@ -43,7 +43,7 @@ class EntityProfile:
     """Cached derived data of one entity: text, tokens, normalized name parts.
 
     Tokenization is lazy: blockers that only need keys or name parts (the
-    standard/sorted-neighborhood passes) never pay for it.
+    standard key passes) never pay for it.
     """
 
     __slots__ = ("entity_id", "text", "norm_first", "norm_last",

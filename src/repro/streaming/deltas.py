@@ -74,12 +74,24 @@ class RemoveTuple:
 
 @dataclass(frozen=True)
 class UpsertSimilarity:
-    """Add or update the similarity edge of a pair."""
+    """Add or update the similarity edge of a pair.
+
+    Out-of-range values are refused here, at parse time, so they can never
+    reach a write-ahead log that every later recovery would replay.
+    """
 
     pair: EntityPair
     score: float
     level: int
     op = "upsert_similarity"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.score <= 1.0:    # NaN fails this too
+            raise DeltaError(f"similarity score must be in [0, 1], "
+                             f"got {self.score!r}")
+        if self.level not in (1, 2, 3):
+            raise DeltaError(f"similarity level must be 1, 2 or 3, "
+                             f"got {self.level!r}")
 
 
 @dataclass(frozen=True)

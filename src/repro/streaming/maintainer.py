@@ -20,9 +20,17 @@ of the instance, which makes them cacheable across delta batches:
   :meth:`~repro.blocking.canopy.CanopyBlocker.build_cover` on the final
   instance while the scoring work is proportional to the delta.
 * ``expand_members(relations, canopy)`` — the boundary expansion of one
-  canopy — can only change when an added/removed relation tuple touches an
-  entity inside the cached expanded set, so expansions are memoized per
-  canopy member-set and invalidated by the tuple deltas.
+  canopy — can only change when an added/removed tuple of an expansion
+  relation touches the canopy (with more than one round: the expanded set),
+  so expansions are memoized per canopy member-set and invalidated by the
+  tuple deltas.
+
+Nothing else is rebuilt per batch either: the shuffled center order is kept
+sorted by :meth:`~repro.blocking.canopy.CanopyBlocker.center_rank` (one
+insert or delete per changed entity), the sweep goes straight to member sets
+(no intermediate canopy :class:`Cover`), and the total cover is patched from
+the previous one — only member sets that appeared or disappeared are
+re-indexed.
 
 Blockers outside the profiled author-name canopy mode (TF-IDF canopies,
 custom similarities, key-based blockers) always reblock in full: their covers
@@ -32,6 +40,7 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..blocking import Blocker, CanopyBlocker, Cover, Neighborhood
@@ -72,6 +81,10 @@ class IncrementalCoverMaintainer:
         self._scorer = ProfiledNameScorer(self._parts)
         # center -> (canopy, tight-removal set), patched in place by update().
         self._canopy_cache: Dict[str, Tuple[Set[str], Set[str]]] = {}
+        # The indexed entities' center ranks, sorted: the shuffled order.
+        self._ranked: List[Tuple[bytes, str]] = []
+        # The last cover handed out, which the next one is patched from.
+        self._cover: Optional[Cover] = None
         # --- expansion-side cache (all modes) ------------------------------
         self._expansion_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         # --- per-update statistics -----------------------------------------
@@ -111,6 +124,8 @@ class IncrementalCoverMaintainer:
                 entry[1].discard(entity_id)
                 self.last_patched_entries += 1
         del self._parts[entity_id]
+        del self._ranked[bisect_left(self._ranked,
+                                     self.blocker.center_rank(entity_id))]
         for token in self._profiles.pop(entity_id).token_set:
             bucket = self._postings[token]
             bucket.discard(entity_id)
@@ -128,33 +143,34 @@ class IncrementalCoverMaintainer:
         return out
 
     def _canopy_fn(self, center_id: str) -> Tuple[Set[str], Set[str]]:
-        """The profiled per-center canopy, identical to the cold path."""
+        """The profiled per-center canopy, identical to the cold path: the
+        cache entry itself, which callers must not edit."""
         cached = self._canopy_cache.get(center_id)
-        if cached is not None:
-            return set(cached[0]), set(cached[1])
-        blocker: CanopyBlocker = self.blocker  # type: ignore[assignment]
-        canopy, removed = split_canopy(center_id, self._scorer.canopy_scores(
-            center_id, self._candidates(center_id), blocker.loose_threshold),
-            blocker.tight_threshold)
-        self._canopy_cache[center_id] = (set(canopy), set(removed))
-        self.last_dirty_centers += 1
-        return canopy, removed
+        if cached is None:
+            blocker: CanopyBlocker = self.blocker  # type: ignore[assignment]
+            cached = self._canopy_cache[center_id] = split_canopy(
+                center_id, self._scorer.canopy_scores(
+                    center_id, self._candidates(center_id),
+                    blocker.loose_threshold), blocker.tight_threshold)
+            self.last_dirty_centers += 1
+        return cached
 
     # ----------------------------------------------------------- base cover
-    def _base_cover(self, store) -> Cover:
-        """The canopy cover: the acceptance sweep over the cached per-center
-        canopies in local-repair mode, a full reblock otherwise."""
+    def _base_canopies(self, store) -> List[Tuple[str, FrozenSet[str]]]:
+        """The base cover as ``(name, members)``: the acceptance sweep over
+        the cached canopies in the kept order in local-repair mode, a full
+        reblock otherwise.  The sweep leaves no entity to a singleton: each
+        one is in the canopy of the center that took it out of the pool."""
         blocker = self.blocker
         if not self.supports_local_repair:
             base_cover = blocker.build_cover(store)
             self.last_center_count = len(base_cover)
             self.last_full_rebuild = True
-            return base_cover
-        entities = blocker.clustered_entities(store)
-        self.last_center_count = len(entities)
-        order = blocker.shuffled_order(entities)
-        return blocker.canopy_cover(
-            entities, blocker.sweep(order, self._canopy_fn))
+            return [(n.name, n.entity_ids) for n in base_cover]
+        order = [entity_id for _, entity_id in self._ranked]
+        self.last_center_count = len(order)
+        return [(f"canopy-{index}", frozenset(canopy)) for index, canopy
+                in enumerate(blocker.sweep(order, self._canopy_fn))]
 
     def _sync_profiles(self, store) -> None:
         """Cold-start the profile index from the full instance."""
@@ -164,30 +180,35 @@ class IncrementalCoverMaintainer:
         for entity in store.entities():
             if self._relevant(entity):
                 self._index_profile(entity)
+        self._ranked = sorted(map(self.blocker.center_rank, self._profiles))
 
     # ------------------------------------------------------------ expansion
     def _total_cover(self, store) -> Cover:
-        """Base cover, then boundary expansion through the expansion cache."""
-        base_cover = self._base_cover(store)
+        """Base cover, then boundary expansion through the expansion cache,
+        patched into the previous cover."""
         names = self.relation_names if self.relation_names is not None \
             else store.relation_names()
         relations = [store.relation(name) for name in names]
         fresh_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         expanded: List[Neighborhood] = []
-        for neighborhood in base_cover:
-            members = neighborhood.entity_ids
+        previous = self._cover
+        for name, members in self._base_canopies(store):
             expansion = self._expansion_cache.get(members)
             if expansion is None:
                 expansion = frozenset(expand_members(relations, members, self.rounds))
             fresh_cache[members] = expansion
-            expanded.append(Neighborhood(neighborhood.name, expansion))
+            # A neighborhood that kept its name and members is reused.
+            kept = previous.get(name) if previous is not None else None
+            expanded.append(kept if kept is not None and kept.entity_ids == expansion
+                            else Neighborhood(name, expansion))
         # Entries for canopies that no longer exist are dropped here, so the
         # cache never outlives the cover it describes (a member set that
         # disappears and later reappears must be recomputed: intermediate
         # batches did not track its staleness).
         self._expansion_cache = fresh_cache
-        total = attach_leftover_singletons(expanded, store)
+        total = attach_leftover_singletons(expanded, store, previous)
         validate_total(total, store, self.relation_names)
+        self._cover = total
         return total
 
     # ----------------------------------------------------------------- cold
@@ -198,6 +219,7 @@ class IncrementalCoverMaintainer:
         self.last_dirty_centers = self.last_patched_entries = 0
         self._canopy_cache.clear()
         self._expansion_cache.clear()
+        self._cover = None
         if self.supports_local_repair:
             self._sync_profiles(store)
             for center_id, (canopy, tight) in (canopies or {}).items():
@@ -225,14 +247,17 @@ class IncrementalCoverMaintainer:
         self.last_full_rebuild = False
 
         # Expansion invalidation first — it is mode-independent.  A cached
-        # expansion can only change when a changed tuple (or a removed
-        # entity) touches an entity inside the expanded set.
-        touched = impact.tuple_touched_entities() | impact.changed_entity_ids()
+        # expansion can only change when a changed tuple of an expansion
+        # relation touches its members (after one round; with more, its
+        # expanded set).  A removed entity's tuples are among the changes.
+        names = self.relation_names
+        touched = {entity_id for name, tup in impact.changed_tuples
+                   if names is None or name in names for entity_id in tup}
         if touched:
             self._expansion_cache = {
                 members: expansion
                 for members, expansion in self._expansion_cache.items()
-                if not (expansion & touched)}
+                if touched.isdisjoint(members if self.rounds == 1 else expansion)}
 
         if self.supports_local_repair:
             self._patch_canopies(store, impact)
@@ -248,15 +273,16 @@ class IncrementalCoverMaintainer:
             entity = store.entity(entity_id)
             if self._relevant(entity):
                 self._index_profile(entity)
+                insort(self._ranked, self.blocker.center_rank(entity_id))
                 changed.append(entity_id)
         # Every new rendering is indexed before any is scored, so each sweep
         # sees the final instance.
         for entity_id in changed:
             canopy, tight = self._canopy_fn(entity_id)
-            canopy.discard(entity_id)
             for center_id in canopy:
                 entry = self._canopy_cache.get(center_id)
-                if entry is not None and entity_id not in entry[0]:
+                if center_id != entity_id and entry is not None \
+                        and entity_id not in entry[0]:
                     entry[0].add(entity_id)
                     if center_id in tight:
                         entry[1].add(entity_id)

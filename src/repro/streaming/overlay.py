@@ -6,8 +6,9 @@ entities, relation tuples and similarity edges over the base snapshot — which
 may be the reference dict :class:`~repro.datamodel.EntityStore` or an
 immutable columnar :class:`~repro.datamodel.CompactStore`.  The overlay
 exposes the full *read* interface of :class:`EntityStore`, so covers are
-(re)built against it and neighborhood sub-stores are materialised from it
-exactly as they would be from a cold store.
+(re)built against it, and its :meth:`StoreOverlay.restrict` hands each
+neighborhood out as an :class:`OverlayView` — the same reads a materialised
+sub-store would answer, answered through base and overlay, nothing copied.
 
 When the overlay grows past a threshold the session *rebases*: the overlay is
 materialised into a fresh base snapshot (compact again when the base was
@@ -29,12 +30,14 @@ from ..datamodel import (
     Relation,
     SimilarityEdge,
 )
+from ..datamodel.relation import RelationReads
+from ..datamodel.store import StoreReads
 from ..exceptions import DeltaError, UnknownEntityError, UnknownRelationError
 
 RelationTuple = Tuple[str, ...]
 
 
-class RelationOverlay:
+class RelationOverlay(RelationReads):
     """Read view of one relation: base tuples minus removals plus additions."""
 
     def __init__(self, base):
@@ -110,38 +113,12 @@ class RelationOverlay:
             return False
         return canonical in self._added or canonical in self._base
 
-    def contains(self, *entity_ids: str) -> bool:
-        return self.__contains__(entity_ids)
-
-    def tuples(self) -> FrozenSet[RelationTuple]:
-        return frozenset(self)
-
     def tuples_of(self, entity_id: str) -> FrozenSet[RelationTuple]:
         base_tuples = self._base.tuples_of(entity_id)
         if self._removed:
             base_tuples = base_tuples - self._removed
         added = self._added_index.get(entity_id)
         return base_tuples | added if added else frozenset(base_tuples)
-
-    def neighbors(self, entity_id: str) -> Set[str]:
-        out: Set[str] = set()
-        for tup in self.tuples_of(entity_id):
-            out.update(tup)
-        out.discard(entity_id)
-        return out
-
-    def participants(self) -> Set[str]:
-        out: Set[str] = set()
-        for tup in self:
-            out.update(tup)
-        return out
-
-    def tuples_touching(self, entity_ids: Iterable[str]) -> Iterator[RelationTuple]:
-        """Tuples with at least one member in ``entity_ids`` (may repeat)."""
-        members = entity_ids if isinstance(entity_ids, (set, frozenset)) \
-            else set(entity_ids)
-        for entity_id in members:
-            yield from self.tuples_of(entity_id)
 
     def induced(self, entity_ids: Iterable[str]) -> Relation:
         allowed = set(entity_ids)
@@ -155,13 +132,6 @@ class RelationOverlay:
                 if allowed.issuperset(tup):
                     induced.add_canonical(tup)
         return induced
-
-    def copy(self) -> Relation:
-        """Materialise the overlaid relation into a plain mutable Relation."""
-        clone = Relation(self.name, self.arity, self.symmetric)
-        for tup in self:
-            clone.add(*tup)
-        return clone
 
 
 @dataclass
@@ -188,19 +158,8 @@ class DeltaImpact:
                     or self.removed_entities or self.changed_tuples
                     or self.changed_similarity or self.changed_evidence)
 
-    def changed_entity_ids(self) -> Set[str]:
-        """All entity ids whose own record changed (added/updated/removed)."""
-        return self.added_entities | self.updated_entities | self.removed_entities
 
-    def tuple_touched_entities(self) -> Set[str]:
-        """Entity ids occurring in any added or removed relation tuple."""
-        touched: Set[str] = set()
-        for _, tup in self.changed_tuples:
-            touched.update(tup)
-        return touched
-
-
-class StoreOverlay:
+class StoreOverlay(StoreReads):
     """EntityStore-compatible read view of ``base`` plus layered mutations."""
 
     def __init__(self, base):
@@ -343,18 +302,8 @@ class StoreOverlay:
         out.extend(self._added_entities.values())
         return out
 
-    def entities_of_type(self, entity_type: str) -> List[Entity]:
-        return [entity for entity in self.entities()
-                if entity.entity_type == entity_type]
-
     def __len__(self) -> int:
         return len(self.entity_ids())
-
-    def __contains__(self, entity_id: str) -> bool:
-        return self.has_entity(entity_id)
-
-    def __iter__(self) -> Iterator[Entity]:
-        return iter(self.entities())
 
     # ------------------------------------------------------------ relations
     def relation(self, name: str) -> RelationOverlay:
@@ -369,9 +318,6 @@ class StoreOverlay:
     def relation_names(self) -> List[str]:
         return sorted(self._relations)
 
-    def relations(self) -> List[RelationOverlay]:
-        return [self._relations[name] for name in sorted(self._relations)]
-
     # ----------------------------------------------------------- similarity
     def similarity(self, pair: EntityPair) -> Optional[SimilarityEdge]:
         edge = self._added_edges.get(pair)
@@ -380,10 +326,6 @@ class StoreOverlay:
         if pair in self._removed_edges:
             return None
         return self.base.similarity(pair)
-
-    def similarity_level(self, pair: EntityPair, default: int = 0) -> int:
-        edge = self.similarity(pair)
-        return edge.level if edge is not None else default
 
     def similar_pairs(self) -> FrozenSet[EntityPair]:
         cached = self._memo.get("similar_pairs")
@@ -396,7 +338,7 @@ class StoreOverlay:
     def similar_pairs_of(self, entity_id: str) -> FrozenSet[EntityPair]:
         base_pairs = self.base.similar_pairs_of(entity_id) \
             if self.base.has_entity(entity_id) else frozenset()
-        if self._removed_edges:
+        if base_pairs and self._removed_edges:
             base_pairs = base_pairs - self._removed_edges
         added = self._added_edge_index.get(entity_id)
         return frozenset(base_pairs | added) if added else frozenset(base_pairs)
@@ -415,36 +357,13 @@ class StoreOverlay:
             yield pair, edge
 
     # ---------------------------------------------------------- restriction
-    def restrict(self, entity_ids: Iterable[str]) -> EntityStore:
-        """Materialise the induced sub-instance as a plain dict store."""
-        selected = set(entity_ids)
-        unknown = {eid for eid in selected if not self.has_entity(eid)}
+    def restrict(self, entity_ids: Iterable[str]) -> "OverlayView":
+        """The induced sub-instance as a read-only :class:`OverlayView`."""
+        selected = frozenset(entity_ids)
+        unknown = [eid for eid in selected if not self.has_entity(eid)]
         if unknown:
             raise UnknownEntityError(sorted(unknown)[0])
-        restricted = EntityStore(
-            entities=(self.entity(eid) for eid in selected),
-            relations=(overlay.induced(selected)
-                       for overlay in self._relations.values()),
-        )
-        seen: Set[EntityPair] = set()
-        for entity_id in selected:
-            for pair in self.similar_pairs_of(entity_id):
-                if pair in seen:
-                    continue
-                if pair.first in selected and pair.second in selected:
-                    seen.add(pair)
-                    edge = self.similarity(pair)
-                    restricted.add_similarity(pair, edge.score, edge.level)
-        return restricted
-
-    # -------------------------------------------------------------- utility
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entities": len(self),
-            "relations": len(self._relations),
-            "relation_tuples": sum(len(rel) for rel in self._relations.values()),
-            "similar_pairs": len(self.similar_pairs()),
-        }
+        return OverlayView(self, selected)
 
     # ---------------------------------------------------------------- apply
     def apply_delta(self, delta, impact: DeltaImpact) -> None:
@@ -514,6 +433,125 @@ class StoreOverlay:
         return materialised
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        stats = self.stats()
-        return (f"StoreOverlay(entities={stats['entities']}, "
+        return (f"StoreOverlay(entities={len(self)}, "
                 f"mutations={self.mutation_count}, delta={self.delta_size()})")
+
+
+class InducedWindow(RelationReads):
+    """``R(C)`` of one relation, read through: a tuple of the relation shows
+    when every entity in it is a member of ``C``.  Nothing is copied up
+    front; each member's tuples are filtered once, on first read, and the
+    full tuple set is worked out on first need."""
+
+    def __init__(self, relation, members: FrozenSet[str]):
+        self._relation, self._members = relation, members
+        self.name, self.arity, self.symmetric = \
+            relation.name, relation.arity, relation.symmetric
+        self._of: Dict[str, FrozenSet[RelationTuple]] = {}
+        self._shown: Optional[FrozenSet[RelationTuple]] = None
+
+    def tuples_of(self, entity_id: str) -> FrozenSet[RelationTuple]:
+        shown = self._of.get(entity_id)
+        if shown is None:
+            members = self._members
+            shown = self._of[entity_id] = frozenset(
+                tup for tup in self._relation.tuples_of(entity_id)
+                if members.issuperset(tup)) if entity_id in members \
+                else frozenset()
+        return shown
+
+    def tuples(self) -> FrozenSet[RelationTuple]:
+        if self._shown is None:
+            self._shown = frozenset(self.tuples_touching(self._members))
+        return self._shown
+
+    def __len__(self) -> int:
+        return len(self.tuples())
+
+    def __iter__(self) -> Iterator[RelationTuple]:
+        return iter(self.tuples())
+
+    def __contains__(self, tup: Sequence[str]) -> bool:
+        return self._members.issuperset(tup) and tup in self._relation
+
+    def induced(self, entity_ids: Iterable[str]) -> Relation:
+        return self._relation.induced(self._members.intersection(entity_ids))
+
+
+class OverlayView(StoreReads):
+    """Read-only window of one neighborhood over a :class:`StoreOverlay`.
+
+    The streaming runner's neighborhood store, over a dict base and a compact
+    one alike: every read resolves through the overlay (base plus layered
+    deltas) and is filtered by the member set, so a commit pays only for
+    what its matcher reads.  A view stays valid while its sub-instance is
+    unchanged — which is exactly when the runner keeps it for a clean
+    neighborhood across batches.  ``to_entity_store()`` materialises a
+    mutable copy (what a process pool is shipped).
+    """
+
+    def __init__(self, overlay: StoreOverlay, members: FrozenSet[str]):
+        self.overlay, self._members = overlay, members
+        self._relations: Dict[str, InducedWindow] = {}
+        self._edges: Optional[List[SimilarityEdge]] = None
+
+    def entity(self, entity_id: str) -> Entity:
+        if entity_id not in self._members:
+            raise UnknownEntityError(entity_id)
+        return self.overlay.entity(entity_id)
+
+    def has_entity(self, entity_id: str) -> bool:
+        return entity_id in self._members
+
+    def entity_ids(self) -> FrozenSet[str]:
+        return self._members
+
+    def entities(self) -> List[Entity]:
+        return [self.overlay.entity(eid) for eid in sorted(self._members)]
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def relation(self, name: str) -> InducedWindow:
+        window = self._relations.get(name)
+        if window is None:
+            window = self._relations[name] = InducedWindow(
+                self.overlay.relation(name), self._members)
+        return window
+
+    def has_relation(self, name: str) -> bool:
+        return self.overlay.has_relation(name)
+
+    def relation_names(self) -> List[str]:
+        return self.overlay.relation_names()
+
+    def similarity(self, pair: EntityPair) -> Optional[SimilarityEdge]:
+        if pair.first in self._members and pair.second in self._members:
+            return self.overlay.similarity(pair)
+        return None
+
+    def similar_pairs_of(self, entity_id: str) -> FrozenSet[EntityPair]:
+        members = self._members
+        if entity_id not in members:
+            return frozenset()
+        return frozenset(pair for pair in self.overlay.similar_pairs_of(entity_id)
+                         if pair.first in members and pair.second in members)
+
+    def similarity_edges(self) -> List[SimilarityEdge]:
+        if self._edges is None:
+            # Each inner edge once, from its first member.
+            overlay, members = self.overlay, self._members
+            self._edges = [overlay.similarity(pair) for entity_id in members
+                           for pair in overlay.similar_pairs_of(entity_id)
+                           if pair.first == entity_id and pair.second in members]
+        return list(self._edges)
+
+    def similar_pairs(self) -> FrozenSet[EntityPair]:
+        return frozenset(edge.pair for edge in self.similarity_edges())
+
+    def restrict(self, entity_ids: Iterable[str]) -> "OverlayView":
+        selected = frozenset(entity_ids)
+        unknown = selected - self._members
+        if unknown:
+            raise UnknownEntityError(sorted(unknown)[0])
+        return OverlayView(self.overlay, selected)

@@ -155,7 +155,7 @@ class StreamSession:
         self.evidence: Evidence = Evidence.empty()
         self._results: Dict[Members, FrozenSet[EntityPair]] = {}
         self._origins: Dict[EntityPair, Tuple[Members, int]] = {}
-        # Materialised neighborhood stores of *clean* neighborhoods, kept
+        # Neighborhood stores (overlay views) of *clean* neighborhoods, kept
         # across batches so caching matchers (the MLN matcher's per-store
         # ground networks and warm-start results) survive between deltas —
         # re-grounding is then paid only where the sub-instance changed.
@@ -175,12 +175,13 @@ class StreamSession:
     def _store_view(self):
         """The instance the cover and the matcher runs read.
 
-        With no layered mutations (cold start, or right after a rebase) the
-        base snapshot is handed out directly so a compact base keeps its
-        zero-copy restriction path.
+        The overlay, whose neighborhoods are read-only views; a compact base
+        with no layered mutations (cold start, or right after a rebase) is
+        handed out directly, keeping its broadcast snapshot path.
         """
-        if self.overlay.delta_size() == 0:
-            return self.overlay.base
+        base = self.overlay.base
+        if isinstance(base, CompactStore) and self.overlay.delta_size() == 0:
+            return base
         return self.overlay
 
     # ------------------------------------------------------------ cold start
@@ -285,6 +286,8 @@ class StreamSession:
                 with span("stream.rebase"):
                     crash_point("rebase.before")
                     self.overlay = StoreOverlay(self.overlay.rebase())
+                    # Cached views read through the retired overlay.
+                    self._store_cache = {}
                     crash_point("rebase.after")
                 rebased = True
                 _STREAM_REBASES.inc()
@@ -417,40 +420,43 @@ class StreamSession:
         contains a dropped pair is scheduled for re-matching — if the pair is
         still genuinely derivable the re-run brings it straight back.
         """
-        clean_sets = {
-            neighborhood.entity_ids: neighborhood.name
-            for neighborhood in cover
-            if neighborhood.name not in dirty_names
-            and neighborhood.entity_ids in self._results}
+        clean = {neighborhood.entity_ids for neighborhood in cover
+                 if neighborhood.name not in dirty_names
+                 and neighborhood.entity_ids in self._results}
+        positive = self.evidence.positive
 
-        # Standing pairs inside each clean neighborhood (candidate deps).
-        inside: Dict[Members, List[EntityPair]] = {}
-        for pair in self.matches:
-            for name in cover.neighborhoods_of_pair(pair):
-                members = cover.neighborhood(name).entity_ids
-                if members in clean_sets:
-                    inside.setdefault(members, []).append(pair)
-
-        def round_of(pair: EntityPair) -> int:
-            origin = self._origins.get(pair)
-            return origin[1] if origin is not None else _EVIDENCE_ROUND
-
-        valid: Set[EntityPair] = set(self.evidence.positive)
-        for pair in sorted(self.matches, key=lambda p: (round_of(p), p)):
-            if pair in valid:
-                continue
+        # One pass splits the derived pairs: those whose origin is gone or
+        # dirty (or that were evidence, since retracted) fall at once; the
+        # rest are listed under their clean origin with their round.
+        derived_in: Dict[Members, List[Tuple[int, EntityPair]]] = {}
+        falling: List[Tuple[int, EntityPair]] = []
+        for pair in self.matches - positive:
             origin = self._origins.get(pair)
             if origin is None:
-                continue  # was external evidence, since retracted
-            members, pair_round = origin
-            if members not in clean_sets:
-                continue
-            deps_ok = all(
-                dep in valid
-                for dep in inside.get(members, ())
-                if dep != pair and round_of(dep) < pair_round)
-            if deps_ok:
-                valid.add(pair)
+                falling.append((_EVIDENCE_ROUND, pair))
+            elif origin[0] not in clean:
+                falling.append((origin[1], pair))
+            else:
+                derived_in.setdefault(origin[0], []).append((origin[1], pair))
+
+        # A fallen pair takes down every pair a clean neighborhood holding it
+        # derived in a later round (it may have been that derivation's
+        # evidence); walked from the fallen pairs only, in any order: the
+        # result is the least fixpoint either way.
+        dropped = {pair for _, pair in falling}
+        lowest: Dict[Members, int] = {}
+        while falling:
+            pair_round, pair = falling.pop()
+            for name in cover.neighborhoods_of_pair(pair):
+                members = cover.neighborhood(name).entity_ids
+                if members not in clean or lowest.get(members, pair_round + 1) <= pair_round:
+                    continue
+                lowest[members] = pair_round
+                for later_round, later in derived_in.get(members, ()):
+                    if later_round > pair_round and later not in dropped:
+                        dropped.add(later)
+                        falling.append((later_round, later))
+        valid = set(positive) | (self.matches - dropped)
 
         active = set(dirty_names)
         for pair in self.matches - valid:
@@ -502,27 +508,29 @@ class StreamSession:
         rebuild the session without re-running the cold start; the
         durability layer (:mod:`repro.durability`) snapshots it.
         """
-        def as_json(pair: EntityPair) -> List[str]:
-            return [pair.first, pair.second]
+        def as_json(pairs: Iterable[EntityPair]) -> List[List[str]]:
+            # Sorted as id lists: EntityPair's order, compared in C.
+            return sorted([pair.first, pair.second] for pair in pairs)
 
         return {
             "batches_applied": self.batches_applied,
             "round_offset": self._round_offset,
-            "matches": [as_json(pair) for pair in sorted(self.matches)],
+            "matches": as_json(self.matches),
             "evidence": {
-                "positive": [as_json(p) for p in sorted(self.evidence.positive)],
-                "negative": [as_json(p) for p in sorted(self.evidence.negative)],
+                "positive": as_json(self.evidence.positive),
+                "negative": as_json(self.evidence.negative),
             },
             "results": [
-                {"members": sorted(members),
-                 "pairs": [as_json(p) for p in sorted(pairs)]}
-                for members, pairs in sorted(self._results.items(),
-                                             key=lambda kv: sorted(kv[0]))
+                {"members": members, "pairs": as_json(pairs)}
+                for members, pairs in sorted((sorted(members), pairs)
+                                             for members, pairs in self._results.items())
             ],
             "origins": [
-                {"first": pair.first, "second": pair.second,
+                {"first": first, "second": second,
                  "members": sorted(members), "round": round_index}
-                for pair, (members, round_index) in sorted(self._origins.items())
+                for first, second, members, round_index in sorted(
+                    (pair.first, pair.second, members, round_index)
+                    for pair, (members, round_index) in self._origins.items())
             ],
         }
 

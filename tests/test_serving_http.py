@@ -15,8 +15,10 @@ import urllib.request
 
 import pytest
 
+from repro.durability import DurableStreamSession
 from repro.exceptions import TaskFailedError
 from repro.matchers import MLNMatcher
+from repro.obs import registry as obs_registry
 from repro.serving import MatchService, MatchServingHTTPServer, ServiceConfig
 from repro.serving.http import MAX_BODY_BYTES
 from repro.streaming import StreamSession
@@ -159,6 +161,51 @@ class TestDeltaRoute:
         assert status == 400
         assert "malformed delta record" in doc["error"]
         assert service.current_epoch().epoch_id == 0
+
+
+@pytest.fixture()
+def durable_served(tmp_path):
+    service = MatchService(session=DurableStreamSession(
+        StreamSession(MLNMatcher(), build_shared_coauthor_store()),
+        tmp_path / "wal")).start()
+    with MatchServingHTTPServer(service) as server:
+        yield service, server.url, tmp_path / "wal"
+    service.drain(checkpoint=False)
+
+
+def _upsert(score, level):
+    return {"ops": [{"op": "upsert_similarity", "first": "c1",
+                     "second": "d1", "score": score, "level": level}]}
+
+
+def test_out_of_range_similarity_is_400_before_the_wal(durable_served):
+    """A score outside [0, 1] (NaN and inf included, which ``json.loads``
+    accepts) or a level outside {1, 2, 3} is a client error: refused before
+    the commit point, so it never reaches the WAL that recovery replays."""
+    service, url, directory = durable_served
+    appends = obs_registry.registry().get("wal_appends_total")
+    before = appends.value()
+    for score, level in ((1.5, 2), (float("nan"), 2), (float("inf"), 2),
+                         (-0.1, 2), (0.5, -3), (0.5, 99), (0.5, 0)):
+        status, doc, _ = _request(url + "/deltas", body=_upsert(score, level))
+        assert status == 400, (score, level)
+        assert "similarity" in doc["error"]
+    assert appends.value() == before
+    counters = service.metrics()["counters"]
+    assert counters["commit_failures"] == 0
+    assert counters["deltas_invalid"] == 0      # refused at parse time
+    assert service.current_epoch().epoch_id == 0
+    assert _request(url + "/deltas", body=_upsert(0.95, 3))[0] == 200
+    assert appends.value() == before + 1
+    matches = service.current_epoch().matches
+    service.drain(checkpoint=False)
+
+    recovered = MatchService.recover(directory).start()
+    try:
+        assert recovered.current_epoch().epoch_id == 1
+        assert recovered.current_epoch().matches == matches
+    finally:
+        recovered.drain(checkpoint=False)
 
 
 def _assert_retry_after(headers, doc, seconds=None):

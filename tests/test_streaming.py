@@ -62,6 +62,23 @@ def test_delta_json_rejects_unknown_op():
         log_from_dict({"format_version": 99, "batches": []})
 
 
+@pytest.mark.parametrize("score, level", [
+    (1.5, 2), (-0.5, 2), (float("nan"), 2), (float("inf"), 2),
+    (float("-inf"), 2), (0.5, 0), (0.5, -3), (0.5, 4), (0.5, 99),
+])
+def test_delta_json_rejects_an_out_of_range_similarity(score, level):
+    with pytest.raises(DeltaError, match="similarity"):
+        op_from_dict({"op": "upsert_similarity", "first": "a1",
+                      "second": "a2", "score": score, "level": level})
+
+
+@pytest.mark.parametrize("score, level", [(0.0, 1), (1.0, 3), (0.5, 2)])
+def test_delta_json_accepts_the_similarity_bounds(score, level):
+    delta = op_from_dict({"op": "upsert_similarity", "first": "a1",
+                          "second": "a2", "score": score, "level": level})
+    assert (delta.score, delta.level) == (score, level)
+
+
 @pytest.mark.parametrize("payload", [
     [],
     "trace",
