@@ -1,9 +1,9 @@
 """Bench: batched scoring kernels vs the scalar reference, with parity.
 
-The optional-numpy kernel layer (``repro.kernels``) holds two families, both
-in the cover build: batched canopy scoring over interned name parts, and the
-TF-IDF block scorer.  The scalar code paths stay in place as the
-byte-identical parity reference, so this bench records, per workload:
+The optional-numpy kernel layer (``repro.kernels``) holds one family, in the
+cover build: batched canopy scoring over interned name parts.  The scalar
+code path stays in place as the byte-identical parity reference, so this
+bench records, per workload:
 
 * **canopy sweep** — every canopy center's loose-threshold sweep over its
   token-posting candidates, scalar :meth:`ProfiledNameScorer.canopy_scores`
@@ -17,11 +17,7 @@ byte-identical parity reference, so this bench records, per workload:
   ``auto`` on a ladder of scales, each leg's per-center cost bucketed by
   candidate rows, and the pilot mean (the rows the first ``CANOPY_PILOT``
   centers in sweep order average, which is what ``auto`` decides on) at
-  which whole covers cross (``CANOPY_BREAK_EVEN``);
-* **TF-IDF cover build, in situ** — ``CanopyBlocker(similarity="tfidf")``
-  under forced ``python`` and forced ``numpy`` (``auto`` vectorises every
-  TF-IDF block whenever numpy resolves, so it is the ``numpy`` leg).  A
-  record with a parity check, not a speed gate.
+  which whole covers cross (``CANOPY_BREAK_EVEN``).
 
 The gate (and the CI numpy-job smoke step) is intact parity with a canopy
 sweep speedup over the per-workload targets in ``CONFIGS``; a faster scalar
@@ -68,20 +64,18 @@ from repro.similarity import ProfiledNameScorer
 #: is ``(preset, scale, speedup_target)``.  ``cover`` lists the in-situ cover
 #: builds as ``(preset, scale)`` — the canopy workloads, ``dblp@1.5`` (the
 #: largest ``BENCHMARK.json`` shape) and, in the default config, the scales
-#: between which the legs cross — and ``tfidf`` the TF-IDF cover builds.
+#: between which the legs cross.
 CONFIGS: Dict[str, Dict] = {
     "smoke": {
         "repeats": 3,
         "canopy": [("hepth", 4.0, 1.15)],
         "cover": [("dblp", 1.5), ("hepth", 4.0)],
-        "tfidf": [("dblp", 1.5)],
     },
     "default": {
         "repeats": 2,
         "canopy": [("hepth", 8.0, 2.3), ("dblp", 10.0, 1.1)],
         "cover": [("dblp", 1.5), ("dblp", 3.0), ("hepth", 4.0),
                   ("dblp", 6.0), ("hepth", 8.0), ("dblp", 10.0)],
-        "tfidf": [("dblp", 1.5), ("hepth", 4.0), ("dblp", 6.0)],
     },
 }
 
@@ -98,6 +92,14 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernels.json"
 
 
 # ------------------------------------------------------------- canopy sweep
+def candidates(pindex, center: str) -> set:
+    """The entities sharing a token with ``center``: its sweep's candidates."""
+    found = {entity_id for token in pindex.profile(center).token_set
+             for entity_id in pindex.postings[token]}
+    found.discard(center)
+    return found
+
+
 def run_canopy_workload(preset: str, scale: float, repeats: int,
                         target: Optional[float]) -> Dict:
     """Time every center's loose sweep, scalar vs batched, and compare."""
@@ -114,7 +116,7 @@ def run_canopy_workload(preset: str, scale: float, repeats: int,
         results = {}
         for center in centers:
             results[center] = sorted(
-                scorer.canopy_scores(center, pindex.candidates(center), loose))
+                scorer.canopy_scores(center, candidates(pindex, center), loose))
         return time.perf_counter() - started, results
 
     def batch_sweep():
@@ -236,7 +238,7 @@ def run_cover_workload(preset: str, scale: float, repeats: int) -> Dict:
             blocker.sweep(order, timed)
         cost[name] = spent_on
     accepted = list(cost["python"])          # in sweep order
-    rows_of = {center: len(pindex.candidates(center)) for center in accepted}
+    rows_of = {center: len(candidates(pindex, center)) for center in accepted}
     buckets = []
     for low, high in zip(ROW_BUCKETS, ROW_BUCKETS[1:] + (None,)):
         centers = [center for center in accepted if low <= rows_of[center]
@@ -256,23 +258,6 @@ def run_cover_workload(preset: str, scale: float, repeats: int) -> Dict:
         "per_center": buckets,
     })
     return workload
-
-
-def run_tfidf_cover_workload(preset: str, scale: float, repeats: int) -> Dict:
-    """A TF-IDF canopy cover build under each forced leg."""
-    store = CompactStore.from_store(_PRESETS[preset](scale=scale).store)
-    blocker = CanopyBlocker(similarity="tfidf", loose_threshold=0.5,
-                            tight_threshold=0.8)
-    seconds, covers = interleaved_builds(
-        blocker, store, ("python", "numpy"), repeats)
-    return {
-        "preset": preset, "scale": scale,
-        "entities": len(blocker.clustered_entities(store)),
-        "neighborhoods": len(covers["python"]),
-        "seconds": {name: round(value, 6) for name, value in seconds.items()},
-        "speedup": round(seconds["python"] / seconds["numpy"], 2),
-        "parity": covers["python"] == covers["numpy"],
-    }
 
 
 def lower_quartile(samples: List[float]) -> float:
@@ -322,9 +307,6 @@ def run_bench(config_name: str) -> Dict:
                 (w["pilot_mean_rows"], w["seconds"]["python"],
                  w["seconds"]["numpy"]) for w in covers))},
         "cover_builds": covers,
-        "tfidf_cover_builds": [
-            run_tfidf_cover_workload(preset, scale, repeats)
-            for preset, scale in config["tfidf"]] if vectorised else [],
         "canopy_sweeps": [
             run_canopy_workload(preset, scale, repeats, target)
             for preset, scale, target in config["canopy"]
@@ -348,17 +330,14 @@ def check_report(report: Dict) -> List[str]:
         if target is not None and workload["speedup"] < target:
             failures.append(f"{label}: speedup {workload['speedup']}x is "
                             f"below the {target}x target")
-    for kind, builder in (("cover_builds", "cover"),
-                          ("tfidf_cover_builds", "tfidf cover")):
-        for workload in report[kind]:
-            label = f"{builder} {workload['preset']}@{workload['scale']}"
-            if not workload["parity"]:
-                failures.append(f"{label}: covers differ between backends")
-            # TF-IDF builds record no ``auto`` leg: it is the ``numpy`` one.
-            if workload.get("auto_vs_best", 0.0) > AUTO_TOLERANCE:
-                failures.append(
-                    f"{label}: auto is {workload['auto_vs_best']}x the better "
-                    f"forced leg (limit {AUTO_TOLERANCE}x)")
+    for workload in report["cover_builds"]:
+        label = f"cover {workload['preset']}@{workload['scale']}"
+        if not workload["parity"]:
+            failures.append(f"{label}: covers differ between backends")
+        if workload["auto_vs_best"] > AUTO_TOLERANCE:
+            failures.append(
+                f"{label}: auto is {workload['auto_vs_best']}x the better "
+                f"forced leg (limit {AUTO_TOLERANCE}x)")
     return failures
 
 

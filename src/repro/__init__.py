@@ -24,9 +24,7 @@ from .blocking import (
     Blocker,
     CanopyBlocker,
     Cover,
-    MultiPassBlocker,
     Neighborhood,
-    StandardBlocker,
     build_total_cover,
     expand_to_total_cover,
 )
@@ -115,7 +113,6 @@ __all__ = [
     "MatchSet",
     "MaximalMessagePassing",
     "MaximalMessageSet",
-    "MultiPassBlocker",
     "Neighborhood",
     "NoMessagePassing",
     "PairwiseMatcher",
@@ -123,7 +120,6 @@ __all__ = [
     "RulesMatcher",
     "SchemeResult",
     "SimpleMessagePassing",
-    "StandardBlocker",
     "StoreOverlay",
     "StreamSession",
     "TypeIIMatcher",

@@ -1,19 +1,19 @@
 """Blocker interface.
 
 A *blocker* turns an :class:`~repro.datamodel.store.EntityStore` into a
-:class:`~repro.blocking.cover.Cover`.  Concrete blockers are Canopy
-clustering (the one used in the paper) and standard key-based blocking.
-Blockers only group entities; turning the cover into a *total* cover is the
-job of
+:class:`~repro.blocking.cover.Cover`.  The concrete blocker is Canopy
+clustering, the one the paper uses; the key-based blockers it is compared
+with live in ``tests/reference/blockers.py``.  Blockers only group entities;
+turning the cover into a *total* cover is the job of
 :func:`repro.blocking.boundary.expand_to_total_cover`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from ..datamodel import Entity, EntityStore
+from ..datamodel import EntityStore
 from .cover import Cover, Neighborhood
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -50,7 +50,3 @@ class Blocker(abc.ABC):
                 continue
             neighborhoods.append(Neighborhood(f"{prefix}{index}", ids))
         return Cover(neighborhoods)
-
-
-#: A blocking key function maps an entity to one key.
-KeyFunction = Callable[[Entity], str]

@@ -14,11 +14,13 @@ The result is a set of overlapping neighborhoods such that every pair of
 sufficiently-similar entities shares at least one canopy — i.e. a total cover
 over the ``Similar`` relation.
 
-Entities are tokenized and normalized once into an
-:class:`~repro.similarity.profiles.EntityProfileIndex`, pair scores go through
-memoized scorers with sound upper-bound pruning, and the ``"tfidf"``
-similarity gets its candidates *with scores* straight from the postings
-index.  The string-at-a-time builder this replaced is the oracle
+The cheap similarity is the structured author-name score
+(:data:`~repro.similarity.name_similarity.DEFAULT_AUTHOR_SIMILARITY`): the
+framework scales *any* matcher, and every entry point blocks with this one
+canopy.  Entities are tokenized and normalized once into an
+:class:`~repro.similarity.profiles.EntityProfileIndex` and pair scores go
+through a memoized scorer with sound upper-bound pruning.  The
+string-at-a-time builder this replaced is the oracle
 ``tests/reference/canopy.py``; covers are bitwise identical.
 """
 
@@ -26,10 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import Entity, EntityStore
+from ..exceptions import CoverError
 from ..kernels.names import canopy_sweep
 from ..obs import registry as obs_registry
 from ..obs.trace import span
@@ -37,9 +39,6 @@ from ..similarity.name_similarity import DEFAULT_AUTHOR_SIMILARITY
 from ..similarity.profiles import EntityProfileIndex, ProfiledNameScorer
 from .base import Blocker
 from .cover import Cover
-
-#: Cheap similarity signature: maps two entities to a score in [0, 1].
-CheapSimilarity = Callable[[Entity, Entity], float]
 
 #: ``canopy_fn(center_id) -> (canopy ids, removed ids)`` — one center's canopy.
 CanopyFn = Callable[[str], Tuple[Set[str], Set[str]]]
@@ -51,7 +50,12 @@ _COVER_SECONDS = obs_registry.histogram(
 
 
 def author_name_cheap_similarity(a: Entity, b: Entity) -> float:
-    """Default cheap similarity for author references: structured name score."""
+    """The canopy's cheap similarity, one pair of entities at a time.
+
+    The blocker scores through :class:`ProfiledNameScorer` instead; this
+    spelling is what ``tests/reference/canopy.py`` scores with, and what a
+    blocker pickled before the ``similarity`` parameter was removed names.
+    """
     return DEFAULT_AUTHOR_SIMILARITY.score_entities(a, b)
 
 
@@ -82,10 +86,6 @@ class CanopyBlocker(Blocker):
     tight_threshold:
         Entities at least this similar to the center stop being candidate
         centers themselves.  Must be ≥ ``loose_threshold``.
-    similarity:
-        Cheap entity-pair similarity; defaults to the structured author-name
-        score.  The string ``"tfidf"`` selects TF-IDF cosine over the text
-        attributes (vectorizer fitted on the clustered entities).
     entity_type:
         When set, only entities of this type are clustered into canopies
         (papers, for instance, are attached later via boundary expansion).
@@ -100,18 +100,13 @@ class CanopyBlocker(Blocker):
     """
 
     def __init__(self, loose_threshold: float = 0.78, tight_threshold: float = 0.92,
-                 similarity: Union[CheapSimilarity, str] = author_name_cheap_similarity,
                  entity_type: Optional[str] = "author",
                  text_attributes: Sequence[str] = ("fname", "lname"),
                  seed: int = 0):
         if not 0.0 <= loose_threshold <= tight_threshold <= 1.0:
             raise ValueError("thresholds must satisfy 0 <= loose <= tight <= 1")
-        if isinstance(similarity, str) and similarity != "tfidf":
-            raise ValueError(f"unknown similarity spec {similarity!r}; "
-                             "only 'tfidf' is accepted as a string")
         self.loose_threshold = loose_threshold
         self.tight_threshold = tight_threshold
-        self.similarity = similarity
         self.entity_type = entity_type
         self.text_attributes = tuple(text_attributes)
         self.seed = seed
@@ -119,6 +114,17 @@ class CanopyBlocker(Blocker):
         # profiled build ran): holds the bounded FIFO memos whose hit/miss
         # stats :meth:`memo_stats` surfaces for the metrics registry.
         self._last_scorer: Optional[ProfiledNameScorer] = None
+
+    def __setstate__(self, state: Dict) -> None:
+        """Unpickle, also from checkpoints written while the blocker still
+        had a ``similarity`` parameter: the author-name default is dropped,
+        and any other mode, which no longer exists, is refused."""
+        similarity = state.pop("similarity", author_name_cheap_similarity)
+        if similarity is not author_name_cheap_similarity:
+            raise CoverError(f"pickled CanopyBlocker uses similarity "
+                             f"{similarity!r}; only the author-name canopy "
+                             "exists")
+        self.__dict__.update(state)
 
     def memo_stats(self) -> Dict[str, Dict[str, int]]:
         """Scorer memo efficacy of the most recent build (empty if none)."""
@@ -169,61 +175,35 @@ class CanopyBlocker(Blocker):
     # --------------------------------------------------------- canopy builders
     def canopy_factory(self, entities: Sequence[Entity],
                        profiles: Optional[EntityProfileIndex] = None) -> CanopyFn:
-        """Build the per-center canopy function for the configured mode."""
+        """The per-center canopy function over ``entities``."""
         loose, tight = self.loose_threshold, self.tight_threshold
         pindex = self.profile_index(entities, profiles)
-        if self.similarity == "tfidf":
-            tfidf = pindex.tfidf
+        scorer = ProfiledNameScorer(pindex.name_parts())
+        self._last_scorer = scorer
+        # One leg per sweep, chosen from its pilot; canopies are identical
+        # either way.
+        scores = canopy_sweep(scorer, pindex.postings, (
+            pindex.profile(center_id).token_set
+            for center_id in self.shuffled_order(entities)))
 
-            def tfidf_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-                # Candidates arrive with their exact cosine already ≥ loose.
-                return split_canopy(
-                    center_id, tfidf.candidates_with_scores(center_id, loose),
-                    tight)
+        def profiled_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
+            return split_canopy(center_id, scores(
+                center_id, pindex.profile(center_id).token_set, loose), tight)
 
-            return tfidf_canopy
-
-        if self.similarity is author_name_cheap_similarity:
-            scorer = ProfiledNameScorer(pindex.name_parts())
-            self._last_scorer = scorer
-            # One leg per sweep, chosen from its pilot; canopies are
-            # identical either way.
-            scores = canopy_sweep(scorer, pindex.postings, (
-                pindex.profile(center_id).token_set
-                for center_id in self.shuffled_order(entities)))
-
-            def profiled_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-                return split_canopy(center_id, scores(
-                    center_id, pindex.profile(center_id).token_set, loose), tight)
-
-            return profiled_canopy
-
-        similarity = self.similarity
-
-        def custom_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
-            center = pindex.entity(center_id)
-            return split_canopy(center_id, (
-                (candidate_id, score)
-                for candidate_id in pindex.candidates(center_id)
-                if (score := similarity(center, pindex.entity(candidate_id)))
-                >= loose), tight)
-
-        return custom_canopy
+        return profiled_canopy
 
     # ----------------------------------------------------------- interned path
     def _interner_for(self, store: EntityStore):
         """The store's id interner when the interned fast path applies.
 
-        The interned path covers the default profiled author-name mode over a
-        :class:`~repro.datamodel.CompactStore`: candidate generation and the
-        center sweep then run entirely in the snapshot's integer id space
+        The interned path runs over a :class:`~repro.datamodel.CompactStore`:
+        candidate generation and the center sweep then run entirely in the
+        snapshot's integer id space
         (``similarity/profiles.InternedProfileSpace``) and only the final
         canopies are decoded back to entity ids.  Scores go through the same
         :class:`ProfiledNameScorer` arithmetic, so covers are identical to
         the string-keyed path (asserted in ``tests/test_compact_store.py``).
         """
-        if self.similarity is not author_name_cheap_similarity:
-            return None
         return getattr(store, "interner", None)
 
     def _interned_canopies(self, entities: Sequence[Entity], interner,

@@ -43,13 +43,13 @@ from .evaluation import evaluate_cover, format_key_values, format_table, precisi
 from .exceptions import (
     DeltaError,
     DurabilityError,
+    InputFormatError,
     RecoveryError,
     ServiceError,
     TaskFailedError,
 )
 from .matchers import MLNMatcher, PairwiseMatcher, RulesMatcher
 from .parallel import EXECUTOR_KINDS
-from .similarity import available as available_similarities
 
 _PRESETS = {
     "hepth": hepth_like,
@@ -69,6 +69,7 @@ EXIT_RECOVERY_FAILED = 5
 EXIT_DURABILITY_ERROR = 6
 EXIT_SERVICE_ERROR = 7
 EXIT_DELTA_ERROR = 8
+EXIT_BAD_INPUT = 9
 
 
 def _add_kernel_argument(subparser: argparse.ArgumentParser) -> None:
@@ -128,8 +129,9 @@ def _fault_policy(args: argparse.Namespace):
 
 
 def _check_shared_arguments(args: argparse.Namespace) -> None:
-    """Rules on ``--workers``, ``--checkpoint-every`` and ``--rebase-threshold``
-    for every subcommand that takes them, checked before any work starts."""
+    """Rules on ``--workers``, ``--checkpoint-every``, ``--rebase-threshold``,
+    ``--scale`` and the canopy thresholds for every subcommand that takes
+    them, checked before any work starts."""
     workers = getattr(args, "workers", None)
     if workers is not None:
         if args.executor is None:
@@ -140,6 +142,11 @@ def _check_shared_arguments(args: argparse.Namespace) -> None:
         raise SystemExit("--checkpoint-every must be >= 0")
     if getattr(args, "rebase_threshold", 1) < 1:
         raise SystemExit("--rebase-threshold must be >= 1")
+    if not getattr(args, "scale", 1.0) > 0:
+        raise SystemExit("--scale must be positive")
+    if not 0.0 <= getattr(args, "loose", 0.0) <= getattr(args, "tight", 1.0) <= 1.0:
+        raise SystemExit("--loose and --tight must satisfy "
+                         "0 <= loose <= tight <= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_report.add_argument("--top", type=int, default=15,
                               help="rows in the top-spans table (default 15)")
 
-    subparsers.add_parser("info", help="print version and registered similarity functions")
+    subparsers.add_parser("info", help="print version, dataset presets and matchers")
     return parser
 
 
@@ -621,7 +628,6 @@ def _command_info(_: argparse.Namespace) -> int:
     print(f"repro {__version__}")
     print("presets: " + ", ".join(sorted(_PRESETS)))
     print("matchers: " + ", ".join(sorted(_MATCHERS)))
-    print("similarity functions: " + ", ".join(available_similarities()))
     return 0
 
 
@@ -645,8 +651,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with distinct exit codes instead of tracebacks: a grid task that
     exhausted its fault-tolerance budget exits ``4``, a failed crash
     recovery exits ``5``, any other durability violation exits ``6``, a
-    serving-layer failure ``7``, a bad delta trace ``8``.  Programming
-    errors still traceback — those are bugs, not conditions.
+    serving-layer failure ``7``, a bad delta trace ``8``, a dataset or trace
+    file that is not one ``9``.  Programming errors still traceback — those
+    are bugs, not conditions.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -680,6 +687,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DeltaError as error:
         print(f"repro-em: delta error: {error}", file=sys.stderr)
         return EXIT_DELTA_ERROR
+    except InputFormatError as error:
+        print(f"repro-em: bad input file: {error}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     finally:
         # The trace is flushed even when the command failed — a trace of
         # the failing run is exactly what one wants to look at.

@@ -233,9 +233,9 @@ class EMFramework:
         blocker configuration — byte-identical to this framework's) and then
         maintains the standing match set incrementally through
         :meth:`~repro.streaming.StreamSession.apply`.  Requires the framework
-        to have been constructed from a blocker (not an explicit cover): the
-        streaming layer must be able to rebuild the cover as the instance
-        mutates.
+        to have been constructed from a :class:`CanopyBlocker` (not an
+        explicit cover): the streaming layer repairs the canopy cover as the
+        instance mutates, and any other blocker is a ``CoverError``.
 
         With ``durable_dir`` the session is wrapped in a
         :class:`~repro.durability.DurableStreamSession`: change batches are

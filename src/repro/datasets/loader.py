@@ -14,6 +14,7 @@ from typing import Dict, List, Union
 
 from ..atomicio import atomic_write_json
 from ..datamodel.serialize import store_from_dict, store_to_dict
+from ..exceptions import DataModelError, InputFormatError
 from .schema import BibliographicDataset
 
 PathLike = Union[str, Path]
@@ -34,16 +35,25 @@ def dataset_to_dict(dataset: BibliographicDataset) -> Dict:
 
 
 def dataset_from_dict(payload: Dict) -> BibliographicDataset:
-    """Rebuild a dataset from the dictionary produced by :func:`dataset_to_dict`."""
-    version = payload.get("format_version")
+    """Rebuild a dataset from the dictionary produced by :func:`dataset_to_dict`.
+
+    Anything else — another version, another kind of document (a delta
+    trace, say), a malformed record — is an :class:`InputFormatError`.
+    """
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version: {version!r}")
-    return BibliographicDataset(
-        name=payload["name"],
-        store=store_from_dict(payload),
-        labels=dict(payload["labels"]),
-        config=dict(payload.get("config", {})),
-    )
+        raise InputFormatError(f"unsupported dataset format version: {version!r}")
+    try:
+        return BibliographicDataset(
+            name=payload["name"],
+            store=store_from_dict(payload),
+            labels=dict(payload["labels"]),
+            config=dict(payload.get("config", {})),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError,
+            DataModelError) as error:
+        raise InputFormatError(
+            f"not a dataset: {type(error).__name__}: {error}") from None
 
 
 def save_dataset(dataset: BibliographicDataset, path: PathLike) -> Path:
@@ -54,5 +64,11 @@ def save_dataset(dataset: BibliographicDataset, path: PathLike) -> Path:
 def load_dataset(path: PathLike) -> BibliographicDataset:
     """Read a dataset previously written by :func:`save_dataset`."""
     with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return dataset_from_dict(payload)
+        try:
+            payload = json.load(handle)
+        except ValueError as error:  # not JSON, or not UTF-8
+            raise InputFormatError(f"{path}: not a JSON dataset: {error}") from None
+    try:
+        return dataset_from_dict(payload)
+    except InputFormatError as error:
+        raise InputFormatError(f"{path}: {error}") from None

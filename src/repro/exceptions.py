@@ -83,6 +83,14 @@ class TaskFailedError(ExperimentError):
         super().__init__(message)
 
 
+class InputFormatError(ReproError, ValueError):
+    """Raised when an input file is not what its reader expects: a dataset
+    file that is not a dataset, a trace file that is not JSONL spans.
+
+    Also a :class:`ValueError`, which these readers raised before.
+    """
+
+
 class DeltaError(ReproError):
     """Raised by the streaming layer for malformed or inapplicable deltas."""
 

@@ -10,7 +10,7 @@ environment variable, read once when this module is imported, or by
 workers start on their parent's choice.  Forced ``numpy`` runs every batch
 vectorised, forced ``python`` none; under ``auto`` a batch takes the
 vectorised leg only where it measured faster in situ: a canopy sweep whose
-pilot reaches its break-even (:func:`vectorized`) and every TF-IDF block.
+pilot reaches its break-even (:func:`vectorized`).
 Every numpy kernel is bit-exact against its scalar reference, so legs mix
 freely — across sweeps, or across a mixed fleet of workers — without changing
 any cover or match.

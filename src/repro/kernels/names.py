@@ -28,9 +28,8 @@ admitted ``(candidate, score)`` sets are byte-identical to the scalar
 generator no matter how scalar and batched sweeps interleave — asserted by
 the parity tests.
 
-The scorer object is always passed in; this module deliberately does not
-import :mod:`repro.similarity.profiles` (profiles imports the TF-IDF kernel,
-and a module-level back edge would be a cycle).
+The scorer object is always passed in, so this module imports nothing from
+:mod:`repro.similarity`.
 """
 
 from __future__ import annotations

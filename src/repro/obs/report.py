@@ -16,6 +16,8 @@ import json
 import os
 from typing import Any, Dict, List, Mapping, Sequence
 
+from ..exceptions import InputFormatError
+
 __all__ = ["format_report", "load_trace", "summarize", "tree_errors"]
 
 #: Per-phase duration buckets for the report's histogram column (seconds).
@@ -23,23 +25,32 @@ REPORT_BUCKETS = (0.001, 0.01, 0.1, 1.0, 10.0)
 
 
 def load_trace(path: os.PathLike) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace file into span records (blank lines skipped)."""
+    """Parse a JSONL trace file into span records (blank lines skipped);
+    a file that is not one is an :class:`InputFormatError`."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_number}: not valid JSON: {exc}") from exc
-            for field in ("id", "parent", "name", "start", "dur"):
-                if field not in record:
-                    raise ValueError(
-                        f"{path}:{line_number}: span missing {field!r}")
-            records.append(record)
+    line_number = 0
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputFormatError(
+                        f"{path}:{line_number}: not valid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise InputFormatError(
+                        f"{path}:{line_number}: not a span object")
+                for field in ("id", "parent", "name", "start", "dur"):
+                    if field not in record:
+                        raise InputFormatError(
+                            f"{path}:{line_number}: span missing {field!r}")
+                records.append(record)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(
+            f"{path}:{line_number + 1}: not UTF-8 text: {exc}") from None
     return records
 
 

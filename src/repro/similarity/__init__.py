@@ -1,14 +1,7 @@
-"""String similarity measures used to build the ``Similar`` relation."""
+"""String similarity measures used to build the ``Similar`` relation and the canopies."""
 
 from .discretize import DEFAULT_LEVELS, SimilarityLevels, discretize
-from .jaccard import dice_coefficient, jaccard, ngram_jaccard, overlap_coefficient, token_jaccard
 from .jaro import jaro_similarity, jaro_winkler_similarity
-from .levenshtein import (
-    damerau_levenshtein_distance,
-    damerau_levenshtein_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-)
 from .name_similarity import (
     DEFAULT_AUTHOR_SIMILARITY,
     AuthorNameSimilarity,
@@ -17,16 +10,14 @@ from .name_similarity import (
     is_initial,
     normalize_name_part,
 )
-from .ngram import character_ngrams, ngram_profile, ngram_similarity, word_tokens
-from .phonetic import metaphone_key, phonetic_equal, soundex
+from .ngram import character_ngrams, word_tokens
+from .phonetic import soundex
 from .profiles import (
     EntityProfile,
     EntityProfileIndex,
     ProfiledNameScorer,
-    ProfiledTfIdfScorer,
+    default_tokenizer,
 )
-from .registry import available, get, register
-from .tfidf import TfIdfPostingsIndex, TfIdfVectorizer, cosine_similarity, tfidf_cosine
 
 __all__ = [
     "DEFAULT_AUTHOR_SIMILARITY",
@@ -35,36 +26,16 @@ __all__ = [
     "EntityProfile",
     "EntityProfileIndex",
     "ProfiledNameScorer",
-    "ProfiledTfIdfScorer",
     "SimilarityLevels",
-    "TfIdfPostingsIndex",
-    "TfIdfVectorizer",
     "author_name_similarity",
-    "available",
     "character_ngrams",
-    "cosine_similarity",
-    "damerau_levenshtein_distance",
-    "damerau_levenshtein_similarity",
-    "dice_coefficient",
+    "default_tokenizer",
     "discretize",
-    "get",
     "initials_compatible",
     "is_initial",
-    "jaccard",
     "jaro_similarity",
     "jaro_winkler_similarity",
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "metaphone_key",
-    "ngram_jaccard",
-    "ngram_profile",
-    "ngram_similarity",
     "normalize_name_part",
-    "overlap_coefficient",
-    "phonetic_equal",
-    "register",
     "soundex",
-    "tfidf_cosine",
-    "token_jaccard",
     "word_tokens",
 ]

@@ -1,9 +1,8 @@
-"""Character n-gram utilities and n-gram overlap similarity."""
+"""Character n-grams and word tokens: the canopy tokenizer's pieces."""
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Counter as CounterType, List, Sequence
+from typing import List
 
 
 def character_ngrams(text: str, n: int = 2, pad: bool = True) -> List[str]:
@@ -23,24 +22,6 @@ def character_ngrams(text: str, n: int = 2, pad: bool = True) -> List[str]:
     if len(text) < n:
         return [text]
     return [text[i:i + n] for i in range(len(text) - n + 1)]
-
-
-def ngram_profile(text: str, n: int = 2, pad: bool = True) -> CounterType[str]:
-    """Multiset (Counter) of character n-grams."""
-    return Counter(character_ngrams(text, n=n, pad=pad))
-
-
-def ngram_similarity(a: str, b: str, n: int = 2) -> float:
-    """Dice coefficient over character n-gram multisets, in [0, 1]."""
-    if a == b:
-        return 1.0
-    profile_a = ngram_profile(a, n=n)
-    profile_b = ngram_profile(b, n=n)
-    if not profile_a or not profile_b:
-        return 0.0
-    overlap = sum((profile_a & profile_b).values())
-    total = sum(profile_a.values()) + sum(profile_b.values())
-    return 2.0 * overlap / total
 
 
 def word_tokens(text: str) -> List[str]:

@@ -1,8 +1,8 @@
-"""Phonetic encodings (Soundex and a simplified Metaphone).
+"""Soundex, the phonetic key the ``Similar`` relation's candidate groups use.
 
-Phonetic keys are a classic blocking criterion for person names: two spellings
-of the same surname often share a phonetic code even when their edit distance
-is large.  The blocking package exposes these as blocking-key functions.
+Two spellings of the same surname often share a Soundex code even when their
+edit distance is large, so :func:`repro.datasets.similar.default_candidate_key`
+groups references by it before scoring pairs.
 """
 
 from __future__ import annotations
@@ -37,37 +37,3 @@ def soundex(name: str, length: int = 4) -> str:
         if len(encoded) >= length:
             break
     return "".join(encoded).ljust(length, "0")[:length]
-
-
-def metaphone_key(name: str, length: int = 6) -> str:
-    """A simplified Metaphone-style key.
-
-    This is not the full Metaphone algorithm; it applies the most impactful
-    rules (drop vowels except a leading one, collapse doubled letters, map the
-    common digraphs) which is sufficient as an alternative blocking key.
-    """
-    text = "".join(c for c in name.lower() if c.isalpha())
-    if not text:
-        return ""
-    # Digraph replacements applied before the per-character pass.
-    for digraph, replacement in (("ph", "f"), ("gh", "g"), ("kn", "n"), ("wr", "r"),
-                                 ("ck", "k"), ("sch", "sk"), ("th", "0"), ("sh", "x"),
-                                 ("ch", "x")):
-        text = text.replace(digraph, replacement)
-    key_chars = []
-    previous = ""
-    for index, char in enumerate(text):
-        if char == previous:
-            continue
-        if char in "aeiou":
-            if index == 0:
-                key_chars.append(char)
-        else:
-            key_chars.append(char)
-        previous = char
-    return "".join(key_chars)[:length].upper()
-
-
-def phonetic_equal(a: str, b: str) -> bool:
-    """Whether two names share a Soundex code."""
-    return soundex(a) == soundex(b)

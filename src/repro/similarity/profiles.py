@@ -1,18 +1,17 @@
 """Precomputed per-entity profiles for the blocking front end.
 
-Canopy construction (and the other blockers) repeatedly re-derive the same
-per-entity data from raw strings: tokenizations for the candidate index,
-normalized name parts for every similarity call, TF-IDF vectors for cosine
-scoring.  An :class:`EntityProfileIndex` computes each of these **once per
-entity** and the scorers on top memoize the pair-level work, so cover
-construction pays for string processing proportionally to the number of
-*distinct* names instead of the number of comparisons.
+Canopy construction repeatedly re-derives the same per-entity data from raw
+strings: tokenizations for the candidate index and normalized name parts for
+every similarity call.  An :class:`EntityProfileIndex` computes each of these
+**once per entity** and the scorer on top memoizes the pair-level work, so
+cover construction pays for string processing proportionally to the number
+of *distinct* names instead of the number of comparisons.
 
-Everything here is exact: the profiled scorers go through the same arithmetic
-as the raw-string paths (:meth:`AuthorNameSimilarity.score_normalized`,
-:func:`cosine_similarity`), so covers built from profiles are bitwise
-identical to covers built from raw strings — asserted by the parity tests in
-``tests/test_profiles.py``.
+Everything here is exact: the profiled scorer goes through the same
+arithmetic as the raw-string path
+(:meth:`AuthorNameSimilarity.score_normalized`), so covers built from
+profiles are bitwise identical to covers built from raw strings — asserted
+by the parity tests in ``tests/test_profiles.py``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,14 @@ from typing import (
 from ..datamodel import Entity
 from .jaro import jaro_winkler_similarity
 from .name_similarity import DEFAULT_AUTHOR_SIMILARITY, AuthorNameSimilarity, normalize_name_part
-from .ngram import word_tokens
-from .tfidf import TfIdfPostingsIndex, TfIdfVectorizer, Tokenizer, default_tokenizer
+from .ngram import character_ngrams, word_tokens
+
+Tokenizer = Callable[[str], List[str]]
+
+
+def default_tokenizer(text: str) -> List[str]:
+    """Word tokens plus character trigrams — a good default for person names."""
+    return word_tokens(text) + character_ngrams(text.lower(), n=3, pad=False)
 
 
 class EntityProfile:
@@ -91,15 +96,12 @@ class EntityProfileIndex:
         self.text_attributes = tuple(text_attributes)
         self.tokenizer = tokenizer
         self._profiles: Dict[str, EntityProfile] = {}
-        self._entities: Dict[str, Entity] = {}
         self._postings: Optional[Dict[str, List[str]]] = None
         for entity in sorted(entities, key=lambda e: e.entity_id):
             self._profiles[entity.entity_id] = EntityProfile(
                 entity, self.text_attributes, tokenizer)
-            self._entities[entity.entity_id] = entity
         self._key_cache: Dict[Tuple[Callable, Entity], object] = {}
         self._word_token_cache: Dict[Tuple[Entity, Tuple[str, ...]], Set[str]] = {}
-        self._tfidf: Optional[ProfiledTfIdfScorer] = None
         self._name_parts: Optional[Dict[str, Tuple[str, str]]] = None
         self._interned: Optional[Tuple[int, "InternedProfileSpace"]] = None
 
@@ -112,13 +114,6 @@ class EntityProfileIndex:
 
     def profile(self, entity_id: str) -> EntityProfile:
         return self._profiles[entity_id]
-
-    def entity(self, entity_id: str) -> Entity:
-        return self._entities[entity_id]
-
-    def entity_ids(self) -> List[str]:
-        """All profiled entity ids, sorted."""
-        return list(self._profiles)
 
     def matches(self, entity_ids: Iterable[str],
                 text_attributes: Sequence[str],
@@ -139,15 +134,6 @@ class EntityProfileIndex:
                     postings.setdefault(token, []).append(entity_id)
             self._postings = postings
         return self._postings
-
-    def candidates(self, entity_id: str) -> Set[str]:
-        """Entities sharing at least one token with ``entity_id`` (excluding it)."""
-        postings = self.postings
-        out: Set[str] = set()
-        for token in self._profiles[entity_id].token_set:
-            out.update(postings.get(token, ()))
-        out.discard(entity_id)
-        return out
 
     # -------------------------------------------------------------- key memos
     def cached_key(self, key: Callable[[Entity], object], entity: Entity) -> object:
@@ -179,14 +165,7 @@ class EntityProfileIndex:
             self._word_token_cache[cache_key] = tokens
             return tokens
 
-    # ------------------------------------------------------------------ tfidf
-    @property
-    def tfidf(self) -> "ProfiledTfIdfScorer":
-        """Lazily built TF-IDF scorer over the profiled texts."""
-        if self._tfidf is None:
-            self._tfidf = ProfiledTfIdfScorer(self)
-        return self._tfidf
-
+    # --------------------------------------------------------------- scoring
     def name_parts(self) -> Dict[str, Tuple[str, str]]:
         """``entity_id → (norm_first, norm_last)`` — what
         :class:`ProfiledNameScorer` scores."""
@@ -438,52 +417,3 @@ class ProfiledNameScorer:
                 tally[0] += looked - missed
                 tally[1] += missed
 
-
-class ProfiledTfIdfScorer:
-    """TF-IDF cosine scoring over profiles, with pruned candidate search.
-
-    The vectorizer is fitted once on all profiled texts (sorted entity-id
-    order), vectors come from :meth:`TfIdfVectorizer.transform_many`, and
-    candidate generation goes through :class:`TfIdfPostingsIndex` so a canopy
-    center gets back ``(entity_id, cosine)`` pairs directly instead of ids to
-    re-score.
-    """
-
-    def __init__(self, index: EntityProfileIndex):
-        entity_ids = index.entity_ids()
-        self.vectorizer = TfIdfVectorizer(index.tokenizer).fit(
-            index.profile(entity_id).text for entity_id in entity_ids)
-        vectors = self.vectorizer.transform_many(
-            index.profile(entity_id).text for entity_id in entity_ids)
-        self._vectors: Dict[str, Mapping[str, float]] = dict(zip(entity_ids, vectors))
-        self.postings = TfIdfPostingsIndex(self._vectors)
-        self._block = None
-
-    def vector(self, entity_id: str) -> Mapping[str, float]:
-        return self._vectors[entity_id]
-
-    def _block_scorer(self):
-        """The batched cosine kernel over this corpus, or ``None`` (scalar)."""
-        from ..kernels.backend import numpy_or_none
-        np = numpy_or_none()
-        if np is None:
-            return None
-        if self._block is None:
-            from ..kernels.tfidf import TfIdfBlockScorer
-            self._block = TfIdfBlockScorer(self._vectors, np)
-        return self._block
-
-    def candidates_with_scores(self, entity_id: str,
-                               threshold: float) -> List[Tuple[str, float]]:
-        """All ``(other_id, cosine)`` with cosine ≥ ``threshold``, sorted by id.
-
-        Byte-identical on either kernel backend: the batched scorer's dense
-        sweep is a sound prefilter and every admitted candidate is re-scored
-        through the same :func:`cosine_similarity` the postings index uses.
-        """
-        block = self._block_scorer()
-        if block is not None:
-            return block.search(self._vectors[entity_id], threshold,
-                                exclude=entity_id)
-        return self.postings.search(self._vectors[entity_id], threshold,
-                                    exclude=entity_id)

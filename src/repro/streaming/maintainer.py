@@ -32,10 +32,9 @@ insert or delete per changed entity), the sweep goes straight to member sets
 the previous one — only member sets that appeared or disappeared are
 re-indexed.
 
-Blockers outside the profiled author-name canopy mode (TF-IDF canopies,
-custom similarities, key-based blockers) always reblock in full: their covers
-depend on global state (e.g. IDF weights), so local repair is unsound for
-them.
+The maintainer takes only a :class:`~repro.blocking.canopy.CanopyBlocker`,
+the one blocker every entry point builds covers with; any other blocker is
+a :class:`~repro.exceptions.CoverError`.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..blocking import Blocker, CanopyBlocker, Cover, Neighborhood
+from ..blocking import CanopyBlocker, Cover, Neighborhood
 from ..blocking.boundary import attach_leftover_singletons, expand_members, validate_total
-from ..blocking.canopy import author_name_cheap_similarity, split_canopy
-from ..similarity.profiles import EntityProfile, ProfiledNameScorer
-from ..similarity.tfidf import default_tokenizer
+from ..blocking.canopy import split_canopy
+from ..exceptions import CoverError
+from ..similarity.profiles import EntityProfile, ProfiledNameScorer, default_tokenizer
 from .overlay import DeltaImpact
 
 
@@ -62,19 +61,18 @@ class IncrementalCoverMaintainer:
     cold batch run bit for bit.
     """
 
-    def __init__(self, blocker: Blocker,
+    def __init__(self, blocker: CanopyBlocker,
                  relation_names: Optional[Iterable[str]] = None,
                  rounds: int = 1):
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not isinstance(blocker, CanopyBlocker):
+            raise CoverError(f"the streaming cover maintainer repairs canopy "
+                             f"covers only; got {type(blocker).__name__}")
         self.blocker = blocker
         self.relation_names = list(relation_names) if relation_names is not None else None
         self.rounds = rounds
-        #: Whether the blocker supports local canopy repair (see module doc).
-        self.supports_local_repair = (
-            isinstance(blocker, CanopyBlocker)
-            and blocker.similarity is author_name_cheap_similarity)
-        # --- canopy-side caches (local-repair mode only) -------------------
+        # --- canopy-side caches --------------------------------------------
         self._profiles: Dict[str, EntityProfile] = {}
         self._parts: Dict[str, Tuple[str, str]] = {}
         self._postings: Dict[str, Set[str]] = {}
@@ -85,7 +83,7 @@ class IncrementalCoverMaintainer:
         self._ranked: List[Tuple[bytes, str]] = []
         # The last cover handed out, which the next one is patched from.
         self._cover: Optional[Cover] = None
-        # --- expansion-side cache (all modes) ------------------------------
+        # --- expansion-side cache -----------------------------------------
         self._expansion_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         # --- per-update statistics -----------------------------------------
         self.last_dirty_centers = 0
@@ -95,8 +93,7 @@ class IncrementalCoverMaintainer:
 
     # ------------------------------------------------------------- profiles
     def _relevant(self, entity) -> bool:
-        blocker = self.blocker
-        entity_type = getattr(blocker, "entity_type", None)
+        entity_type = self.blocker.entity_type
         return entity_type is None or entity.entity_type == entity_type
 
     def _index_profile(self, entity) -> None:
@@ -147,7 +144,7 @@ class IncrementalCoverMaintainer:
         cache entry itself, which callers must not edit."""
         cached = self._canopy_cache.get(center_id)
         if cached is None:
-            blocker: CanopyBlocker = self.blocker  # type: ignore[assignment]
+            blocker = self.blocker
             cached = self._canopy_cache[center_id] = split_canopy(
                 center_id, self._scorer.canopy_scores(
                     center_id, self._candidates(center_id),
@@ -156,21 +153,15 @@ class IncrementalCoverMaintainer:
         return cached
 
     # ----------------------------------------------------------- base cover
-    def _base_canopies(self, store) -> List[Tuple[str, FrozenSet[str]]]:
+    def _base_canopies(self) -> List[Tuple[str, FrozenSet[str]]]:
         """The base cover as ``(name, members)``: the acceptance sweep over
-        the cached canopies in the kept order in local-repair mode, a full
-        reblock otherwise.  The sweep leaves no entity to a singleton: each
-        one is in the canopy of the center that took it out of the pool."""
-        blocker = self.blocker
-        if not self.supports_local_repair:
-            base_cover = blocker.build_cover(store)
-            self.last_center_count = len(base_cover)
-            self.last_full_rebuild = True
-            return [(n.name, n.entity_ids) for n in base_cover]
+        the cached canopies in the kept order.  The sweep leaves no entity to
+        a singleton: each one is in the canopy of the center that took it
+        out of the pool."""
         order = [entity_id for _, entity_id in self._ranked]
         self.last_center_count = len(order)
         return [(f"canopy-{index}", frozenset(canopy)) for index, canopy
-                in enumerate(blocker.sweep(order, self._canopy_fn))]
+                in enumerate(self.blocker.sweep(order, self._canopy_fn))]
 
     def _sync_profiles(self, store) -> None:
         """Cold-start the profile index from the full instance."""
@@ -192,7 +183,7 @@ class IncrementalCoverMaintainer:
         fresh_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         expanded: List[Neighborhood] = []
         previous = self._cover
-        for name, members in self._base_canopies(store):
+        for name, members in self._base_canopies():
             expansion = self._expansion_cache.get(members)
             if expansion is None:
                 expansion = frozenset(expand_members(relations, members, self.rounds))
@@ -220,19 +211,16 @@ class IncrementalCoverMaintainer:
         self._canopy_cache.clear()
         self._expansion_cache.clear()
         self._cover = None
-        if self.supports_local_repair:
-            self._sync_profiles(store)
-            for center_id, (canopy, tight) in (canopies or {}).items():
-                self._canopy_cache[center_id] = (set(canopy), set(tight))
+        self._sync_profiles(store)
+        for center_id, (canopy, tight) in (canopies or {}).items():
+            self._canopy_cache[center_id] = (set(canopy), set(tight))
         total = self._total_cover(store)
         self.last_full_rebuild = True
         return total
 
-    def canopy_state(self) -> Optional[Dict[str, List[List[str]]]]:
+    def canopy_state(self) -> Dict[str, List[List[str]]]:
         """The canopy cache as JSON, ``center -> [canopy, tight set]`` with
-        both sorted; ``None`` for a blocker without local repair."""
-        if not self.supports_local_repair:
-            return None
+        both sorted."""
         return {center_id: [sorted(canopy), sorted(tight)]
                 for center_id, (canopy, tight) in self._canopy_cache.items()}
 
@@ -246,10 +234,10 @@ class IncrementalCoverMaintainer:
         self.last_dirty_centers = self.last_patched_entries = 0
         self.last_full_rebuild = False
 
-        # Expansion invalidation first — it is mode-independent.  A cached
-        # expansion can only change when a changed tuple of an expansion
-        # relation touches its members (after one round; with more, its
-        # expanded set).  A removed entity's tuples are among the changes.
+        # Expansion invalidation first.  A cached expansion can only change
+        # when a changed tuple of an expansion relation touches its members
+        # (after one round; with more, its expanded set).  A removed entity's
+        # tuples are among the changes.
         names = self.relation_names
         touched = {entity_id for name, tup in impact.changed_tuples
                    if names is None or name in names for entity_id in tup}
@@ -259,8 +247,7 @@ class IncrementalCoverMaintainer:
                 for members, expansion in self._expansion_cache.items()
                 if touched.isdisjoint(members if self.rounds == 1 else expansion)}
 
-        if self.supports_local_repair:
-            self._patch_canopies(store, impact)
+        self._patch_canopies(store, impact)
         return self._total_cover(store)
 
     def _patch_canopies(self, store, impact: DeltaImpact) -> None:

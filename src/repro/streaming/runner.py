@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from ..blocking import Blocker, CanopyBlocker, Cover
+from ..blocking import CanopyBlocker, Cover
 from ..datamodel import CompactStore, EntityPair, EntityStore, Evidence
 from ..durability.crashpoints import crash_point
 from ..exceptions import DeltaError
@@ -108,7 +108,7 @@ class StreamSession:
 
     def __init__(self, matcher: TypeIMatcher,
                  store: Union[EntityStore, CompactStore],
-                 blocker: Optional[Blocker] = None,
+                 blocker: Optional[CanopyBlocker] = None,
                  relation_names: Optional[Iterable[str]] = None,
                  scheme: str = "smp",
                  executor=None,

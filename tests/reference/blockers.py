@@ -1,10 +1,17 @@
-"""Two classic blockers no entry point uses: sorted-neighborhood and token blocking.
+"""Four classic blockers no entry point uses: key-based, multi-pass,
+sorted-neighborhood and token blocking.
 
-No CLI flag, workload, paper figure or example builds a cover with either,
+No CLI flag, workload, paper figure or example builds a cover with any of
+them — every entry point blocks with :class:`repro.blocking.CanopyBlocker` —
 so they live here, out of ``src/``, beside the other references; the blocker
-tests still pin their covers, and they still plug into
-:class:`repro.blocking.MultiPassBlocker` like any :class:`Blocker`.
+tests still pin their covers, and they plug into :class:`MultiPassBlocker`
+like any :class:`~repro.blocking.Blocker`.
 
+* Standard blocking: entities are grouped by the value of a blocking key
+  (the Soundex code of the last name, or its first letter) — the "simple,
+  heuristic grouping criteria" of the paper's Appendix D.
+* Multi-pass blocking: the union of several blockers' covers, so that every
+  true match is more likely to share at least one block.
 * Sorted-neighborhood: entities are sorted by a key (typically
   ``lname + fname``) and a fixed-size window is slid over the sorted order;
   each window position becomes a neighborhood.  Bounded neighborhood sizes,
@@ -16,11 +23,86 @@ tests still pin their covers, and they still plug into
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.blocking import Blocker, Cover, KeyFunction
+from repro.blocking import Blocker, Cover, Neighborhood
 from repro.datamodel import Entity, EntityStore
+from repro.similarity import EntityProfileIndex
 from repro.similarity.ngram import word_tokens
+from repro.similarity.phonetic import soundex
+
+#: A blocking key function maps an entity to one key.
+KeyFunction = Callable[[Entity], str]
+
+
+def last_name_initial_key(entity: Entity) -> str:
+    """Blocking key: first letter of the (lower-cased) last name."""
+    last = str(entity.get("lname", "")).strip().lower()
+    return last[:1] if last else "?"
+
+
+def last_name_soundex_key(entity: Entity) -> str:
+    """Blocking key: Soundex code of the last name."""
+    return soundex(str(entity.get("lname", "")))
+
+
+class StandardBlocker(Blocker):
+    """Group entities by one blocking key value per entity."""
+
+    def __init__(self, key: KeyFunction = last_name_soundex_key,
+                 entity_type: Optional[str] = "author",
+                 max_block_size: Optional[int] = None):
+        self.key = key
+        self.entity_type = entity_type
+        self.max_block_size = max_block_size
+
+    def build_cover(self, store: EntityStore, profiles=None) -> Cover:
+        if self.entity_type is not None:
+            entities = store.entities_of_type(self.entity_type)
+        else:
+            entities = store.entities()
+        derive = self.key if profiles is None else \
+            (lambda entity: profiles.cached_key(self.key, entity))
+        blocks: Dict[str, List[str]] = {}
+        for entity in sorted(entities, key=lambda e: e.entity_id):
+            blocks.setdefault(derive(entity), []).append(entity.entity_id)
+        groups: List[List[str]] = []
+        for key in sorted(blocks):
+            members = blocks[key]
+            if self.max_block_size is None or len(members) <= self.max_block_size:
+                groups.append(members)
+            else:
+                # Oversized blocks are split; splitting can lose cross-chunk
+                # pairs, the classic blocking/recall trade-off.
+                for start in range(0, len(members), self.max_block_size):
+                    groups.append(members[start:start + self.max_block_size])
+        return self._make_neighborhoods(groups, prefix="block-")
+
+
+class MultiPassBlocker(Blocker):
+    """Union of the covers produced by several blockers."""
+
+    def __init__(self, blockers: Sequence[Blocker]):
+        if not blockers:
+            raise ValueError("MultiPassBlocker needs at least one blocker")
+        self.blockers = list(blockers)
+
+    def build_cover(self, store: EntityStore, profiles=None) -> Cover:
+        if profiles is None:
+            # One shared index so the passes reuse cached keys/tokenizations.
+            profiles = EntityProfileIndex(store.entities())
+        neighborhoods: List[Neighborhood] = []
+        seen_membership: Set[frozenset] = set()
+        for pass_index, blocker in enumerate(self.blockers):
+            for neighborhood in blocker.build_cover(store, profiles=profiles):
+                membership = frozenset(neighborhood.entity_ids)
+                if membership in seen_membership:
+                    continue
+                seen_membership.add(membership)
+                neighborhoods.append(
+                    Neighborhood(f"pass{pass_index}-{neighborhood.name}", membership)
+                )
+        return Cover(neighborhoods)
 
 
 def full_name_sort_key(entity: Entity) -> str:

@@ -2,11 +2,12 @@
 
 ``NaiveCanopyBlocker`` below carries what ``CanopyBlocker(use_profiles=False)``
 ran, verbatim: every center re-tokenizes its own text against a plain
-token -> entity-id index and scores each candidate through the configured
-similarity, one full string comparison per pair, no memo, no bound, no batch
-kernel.  Kept here, out of ``src/``, as the oracle
-:class:`repro.blocking.CanopyBlocker` is compared against — both must build
-the identical cover for every store, similarity and threshold pair.  Only the
+token -> entity-id index and scores each candidate through
+:func:`~repro.blocking.canopy.author_name_cheap_similarity`, one full string
+comparison per pair, no memo, no bound, no batch kernel.  Kept here, out of
+``src/``, as the oracle :class:`repro.blocking.CanopyBlocker` is compared
+against — both must build the identical cover for every store and threshold
+pair.  Only the
 per-center canopy function differs; center order and the acceptance sweep
 are the inherited ones.
 """
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.blocking.canopy import CanopyBlocker, CanopyFn
+from repro.blocking.canopy import CanopyBlocker, CanopyFn, author_name_cheap_similarity
 from repro.datamodel import Entity, EntityStore
-from repro.similarity.profiles import EntityProfileIndex
-from repro.similarity.tfidf import TfIdfVectorizer, cosine_similarity, default_tokenizer
+from repro.similarity.profiles import EntityProfileIndex, default_tokenizer
 
 
 class NaiveCanopyBlocker(CanopyBlocker):
-    """Canopy clustering over a cheap similarity measure, one pair at a time."""
+    """Canopy clustering over the author-name score, one pair at a time."""
 
     # ------------------------------------------------------------------ text
     def _entity_text(self, entity: Entity) -> str:
@@ -47,28 +47,14 @@ class NaiveCanopyBlocker(CanopyBlocker):
     # --------------------------------------------------------- canopy builders
     def canopy_factory(self, entities: Sequence[Entity],
                        profiles: Optional[EntityProfileIndex] = None) -> CanopyFn:
-        """Build the per-center canopy function for the configured mode."""
+        """Build the per-center canopy function."""
         loose, tight = self.loose_threshold, self.tight_threshold
 
         by_id = {entity.entity_id: entity for entity in entities}
         index = self._build_inverted_index(entities)
-        if self.similarity == "tfidf":
-            texts = {entity.entity_id: self._entity_text(entity) for entity in entities}
-            vectorizer = TfIdfVectorizer().fit(
-                texts[entity.entity_id] for entity in entities)
 
-            def naive_tfidf_score(a: str, b: str) -> float:
-                return cosine_similarity(vectorizer.transform(texts[a]),
-                                         vectorizer.transform(texts[b]))
-
-            score = naive_tfidf_score
-        else:
-            similarity = self.similarity
-
-            def naive_entity_score(a: str, b: str) -> float:
-                return similarity(by_id[a], by_id[b])
-
-            score = naive_entity_score
+        def score(a: str, b: str) -> float:
+            return author_name_cheap_similarity(by_id[a], by_id[b])
 
         def naive_canopy(center_id: str) -> Tuple[Set[str], Set[str]]:
             canopy: Set[str] = {center_id}

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.blocking import (
-    CanopyBlocker,
+from repro.blocking import CanopyBlocker
+from repro.datamodel import EntityStore, make_author, make_paper
+from tests.reference.blockers import (
     MultiPassBlocker,
+    SortedNeighborhoodBlocker,
     StandardBlocker,
+    TokenBlocker,
     last_name_initial_key,
     last_name_soundex_key,
 )
-from repro.datamodel import EntityStore, make_author, make_paper
-from tests.reference.blockers import SortedNeighborhoodBlocker, TokenBlocker
 
 
 def name_store():

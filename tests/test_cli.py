@@ -20,7 +20,9 @@ class TestInfoAndParsing:
         assert main(["info"]) == 0
         output = capsys.readouterr().out
         assert "repro" in output
-        assert "jaro_winkler" in output
+        assert "presets: dblp, dblp-big, hepth" in output
+        assert "matchers: mln, pairwise, rules" in output
+        assert "similarity" not in output
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -222,4 +224,78 @@ class TestExitCodes:
                      "--deltas", str(deltas)]) == 8
         err = capsys.readouterr().err
         assert err.startswith("repro-em: delta error:")
+        assert err.count("\n") == 1
+
+
+class TestBadInputs:
+    """Inputs that used to end in a traceback: a file that is not a dataset
+    or not a span trace exits 9 with one line, and out-of-range arguments
+    are refused before anything is loaded."""
+
+    @staticmethod
+    def delta_trace(tmp_path, dataset_file):
+        path = tmp_path / "trace.json"
+        assert main(["stream-trace", "--dataset", str(dataset_file),
+                     "--batches", "2", "--base-output", str(tmp_path / "b.json"),
+                     "--trace-output", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("command", ["match", "cover", "stream", "serve"])
+    def test_delta_trace_as_dataset_exits_9(self, dataset_file, tmp_path,
+                                           capsys, command):
+        trace = self.delta_trace(tmp_path, dataset_file)
+        argv = [command, "--dataset", str(trace)]
+        if command == "stream":
+            argv += ["--deltas", str(trace)]
+        if command == "serve":
+            argv += ["--port", "0", "--duration", "1"]
+        capsys.readouterr()
+        assert main(argv) == 9
+        err = capsys.readouterr().err
+        assert err.startswith("repro-em: bad input file:")
+        assert "not a dataset" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [
+        "wrong-version", "malformed-json", "not-utf8"])
+    def test_file_that_is_no_dataset_exits_9(self, dataset_file, tmp_path,
+                                            capsys, content):
+        path = tmp_path / "data.json"
+        if content == "wrong-version":
+            payload = json.loads(dataset_file.read_text())
+            payload["format_version"] = 2
+            path.write_text(json.dumps(payload))
+        elif content == "malformed-json":
+            path.write_text('{"format_version": 1, "name": ')
+        else:
+            path.write_bytes(b"\xff\xfe\x00garbage")
+        assert main(["match", "--dataset", str(path)]) == 9
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-em: bad input file: {path}:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_scale_rejected(self, tmp_path, scale):
+        output = tmp_path / "x.json"
+        with pytest.raises(SystemExit, match="--scale must be positive"):
+            main(["generate", "--scale", scale, "--output", str(output)])
+        assert not output.exists()
+
+    def test_loose_above_tight_rejected(self, dataset_file):
+        with pytest.raises(SystemExit, match="0 <= loose <= tight <= 1"):
+            main(["cover", "--dataset", str(dataset_file),
+                  "--loose", "0.9", "--tight", "0.5"])
+
+    @pytest.mark.parametrize("content", ["dataset", "json-number", "binary"])
+    def test_trace_report_of_a_non_jsonl_file_exits_9(self, dataset_file,
+                                                     tmp_path, capsys, content):
+        path = dataset_file
+        if content == "json-number":
+            path = tmp_path / "number.jsonl"
+            path.write_text("5\n")
+        elif content == "binary":
+            path = tmp_path / "trace.bin"
+            path.write_bytes(b"\xff\xfe\x00garbage")
+        assert main(["trace-report", str(path)]) == 9
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-em: bad input file: {path}:1:")
         assert err.count("\n") == 1

@@ -24,7 +24,7 @@ from repro.blocking import CanopyBlocker, build_total_cover
 from repro.datamodel import CompactStore, EntityPair, make_author
 from repro.datamodel.serialize import store_from_dict, store_to_dict
 from repro.durability import CheckpointManager, DeltaWAL, DurableStreamSession, WAL_FILENAME
-from repro.exceptions import DurabilityError, RecoveryError
+from repro.exceptions import CoverError, DurabilityError, RecoveryError
 from repro.matchers import MLNMatcher
 from repro.streaming import ChangeBatch, StreamSession, UpsertSimilarity, synthesize_stream
 from repro.streaming.deltas import AddEntity, log_to_dict, op_to_dict
@@ -571,26 +571,69 @@ def test_checkpoint_without_canopy_cache_recovers_cold(tmp_path,
     rebuilt.close(checkpoint=False)
 
 
-def test_blocker_without_local_repair_recovers_cold(tmp_path, dblp_dataset):
-    blocker = CanopyBlocker(similarity="tfidf")
+#: ``pickle.dumps(CanopyBlocker(), protocol=4)`` as written while the blocker
+#: still had a ``similarity`` parameter: its state names
+#: ``repro.blocking.canopy.author_name_cheap_similarity``.
+PRE_REMOVAL_BLOCKER_PICKLE = (
+    "gASV7QAAAAAAAACMFXJlcHJvLmJsb2NraW5nLmNhbm9weZSMDUNhbm9weUJsb2NrZXKUk5Qp"
+    "gZR9lCiMD2xvb3NlX3RocmVzaG9sZJRHP+j1wo9cKPaMD3RpZ2h0X3RocmVzaG9sZJRHP+1w"
+    "o9cKPXGMCnNpbWlsYXJpdHmUaACMHGF1dGhvcl9uYW1lX2NoZWFwX3NpbWlsYXJpdHmUk5SM"
+    "C2VudGl0eV90eXBllIwGYXV0aG9ylIwPdGV4dF9hdHRyaWJ1dGVzlIwFZm5hbWWUjAVsbmFt"
+    "ZZSGlIwEc2VlZJRLAIwMX2xhc3Rfc2NvcmVylE51Yi4=")
+
+
+def _durable_run_with_a_tail(tmp_path, dataset):
+    """A durable session checkpointed after batch 2 of 3, closed without a
+    final checkpoint: recovery loads the checkpoint and replays batch 3."""
+    scenario = synthesize_stream(dataset, batches=3, holdout_fraction=0.3,
+                                 seed=7)
     durable = DurableStreamSession(
-        StreamSession(MLNMatcher(), dblp_dataset.store.copy(),
-                      blocker=blocker),
-        tmp_path, checkpoint_every=0, fsync=False)
-    durable.start()
+        StreamSession(MLNMatcher(), scenario.base.store.copy()),
+        tmp_path, checkpoint_every=2, fsync=False)
+    durable.replay(scenario.log)
     reference = durable.session.standing_state()
-    durable.close()
-    _, payload = durable.checkpoints.load_latest()
-    assert payload["canopies"] is None
+    durable.close(checkpoint=False)
+    return durable, reference
+
+
+def test_checkpoint_pickled_before_the_similarity_parameter_left_recovers(
+        tmp_path, dblp_dataset):
+    """A checkpoint whose blocker still carries ``similarity`` recovers: the
+    attribute is dropped on unpickling and the session ends where the
+    uninterrupted one did."""
+    old = base64.b64decode(PRE_REMOVAL_BLOCKER_PICKLE)
+    assert b"author_name_cheap_similarity" in old
+    durable, reference = _durable_run_with_a_tail(tmp_path, dblp_dataset)
+    checkpoint_id, payload = durable.checkpoints.load_latest()
+    assert checkpoint_id == 2
+    payload["blocker_pickle"] = PRE_REMOVAL_BLOCKER_PICKLE
+    durable.checkpoints.save(payload, checkpoint_id)
 
     recovered = DurableStreamSession.recover(tmp_path, fsync=False)
     session = recovered.session
-    assert session.maintainer.last_full_rebuild
-    cold = build_total_cover(blocker, session.final_store(),
+    assert not hasattr(session.blocker, "similarity")
+    assert session.blocker.__dict__ == CanopyBlocker().__dict__
+    assert session.standing_state() == reference
+    cold = build_total_cover(CanopyBlocker(), session.final_store(),
                              relation_names=session.relation_names)
     assert _cover_rows(session.cover) == _cover_rows(cold)
-    assert session.standing_state() == reference
+    assert recovered.verify()
     recovered.close(checkpoint=False)
+
+
+def test_checkpoint_with_a_retired_similarity_mode_is_refused(tmp_path,
+                                                              dblp_dataset):
+    """A TF-IDF canopy blocker no longer exists: its checkpoint is refused
+    rather than silently recovered onto a different cover."""
+    durable, _ = _durable_run_with_a_tail(tmp_path, dblp_dataset)
+    checkpoint_id, payload = durable.checkpoints.load_latest()
+    blocker = CanopyBlocker()
+    blocker.__dict__["similarity"] = "tfidf"
+    payload["blocker_pickle"] = base64.b64encode(
+        pickle.dumps(blocker)).decode("ascii")
+    durable.checkpoints.save(payload, checkpoint_id)
+    with pytest.raises(CoverError, match="tfidf"):
+        DurableStreamSession.recover(tmp_path, fsync=False)
 
 
 def test_checkpoint_requires_started_session(tmp_path, dblp_dataset):

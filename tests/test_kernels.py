@@ -41,7 +41,6 @@ from repro.kernels import (
     BACKEND_ENV_VAR,
     BatchCanopyScorer,
     PackedStrings,
-    TfIdfBlockScorer,
     backend,
     numpy_or_none,
     record,
@@ -51,11 +50,7 @@ from repro.kernels import (
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.mln import GreedyCollectiveInference, Grounder, GroundNetwork, database_from_store
 from repro.kernels.strings import _jaro_winkler_bound_rows, _jaro_winkler_rows
-from repro.similarity import (
-    ProfiledNameScorer,
-    TfIdfPostingsIndex,
-    TfIdfVectorizer,
-)
+from repro.similarity import ProfiledNameScorer
 from repro.similarity.jaro import jaro_winkler_similarity
 from tests.util import (
     KERNEL_COUNTERS,
@@ -266,19 +261,15 @@ class TestBackendResolution:
 
     def test_without_numpy_kernels_fall_back_to_scalar(self, no_numpy,
                                                        monkeypatch):
-        """Both families' dispatch points hand out the scalar leg: a canopy
-        sweep past the break-even and a TF-IDF cover run no batch."""
+        """The dispatch point hands out the scalar leg: a canopy sweep past
+        the break-even runs no batch."""
         monkeypatch.setattr(names_module, "CANOPY_BREAK_EVEN", 1e-9)
         store = small_dataset(seed=3).store
-        blockers = (CanopyBlocker(), CanopyBlocker(
-            similarity="tfidf", loose_threshold=0.4, tight_threshold=0.7))
         with kernel_work() as work:
-            covers = [cover_signature(blocker.build_cover(store))
-                      for blocker in blockers]
+            cover = cover_signature(CanopyBlocker().build_cover(store))
         assert not any(work.values())
         with use("python"):
-            assert covers == [cover_signature(blocker.build_cover(store))
-                              for blocker in blockers]
+            assert cover == cover_signature(CanopyBlocker().build_cover(store))
 
     def test_numpy_that_will_not_import_degrades_auto_to_scalar(
             self, broken_numpy, monkeypatch, caplog, hepth_dataset):
@@ -335,10 +326,9 @@ class TestKernelCounters:
     @requires_numpy
     def test_kernels_report_work(self):
         with use("numpy"), kernel_work() as work:
-            TfIdfBlockScorer({"d0": {"a": 1.0}, "d1": {"b": 1.0}}).search(
-                {"a": 1.0}, 0.5)
-        assert work == {"batches": 1, "pairs_scored": 1,
-                        "prefilter_checked": 2, "prefilter_pruned": 1}
+            CanopyBlocker().build_cover(small_dataset(seed=3).store)
+        assert work["batches"] >= 1 and work["pairs_scored"] >= 1
+        assert work["prefilter_checked"] >= work["prefilter_pruned"] >= 1
 
 
 # ------------------------------------------------------------ scorer memos
@@ -486,44 +476,6 @@ class TestStringKernelParity:
             subset = packed_rows(_jaro_winkler_rows, "smith",
                                  PackedStrings(block), rows=[1, 3])
         assert subset == [full[1], full[3]]
-
-
-# ------------------------------------------------------ tf-idf block scorer
-@requires_numpy
-class TestTfIdfBlockParity:
-    def vectors(self, seed, docs=40):
-        rng = random.Random(seed)
-        words = ["john", "jon", "smith", "smyth", "mary", "jones",
-                 "li", "wei", "garcia", "j", "m"]
-        corpus = [" ".join(rng.sample(words, rng.randint(1, 4)))
-                  for _ in range(docs)]
-        vectorizer = TfIdfVectorizer().fit(corpus)
-        return {f"d{i}": vectorizer.transform(text)
-                for i, text in enumerate(corpus)}
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           threshold=st.sampled_from([0.05, 0.2, 0.5, 0.8]))
-    def test_search_identical_to_postings_index(self, seed, threshold):
-        vectors = self.vectors(seed)
-        reference = TfIdfPostingsIndex(vectors)
-        with use("numpy"):
-            block = TfIdfBlockScorer(vectors)
-            for key, query in vectors.items():
-                assert block.search(query, threshold, exclude=key) == \
-                    reference.search(query, threshold, exclude=key)
-
-    def test_empty_query_and_empty_corpus(self):
-        with use("numpy"):
-            block = TfIdfBlockScorer({"d0": {"a": 1.0}})
-            assert block.search({}, 0.1) == []
-            assert TfIdfBlockScorer({}).search({"a": 1.0}, 0.1) == []
-
-    def test_maybe_gated_on_backend(self):
-        with use("python"):
-            assert TfIdfBlockScorer.maybe({"d0": {"a": 1.0}}) is None
-        with use("numpy"):
-            assert TfIdfBlockScorer.maybe({"d0": {"a": 1.0}}) is not None
 
 
 # ------------------------------------------------- batched canopy sweeps
@@ -693,16 +645,6 @@ class TestEndToEndParity:
         for name in ("numpy", "python"):
             with use(name):
                 signatures[name] = cover_signature(self.build_cover(compact))
-        assert signatures["numpy"] == signatures["python"]
-
-    def test_tfidf_mode_cover_identical_across_backends(self):
-        store = small_dataset(seed=11).store
-        signatures = {}
-        for name in ("numpy", "python"):
-            with use(name):
-                signatures[name] = cover_signature(
-                    CanopyBlocker(similarity="tfidf", loose_threshold=0.4,
-                                  tight_threshold=0.7).build_cover(store))
         assert signatures["numpy"] == signatures["python"]
 
     @pytest.mark.parametrize("scheme", ["no-mp", "smp"])

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from repro.datamodel import EntityPair, MatchSet
 from repro.similarity import (
     DEFAULT_LEVELS,
-    damerau_levenshtein_distance,
     jaro_similarity,
     jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-    ngram_similarity,
     soundex,
 )
 
@@ -64,8 +60,7 @@ class TestMatchSetProperties:
 class TestSimilarityProperties:
     @given(names, names)
     def test_similarities_are_bounded_and_symmetric(self, a, b):
-        for function in (jaro_similarity, jaro_winkler_similarity,
-                         levenshtein_similarity, ngram_similarity):
+        for function in (jaro_similarity, jaro_winkler_similarity):
             forward = function(a, b)
             backward = function(b, a)
             assert 0.0 <= forward <= 1.0
@@ -75,21 +70,6 @@ class TestSimilarityProperties:
     def test_self_similarity_is_one(self, a):
         assert jaro_similarity(a, a) == 1.0
         assert jaro_winkler_similarity(a, a) == 1.0
-        assert levenshtein_similarity(a, a) == 1.0
-
-    @given(names, names)
-    def test_levenshtein_triangle_inequality_with_empty(self, a, b):
-        # d(a,b) <= len(a) + len(b) (delete everything, insert everything)
-        assert levenshtein_distance(a, b) <= len(a) + len(b)
-
-    @given(names, names)
-    def test_damerau_never_exceeds_levenshtein(self, a, b):
-        assert damerau_levenshtein_distance(a, b) <= levenshtein_distance(a, b)
-
-    @given(names, names, names)
-    def test_levenshtein_triangle_inequality(self, a, b, c):
-        assert levenshtein_distance(a, c) <= (
-            levenshtein_distance(a, b) + levenshtein_distance(b, c))
 
     @given(names)
     def test_soundex_format(self, name):

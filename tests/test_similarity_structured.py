@@ -1,4 +1,4 @@
-"""Tests for tfidf, phonetic, discretisation, author-name similarity and the registry."""
+"""Tests for soundex, discretisation and author-name similarity."""
 
 import pytest
 
@@ -6,51 +6,13 @@ from repro.similarity import (
     AuthorNameSimilarity,
     DEFAULT_LEVELS,
     SimilarityLevels,
-    TfIdfVectorizer,
     author_name_similarity,
-    available,
-    cosine_similarity,
     discretize,
-    get,
     initials_compatible,
     is_initial,
-    metaphone_key,
     normalize_name_part,
-    phonetic_equal,
-    register,
     soundex,
-    tfidf_cosine,
 )
-
-
-class TestTfIdf:
-    def test_fit_transform_shapes(self):
-        corpus = ["john smith", "jon smith", "mary jones"]
-        vectorizer = TfIdfVectorizer()
-        vectors = vectorizer.fit_transform(corpus)
-        assert len(vectors) == 3
-        assert vectorizer.vocabulary_size > 0
-
-    def test_vectors_are_normalised(self):
-        vectorizer = TfIdfVectorizer().fit(["john smith", "mary jones"])
-        vector = vectorizer.transform("john smith")
-        norm = sum(w * w for w in vector.values())
-        assert norm == pytest.approx(1.0)
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            TfIdfVectorizer().transform("john")
-
-    def test_cosine_identity_and_disjoint(self):
-        vectorizer = TfIdfVectorizer().fit(["john smith", "xavier yu"])
-        john = vectorizer.transform("john smith")
-        xavier = vectorizer.transform("xavier yu")
-        assert cosine_similarity(john, john) == pytest.approx(1.0)
-        assert cosine_similarity(john, xavier) == pytest.approx(0.0)
-
-    def test_tfidf_cosine_helper(self):
-        assert tfidf_cosine("john smith", "john smith") == pytest.approx(1.0)
-        assert tfidf_cosine("john smith", "jon smith") > 0.3
 
 
 class TestPhonetic:
@@ -64,14 +26,6 @@ class TestPhonetic:
 
     def test_soundex_padding(self):
         assert len(soundex("Lee")) == 4
-
-    def test_phonetic_equal(self):
-        assert phonetic_equal("Smith", "Smyth")
-        assert not phonetic_equal("Smith", "Jones")
-
-    def test_metaphone_key_basic(self):
-        assert metaphone_key("Philip") == metaphone_key("Filip")
-        assert metaphone_key("") == ""
 
 
 class TestDiscretize:
@@ -143,27 +97,3 @@ class TestAuthorNameSimilarity:
         measure = AuthorNameSimilarity()
         score = measure.score_entities(authors[0], authors[1])
         assert 0.0 <= score <= 1.0
-
-
-class TestRegistry:
-    def test_builtins_available(self):
-        names = available()
-        for expected in ("jaro", "jaro_winkler", "levenshtein", "ngram"):
-            assert expected in names
-
-    def test_get_and_call(self):
-        function = get("jaro_winkler")
-        assert function("smith", "smith") == 1.0
-
-    def test_get_unknown(self):
-        with pytest.raises(KeyError):
-            get("does-not-exist")
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            register("jaro", lambda a, b: 0.0)
-
-    def test_register_overwrite_allowed(self):
-        original = get("jaro")
-        register("jaro", original, overwrite=True)
-        assert get("jaro") is original

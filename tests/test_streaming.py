@@ -9,7 +9,7 @@ import pytest
 from repro.blocking import CanopyBlocker, build_total_cover
 from repro.core import EMFramework
 from repro.datamodel import CompactStore, Entity, EntityPair, EntityStore, make_author
-from repro.exceptions import DeltaError, ExperimentError
+from repro.exceptions import CoverError, DeltaError, ExperimentError
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.parallel.grid import GridExecutor
 from repro.streaming import (
@@ -243,33 +243,6 @@ def test_maintainer_matches_cold_builds_across_batches(dblp_dataset):
         assert 0.0 <= stats["rescored_fraction"] <= 1.0
 
 
-def test_maintainer_full_rebuild_fallback(dblp_dataset):
-    """Outside the profiled author-name mode every update reblocks in full:
-    a TF-IDF canopy depends on corpus-wide IDF weights, so one added entity
-    can move any score."""
-    def blocker():
-        return CanopyBlocker(similarity="tfidf", loose_threshold=0.5,
-                             tight_threshold=0.8)
-    maintainer = IncrementalCoverMaintainer(blocker(),
-                                            relation_names=["coauthor"])
-    assert not maintainer.supports_local_repair
-    overlay = StoreOverlay(dblp_dataset.store)
-    maintainer.build(overlay)
-    impact = DeltaImpact()
-    overlay.apply_delta(
-        AddEntity(make_author("zz-new", "Alice", "Zipf", source="s0")),
-        impact)
-    cover = maintainer.update(overlay, impact)
-    assert maintainer.last_full_rebuild
-    stats = maintainer.stats()
-    assert stats["full_rebuild"] == 1.0
-    assert stats["rescored_centers"] == stats["patched_entries"] == 0
-    cold = build_total_cover(blocker(), overlay.to_entity_store(),
-                             relation_names=["coauthor"])
-    assert [(n.name, n.entity_ids) for n in cover] == \
-        [(n.name, n.entity_ids) for n in cold]
-
-
 def test_cover_repair_reports_how_much_of_the_instance_a_delta_touched(dblp_dataset):
     """One arrival costs one canopy sweep plus set edits on the entries it
     joins — readable from ``BatchResult.cover_stats`` and the repair span."""
@@ -301,17 +274,15 @@ def test_cover_repair_reports_how_much_of_the_instance_a_delta_touched(dblp_data
     assert session.verify()
 
 
-def test_maintainer_non_canopy_blocker_rebuilds_cold(dblp_dataset):
-    from repro.blocking import StandardBlocker, last_name_initial_key
+def test_streaming_takes_only_a_canopy_blocker(dblp_dataset):
+    """The maintainer repairs canopy covers and nothing else: a key-based
+    blocker is refused up front, by the maintainer and by the session."""
+    from tests.reference.blockers import StandardBlocker, last_name_initial_key
     blocker = StandardBlocker(last_name_initial_key)
-    maintainer = IncrementalCoverMaintainer(blocker, relation_names=["coauthor"])
-    assert not maintainer.supports_local_repair
-    overlay = StoreOverlay(dblp_dataset.store)
-    cover = maintainer.build(overlay)
-    cold = build_total_cover(StandardBlocker(last_name_initial_key),
-                             dblp_dataset.store, relation_names=["coauthor"])
-    assert [(n.name, n.entity_ids) for n in cover] == \
-        [(n.name, n.entity_ids) for n in cold]
+    with pytest.raises(CoverError, match="StandardBlocker"):
+        IncrementalCoverMaintainer(blocker, relation_names=["coauthor"])
+    with pytest.raises(CoverError):
+        StreamSession(MLNMatcher(), dblp_dataset.store.copy(), blocker=blocker)
 
 
 # ------------------------------------------------------------ stream session
