@@ -9,7 +9,7 @@ settings on the HEPTH-like workload.
 
 from common import print_figure
 from repro.blocking import CanopyBlocker, build_total_cover
-from repro.core import SimpleMessagePassing
+from repro.core import EMFramework
 from repro.datamodel import MatchSet
 from repro.evaluation import precision_recall_f1
 from repro.matchers import MLNMatcher
@@ -29,7 +29,7 @@ def test_ablation_canopy_thresholds(benchmark, hepth_data):
         for label, loose, tight in settings:
             blocker = CanopyBlocker(loose_threshold=loose, tight_threshold=tight)
             cover = build_total_cover(blocker, store, relation_names=["coauthor"])
-            result = SimpleMessagePassing().run(MLNMatcher(), store, cover)
+            result = EMFramework(MLNMatcher(), store, cover=cover).run("smp")
             closed = MatchSet(result.matches).transitive_closure().pairs
             metrics = precision_recall_f1(closed, truth)
             stats = cover.stats()

@@ -9,7 +9,7 @@ SMP recover none of them, MMP recovers all of them, at every ring length.
 """
 
 from common import print_figure
-from repro.core import MaximalMessagePassing, NoMessagePassing, SimpleMessagePassing
+from repro.core import EMFramework
 from repro.matchers import MLNMatcher
 from repro.mln import paper_author_rules
 
@@ -29,9 +29,10 @@ def test_ablation_chain_length(benchmark):
         for length in lengths:
             store = build_chain_store(length=length, level=2)
             cover = chain_cover(length=length, window=3)
-            nomp = NoMessagePassing().run(MLNMatcher(rules=paper_author_rules()), store, cover)
-            smp = SimpleMessagePassing().run(MLNMatcher(rules=paper_author_rules()), store, cover)
-            mmp = MaximalMessagePassing().run(MLNMatcher(rules=paper_author_rules()), store, cover)
+            nomp, smp, mmp = (
+                EMFramework(MLNMatcher(rules=paper_author_rules()), store,
+                            cover=cover).run(scheme)
+                for scheme in ("no-mp", "smp", "mmp"))
             rows.append({
                 "ring_length": length,
                 "chain_pairs": length,

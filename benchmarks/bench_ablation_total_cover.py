@@ -8,7 +8,7 @@ expansion over the coauthor relation, and reports the recall difference.
 
 from common import print_figure
 from repro.blocking import CanopyBlocker, expand_to_total_cover
-from repro.core import SimpleMessagePassing
+from repro.core import EMFramework
 from repro.datamodel import MatchSet
 from repro.evaluation import precision_recall_f1
 from repro.matchers import MLNMatcher
@@ -26,8 +26,8 @@ def test_ablation_total_cover(benchmark, hepth_data):
         # list keeps neighborhoods as they are).
         raw_cover = expand_to_total_cover(base_cover, store, relation_names=[])
         total_cover = expand_to_total_cover(base_cover, store, relation_names=["coauthor"])
-        raw = SimpleMessagePassing().run(MLNMatcher(), store, raw_cover)
-        total = SimpleMessagePassing().run(MLNMatcher(), store, total_cover)
+        raw = EMFramework(MLNMatcher(), store, cover=raw_cover).run("smp")
+        total = EMFramework(MLNMatcher(), store, cover=total_cover).run("smp")
         return {"raw": (raw, raw_cover), "total": (total, total_cover)}
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

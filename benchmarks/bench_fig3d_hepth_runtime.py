@@ -11,17 +11,15 @@ no cache is shared between the compared runs.
 """
 
 from common import print_figure, runtime_rows
-from repro.core import MaximalMessagePassing, NoMessagePassing, SimpleMessagePassing
+from repro.core import EMFramework
 from repro.matchers import MLNMatcher
 
 
 def test_fig3d_hepth_runtime(benchmark, hepth_data, hepth_cover):
     def run_all():
-        return {
-            "no-mp": NoMessagePassing().run(MLNMatcher(), hepth_data.store, hepth_cover),
-            "smp": SimpleMessagePassing().run(MLNMatcher(), hepth_data.store, hepth_cover),
-            "mmp": MaximalMessagePassing().run(MLNMatcher(), hepth_data.store, hepth_cover),
-        }
+        return {scheme: EMFramework(MLNMatcher(), hepth_data.store,
+                                    cover=hepth_cover).run(scheme)
+                for scheme in ("no-mp", "smp", "mmp")}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = runtime_rows(results)

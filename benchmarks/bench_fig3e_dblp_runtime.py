@@ -7,17 +7,15 @@ on HEPTH — in the paper by an order of magnitude, here by a clear multiple.
 """
 
 from common import print_figure, runtime_rows
-from repro.core import MaximalMessagePassing, NoMessagePassing, SimpleMessagePassing
+from repro.core import EMFramework
 from repro.matchers import MLNMatcher
 
 
 def test_fig3e_dblp_runtime(benchmark, dblp_data, dblp_cover, hepth_data, hepth_cover):
     def run_all():
-        return {
-            "no-mp": NoMessagePassing().run(MLNMatcher(), dblp_data.store, dblp_cover),
-            "smp": SimpleMessagePassing().run(MLNMatcher(), dblp_data.store, dblp_cover),
-            "mmp": MaximalMessagePassing().run(MLNMatcher(), dblp_data.store, dblp_cover),
-        }
+        return {scheme: EMFramework(MLNMatcher(), dblp_data.store,
+                                    cover=dblp_cover).run(scheme)
+                for scheme in ("no-mp", "smp", "mmp")}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     rows = runtime_rows(results)

@@ -16,7 +16,7 @@ large ones it catches up and overtakes).
 from common import print_figure
 from conftest import HEPTH_SCALE
 from repro.blocking import CanopyBlocker, build_total_cover
-from repro.core import FullRun, MaximalMessagePassing
+from repro.core import EMFramework, FullRun
 from repro.datasets import hepth_like
 from repro.matchers import MLNMatcher
 
@@ -32,7 +32,7 @@ def test_fig3f_scaling(benchmark):
             cover = build_total_cover(CanopyBlocker(), dataset.store,
                                       relation_names=["coauthor"])
             full = FullRun().run(MLNMatcher(), dataset.store)
-            mmp = MaximalMessagePassing().run(MLNMatcher(), dataset.store, cover)
+            mmp = EMFramework(MLNMatcher(), dataset.store, cover=cover).run("mmp")
             rows.append({
                 "neighborhoods": len(cover),
                 "references": dataset.stats()["author_references"],

@@ -6,7 +6,7 @@ bit more than) NO-MP and the FULL run, on both datasets.
 """
 
 from common import print_figure
-from repro.core import FullRun, NoMessagePassing, SimpleMessagePassing
+from repro.core import EMFramework, FullRun
 from repro.matchers import RulesMatcher
 
 
@@ -15,8 +15,8 @@ def test_fig4c_rules_runtime(benchmark, hepth_data, hepth_cover, dblp_data, dblp
         rows = []
         for dataset_name, dataset, cover in (("HEPTH", hepth_data, hepth_cover),
                                               ("DBLP", dblp_data, dblp_cover)):
-            nomp = NoMessagePassing().run(RulesMatcher(), dataset.store, cover)
-            smp = SimpleMessagePassing().run(RulesMatcher(), dataset.store, cover)
+            nomp = EMFramework(RulesMatcher(), dataset.store, cover=cover).run("no-mp")
+            smp = EMFramework(RulesMatcher(), dataset.store, cover=cover).run("smp")
             full = FullRun().run(RulesMatcher(), dataset.store)
             rows.append({
                 "dataset": dataset_name,

@@ -71,7 +71,7 @@ def main() -> None:
 
     # 3. Collective MLN matcher, scaled with Simple Message Passing.
     framework = EMFramework(MLNMatcher(), store, cover=cover)
-    smp = framework.run_smp()
+    smp = framework.run("smp")
     rows.append(evaluate("collective MLN + SMP", smp.matches, truth))
 
     print()

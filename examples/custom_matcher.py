@@ -127,7 +127,7 @@ def main() -> None:
 
     learned_matcher = MLNMatcher(rules=rules.with_weights(learned_weights))
     framework = EMFramework(learned_matcher, store, cover=cover)
-    result = framework.run_smp()
+    result = framework.run("smp")
     closed = MatchSet(result.matches).transitive_closure().pairs
     metrics = precision_recall_f1(closed, truth)
     rows.append({"matcher": "mln (learnt weights)", "scheme": "smp",

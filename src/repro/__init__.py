@@ -31,11 +31,8 @@ from .blocking import (
 from .core import (
     EMFramework,
     FullRun,
-    MaximalMessagePassing,
     MaximalMessageSet,
-    NoMessagePassing,
     SchemeResult,
-    SimpleMessagePassing,
     UpperBoundScheme,
     compute_maximal_messages,
 )
@@ -111,15 +108,12 @@ __all__ = [
     "MLNMatcher",
     "MarkovLogicNetwork",
     "MatchSet",
-    "MaximalMessagePassing",
     "MaximalMessageSet",
     "Neighborhood",
-    "NoMessagePassing",
     "PairwiseMatcher",
     "Relation",
     "RulesMatcher",
     "SchemeResult",
-    "SimpleMessagePassing",
     "StoreOverlay",
     "StreamSession",
     "TypeIIMatcher",

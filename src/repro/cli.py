@@ -181,9 +181,9 @@ def _build_parser() -> argparse.ArgumentParser:
     match.add_argument("--matcher", choices=sorted(_MATCHERS), default="mln")
     match.add_argument("--scheme", choices=["no-mp", "smp", "mmp", "full"], default="smp")
     match.add_argument("--executor", choices=list(EXECUTOR_KINDS), default=None,
-                       help="run through the round-based grid executor with this "
-                            "map-phase engine (not available with --scheme full); "
-                            "omit for the plain sequential scheme")
+                       help="map-phase engine of the round-based grid the "
+                            "scheme runs on (not available with --scheme "
+                            "full); omit for serial")
     match.add_argument("--workers", type=int, default=None,
                        help="pool size for --executor threads/processes")
     match.add_argument("--store-backend", choices=list(STORE_BACKENDS),
@@ -380,15 +380,11 @@ def _command_match(args: argparse.Namespace) -> int:
     if fault_policy is not None and args.executor is None:
         raise SystemExit("--task-timeout/--retries/--speculate supervise the "
                          "grid executor; they require --executor")
-    if args.executor is not None:
-        if args.scheme == "full":
-            raise SystemExit("--executor runs the round-based grid; "
-                             "it does not apply to --scheme full")
-        result = framework.run_grid(args.scheme, executor=args.executor,
-                                    workers=args.workers,
-                                    fault_policy=fault_policy).to_scheme_result()
-    else:
-        result = framework.run(args.scheme)
+    if args.executor is not None and args.scheme == "full":
+        raise SystemExit("--executor runs the round-based grid; "
+                         "it does not apply to --scheme full")
+    result = framework.run(args.scheme, executor=args.executor,
+                           workers=args.workers, fault_policy=fault_policy)
 
     closed = MatchSet(result.matches).transitive_closure()
     metrics = precision_recall_f1(closed.pairs, dataset.true_matches())

@@ -1,29 +1,19 @@
 """Message-passing framework: the paper's primary contribution (Sections 2-5)."""
 
-from .active_set import ActiveNeighborhoodQueue
 from .framework import EMFramework, SCHEMES
 from .full import FullRun
 from .maximal import compute_maximal_messages
 from .messages import MaximalMessage, MaximalMessageSet, make_message
-from .mmp import MaximalMessagePassing
-from .nomp import NoMessagePassing
 from .result import SchemeResult
-from .runner import NeighborhoodRunner
-from .smp import SimpleMessagePassing
 from .upper_bound import UpperBoundScheme
 
 __all__ = [
-    "ActiveNeighborhoodQueue",
     "EMFramework",
     "FullRun",
     "MaximalMessage",
-    "MaximalMessagePassing",
     "MaximalMessageSet",
-    "NeighborhoodRunner",
-    "NoMessagePassing",
     "SCHEMES",
     "SchemeResult",
-    "SimpleMessagePassing",
     "UpperBoundScheme",
     "compute_maximal_messages",
     "make_message",

@@ -10,28 +10,24 @@ scheme — behind one object:
 
 The cover can either be supplied directly or built from a blocker (Canopy by
 default) with boundary expansion to make it total.  The framework exposes the
-schemes of the paper (NO-MP, SMP, MMP), the holistic FULL run, and the UB
-evaluation bound, and reuses one :class:`NeighborhoodRunner` so that
-neighborhood stores (and any matcher-side caches keyed on them) are shared
-between schemes.
+schemes of the paper (NO-MP, SMP, MMP) — all three run on the round-based
+grid of Section 6.3, serial unless an executor is named — the holistic FULL
+run, and the UB evaluation bound.  Neighborhood stores are cached across
+runs, so matcher-side caches keyed on them are shared between schemes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional
 
 from ..blocking import Blocker, CanopyBlocker, Cover, build_total_cover
-from ..datamodel import CompactStore, EntityPair, EntityStore, Evidence, MatchSet
-from ..exceptions import ExperimentError, MatcherError
+from ..datamodel import CompactStore, EntityPair, EntityStore, MatchSet
+from ..exceptions import ExperimentError
 from ..matchers import TypeIIMatcher, TypeIMatcher
 from ..obs import registry as obs_registry
 from ..obs.trace import span
 from .full import FullRun
-from .mmp import MaximalMessagePassing
-from .nomp import NoMessagePassing
 from .result import SchemeResult
-from .runner import NeighborhoodRunner
-from .smp import SimpleMessagePassing
 from .upper_bound import UpperBoundScheme
 
 #: Names accepted by :meth:`EMFramework.run`.
@@ -87,7 +83,9 @@ class EMFramework:
         #: grid/stream run of this framework (``None`` keeps the plain
         #: all-or-nothing executor contract).
         self.fault_policy = fault_policy
-        self._runner: Optional[NeighborhoodRunner] = None
+        # Neighborhood stores, built once and kept across runs (the cover
+        # never changes), so matcher caches keyed on them carry over.
+        self._store_cache: Dict[str, EntityStore] = {}
         self._stream = None
         self._cover = cover
         # Also kept for open_stream()/serve(): the stream session builds its
@@ -125,39 +123,7 @@ class EMFramework:
         cover.validate_covering(self.store)
         self._cover = cover
 
-    # ---------------------------------------------------------------- runner
-    @property
-    def runner(self) -> NeighborhoodRunner:
-        """The shared neighborhood runner (created lazily, counters reset per run)."""
-        if self._runner is None:
-            self._runner = NeighborhoodRunner(self.matcher, self.store, self.cover)
-        return self._runner
-
-    def _fresh_runner(self) -> NeighborhoodRunner:
-        runner = self.runner
-        runner.reset_counters()
-        return runner
-
     # ----------------------------------------------------------------- runs
-    def run_no_mp(self) -> SchemeResult:
-        """Run the matcher per neighborhood with no message passing."""
-        return NoMessagePassing().run(self.matcher, self.store, self.cover,
-                                      runner=self._fresh_runner())
-
-    def run_smp(self, max_activations_per_neighborhood: Optional[int] = None) -> SchemeResult:
-        """Run the Simple Message Passing scheme (Algorithm 1)."""
-        scheme = SimpleMessagePassing(max_activations_per_neighborhood)
-        return scheme.run(self.matcher, self.store, self.cover,
-                          runner=self._fresh_runner())
-
-    def run_mmp(self, max_activations_per_neighborhood: Optional[int] = None,
-                compute_messages_once: bool = True) -> SchemeResult:
-        """Run the Maximal Message Passing scheme (Algorithm 3; Type-II only)."""
-        scheme = MaximalMessagePassing(max_activations_per_neighborhood,
-                                       compute_messages_once=compute_messages_once)
-        return scheme.run(self.matcher, self.store, self.cover,
-                          runner=self._fresh_runner())
-
     def run_full(self) -> SchemeResult:
         """Run the matcher holistically on the whole store."""
         return FullRun().run(self.matcher, self.store)
@@ -175,54 +141,57 @@ class EMFramework:
         return UpperBoundScheme().run(self.matcher, self.store, ground_truth)
 
     def run_grid(self, scheme: str = "smp", executor=None,
-                 workers: Optional[int] = None, max_rounds: int = 50,
-                 compute_messages_once: bool = True, fault_policy=None):
+                 workers: Optional[int] = None, fault_policy=None):
         """Run a scheme on the round-based grid executor (Section 6.3).
 
         ``executor`` picks the map-phase engine: an
         :class:`~repro.parallel.executor.Executor` instance, a spec string
         (``"serial"``, ``"threads"``, ``"processes"``), or ``None`` for
-        serial.  Whatever the executor, the returned
+        serial; whatever the executor, the returned
         :class:`~repro.parallel.grid.GridRunResult` carries the same match
-        set as the corresponding sequential scheme; ``workers`` sizes the
-        pool when ``executor`` is a spec string.  ``fault_policy`` (defaults
-        to the framework-wide policy) supervises the rounds — see
-        :mod:`repro.parallel.resilience`.
+        set.  ``workers`` sizes the pool when ``executor`` is a spec string.
+        ``fault_policy`` (defaults to the framework-wide policy) supervises
+        the rounds — see :mod:`repro.parallel.resilience`.
         """
         # Imported lazily: repro.parallel itself imports from repro.core.
         from ..parallel.grid import GridExecutor
-        grid = GridExecutor(scheme=scheme, max_rounds=max_rounds,
-                            compute_messages_once=compute_messages_once,
-                            executor=executor, workers=workers,
+        grid = GridExecutor(scheme=scheme, executor=executor, workers=workers,
                             fault_policy=fault_policy if fault_policy is not None
                             else self.fault_policy)
-        return grid.run(self.matcher, self.store, self.cover)
+        return grid.run(self.matcher, self.store, self.cover,
+                        store_cache=self._store_cache)
 
-    def run(self, scheme: str, **kwargs) -> SchemeResult:
-        """Run a scheme selected by name (``"no-mp"``, ``"smp"``, ``"mmp"``, ``"full"``)."""
+    def run(self, scheme: str, executor=None, workers: Optional[int] = None,
+            fault_policy=None) -> SchemeResult:
+        """Run a scheme selected by name (``"no-mp"``, ``"smp"``, ``"mmp"``, ``"full"``).
+
+        NO-MP, SMP and MMP go through :meth:`run_grid` (same arguments);
+        ``"full"`` is one holistic matcher call and takes none of them.
+        """
         normalized = scheme.lower().replace("_", "-")
-        if normalized in ("no-mp", "nomp"):
-            return self.run_no_mp()
-        if normalized == "smp":
-            return self.run_smp(**kwargs)
-        if normalized == "mmp":
-            return self.run_mmp(**kwargs)
         if normalized == "full":
+            if any(option is not None for option in (executor, workers, fault_policy)):
+                raise ExperimentError(
+                    "the full run is one matcher call; executor, workers and "
+                    "fault_policy apply to the grid schemes only")
             return self.run_full()
+        if normalized in ("no-mp", "nomp", "smp", "mmp"):
+            return self.run_grid(normalized, executor=executor, workers=workers,
+                                 fault_policy=fault_policy).to_scheme_result()
         raise ExperimentError(f"unknown scheme {scheme!r}; known schemes: {SCHEMES}")
 
     def run_all(self, include_full: bool = False) -> Dict[str, SchemeResult]:
         """Run NO-MP, SMP and (for Type-II matchers) MMP; optionally FULL too."""
-        results = {"no-mp": self.run_no_mp(), "smp": self.run_smp()}
+        results = {"no-mp": self.run("no-mp"), "smp": self.run("smp")}
         if isinstance(self.matcher, TypeIIMatcher):
-            results["mmp"] = self.run_mmp()
+            results["mmp"] = self.run("mmp")
         if include_full:
             results["full"] = self.run_full()
         return results
 
     # ------------------------------------------------------------- streaming
     def open_stream(self, executor=None, workers: Optional[int] = None,
-                    max_rounds: int = 50, rebase_threshold: int = 5000,
+                    rebase_threshold: int = 5000,
                     durable_dir=None, checkpoint_every: int = 8,
                     fsync: bool = True, fault_policy=None,
                     checkpoint_on_signal: bool = False):
@@ -258,8 +227,7 @@ class EMFramework:
                 "to write the final checkpoint without a durable session")
         self._stream = self._new_session(
             executor, workers, fault_policy, durable_dir, checkpoint_every,
-            fsync, checkpoint_on_signal, max_rounds=max_rounds,
-            rebase_threshold=rebase_threshold)
+            fsync, checkpoint_on_signal, rebase_threshold=rebase_threshold)
         self._stream.start()
         return self._stream
 

@@ -16,16 +16,19 @@ the neighborhood (pairs with a similarity edge): pairs that are not candidates
 can never be matched, so conditioning on them is pointless, and pairs that are
 already matched (in ``M+`` or in the unconditioned output) carry no new
 information — their messages would be vacuously sound.
+
+The neighborhood runner is duck-typed: anything with ``run(name,
+positive=...)`` and ``candidate_pairs(name)`` — the grid's per-task runner
+(:mod:`repro.parallel.tasks`) in the program, the sequential schemes' runner
+in the test oracle.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from ..datamodel import EntityPair, EntityStore
-from ..matchers import TypeIMatcher
+from ..datamodel import EntityPair
 from .messages import MaximalMessage, make_message
-from .runner import NeighborhoodRunner
 
 
 def _connected_components(nodes: Iterable[EntityPair],
@@ -48,7 +51,7 @@ def _connected_components(nodes: Iterable[EntityPair],
     return components
 
 
-def compute_maximal_messages(runner: NeighborhoodRunner, neighborhood_name: str,
+def compute_maximal_messages(runner, neighborhood_name: str,
                              evidence_matches: Iterable[EntityPair],
                              unconditioned_output: Optional[FrozenSet[EntityPair]] = None,
                              include_singletons: bool = False) -> List[MaximalMessage]:
@@ -57,8 +60,8 @@ def compute_maximal_messages(runner: NeighborhoodRunner, neighborhood_name: str,
     Parameters
     ----------
     runner:
-        The shared :class:`NeighborhoodRunner` (provides the matcher, the
-        neighborhood store and the call accounting).
+        Runs the matcher on the neighborhood and lists its candidate pairs
+        (see the module docstring).
     neighborhood_name:
         Which neighborhood to analyse.
     evidence_matches:

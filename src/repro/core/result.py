@@ -25,8 +25,7 @@ class SchemeResult:
     neighborhoods:
         Number of neighborhoods in the cover (0 for FULL runs).
     rounds:
-        Number of scheduling rounds (only meaningful for the parallel executor
-        and for MMP/SMP revisits; 1 for NO-MP).
+        Number of grid rounds (1 for NO-MP, FULL and UB).
     messages_passed:
         Number of simple messages (new matches communicated) for SMP, or
         maximal messages created for MMP.

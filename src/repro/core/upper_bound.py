@@ -18,15 +18,13 @@ also provided.
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..blocking import Cover
-from ..datamodel import EntityPair, EntityStore, Evidence, MatchSet
+from ..datamodel import EntityPair, EntityStore, Evidence
 from ..matchers import TypeIIMatcher, TypeIMatcher
+from .mmp import SCORE_TOLERANCE
 from .result import SchemeResult
-from .runner import NeighborhoodRunner
-
-SCORE_TOLERANCE = 1e-9
 
 
 class UpperBoundScheme:
@@ -74,26 +72,34 @@ class UpperBoundScheme:
         matcher.
         """
         started = time.perf_counter()
-        runner = NeighborhoodRunner(matcher, store, cover)
-        truth = frozenset(ground_truth)
+        truth = Evidence.of(ground_truth)
+        # name -> (restricted store, ground truth inside it), built once.
+        restricted: Dict[str, Tuple[EntityStore, FrozenSet[EntityPair]]] = {}
+        calls = 0
         accepted: Set[EntityPair] = set()
         for pair in sorted(store.similar_pairs()):
             containing = cover.neighborhoods_of_pair(pair)
             if not containing:
                 continue
             name = min(containing, key=lambda n: len(cover.neighborhood(n)))
-            output = runner.run(name, positive=truth - {pair})
-            if pair in output:
+            if name not in restricted:
+                members = cover.neighborhood(name).entity_ids
+                restricted[name] = (store.restrict(members),
+                                    truth.pairs_inside(members)[0])
+            neighborhood_store, truth_inside = restricted[name]
+            calls += 1
+            if pair in matcher.match(neighborhood_store,
+                                     Evidence(truth_inside - {pair})):
                 accepted.add(pair)
         elapsed = time.perf_counter() - started
         return SchemeResult(
             scheme=self.scheme_name,
             matcher=matcher.name,
             matches=frozenset(accepted),
-            neighborhood_runs=runner.calls,
+            neighborhood_runs=calls,
             neighborhoods=len(cover),
             rounds=1,
             messages_passed=0,
             elapsed_seconds=elapsed,
-            matcher_seconds=runner.matcher_seconds,
+            matcher_seconds=elapsed,
         )

@@ -37,7 +37,8 @@ class Evidence:
 
     @classmethod
     def of(cls, positive: Iterable[EntityPair] = (), negative: Iterable[EntityPair] = ()) -> "Evidence":
-        return cls(pairs_from(positive), pairs_from(negative))
+        # ``__post_init__`` coerces both sides (and checks for contradictions).
+        return cls(positive, negative)
 
     def with_positive(self, pairs: Iterable[EntityPair]) -> "Evidence":
         """A copy with extra positive evidence added."""

@@ -249,12 +249,13 @@ class DurableStreamSession:
             store = CompactStore.from_store(store)
         matcher = pickle.loads(base64.b64decode(payload["matcher_pickle"]))
         blocker = pickle.loads(base64.b64decode(payload["blocker_pickle"]))
+        # Older checkpoints may carry keys of retired options; they are
+        # ignored.
         config = payload["config"]
         session = StreamSession(
             matcher, store, blocker=blocker,
             relation_names=config["relation_names"],
             executor=executor, workers=workers,
-            max_rounds=config["max_rounds"],
             expansion_rounds=config["expansion_rounds"],
             rebase_threshold=config["rebase_threshold"],
             fault_policy=fault_policy,

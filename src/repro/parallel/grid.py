@@ -7,8 +7,10 @@ this on a 30-machine Hadoop grid; here the map phase is dispatched through a
 pluggable :class:`~repro.parallel.executor.Executor` — serial, thread pool or
 process pool — against an immutable evidence snapshot, and the reduce phase
 merges per-neighborhood results in deterministic (sorted-name) order, so all
-executors produce match sets identical to the sequential schemes (the schemes
-are consistent, Theorem 2).
+executors produce identical match sets — the ones the paper's sequential
+loops reach too (the schemes are consistent, Theorem 2).  The rounds run to
+the fixpoint: until no neighborhood is active, with each neighborhood capped
+at ``k²`` activations (Theorem 3's termination bound).
 
 Two per-round costs are kept incremental: the evidence snapshot is *routed*
 instead of re-restricted (each new match is added once to the evidence set of
@@ -37,12 +39,13 @@ Two complementary views of grid wall-clock come out of one run:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..blocking import Cover
-from ..core import NeighborhoodRunner, SchemeResult
+from ..core import SchemeResult
 from ..core.activation import woken_by
 from ..core.messages import MaximalMessageSet
 from ..core.mmp import promote_messages
@@ -100,6 +103,11 @@ class GridRunResult:
     matches: FrozenSet[EntityPair]
     rounds: List[List[Task]] = field(default_factory=list)
     neighborhood_runs: int = 0
+    #: Neighborhoods in the cover the run went over.
+    neighborhoods: int = 0
+    #: SMP: new matches committed by the reduce phases (the simple messages);
+    #: MMP: maximal messages created; NO-MP: 0.
+    messages_passed: int = 0
     elapsed_seconds: float = 0.0
     executor: str = "serial"
     #: Final per-neighborhood result of every neighborhood that ran, filled
@@ -165,11 +173,13 @@ class GridRunResult:
     def to_scheme_result(self) -> SchemeResult:
         """View as a plain :class:`SchemeResult` (single-machine timing)."""
         return SchemeResult(
-            scheme=f"grid-{self.scheme}",
+            scheme=self.scheme,
             matcher=self.matcher,
             matches=self.matches,
             neighborhood_runs=self.neighborhood_runs,
+            neighborhoods=self.neighborhoods,
             rounds=self.round_count,
+            messages_passed=self.messages_passed,
             elapsed_seconds=self.elapsed_seconds,
             matcher_seconds=self.total_compute_seconds(),
         )
@@ -202,8 +212,7 @@ class GridExecutor:
     validator only if it has none.
     """
 
-    def __init__(self, scheme: str = "smp", max_rounds: int = 50,
-                 compute_messages_once: bool = True,
+    def __init__(self, scheme: str = "smp",
                  executor: Union[Executor, str, None] = None,
                  workers: Optional[int] = None,
                  fault_policy: Optional[FaultPolicy] = None):
@@ -211,10 +220,6 @@ class GridExecutor:
         if normalized not in ("no-mp", "nomp", "smp", "mmp"):
             raise ExperimentError(f"unknown grid scheme {scheme!r}")
         self.scheme = "no-mp" if normalized in ("no-mp", "nomp") else normalized
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        self.max_rounds = max_rounds
-        self.compute_messages_once = compute_messages_once
         if executor is None:
             self.executor: Executor = SerialExecutor()
         elif isinstance(executor, str):
@@ -246,9 +251,13 @@ class GridExecutor:
         converges to the same fixpoint a cold run reaches on the final
         instance.  ``collect_results`` returns each ran neighborhood's final
         matches in :attr:`GridRunResult.neighborhood_results`;
-        ``store_cache`` shares materialised neighborhood stores across runs
-        (the caller owns invalidation — see
-        :class:`~repro.core.runner.NeighborhoodRunner`).
+        ``store_cache`` shares materialised neighborhood stores (keyed by
+        name) across runs; the caller owns invalidation.
+
+        MMP probes each neighborhood's maximal messages on its first visit
+        only: later visits still run the matcher with the grown evidence
+        (which is what promotes messages into matches), and messages are
+        only ever *used* through the step-7 score check, so soundness holds.
         """
         if self.scheme == "mmp" and not isinstance(matcher, TypeIIMatcher):
             raise MatcherError("the mmp grid scheme requires a Type-II matcher")
@@ -258,11 +267,18 @@ class GridExecutor:
             if unknown:
                 raise ExperimentError(
                     f"initial_active names unknown neighborhoods: {sorted(unknown)[:3]}")
-        # The runner is used only to build (and cache across rounds) the
-        # restricted neighborhood stores; the matcher calls themselves happen
-        # inside the map tasks.
-        runner = NeighborhoodRunner(matcher, store, cover,
-                                    store_cache=store_cache)
+        # Restricted neighborhood stores, built once per neighborhood; the
+        # matcher calls themselves happen inside the map tasks.
+        stores: Dict[str, EntityStore] = \
+            store_cache if store_cache is not None else {}
+
+        def neighborhood_store(name: str) -> EntityStore:
+            cached = stores.get(name)
+            if cached is None:
+                cached = store.restrict(cover.neighborhood(name).entity_ids)
+                stores[name] = cached
+            return cached
+
         started = time.perf_counter()
 
         # Compact snapshot mode: broadcast the store and the matcher once per
@@ -290,21 +306,25 @@ class GridExecutor:
         shippable_cache: Dict[str, EntityStore] = {}
 
         def shippable_store(name: str) -> EntityStore:
-            neighborhood_store = runner.neighborhood_store(name)
-            if ships and not isinstance(neighborhood_store, EntityStore):
+            restricted = neighborhood_store(name)
+            if ships and not isinstance(restricted, EntityStore):
                 cached = shippable_cache.get(name)
                 if cached is None:
-                    cached = neighborhood_store.to_entity_store()
+                    cached = restricted.to_entity_store()
                     shippable_cache[name] = cached
                 return cached
-            return neighborhood_store
+            return restricted
 
         matches: Set[EntityPair] = set(initial_matches)
         message_set = MaximalMessageSet()
         probed: Set[str] = set()
         active: Set[str] = set(cover.names()) if active_seed is None else active_seed
         rounds: List[List[Task]] = []
-        neighborhood_runs = 0
+        neighborhood_runs = messages_passed = 0
+        # Theorem 3 bounds termination: a neighborhood of k entities is
+        # activated at most k² times.  (woken_by alone stays under the cap:
+        # each wake-up needs a pair new to this run with both ends inside.)
+        activations: Counter = Counter()
         # Standing negative evidence, routed once per neighborhood (negatives
         # never change during a run).
         negative_index: Dict[str, FrozenSet[EntityPair]] = {}
@@ -342,9 +362,8 @@ class GridExecutor:
                                 executor=self.executor.kind,
                                 neighborhoods=len(cover.names())) as run_span, \
                     self.executor:
-                for round_index in range(self.max_rounds):
-                    if not active:
-                        break
+                while active:
+                    round_index = len(rounds)
                     round_started = time.perf_counter()
                     round_span = obs_trace.span("grid.round",
                                                 round=round_index,
@@ -360,8 +379,9 @@ class GridExecutor:
                         # the snapshot, dispatched through the executor.
                         tasks: List[NamedTask] = []
                         for name in sorted(active):
-                            compute_messages = self.scheme == "mmp" and (
-                                not self.compute_messages_once or name not in probed)
+                            activations[name] += 1
+                            compute_messages = self.scheme == "mmp" and \
+                                name not in probed
                             if compute_messages:
                                 probed.add(name)
                             warm_start = last_results.get(name, frozenset()) \
@@ -419,6 +439,7 @@ class GridExecutor:
                                     pair_origins.setdefault(pair, (name, round_index))
                             round_new |= fresh
                             message_set.add_all(result.messages)
+                            messages_passed += len(result.messages)
                             neighborhood_runs += result.matcher_calls
                             round_tasks.append((name, result.duration))
                             _TASK_SECONDS.observe(result.duration)
@@ -432,12 +453,17 @@ class GridExecutor:
                         rounds.append(round_tasks)
 
                         matches |= round_new
-                        if self.scheme == "mmp":
+                        if self.scheme == "smp":
+                            messages_passed += len(round_new)
+                        elif self.scheme == "mmp":
                             round_new |= promote_messages(matcher, store,
                                                           matches, message_set)
 
-                        active = set() if self.scheme == "no-mp" \
-                            else woken_by(cover, round_new, last_results)
+                        active = set() if self.scheme == "no-mp" else {
+                            name for name in woken_by(cover, round_new,
+                                                      last_results)
+                            if activations[name] <
+                            max(len(cover.neighborhood(name)) ** 2, 1)}
                         round_span.add_attrs(tasks=len(round_tasks),
                                              new_matches=len(round_new))
                     _GRID_ROUNDS.inc()
@@ -464,6 +490,8 @@ class GridExecutor:
             matches=frozenset(matches),
             rounds=rounds,
             neighborhood_runs=neighborhood_runs,
+            neighborhoods=len(cover.names()),
+            messages_passed=messages_passed,
             elapsed_seconds=elapsed,
             executor=self.executor.kind,
             neighborhood_results=last_results if collect_results else {},

@@ -173,9 +173,8 @@ class SupervisionHistory:
 
     A long-lived session runs one grid round-set per change batch, each
     producing a list of :class:`RoundReport`\\ s
-    (:attr:`~repro.parallel.grid.GridRunResult.round_reports` — bounded
-    within one run by ``max_rounds``, but unbounded *across* batches if the
-    caller keeps them all).  This class keeps that history bounded: the last
+    (:attr:`~repro.parallel.grid.GridRunResult.round_reports` — one per
+    round, unbounded *across* batches if the caller keeps them all).  This class keeps that history bounded: the last
     ``limit`` per-batch aggregate reports are retained verbatim while
     running **aggregate counters** (one merged :class:`RoundReport` plus
     batch/round totals) cover everything ever recorded, including evicted

@@ -129,11 +129,11 @@ def validate_map_result(name: str, result: object) -> bool:
 
 
 class _TaskRunner:
-    """Duck-typed stand-in for :class:`~repro.core.runner.NeighborhoodRunner`.
+    """The runner :func:`~repro.core.maximal.compute_maximal_messages` probes.
 
-    :func:`~repro.core.maximal.compute_maximal_messages` only needs ``run``
-    and ``candidate_pairs``; scoping them to the task's single restricted
-    store keeps the payload independent of the cover and the global store.
+    It only needs ``run`` and ``candidate_pairs``; scoping them to the
+    task's single restricted store keeps the payload independent of the
+    cover and the global store.
     """
 
     def __init__(self, matcher: TypeIMatcher, store: EntityStore,

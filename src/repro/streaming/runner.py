@@ -113,7 +113,6 @@ class StreamSession:
                  scheme: str = "smp",
                  executor=None,
                  workers: Optional[int] = None,
-                 max_rounds: int = 50,
                  expansion_rounds: int = 1,
                  rebase_threshold: int = 5000,
                  fault_policy=None,
@@ -143,9 +142,8 @@ class StreamSession:
         # transiently failing task is retried/degraded instead of aborting
         # the batch.  :meth:`cold_matches` stays policy-free — verification
         # uses the plain serial reference on purpose.
-        self._grid = GridExecutor(scheme="smp", max_rounds=max_rounds,
-                                  executor=executor, workers=workers,
-                                  fault_policy=fault_policy)
+        self._grid = GridExecutor(scheme="smp", executor=executor,
+                                  workers=workers, fault_policy=fault_policy)
         #: A pristine copy of the matcher (pickling drops its caches) used by
         #: :meth:`cold_matches` so verification never sees warm state.
         self._matcher_blueprint = pickle.dumps(matcher)
@@ -164,7 +162,7 @@ class StreamSession:
         self.batches_applied = 0
         self.started = False
         # Supervision history across the session's lifetime.  Each batch's
-        # grid run yields up to ``max_rounds`` RoundReports; a long-lived
+        # grid run yields one RoundReport per round; a long-lived
         # session would accumulate them without bound, so only the last
         # ``supervision_limit`` per-batch aggregates are retained verbatim
         # while running totals cover everything (including evicted batches).
@@ -574,7 +572,6 @@ class StreamSession:
         """The constructor configuration a checkpoint must reproduce."""
         return {
             "relation_names": list(self.relation_names),
-            "max_rounds": self._grid.max_rounds,
             "expansion_rounds": self.maintainer.rounds,
             "rebase_threshold": self.rebase_threshold,
             "supervision_limit": self.supervision.limit,
@@ -601,7 +598,7 @@ class StreamSession:
         cover = build_total_cover(self.blocker, store,
                                   relation_names=self.relation_names,
                                   rounds=self.maintainer.rounds)
-        grid = GridExecutor(scheme="smp", max_rounds=self._grid.max_rounds)
+        grid = GridExecutor(scheme="smp")
         result = grid.run(self.fresh_matcher(), store, cover,
                           initial_matches=self.evidence.positive,
                           negative_evidence=self.evidence.negative)

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import Cover, Neighborhood
-from repro.core import MaximalMessagePassing, SimpleMessagePassing
 from repro.core.activation import woken_by
 from repro.datamodel import EntityPair, Evidence
 from repro.matchers import MLNMatcher, RulesMatcher, TypeIMatcher
@@ -25,6 +24,7 @@ from repro.obs import registry as obs_registry
 from repro.parallel import GridExecutor, make_executor
 from repro.streaming import StreamSession, synthesize_stream
 from tests.reference.activation import loosely_woken_by, neighbors_of_pairs
+from tests.reference.schemes import MaximalMessagePassing, SimpleMessagePassing
 from tests.test_property_framework import instances_with_covers
 
 MATCHERS = {"rules": RulesMatcher, "mln": MLNMatcher}

@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.core import (
-    ActiveNeighborhoodQueue,
-    MaximalMessageSet,
-    NeighborhoodRunner,
-    SchemeResult,
-    make_message,
-)
+from repro.core import MaximalMessageSet, SchemeResult, make_message
 from repro.matchers import MLNMatcher
 from repro.mln import section2_example_rules
+from tests.reference.schemes import ActiveNeighborhoodQueue, NeighborhoodRunner
 from tests.util import build_two_hop_store, pair, two_hop_rules
 
 

@@ -423,7 +423,7 @@ def payload_reduction(store, cover):
     first_round = []
     for backend in (store, CompactStore.from_store(store)):
         meter = _PayloadMeter()
-        GridExecutor(scheme="smp", executor=meter, max_rounds=1).run(
+        GridExecutor(scheme="smp", executor=meter).run(
             MLNMatcher(), backend, cover)
         first_round.append(meter.round_bytes[0])
     return first_round[0] / first_round[1]

@@ -465,6 +465,28 @@ def test_recover_ignores_retired_config_keys_in_old_checkpoints(tmp_path,
     recovered.close(checkpoint=False)
 
 
+def test_recover_ignores_the_retired_round_budget(tmp_path, dblp_dataset):
+    """A checkpoint written while the grid still stopped after a round
+    budget (``max_rounds`` in its config) recovers as is."""
+    scenario = synthesize_stream(dblp_dataset, batches=3,
+                                 holdout_fraction=0.3, seed=7)
+    durable = DurableStreamSession(
+        StreamSession(MLNMatcher(), scenario.base.store.copy()),
+        tmp_path, checkpoint_every=0, fsync=False)
+    durable.replay(scenario.log)
+    reference = durable.session.standing_state()
+    payload = durable._checkpoint_payload()
+    assert "max_rounds" not in payload["config"]
+    payload["config"]["max_rounds"] = 50
+    durable.checkpoints.save(payload, durable.session.batches_applied)
+    durable.wal.close()
+
+    recovered = DurableStreamSession.recover(tmp_path, fsync=False)
+    assert recovered.session.standing_state() == reference
+    assert recovered.verify()
+    recovered.close(checkpoint=False)
+
+
 def test_recover_tolerates_retired_attributes_on_pickled_objects(tmp_path,
                                                                  dblp_dataset):
     """A checkpoint whose pickled blocker still carries ``use_profiles`` and

@@ -60,8 +60,8 @@ class TestFrameworkWithExplicitCover:
 
     def test_runner_shared_and_counters_reset(self):
         framework = self.setup_framework()
-        first = framework.run_no_mp()
-        second = framework.run_no_mp()
+        first = framework.run("no-mp")
+        second = framework.run("no-mp")
         assert first.neighborhood_runs == second.neighborhood_runs
 
     def test_full_prefix(self):
@@ -102,7 +102,7 @@ class TestFrameworkWithBlocker:
         framework = EMFramework(RulesMatcher(), store, cover=cover)
         from repro.exceptions import MatcherError
         with pytest.raises(MatcherError):
-            framework.run_mmp()
+            framework.run("mmp")
 
     def test_ring_framework_end_to_end(self):
         store = build_chain_store(4, level=2)

@@ -11,16 +11,16 @@ import pickle
 
 import pytest
 
-from repro.core import (
+from repro.matchers import MLNMatcher, WarmStartCache
+from repro.mln import paper_author_rules
+from repro.parallel import GridExecutor
+from tests.reference.inference import NaiveCollectiveInference
+from tests.reference.schemes import (
     MaximalMessagePassing,
     NeighborhoodRunner,
     NoMessagePassing,
     SimpleMessagePassing,
 )
-from repro.matchers import MLNMatcher, WarmStartCache
-from repro.mln import paper_author_rules
-from repro.parallel import GridExecutor
-from tests.reference.inference import NaiveCollectiveInference
 from tests.util import (
     build_chain_store,
     build_two_hop_store,

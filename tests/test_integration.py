@@ -14,6 +14,7 @@ from repro.datamodel import MatchSet
 from repro.evaluation import ExperimentRunner, precision_recall_f1, soundness_completeness
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.parallel import GridExecutor
+from tests.reference.schemes import SimpleMessagePassing
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ class TestRulesPipelineOnDblp:
     def test_smp_equals_full_run(self, dblp_dataset, dblp_cover):
         """Figure 4: the RULES matcher with SMP reproduces its full run exactly."""
         framework = EMFramework(RulesMatcher(), dblp_dataset.store, cover=dblp_cover)
-        smp = framework.run_smp()
+        smp = framework.run("smp")
         full = framework.run_full()
         report = soundness_completeness(smp.matches, full.matches)
         assert report.is_sound
@@ -71,16 +72,17 @@ class TestRulesPipelineOnDblp:
 
     def test_rules_precision(self, dblp_dataset, dblp_cover):
         framework = EMFramework(RulesMatcher(), dblp_dataset.store, cover=dblp_cover)
-        smp = framework.run_smp()
+        smp = framework.run("smp")
         metrics = precision_recall_f1(smp.matches, dblp_dataset.true_matches())
         assert metrics.precision >= 0.8
 
 
 class TestGridEquivalence:
-    def test_grid_smp_equals_sequential_on_hepth(self, hepth_dataset, hepth_cover,
-                                                 hepth_mln_results):
+    def test_grid_smp_equals_sequential_on_hepth(self, hepth_dataset, hepth_cover):
         grid = GridExecutor(scheme="smp").run(MLNMatcher(), hepth_dataset.store, hepth_cover)
-        assert grid.matches == hepth_mln_results["smp"].matches
+        sequential = SimpleMessagePassing().run(MLNMatcher(), hepth_dataset.store,
+                                                hepth_cover)
+        assert grid.matches == sequential.matches
 
     def test_simulated_speedup_reasonable(self, hepth_dataset, hepth_cover):
         grid = GridExecutor(scheme="no-mp").run(MLNMatcher(), hepth_dataset.store, hepth_cover)

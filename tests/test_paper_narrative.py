@@ -16,17 +16,16 @@ them:
 import pytest
 
 from repro.blocking import Cover, Neighborhood
-from repro.core import (
-    EMFramework,
+from repro.core import EMFramework, compute_maximal_messages
+from repro.datamodel import Evidence
+from repro.matchers import MLNMatcher, check_well_behaved
+from repro.mln import paper_author_rules, section2_example_rules
+from tests.reference.schemes import (
     MaximalMessagePassing,
     NeighborhoodRunner,
     NoMessagePassing,
     SimpleMessagePassing,
-    compute_maximal_messages,
 )
-from repro.datamodel import Evidence
-from repro.matchers import MLNMatcher, check_well_behaved
-from repro.mln import paper_author_rules, section2_example_rules
 from tests.util import (
     build_chain_store,
     build_shared_coauthor_store,

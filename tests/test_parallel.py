@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from repro.core import EMFramework, FullRun, MaximalMessagePassing, SimpleMessagePassing
+from repro.core import EMFramework, FullRun
 from repro.exceptions import ExperimentError, MatcherError
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.mln import paper_author_rules
@@ -23,8 +23,10 @@ from repro.parallel import (
     skew,
     total_work,
 )
+from tests.reference.schemes import SCHEMES as ORACLES, SimpleMessagePassing
 from tests.util import (
     build_chain_store,
+    build_path_store,
     build_two_hop_store,
     chain_cover,
     chain_pair,
@@ -95,6 +97,17 @@ class TestGridExecutor:
         assert grid.matches == sequential.matches
         assert grid.round_count >= 2  # the dependent pair needs a second round
 
+    def test_grid_runs_to_its_fixpoint_on_a_long_path(self):
+        """The first round matches two pairs, each later one a single pair:
+        the grid stops when no neighborhood is active, not after a fixed
+        round budget."""
+        store, cover = build_path_store(70)
+        grid = GridExecutor(scheme="smp").run(MLNMatcher(rules=two_hop_rules()), store, cover)
+        sequential = SimpleMessagePassing().run(MLNMatcher(rules=two_hop_rules()), store, cover)
+        assert len(sequential.matches) == 70
+        assert grid.matches == sequential.matches
+        assert grid.round_count == 69
+
     def test_grid_nomp_single_round(self):
         store, cover = build_two_hop_store()
         grid = GridExecutor(scheme="no-mp").run(MLNMatcher(rules=two_hop_rules()), store, cover)
@@ -144,8 +157,10 @@ class TestGridExecutor:
         store, cover = build_two_hop_store()
         grid = GridExecutor(scheme="smp").run(MLNMatcher(rules=two_hop_rules()), store, cover)
         result = grid.to_scheme_result()
-        assert result.scheme == "grid-smp"
+        assert result.scheme == "smp"
         assert result.matches == grid.matches
+        assert result.neighborhoods == len(cover)
+        assert result.messages_passed == len(grid.matches)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ExperimentError):
@@ -357,8 +372,9 @@ class TestExecutorParity:
         return EMFramework(MLNMatcher(), hepth_dataset.store, cover=hepth_cover)
 
     @pytest.fixture(scope="class")
-    def references(self, framework):
-        return {scheme: framework.run(scheme) for scheme in ("no-mp", "smp", "mmp")}
+    def references(self, hepth_dataset, hepth_cover):
+        return {scheme: oracle().run(MLNMatcher(), hepth_dataset.store, hepth_cover)
+                for scheme, oracle in ORACLES.items()}
 
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     @pytest.mark.parametrize("scheme", ["no-mp", "smp", "mmp"])
@@ -381,4 +397,4 @@ class TestExecutorParity:
     def test_run_grid_entry_point(self, framework, references):
         grid = framework.run_grid("smp", executor="threads", workers=2)
         assert grid.matches == references["smp"].matches
-        assert grid.to_scheme_result().scheme == "grid-smp"
+        assert grid.to_scheme_result().scheme == "smp"

@@ -222,7 +222,7 @@ class TestCanopyParityWithReference:
                                       relation_names=["coauthor"])
             covers[label] = cover_signature(cover)
             from repro.core import EMFramework
-            result = EMFramework(RulesMatcher(), dataset.store, cover=cover).run_smp()
+            result = EMFramework(RulesMatcher(), dataset.store, cover=cover).run("smp")
             matches[label] = MatchSet(result.matches).transitive_closure().pairs
         assert covers["naive"] == covers["profiled"]
         assert matches["naive"] == matches["profiled"]

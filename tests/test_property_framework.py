@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import Cover, Neighborhood
-from repro.core import FullRun, MaximalMessagePassing, SimpleMessagePassing
+from repro.core import FullRun
 from repro.datamodel import EntityPair, EntityStore, make_author
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.mln import (
@@ -24,6 +24,11 @@ from repro.mln import (
     database_from_store,
     exhaustive_map,
     paper_author_rules,
+)
+from tests.reference.schemes import (
+    MaximalMessagePassing,
+    NoMessagePassing,
+    SimpleMessagePassing,
 )
 from tests.util import add_coauthor_edges
 
@@ -164,7 +169,6 @@ class TestSchemeProperties:
     def test_smp_finds_at_least_no_mp(self, store_and_cover):
         store, cover = store_and_cover
         matcher = MLNMatcher()
-        from repro.core import NoMessagePassing
         nomp = NoMessagePassing().run(matcher, store, cover)
         smp = SimpleMessagePassing().run(matcher, store, cover)
         assert nomp.matches <= smp.matches

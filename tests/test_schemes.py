@@ -12,18 +12,16 @@ These tests use hand-built instances whose correct outputs are known exactly:
 import pytest
 
 from repro.blocking import Cover, Neighborhood
-from repro.core import (
-    FullRun,
+from repro.core import FullRun, UpperBoundScheme, compute_maximal_messages
+from repro.exceptions import MatcherError
+from repro.matchers import MLNMatcher, RulesMatcher
+from repro.mln import paper_author_rules
+from tests.reference.schemes import (
     MaximalMessagePassing,
     NeighborhoodRunner,
     NoMessagePassing,
     SimpleMessagePassing,
-    UpperBoundScheme,
-    compute_maximal_messages,
 )
-from repro.exceptions import MatcherError
-from repro.matchers import MLNMatcher, RulesMatcher
-from repro.mln import paper_author_rules
 from tests.util import (
     build_chain_store,
     build_two_hop_store,

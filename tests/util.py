@@ -234,6 +234,36 @@ def build_two_hop_store() -> Tuple[EntityStore, Cover]:
     return store, cover
 
 
+def build_path_store(length: int = 70) -> Tuple[EntityStore, Cover]:
+    """A path of ``length`` neighborhoods for :func:`two_hop_rules`, each pair
+    justified only by the pair before it.
+
+    Author ``i`` has one record per source, ``pi-s0``/``pi-s1``, and
+    co-authors with author ``i+1`` in both sources.  The head pair of author
+    0 is strong (level 3); every other pair is hard (level 2: −6 alone,
+    −6 + 8 = +2 once the previous pair is evidence).  Neighborhood ``i``
+    holds authors ``i-1`` and ``i``, so after the first round (pairs 0 and
+    1) each round of SMP adds one pair: the fixpoint, all ``length`` pairs,
+    is ``length - 1`` rounds away.
+    """
+    store = EntityStore()
+    for index in range(length):
+        for source in (0, 1):
+            store.add_entity(make_author(f"p{index}-s{source}", "P.",
+                                         f"Path{index}", source=f"s{source}"))
+    add_coauthor_edges(store, [(f"p{index}-s{source}", f"p{index + 1}-s{source}")
+                               for index in range(length - 1)
+                               for source in (0, 1)])
+    neighborhoods = []
+    for index in range(length):
+        store.add_similarity(EntityPair.of(f"p{index}-s0", f"p{index}-s1"),
+                             0.99 if index == 0 else 0.90, 3 if index == 0 else 2)
+        authors = (index - 1, index) if index else (index,)
+        neighborhoods.append(Neighborhood(f"path-{index:03d}", frozenset(
+            f"p{author}-s{source}" for author in authors for source in (0, 1))))
+    return store, Cover(neighborhoods)
+
+
 def pair(a: str, b: str) -> EntityPair:
     """Terse pair constructor for test assertions."""
     return EntityPair.of(a, b)
