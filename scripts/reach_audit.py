@@ -8,8 +8,8 @@ per-module table of the function lines that no run ever entered::
 
 The entry points are the CLI subcommands (a small smoke of each, on a
 generated dataset), ``benchmarks/e2e/selftest.py``, the four ``examples/``
-scripts and the thirteen paper-figure benches at scale 0.15.  Each one runs
-as a subprocess whose ``PYTHONPATH`` starts with a generated
+scripts and the thirteen paper-figure benches at their default scales.  Each
+one runs as a subprocess whose ``PYTHONPATH`` starts with a generated
 ``sitecustomize.py``; that module installs a ``sys.setprofile`` hook (and
 the same hook for every thread) when the audit's environment variable is
 set.  Subprocesses an entry point starts itself (the ``serve`` server of the
@@ -35,7 +35,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -74,13 +74,11 @@ if _OUT and _ROOT:
 
 class Entry(NamedTuple):
     """One entry point: a command run from ``cwd`` (default: the work dir)
-    that must exit with one of ``ok``."""
+    that must exit 0."""
 
     name: str
     argv: Sequence[str]
     cwd: Optional[Path] = None
-    env: Tuple[Tuple[str, str], ...] = ()
-    ok: Tuple[int, ...] = (0,)
 
 
 class Function(NamedTuple):
@@ -103,9 +101,6 @@ def default_entries(work: Path) -> List[Entry]:
         "data.json", "trace.jsonl", "base.json", "wal"))
     deltas, served = str(work / "deltas.json"), str(work / "served")
     benches = ROOT / "benchmarks"
-    bench_env = (("REPRO_BENCH_HEPTH_SCALE", "0.15"),
-                 ("REPRO_BENCH_DBLP_SCALE", "0.15"),
-                 ("REPRO_BENCH_BIG_SCALE", "0.15"))
     figures = sorted(str(path.name) for path in benches.glob("bench_*.py")
                      if path.name != "bench_kernels.py")
     return [
@@ -154,19 +149,16 @@ def default_entries(work: Path) -> List[Entry]:
           for name in ("quickstart.py", "bibliography_dedup.py",
                        "custom_matcher.py", "parallel_grid.py")),
         # pytest-benchmark pauses any profile hook while it times a figure,
-        # so the figures run untimed.  pytest exits 1 when a figure's shape
-        # assertion fails, which some do at this scale; the figure's code
-        # has run by then.
+        # so the figures run untimed, at their default scales, where every
+        # figure's shape assertion holds: a failing figure fails the audit.
         Entry("paper-figure benches",
               [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-               "--benchmark-disable", *figures], cwd=benches, env=bench_env,
-              ok=(0, 1)),
+               "--benchmark-disable", *figures], cwd=benches),
     ]
 
 
 # ------------------------------------------------------------------ running
-def hooked_env(hook_dir: Path, out: Path, package_root: Path,
-               extra: Iterable[Tuple[str, str]] = ()) -> Dict[str, str]:
+def hooked_env(hook_dir: Path, out: Path, package_root: Path) -> Dict[str, str]:
     """The environment of an audited process: hook first on the path."""
     env = dict(os.environ)
     path = [str(hook_dir), str(package_root.parent)]
@@ -175,7 +167,6 @@ def hooked_env(hook_dir: Path, out: Path, package_root: Path,
     env["PYTHONPATH"] = os.pathsep.join(path)
     env[OUT_VAR] = str(out)
     env[ROOT_VAR] = str(package_root)
-    env.update(extra)
     return env
 
 
@@ -193,10 +184,10 @@ def run_entries(entries: Sequence[Entry], package_root: Path, work: Path,
         started = time.perf_counter()
         done = subprocess.run(
             list(entry.argv), cwd=str(entry.cwd or work),
-            env=hooked_env(hook_dir, out, package_root, entry.env),
+            env=hooked_env(hook_dir, out, package_root),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         row = {"name": entry.name, "returncode": done.returncode,
-               "ok": done.returncode in entry.ok,
+               "ok": done.returncode == 0,
                "seconds": round(time.perf_counter() - started, 1)}
         runs.append(row)
         if log is not None:

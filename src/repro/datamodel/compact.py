@@ -334,6 +334,9 @@ class CompactStore(StoreReads):
     returns a zero-copy :class:`StoreView`.
     """
 
+    #: Never changes: an immutable snapshot has one generation.
+    generation = 0
+
     def __init__(self, entities: Iterable[Entity] = (),
                  relations: Iterable[Union[Relation, CompactRelation]] = (),
                  similarity_edges: Iterable = ()):
@@ -656,6 +659,9 @@ class StoreView(StoreReads):
         return [edges[edge_index] for edge_index in self._member_edge_indices()]
 
     # ------------------------------------------------------------ restriction
+    def restriction(self) -> Tuple[CompactStore, FrozenSet[str]]:
+        return self.base, self.entity_ids()
+
     def restrict(self, entity_ids: Iterable[str]) -> "StoreView":
         indices = []
         for entity_id in entity_ids:

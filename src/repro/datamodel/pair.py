@@ -21,7 +21,15 @@ PairLike = Union["EntityPair", Tuple[str, str]]
 
 @dataclass(frozen=True, order=True)
 class EntityPair:
-    """An unordered pair of entity ids stored in canonical (sorted) order."""
+    """An unordered pair of entity ids stored in canonical (sorted) order.
+
+    The hash is computed once, at construction: pairs are hashed far more
+    often than they are built (every set and dict of matches, candidates and
+    groundings).  String hashes differ between processes, so the hash is not
+    pickled: unpickling recomputes it.
+    """
+
+    __slots__ = ("first", "second", "_hash")
 
     first: str
     second: str
@@ -36,6 +44,22 @@ class EntityPair:
             first, second = self.second, self.first
             object.__setattr__(self, "first", first)
             object.__setattr__(self, "second", second)
+        object.__setattr__(self, "_hash", hash((self.first, self.second)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> Tuple[str, str]:
+        return self.first, self.second
+
+    def __setstate__(self, state) -> None:
+        # A tuple, or the ``{'first', 'second'}`` dict of the pickles
+        # written before the hash was cached.
+        first, second = (state["first"], state["second"]) \
+            if isinstance(state, dict) else state
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "_hash", hash((first, second)))
 
     @classmethod
     def of(cls, a: Union[str, Entity], b: Union[str, Entity]) -> "EntityPair":

@@ -251,6 +251,11 @@ class EntityStore:
         return list(self._similar.values())
 
     # ------------------------------------------------------------ restriction
+    def restriction(self) -> Tuple["EntityStore", Optional[FrozenSet[str]]]:
+        """``(base, members)``: the store this one restricts and the entity
+        ids it keeps (``None``: all).  A materialised store is its own base."""
+        return self, None
+
     def restrict(self, entity_ids: Iterable[str]) -> "EntityStore":
         """Materialise the sub-instance induced by ``entity_ids``.
 
@@ -345,6 +350,10 @@ class StoreReads:
 
     def relations(self) -> list:
         return [self.relation(name) for name in self.relation_names()]
+
+    def restriction(self) -> Tuple[object, Optional[FrozenSet[str]]]:
+        """As :meth:`EntityStore.restriction`; views name their base."""
+        return self, None
 
     def similarity_level(self, pair: EntityPair, default: int = 0) -> int:
         edge = self.similarity(pair)

@@ -9,7 +9,6 @@ from .properties import (
     PropertyViolation,
     check_idempotence,
     check_monotonicity,
-    check_supermodularity,
     check_well_behaved,
 )
 from .rules_matcher import RulesMatcher
@@ -28,7 +27,6 @@ __all__ = [
     "WarmStartCache",
     "check_idempotence",
     "check_monotonicity",
-    "check_supermodularity",
     "check_well_behaved",
     "default_author_comparisons",
 ]

@@ -13,7 +13,9 @@ resolution, Appendix B rules).  It is:
 
 Ground networks are cached per entity store so that re-running the matcher on
 the same neighborhood with more evidence (the common case during message
-passing) does not pay the grounding cost again.  Next to the network cache
+passing) does not pay the grounding cost again; a network missing from the
+cache is a slice of the binding index of the store's base, so overlapping
+neighborhoods of one base ground each binding once.  Next to the network cache
 lives a per-store *result* cache: because the matcher is idempotent and
 monotone, a previous result obtained under a subset of the current positive
 evidence (and identical negative evidence) is contained in the current answer
@@ -47,7 +49,6 @@ class MLNMatcher(TypeIIMatcher):
     def __init__(self, rules: Optional[RuleSet] = None,
                  inference: Optional[GreedyCollectiveInference] = None,
                  coauthor_relation: str = "coauthor",
-                 cache_networks: bool = True,
                  cache_results: bool = True,
                  max_cached_stores: int = 2048):
         self.mln = MarkovLogicNetwork(
@@ -55,7 +56,6 @@ class MLNMatcher(TypeIIMatcher):
             inference=inference if inference is not None else GreedyCollectiveInference(),
             coauthor_relation=coauthor_relation,
         )
-        self.cache_networks = cache_networks
         self.cache_results = cache_results
         if max_cached_stores < 1:
             raise ValueError("max_cached_stores must be >= 1")
@@ -84,8 +84,6 @@ class MLNMatcher(TypeIIMatcher):
     # -------------------------------------------------------------- networks
     def network_for(self, store: EntityStore) -> GroundNetwork:
         """The (cached) ground network for ``store``."""
-        if not self.cache_networks:
-            return self.mln.ground(store)
         key = id(store)
         cached = self._network_cache.get(key)
         if cached is not None and cached[0] is store:

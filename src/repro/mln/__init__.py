@@ -1,13 +1,8 @@
 """Markov Logic Network substrate used by the MLN collective matcher."""
 
-from .database import EvidenceDatabase, database_from_store
+from .database import StoreFacts
 from .grounding import Grounder, GroundRule
-from .inference import (
-    GreedyCollectiveInference,
-    InferenceResult,
-    SCORE_TOLERANCE,
-    exhaustive_map,
-)
+from .inference import GreedyCollectiveInference, InferenceResult, SCORE_TOLERANCE
 from .learning import LearningReport, TrainingExample, VotedPerceptronLearner
 from .logic import (
     Atom,
@@ -20,7 +15,6 @@ from .logic import (
     atom,
     const,
     paper_author_rules,
-    section2_example_rules,
     var,
 )
 from .model import MarkovLogicNetwork
@@ -30,7 +24,6 @@ from .state import WorldState
 __all__ = [
     "Atom",
     "Constant",
-    "EvidenceDatabase",
     "GreedyCollectiveInference",
     "GroundNetwork",
     "GroundRule",
@@ -43,15 +36,13 @@ __all__ = [
     "Rule",
     "RuleSet",
     "SCORE_TOLERANCE",
+    "StoreFacts",
     "TrainingExample",
     "Variable",
     "VotedPerceptronLearner",
     "WorldState",
     "atom",
     "const",
-    "database_from_store",
-    "exhaustive_map",
     "paper_author_rules",
-    "section2_example_rules",
     "var",
 ]

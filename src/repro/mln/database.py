@@ -1,166 +1,103 @@
-"""Evidence database: the ground facts a rule set is grounded against.
+"""Evidence facts: what a rule set is grounded against.
 
-The database holds, per evidence predicate, the set of ground tuples that are
-true (closed-world: everything not listed is false), plus the set of
-*candidate query pairs* — the entity pairs for which an ``equals`` ground atom
-exists at all.  Restricting the query atoms to candidate pairs is what keeps
-the ground network small (the paper's "1.3M matching decisions" are exactly
-the candidate pairs produced by the cover) and mirrors how practical MLN
-matchers are deployed.
+The facts of a store are, per similarity edge ``(a, b)`` of level ``s``,
+``similar(a, b, s)`` and ``similar(b, a, s)`` (rules treat the predicate as
+symmetric by grounding both orders) plus the level-free ``similar(a, b)``
+and ``similar(b, a)`` of the Section-2 rules; and, per tuple of the coauthor
+relation (and any extra relations), a fact under the relation's name, both
+orders for a binary one.  Everything not listed is false (closed world).
+The *candidate pairs* — the entity pairs for which an ``equals`` ground atom
+exists at all — are the similarity edges.  Restricting the query atoms to
+candidate pairs is what keeps the ground network small (the paper's "1.3M
+matching decisions" are exactly the candidate pairs produced by the cover)
+and mirrors how practical MLN matchers are deployed.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple, Union
+import weakref
+from typing import (AbstractSet, Callable, Collection, Dict, Iterable, Mapping, Sequence,
+                    Set, Tuple, Union)
 
-from ..datamodel import COAUTHOR, EntityPair, EntityStore
+from ..datamodel import EntityPair
+from ..datamodel.relation import SIMILAR
 
 GroundValue = Union[str, int]
 GroundTuple = Tuple[GroundValue, ...]
 
-_NO_FACTS: FrozenSet[GroundTuple] = frozenset()
-_NO_INDEX: Mapping = MappingProxyType({})
+
+class _Filled(dict):
+    """A dict filling a missing key by ``fill(key)``: an owner's method, weakly (no cycle)."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill: Callable):
+        self._fill = weakref.WeakMethod(fill)
+
+    def __missing__(self, key):
+        value = self[key] = self._fill()(key)
+        return value
 
 
-class EvidenceDatabase:
-    """Ground evidence facts plus the candidate ``equals`` pairs."""
+class StoreFacts:
+    """The evidence facts and candidate pairs of a store, read off it lazily.
 
-    def __init__(self) -> None:
-        self._facts: Dict[str, Set[GroundTuple]] = {}
-        # Per-predicate, per-position index: position -> value -> tuples,
-        # built on the first ``index_for`` of that position.
-        self._index: Dict[str, Dict[int, Dict[GroundValue, Set[GroundTuple]]]] = {}
-        self._candidates: Set[EntityPair] = set()
-        # Both orientations of every candidate, keyed by the two ids.
-        self._candidate_index: Dict[Tuple[str, str], EntityPair] = {}
-
-    # ----------------------------------------------------------------- facts
-    def add_fact(self, predicate: str, *values: GroundValue) -> None:
-        """Assert a ground evidence fact."""
-        tup = tuple(values)
-        facts = self._facts.setdefault(predicate, set())
-        if tup in facts:
-            return
-        facts.add(tup)
-        for position, index in self._index.get(predicate, {}).items():
-            if position < len(tup):
-                index.setdefault(tup[position], set()).add(tup)
-
-    def facts(self, predicate: str) -> FrozenSet[GroundTuple]:
-        return frozenset(self._facts.get(predicate, frozenset()))
-
-    def holds(self, predicate: str, *values: GroundValue) -> bool:
-        return tuple(values) in self._facts.get(predicate, set())
-
-    def predicates(self) -> List[str]:
-        return sorted(self._facts)
-
-    # Read-only views for the grounder's hot path: the returned containers
-    # are the stored ones, never copies — callers must not mutate them.
-    def fact_set(self, predicate: str) -> AbstractSet[GroundTuple]:
-        """Every tuple of ``predicate`` (all arities), shared."""
-        return self._facts.get(predicate, _NO_FACTS)
-
-    def index_for(self, predicate: str,
-                  position: int) -> Mapping[GroundValue, AbstractSet[GroundTuple]]:
-        """value → tuples of ``predicate`` holding it at ``position``, shared
-        (built on first request, then kept current by :meth:`add_fact`)."""
-        facts = self._facts.get(predicate)
-        if not facts:
-            return _NO_INDEX
-        indexes = self._index.setdefault(predicate, {})
-        index = indexes.get(position)
-        if index is None:
-            index = indexes[position] = {}
-            for tup in facts:
-                if position < len(tup):
-                    index.setdefault(tup[position], set()).add(tup)
-        return index
-
-    def lookup(self, predicate: str,
-               bound: Dict[int, GroundValue]) -> AbstractSet[GroundTuple]:
-        """Tuples of ``predicate`` matching the partially-bound positions.
-
-        ``bound`` maps argument position → required value.  With zero or one
-        bound position the stored set is handed back as is (read-only by
-        contract); with more the per-position buckets are intersected
-        smallest first.
-        """
-        if not bound:
-            return self.fact_set(predicate)
-        buckets = sorted(
-            (self.index_for(predicate, position).get(value, _NO_FACTS)
-             for position, value in bound.items()),
-            key=len)
-        if len(buckets) == 1 or not buckets[0]:
-            return buckets[0]
-        return frozenset(buckets[0].intersection(*buckets[1:]))
-
-    # ------------------------------------------------------------ candidates
-    def add_candidate(self, pair: EntityPair) -> None:
-        """Register an entity pair as a possible match decision."""
-        if pair in self._candidates:
-            return
-        self._candidates.add(pair)
-        self._candidate_index[(pair.first, pair.second)] = pair
-        self._candidate_index[(pair.second, pair.first)] = pair
-
-    def candidates(self) -> FrozenSet[EntityPair]:
-        return frozenset(self._candidates)
-
-    def is_candidate(self, pair: EntityPair) -> bool:
-        return pair in self._candidates
-
-    def candidate_index(self) -> Mapping[Tuple[str, str], EntityPair]:
-        """``equals`` as a relation: ``(a, b)`` and ``(b, a)`` → the candidate pair.
-
-        Shared, not copied; lets the grounder test and fetch a candidate by
-        its two ids without building an :class:`EntityPair`.
-        """
-        return self._candidate_index
-
-    # ----------------------------------------------------------------- stats
-    def stats(self) -> Dict[str, int]:
-        return {
-            "predicates": len(self._facts),
-            "facts": sum(len(f) for f in self._facts.values()),
-            "candidate_pairs": len(self._candidates),
-        }
-
-
-def database_from_store(store: EntityStore,
-                        coauthor_relation: str = COAUTHOR,
-                        extra_relations: Sequence[str] = (),
-                        include_levelless_similar: bool = True) -> EvidenceDatabase:
-    """Build an :class:`EvidenceDatabase` from an :class:`EntityStore`.
-
-    * Every similarity edge of the store with level ``s`` produces the facts
-      ``similar(a, b, s)`` and ``similar(b, a, s)`` (rules treat the predicate
-      as symmetric by grounding both orders), plus, when
-      ``include_levelless_similar`` is set, a level-free ``similar(a, b)``
-      fact used by the Section-2 example rules.
-    * The coauthor relation (and any ``extra_relations``) produce symmetric
-      binary facts under their relation name.
-    * Every similarity edge also registers its pair as a candidate match.
+    Nothing is materialised up front: an entity's candidate pairs are read
+    (``similar_pairs_of``) the first time ``partners`` is asked for them, and
+    its facts bucketed by (predicate, position) the first time ``buckets``
+    is — so grounding a few neighborhoods of a large base reads only the
+    entities their bindings reach.  A predicate's whole fact set is built,
+    from every entity's bucket, only for an atom none of whose bound values
+    is an entity id.  The store must not change while the facts are read (a
+    changed store gets new ``StoreFacts``); the containers handed out are
+    shared, not copies.
     """
-    db = EvidenceDatabase()
-    for edge in store.similarity_edges():
-        a, b = edge.pair.first, edge.pair.second
-        db.add_fact("similar", a, b, edge.level)
-        db.add_fact("similar", b, a, edge.level)
-        if include_levelless_similar:
-            db.add_fact("similar", a, b)
-            db.add_fact("similar", b, a)
-        db.add_candidate(edge.pair)
 
-    relation_names = [coauthor_relation, *extra_relations]
-    for name in relation_names:
-        if not store.has_relation(name):
-            continue
-        relation = store.relation(name)
-        for tup in relation:
-            db.add_fact(name, *tup)
-            if relation.arity == 2:
-                db.add_fact(name, tup[1], tup[0])
-    return db
+    def __init__(self, store, relation_names: Sequence[str]):
+        self._store = store
+        self._relations = tuple(name for name in relation_names
+                                if store.has_relation(name))
+        #: entity -> other end -> candidate pair.
+        self.partners: Mapping[str, Mapping[str, EntityPair]] = _Filled(self._partners_of)
+        #: entity -> (predicate, position) -> the facts holding it there.
+        self.buckets: Mapping[str, Mapping[Tuple[str, int], Collection[GroundTuple]]] = \
+            _Filled(self._bucket)
+        self._whole: Dict[str, AbstractSet[GroundTuple]] = {}
+
+    def candidates(self) -> Iterable[EntityPair]:
+        return [edge.pair for edge in self._store.similarity_edges()]
+
+    def _partners_of(self, entity_id: str) -> Dict[str, EntityPair]:
+        return {pair.second if pair.first == entity_id else pair.first: pair
+                for pair in self._store.similar_pairs_of(entity_id)}
+
+    def _bucket(self, entity_id: str) -> Dict[Tuple[str, int], Tuple[GroundTuple, ...]]:
+        buckets: Dict[Tuple[str, int], Set[GroundTuple]] = {}
+        store = self._store
+        for other, pair in self.partners[entity_id].items():
+            level = store.similarity_level(pair)
+            buckets.setdefault((SIMILAR, 0), set()).update(
+                ((entity_id, other, level), (entity_id, other)))
+            buckets.setdefault((SIMILAR, 1), set()).update(
+                ((other, entity_id, level), (other, entity_id)))
+        for name in self._relations:
+            relation = store.relation(name)
+            for tup in relation.tuples_of(entity_id):
+                for fact in (tup, (tup[1], tup[0])) if relation.arity == 2 else (tup,):
+                    for position, value in enumerate(fact):
+                        if value == entity_id:
+                            buckets.setdefault((name, position), set()).add(fact)
+        # Tuples, not sets: a bucket holds a handful of facts, and a tuple
+        # takes a fraction of a set's memory.
+        return {key: tuple(facts) for key, facts in buckets.items()}
+
+    def fact_set(self, predicate: str) -> AbstractSet[GroundTuple]:
+        """Every fact of ``predicate`` (all arities): each one holds an entity
+        at position 0, so it is the union of those buckets."""
+        facts = self._whole.get(predicate)
+        if facts is None:
+            buckets, key = self.buckets, (predicate, 0)
+            facts = self._whole[predicate] = frozenset(
+                fact for entity_id in self._store.entity_ids()
+                for fact in buckets[entity_id].get(key, ()))
+        return facts

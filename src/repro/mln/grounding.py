@@ -1,7 +1,7 @@
-"""Grounding: instantiate first-order rules against an evidence database.
+"""Grounding: instantiate first-order rules against evidence facts.
 
 A *grounding* of a rule binds every variable to an entity id (or constant)
-such that all *evidence* atoms in the body hold in the database.  What is left
+such that all *evidence* atoms in the body hold among the facts.  What is left
 of the grounding is its query part:
 
 * ``head_pair`` — the ``equals`` pair the rule concludes,
@@ -28,16 +28,29 @@ exists, so the cost of a grounding is ``Σ over candidate pairs of the product
 of the joined buckets`` (``deg·deg`` for the Appendix-B coauthor rule) and
 never the cross product of two relations.  ``equals`` terms are entity ids:
 they are compared and looked up as the ground values themselves.
+
+Groundings are found once per base, not once per neighborhood.  A
+neighborhood store is a restriction of a larger *base* (a ``StoreView`` of
+its ``CompactStore``, an ``OverlayView`` of its ``StoreOverlay``), and its
+evidence facts and candidate pairs are exactly the base's with every entity
+inside.  So a grounding of the neighborhood is exactly a grounding of the
+base whose *witness* — the entity ids it reads — lies inside the
+neighborhood.  A :class:`BindingIndex` enumerates each (rule plan, candidate
+head) once against the base, keeps the keys it finds with their witnesses,
+and hands every restriction the slice its members keep; overlapping
+neighborhoods share the join work instead of repeating it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..datamodel import EntityPair
 from ..obs import registry as obs_registry
-from .database import EvidenceDatabase, GroundValue
+from .database import GroundTuple, GroundValue
 from .logic import Atom, Constant, Rule, RuleSet, Term
 
 _BINDINGS = obs_registry.counter(
@@ -82,6 +95,8 @@ class _Step:
     slots: Tuple[int, ...]
     #: Positions whose slot is bound on arrival: index lookups, then equality.
     bound: Tuple[_Link, ...]
+    #: ``bound`` with each position's bucket key, ``(predicate, position)``.
+    lookups: Tuple[Tuple[int, int, Tuple[str, int]], ...]
     #: First occurrence of each new variable: assigned from the joined fact.
     binds: Tuple[_Link, ...]
     #: Later occurrences of a new variable inside this atom: equality.
@@ -109,6 +124,11 @@ class _RulePlan:
     filters: Tuple[Tuple[_Filter, ...], ...]
     head: Tuple[int, int]
     body: Tuple[Tuple[int, int], ...]
+    #: Slots a grounding reads entity ids from: the variables and string
+    #: constants of every evidence atom and of every ``equals`` atom of two
+    #: slots, bar the seed's (a slice only asks for heads inside it).  The
+    #: string values they hold in a binding are its witness.
+    witness: Tuple[int, ...]
 
 
 def compile_rule(rule: Rule) -> _RulePlan:
@@ -173,38 +193,51 @@ def compile_rule(rule: Rule) -> _RulePlan:
                 fresh.add(index)
                 binds.append((position, index))
         bound.update(fresh)
-        steps.append(_Step(predicate, slots, tuple(known), tuple(binds),
-                           tuple(repeats)))
+        steps.append(_Step(predicate, slots, tuple(known),
+                           tuple((position, index, (predicate, position))
+                                 for position, index in known),
+                           tuple(binds), tuple(repeats)))
         filters.append(due_filters())
+    read = {index for step in steps for index in step.slots}
+    read.update(index for pair in (head, *body) if pair[0] != pair[1]
+                for index in pair)
+    read.difference_update(seed or ())
+    witness = tuple(sorted(index for index in read
+                           if initial[index] is None or isinstance(initial[index], str)))
     return _RulePlan(rule.name, rule.weight, tuple(initial), seed,
-                     tuple(steps), tuple(filters), head, body)
+                     tuple(steps), tuple(filters), head, body, witness)
 
 
 #: Dedupe key of one grounding: ``(head_pair, body_pairs)``.
 _Key = Tuple[EntityPair, FrozenSet[EntityPair]]
+#: The witness slots' values in one binding, and the entity ids among them.
+_Read = Tuple[GroundValue, ...]
+_Witness = FrozenSet[str]
+_NO_FACTS: FrozenSet[GroundTuple] = frozenset()
+#: Groundings in canonical order, each with the witnesses that reach it.
+_Entries = Tuple[Tuple[GroundRule, Tuple[_Witness, ...]], ...]
 
 
-def _enumerate(plan: _RulePlan,
-               database: EvidenceDatabase) -> Tuple[Set[_Key], int]:
-    """Run ``plan`` depth-first: the distinct grounding keys it reaches.
+def _enumerate(plan: _RulePlan, facts, heads: Optional[Iterable[EntityPair]]
+               ) -> Tuple[Dict[_Key, Set[_Read]], int]:
+    """Run ``plan`` depth-first over the fact source ``facts``: the distinct
+    grounding keys it reaches, each with what the bindings that reach it
+    hold in the witness slots.
 
-    Also returns the number of partial bindings enumerated (seeds plus joined
-    facts) — the join work, of which the keys are the useful part.
+    A seeded plan starts from each of ``heads``, both orientations; an
+    unseeded one (``heads`` is ``None``) starts once.  Also returns the
+    number of partial bindings enumerated (seeds plus joined facts) — the
+    join work, of which the keys are the useful part.
     """
-    candidates = database.candidate_index()
+    partners, buckets, fact_set = facts.partners, facts.buckets, facts.fact_set
     slots = list(plan.initial)
-    filters = plan.filters
+    filters, steps, body = plan.filters, plan.steps, plan.body
+    # The witness slots' values as a tuple (one slot listed twice, since a
+    # lone index would make itemgetter return a bare value).
+    read = itemgetter(*plan.witness, *plan.witness[:1]) if plan.witness else None
     head_x, head_y = plan.head
-    body = plan.body
-    depth_of_emit = len(plan.steps)
-    # Resolve each step's relation once per call, not once per binding.
-    steps = [
-        (step, database.fact_set(step.predicate),
-         [(position, index, database.index_for(step.predicate, position))
-          for position, index in step.bound])
-        for step in plan.steps
-    ]
-    found: Set[_Key] = set()
+    depth_of_emit = len(steps)
+    found: Dict[_Key, Set[_Read]] = defaultdict(set)
     bindings = 0
 
     def descend(depth: int) -> None:
@@ -214,36 +247,42 @@ def _enumerate(plan: _RulePlan,
             if first == second:
                 if is_head:
                     return
-            elif (first, second) not in candidates:
+            elif second not in partners[first]:
                 return
         if depth == depth_of_emit:
-            head_pair = candidates[slots[head_x], slots[head_y]]
+            x, y = slots[head_x], slots[head_y]
+            head_pair = partners[x][y]
             body_pairs = []
             for a, b in body:
                 first, second = slots[a], slots[b]
-                if first != second:
-                    pair = candidates[first, second]
-                    if pair is not head_pair:
-                        body_pairs.append(pair)
-            found.add((head_pair, frozenset(body_pairs)))
+                if first != second and not (
+                        (first == x and second == y) or (first == y and second == x)):
+                    body_pairs.append(partners[first][second])
+            found[head_pair, frozenset(body_pairs)].add(read(slots) if read else ())
             return
-        step, facts, lookups = steps[depth]
+        step = steps[depth]
+        bound = step.bound
+        # An entity id picks the bucket; every other bound value is checked.
+        for _, index, key in step.lookups:
+            value = slots[index]
+            if value.__class__ is str:
+                facts_ = buckets[value].get(key, _NO_FACTS)
+                check = bound if len(bound) > 1 else ()
+                break
+        else:
+            facts_ = fact_set(step.predicate)
+            check = bound
         if not step.binds:
-            if tuple([slots[index] for index in step.slots]) in facts:
+            if tuple([slots[index] for index in step.slots]) in facts_:
                 bindings += 1
                 descend(depth + 1)
             return
         arity = len(step.slots)
-        for _, index, by_value in lookups:
-            bucket = by_value.get(slots[index], ())
-            if len(bucket) < len(facts):
-                facts = bucket
-        check = lookups if len(lookups) > 1 else ()
         binds, repeats = step.binds, step.repeats
-        for fact in facts:
+        for fact in facts_:
             if len(fact) != arity:
                 continue
-            for position, index, _ in check:
+            for position, index in check:
                 if fact[position] != slots[index]:
                     break
             else:
@@ -256,45 +295,126 @@ def _enumerate(plan: _RulePlan,
                     bindings += 1
                     descend(depth + 1)
 
-    if plan.seed is None:
+    if heads is None:
         descend(0)
     else:
         seed_x, seed_y = plan.seed
-        for first, second in candidates:
-            slots[seed_x], slots[seed_y] = first, second
-            bindings += 1
-            descend(0)
+        for head in heads:
+            for first, second in ((head.first, head.second), (head.second, head.first)):
+                slots[seed_x], slots[seed_y] = first, second
+                bindings += 1
+                descend(0)
+    del descend  # a self-referencing closure: free what it holds now, not in the GC
     return found, bindings
 
 
-def _canonical(key: _Key) -> Tuple:
-    head_pair, body_pairs = key
+def _canonical(item: Tuple[_Key, Set[_Read]]) -> Tuple:
+    (head_pair, body_pairs), _ = item
     return (head_pair.first, head_pair.second,
             sorted((pair.first, pair.second) for pair in body_pairs))
 
 
+_pair_order = attrgetter("first", "second")
+
+
+def _entries(plan: _RulePlan, found: Dict[_Key, Set[_Read]]) -> _Entries:
+    """``found``'s groundings in canonical order, each with its witnesses: the
+    entity ids (string values) among the witness slots' values of a binding."""
+    return tuple((GroundRule(plan.rule_name, plan.weight, *key),
+                  tuple({frozenset([value for value in values if value.__class__ is str])
+                         for values in read}))
+                 for key, read in sorted(found.items(), key=_canonical))
+
+
+class BindingIndex:
+    """Every grounding of one fact source, found once per candidate head and
+    handed out in slices.
+
+    A seeded plan's groundings are enumerated per head the first time a
+    slice holds that head, both orientations in one go; an unseeded plan's
+    all at once, the first time a slice needs it.  Nothing is enumerated
+    twice, so a batch of overlapping slices costs at most one grounding of
+    the whole source.
+    """
+
+    def __init__(self, plans: Tuple[_RulePlan, ...], facts):
+        self._plans = plans
+        self._facts = facts
+        # Per plan: head pair -> that head's entries, once enumerated (an
+        # unseeded plan's are all filed under ``None``).
+        self._by_head: List[Dict[Optional[EntityPair], _Entries]] = [{} for _ in plans]
+
+    def slice(self, members: Optional[AbstractSet[str]] = None
+              ) -> Tuple[List[GroundRule], List[EntityPair]]:
+        """The groundings and the candidate pairs of the restriction to
+        ``members`` (``None``: the whole source).
+
+        Groundings come in canonical order — rule order, then head pair,
+        then sorted body pairs — which is independent of hash seeds, so
+        every process builds the same network and sums its weights in the
+        same order.  It equals grounding the restriction itself: a grounding
+        is kept when one of its witnesses lies inside ``members``.
+        """
+        facts = self._facts
+        if members is None:
+            heads = list(facts.candidates())
+        else:
+            partners = facts.partners
+            heads = [pair for member in members
+                     for other, pair in partners[member].items()
+                     if other in members and pair.first == member]
+        heads.sort(key=_pair_order)
+        groundings: List[GroundRule] = []
+        bindings = 0
+        for plan, by_head in zip(self._plans, self._by_head):
+            wanted = heads if plan.seed is not None else [None]
+            runs = [by_head.get(head) for head in wanted]
+            missing = [head for head, entries in zip(wanted, runs) if entries is None]
+            if missing:
+                found, joined = _enumerate(
+                    plan, facts, missing if plan.seed is not None else None)
+                bindings += joined
+                per_head: Dict[Optional[EntityPair], Dict[_Key, Set[_Read]]] = \
+                    {head: {} for head in missing}
+                for key, reads in found.items():
+                    per_head[key[0] if plan.seed is not None else None][key] = reads
+                for head, keys in per_head.items():
+                    by_head[head] = _entries(plan, keys)
+                runs = [by_head[head] for head in wanted]
+            for entries in runs:
+                for grounding, witnesses in entries:
+                    if members is None:
+                        groundings.append(grounding)
+                        continue
+                    for witness in witnesses:
+                        if members.issuperset(witness):
+                            groundings.append(grounding)
+                            break
+        _BINDINGS.inc(bindings)
+        _GROUNDINGS.inc(len(groundings))
+        return groundings, heads
+
+
 class Grounder:
-    """Grounds a :class:`RuleSet` against an :class:`EvidenceDatabase`."""
+    """Grounds a :class:`RuleSet` against a fact source.
+
+    A fact source has ``candidates()``, the candidate pairs; two mappings
+    that answer every entity id, ``partners[entity]`` (other end ->
+    candidate pair) and ``buckets[entity]`` (``(predicate, position)`` ->
+    the facts holding the entity there); and ``fact_set(predicate)``, every
+    fact of a predicate.  :class:`~repro.mln.database.StoreFacts` reads them
+    off a store.
+    """
 
     def __init__(self, rules: RuleSet):
         self.rules = rules
         self._plans = tuple(compile_rule(rule) for rule in rules)
 
-    def ground(self, database: EvidenceDatabase) -> List[GroundRule]:
-        """Every grounding that can possibly fire, in canonical order.
+    def index(self, facts) -> BindingIndex:
+        """A fresh :class:`BindingIndex` of ``facts``."""
+        return BindingIndex(self._plans, facts)
 
-        The order — rule order, then head pair, then sorted body pairs — is
-        independent of hash seeds, so every process builds the same network
-        and sums its weights in the same order.
-        """
-        groundings: List[GroundRule] = []
-        bindings = 0
-        for plan in self._plans:
-            found, joined = _enumerate(plan, database)
-            bindings += joined
-            groundings.extend(
-                GroundRule(plan.rule_name, plan.weight, head_pair, body_pairs)
-                for head_pair, body_pairs in sorted(found, key=_canonical))
-        _BINDINGS.inc(bindings)
-        _GROUNDINGS.inc(len(groundings))
-        return groundings
+    def ground(self, facts) -> List[GroundRule]:
+        """Every grounding of the whole source that can possibly fire, in
+        canonical order."""
+        return self.index(facts).slice()[0]

@@ -1,9 +1,9 @@
 """MAP inference over a ground network.
 
 The MAP (maximum a-posteriori) state of the ground network is the match set
-with the highest score.  Two inference procedures are provided:
+with the highest score.
 
-* :class:`GreedyCollectiveInference` — the production procedure.  It combines
+* :class:`GreedyCollectiveInference` — the inference procedure.  It combines
   greedy single-pair moves with *collective chain moves*: a pair whose own
   delta is non-positive is tentatively added, the positive-delta pairs it
   entails are pulled in, and the whole group is accepted only when its joint
@@ -28,23 +28,19 @@ with the highest score.  Two inference procedures are provided:
   closure from any subset of the fixpoint reaches the same fixpoint, so later
   message-passing rounds only pay for the delta their new evidence causes.
 
-* :func:`exhaustive_map` — brute force over all subsets, only usable for tiny
-  candidate sets; tests use it as the reference the greedy procedure is
-  compared against.
-
-Both respect evidence: pairs in ``fixed_true`` are clamped in, pairs in
-``fixed_false`` are clamped out.
+It respects evidence: pairs in ``fixed_true`` are clamped in, pairs in
+``fixed_false`` are clamped out.  On tiny candidate sets it is compared
+against the brute-force search over all subsets in
+``tests/reference/inference.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Deque, FrozenSet, Iterable, Optional, Set
 
 from ..datamodel import EntityPair
-from ..exceptions import InferenceError
 from ..obs import registry as obs_registry
 from ..obs.trace import span
 from .network import GroundNetwork
@@ -220,40 +216,3 @@ class GreedyCollectiveInference:
                         worklist.append(neighbor)
                         queued.add(neighbor)
         return group
-
-
-def exhaustive_map(network: GroundNetwork,
-                   fixed_true: Iterable[EntityPair] = (),
-                   fixed_false: Iterable[EntityPair] = (),
-                   max_candidates: int = 18,
-                   prefer_larger: bool = True) -> InferenceResult:
-    """Brute-force MAP over all subsets of the free candidate pairs.
-
-    Only feasible for tiny candidate sets (≤ ``max_candidates`` free pairs);
-    raises :class:`InferenceError` beyond that.  ``prefer_larger`` implements
-    the Type-II tie-break: among equal-score sets the largest is returned.
-    """
-    clamped_true = frozenset(fixed_true)
-    clamped_false = frozenset(fixed_false) - clamped_true
-    free = [pair for pair in sorted(network.candidates)
-            if pair not in clamped_true and pair not in clamped_false]
-    if len(free) > max_candidates:
-        raise InferenceError(
-            f"exhaustive_map limited to {max_candidates} free candidates, got {len(free)}"
-        )
-    best_set: FrozenSet[EntityPair] = frozenset(clamped_true)
-    best_score = network.score(best_set)
-    for size in range(len(free) + 1):
-        for chosen in combinations(free, size):
-            world = frozenset(clamped_true) | frozenset(chosen)
-            score = network.score(world)
-            better = score > best_score + SCORE_TOLERANCE
-            tie_and_larger = (
-                prefer_larger
-                and abs(score - best_score) <= SCORE_TOLERANCE
-                and len(world) > len(best_set)
-            )
-            if better or tie_and_larger:
-                best_score = score
-                best_set = world
-    return InferenceResult(matches=best_set, score=best_score, iterations=1)

@@ -288,31 +288,3 @@ def paper_author_rules(weights: Optional[Dict[str, float]] = None) -> RuleSet:
         weight=w["coauthor"],
     ))
     return rules
-
-
-def section2_example_rules(similar_weight: float = -5.0,
-                           coauthor_weight: float = 8.0) -> RuleSet:
-    """The two-rule program of Section 2.1 (R1 with weight −5, R2 with weight +8).
-
-    Used by tests to reproduce the worked example of the paper (matching the
-    (a1,a2), (b2,b3), (c2,c3) chain changes the score by exactly +1).
-    """
-    rules = RuleSet()
-    rules.add(Rule(
-        name="R1",
-        body=(atom("similar", "x", "y"),),
-        head=atom(QUERY_PREDICATE, "x", "y"),
-        weight=similar_weight,
-    ))
-    rules.add(Rule(
-        name="R2",
-        body=(
-            atom("similar", "x1", "y1"),
-            atom("coauthor", "x1", "x2"),
-            atom("coauthor", "y1", "y2"),
-            atom(QUERY_PREDICATE, "x2", "y2"),
-        ),
-        head=atom(QUERY_PREDICATE, "x1", "y1"),
-        weight=coauthor_weight,
-    ))
-    return rules

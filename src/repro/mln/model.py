@@ -1,10 +1,11 @@
 """Markov Logic Network facade.
 
 :class:`MarkovLogicNetwork` ties together the rule language, the evidence
-database builder, the grounder, the ground network and MAP inference behind a
+facts of a store, the grounder, the ground network and MAP inference behind a
 small API:
 
-* :meth:`ground` — build the ground network for an entity store,
+* :meth:`ground` — build the ground network for an entity store (a slice of
+  the binding index of the store's base),
 * :meth:`map_state` — MAP match set given evidence,
 * :meth:`score` / :meth:`score_delta` — world scoring for MMP step 7.
 
@@ -14,12 +15,13 @@ into the framework's black-box matcher protocol.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence
+import weakref
+from typing import Dict, Iterable, Optional, Sequence
 
 from ..datamodel import EntityPair, EntityStore
-from .database import EvidenceDatabase, database_from_store
-from .grounding import Grounder, GroundRule
-from .inference import GreedyCollectiveInference, InferenceResult, exhaustive_map
+from .database import StoreFacts
+from .grounding import BindingIndex, Grounder
+from .inference import GreedyCollectiveInference, InferenceResult
 from .logic import RuleSet, paper_author_rules
 from .network import GroundNetwork
 
@@ -36,21 +38,50 @@ class MarkovLogicNetwork:
         self.coauthor_relation = coauthor_relation
         self.extra_relations = tuple(extra_relations)
         self._grounder = Grounder(self.rules)
+        self._init_indexes()
+
+    def _init_indexes(self) -> None:
+        # base -> (its generation, its BindingIndex); weak, so a retired base
+        # (a rebased-away overlay, a dropped snapshot) takes its index along.
+        # Two threads may both build a missing index: both are right.
+        self._indexes: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+    def __getstate__(self):
+        # Binding indexes describe this process's stores; a copy re-grounds.
+        return {name: value for name, value in self.__dict__.items()
+                if name != "_indexes"}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._init_indexes()
 
     # ------------------------------------------------------------- grounding
-    def build_database(self, store: EntityStore) -> EvidenceDatabase:
-        """Build the evidence database for ``store`` using this MLN's relations."""
-        return database_from_store(
-            store,
-            coauthor_relation=self.coauthor_relation,
-            extra_relations=self.extra_relations,
-        )
-
     def ground(self, store: EntityStore) -> GroundNetwork:
-        """Ground the rule program against ``store``."""
-        database = self.build_database(store)
-        groundings = self._grounder.ground(database)
-        return GroundNetwork(groundings, database.candidates())
+        """Ground the rule program against ``store``.
+
+        The network is the slice of the binding index of the store's base
+        (``store.restriction()``) that the store's members keep, equal to
+        grounding the store itself.  A base with a ``generation`` (an
+        immutable snapshot, a streaming overlay) keeps its index, per
+        generation, for every restriction of it grounded later; a plain dict
+        store, mutable in place, is indexed afresh on each call.
+        """
+        base, members = store.restriction()
+        groundings, candidates = self._index_for(base).slice(members)
+        return GroundNetwork(groundings, candidates)
+
+    def _index_for(self, base) -> BindingIndex:
+        relations = (self.coauthor_relation, *self.extra_relations)
+        generation = getattr(base, "generation", None)
+        if generation is None:
+            return self._grounder.index(StoreFacts(base, relations))
+        held = self._indexes.get(base)
+        if held is None or held[0] != generation:
+            # The facts read the base through a proxy: the index is the weak
+            # dictionary's value and must not keep its key alive.
+            held = self._indexes[base] = (generation, self._grounder.index(
+                StoreFacts(weakref.proxy(base), relations)))
+        return held[1]
 
     # ------------------------------------------------------------- inference
     def map_state(self, store: EntityStore,
@@ -60,15 +91,6 @@ class MarkovLogicNetwork:
         """MAP match set of ``store`` under the given evidence."""
         net = network if network is not None else self.ground(store)
         return self.inference.infer(net, fixed_true=positive, fixed_false=negative)
-
-    def exhaustive_map_state(self, store: EntityStore,
-                             positive: Iterable[EntityPair] = (),
-                             negative: Iterable[EntityPair] = (),
-                             max_candidates: int = 18) -> InferenceResult:
-        """Exact MAP by enumeration — only for tiny instances (tests, examples)."""
-        net = self.ground(store)
-        return exhaustive_map(net, fixed_true=positive, fixed_false=negative,
-                              max_candidates=max_candidates)
 
     # --------------------------------------------------------------- scoring
     def score(self, store: EntityStore, matches: Iterable[EntityPair],

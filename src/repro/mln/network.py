@@ -154,19 +154,3 @@ class GroundNetwork:
         for grounding in self.fired(matches):
             breakdown[grounding.rule_name] = breakdown.get(grounding.rule_name, 0.0) + grounding.weight
         return breakdown
-
-    # ------------------------------------------------------------- structure
-    def support_graph(self) -> Dict[EntityPair, Set[EntityPair]]:
-        """Undirected graph connecting pairs that co-occur in some grounding.
-
-        Used by tests and by the maximal-message diagnostics: pairs in
-        different connected components can never influence each other.
-        """
-        graph: Dict[EntityPair, Set[EntityPair]] = {pair: set() for pair in self._candidates}
-        for grounding in self._groundings:
-            pairs = sorted(grounding.pairs())
-            for i, first in enumerate(pairs):
-                for second in pairs[i + 1:]:
-                    graph.setdefault(first, set()).add(second)
-                    graph.setdefault(second, set()).add(first)
-        return graph

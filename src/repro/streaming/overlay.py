@@ -177,6 +177,12 @@ class StoreOverlay(StoreReads):
         # Memoised derived sets, invalidated on every mutation.
         self._memo: Dict[str, object] = {}
 
+    @property
+    def generation(self) -> int:
+        """Changes with every mutation: what was read off the overlay at one
+        generation holds until the next."""
+        return self.mutation_count
+
     # ------------------------------------------------------------- mutation
     def _touch(self) -> None:
         self.mutation_count += 1
@@ -548,6 +554,9 @@ class OverlayView(StoreReads):
 
     def similar_pairs(self) -> FrozenSet[EntityPair]:
         return frozenset(edge.pair for edge in self.similarity_edges())
+
+    def restriction(self) -> Tuple[StoreOverlay, FrozenSet[str]]:
+        return self.overlay, self._members
 
     def restrict(self, entity_ids: Iterable[str]) -> "OverlayView":
         selected = frozenset(entity_ids)

@@ -12,7 +12,10 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.datamodel import EntityPair
-from repro.mln import Atom, Constant, EvidenceDatabase, GroundRule, Rule, RuleSet, Variable
+from repro.matchers import MLNMatcher
+from repro.mln import (QUERY_PREDICATE, Atom, Constant, GroundNetwork, GroundRule,
+                       Rule, RuleSet, Variable, atom)
+from tests.reference.database import EvidenceDatabase, database_from_store
 
 Binding = Dict[Variable, object]
 
@@ -99,3 +102,66 @@ def reference_ground(rules: RuleSet, database: EvidenceDatabase) -> List[GroundR
     for rule in rules:
         groundings.extend(reference_ground_rule(rule, database))
     return groundings
+
+
+def reference_network(rules: RuleSet, store) -> GroundNetwork:
+    """The oracle network of ``store``: its eager database grounded by the
+    nested-loop join, each rule's groundings in canonical order (head pair,
+    then sorted body pairs), rules in order."""
+    database = database_from_store(store)
+    groundings: List[GroundRule] = []
+    for rule in rules:
+        groundings.extend(sorted(
+            reference_ground_rule(rule, database),
+            key=lambda g: (g.head_pair.first, g.head_pair.second,
+                           sorted((p.first, p.second) for p in g.body_pairs))))
+    return GroundNetwork(groundings, database.candidates())
+
+
+class ReferenceMLNMatcher(MLNMatcher):
+    """The MLN matcher with every network grounded afresh by the oracle:
+    no network cache, no binding index."""
+
+    def network_for(self, store) -> GroundNetwork:
+        return reference_network(self.mln.rules, store)
+
+
+def section2_example_rules(similar_weight: float = -5.0,
+                           coauthor_weight: float = 8.0) -> RuleSet:
+    """The two-rule program of Section 2.1 (R1 with weight −5, R2 with weight +8).
+
+    Used by tests to reproduce the worked example of the paper (matching the
+    (a1,a2), (b2,b3), (c2,c3) chain changes the score by exactly +1).
+    """
+    rules = RuleSet()
+    rules.add(Rule(
+        name="R1",
+        body=(atom("similar", "x", "y"),),
+        head=atom(QUERY_PREDICATE, "x", "y"),
+        weight=similar_weight,
+    ))
+    rules.add(Rule(
+        name="R2",
+        body=(
+            atom("similar", "x1", "y1"),
+            atom("coauthor", "x1", "x2"),
+            atom("coauthor", "y1", "y2"),
+            atom(QUERY_PREDICATE, "x2", "y2"),
+        ),
+        head=atom(QUERY_PREDICATE, "x1", "y1"),
+        weight=coauthor_weight,
+    ))
+    return rules
+
+
+def support_graph(network: GroundNetwork) -> Dict[EntityPair, Set[EntityPair]]:
+    """Undirected graph connecting pairs that co-occur in some grounding:
+    pairs in different connected components never influence each other."""
+    graph: Dict[EntityPair, Set[EntityPair]] = {pair: set() for pair in network.candidates}
+    for grounding in network.groundings:
+        pairs = sorted(grounding.pairs())
+        for i, first in enumerate(pairs):
+            for second in pairs[i + 1:]:
+                graph.setdefault(first, set()).add(second)
+                graph.setdefault(second, set()).add(first)
+    return graph

@@ -1,4 +1,5 @@
-"""Reference MAP search: the set-based path the counting engine replaced.
+"""Reference MAP searches: the set-based path the counting engine replaced,
+and the exact brute force.
 
 ``NaiveCollectiveInference`` below carries what
 ``GreedyCollectiveInference(use_counting=False)`` ran, verbatim: every probe
@@ -8,13 +9,18 @@ expansion rebuilds ``world | group`` per sweep.  Kept here, out of ``src/``,
 as the oracle :class:`repro.mln.GreedyCollectiveInference` is compared
 against — on supermodular networks both must return the identical match set,
 with and without ``warm_start``, group moves and zero-gain groups.
+
+:func:`exhaustive_map` enumerates every subset of the free candidates: the
+exact MAP the greedy search is compared against on tiny networks.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.datamodel import EntityPair
+from repro.exceptions import InferenceError
 from repro.mln.inference import (SCORE_TOLERANCE, _INFERENCES, _ITERATIONS,
                                  GreedyCollectiveInference, InferenceResult)
 from repro.mln.network import GroundNetwork
@@ -121,3 +127,48 @@ class NaiveCollectiveInference(GreedyCollectiveInference):
                     group.add(pair)
                     progress = True
         return group
+
+
+def exhaustive_map(network: GroundNetwork,
+                   fixed_true: Iterable[EntityPair] = (),
+                   fixed_false: Iterable[EntityPair] = (),
+                   max_candidates: int = 18,
+                   prefer_larger: bool = True) -> InferenceResult:
+    """Brute-force MAP over all subsets of the free candidate pairs.
+
+    Only feasible for tiny candidate sets (≤ ``max_candidates`` free pairs);
+    raises :class:`InferenceError` beyond that.  ``prefer_larger`` implements
+    the Type-II tie-break: among equal-score sets the largest is returned.
+    """
+    clamped_true = frozenset(fixed_true)
+    clamped_false = frozenset(fixed_false) - clamped_true
+    free = [pair for pair in sorted(network.candidates)
+            if pair not in clamped_true and pair not in clamped_false]
+    if len(free) > max_candidates:
+        raise InferenceError(
+            f"exhaustive_map limited to {max_candidates} free candidates, got {len(free)}"
+        )
+    best_set: FrozenSet[EntityPair] = frozenset(clamped_true)
+    best_score = network.score(best_set)
+    for size in range(len(free) + 1):
+        for chosen in combinations(free, size):
+            world = frozenset(clamped_true) | frozenset(chosen)
+            score = network.score(world)
+            better = score > best_score + SCORE_TOLERANCE
+            tie_and_larger = (
+                prefer_larger
+                and abs(score - best_score) <= SCORE_TOLERANCE
+                and len(world) > len(best_set)
+            )
+            if better or tie_and_larger:
+                best_score = score
+                best_set = world
+    return InferenceResult(matches=best_set, score=best_score, iterations=1)
+
+
+def exhaustive_map_state(mln, store, positive: Iterable[EntityPair] = (),
+                         negative: Iterable[EntityPair] = (),
+                         max_candidates: int = 18) -> InferenceResult:
+    """Exact MAP of ``mln`` on ``store`` by enumeration (tiny instances)."""
+    return exhaustive_map(mln.ground(store), fixed_true=positive,
+                          fixed_false=negative, max_candidates=max_candidates)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import MaximalMessageSet, SchemeResult, make_message
 from repro.matchers import MLNMatcher
-from repro.mln import section2_example_rules
+from tests.reference.grounding import section2_example_rules
 from tests.reference.schemes import ActiveNeighborhoodQueue, NeighborhoodRunner
 from tests.util import build_two_hop_store, pair, two_hop_rules
 

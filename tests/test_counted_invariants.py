@@ -22,6 +22,11 @@ cover repair cost of a commit    a commit constructs a Neighborhood only
                                  for one new to the cover
 recovery load time               a resume from a checkpoint with canopies
                                  scores no canopy
+MLN grounding share of a match   a batch grid run enumerates no more
+                                 bindings than one grounding of the whole
+                                 instance
+MLN grounding share of a commit  a commit buckets facts only for members
+                                 of the neighborhoods it re-runs
 ===============================  ==========================================
 
 Every invariant is checked twice: on the code as it is, where it holds, and
@@ -41,9 +46,11 @@ import pytest
 
 from repro.blocking import CanopyBlocker, Neighborhood, build_total_cover
 from repro.datamodel import CompactStore, EntityStore
+from repro.datamodel.compact import StoreView
 from repro.datasets import dblp_like
 from repro.durability import DeltaWAL, DurableStreamSession
 from repro.matchers import MLNMatcher
+from repro.mln import MarkovLogicNetwork, StoreFacts, paper_author_rules
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 from repro.parallel import grid as grid_module
@@ -446,6 +453,47 @@ def test_payload_ratio_catches_compact_tasks_shipped_as_map_tasks(
         assert_payload_reduced(payload_reduction(scenario.final.store, cover))
 
 
+# ------------------------------------------------------------ MLN grounding
+def bindings_of(run) -> int:
+    """``mln_ground_bindings_total`` enumerated by ``run()``."""
+    counter = obs_registry.counter("mln_ground_bindings_total")
+    before = counter.value()
+    run()
+    return int(counter.value() - before)
+
+
+def grid_and_whole_bindings(store, cover):
+    """Bindings a serial SMP grid run on the compact snapshot enumerates, and
+    those of one grounding of the whole snapshot."""
+    snapshot = CompactStore.from_store(store)
+    grid = bindings_of(lambda: GridExecutor(scheme="smp", executor="serial").run(
+        MLNMatcher(), snapshot, cover))
+    whole = bindings_of(lambda: MarkovLogicNetwork(paper_author_rules()).ground(snapshot))
+    return grid, whole
+
+
+def assert_each_binding_enumerated_once(grid, whole):
+    assert 0 < grid <= whole, (
+        f"the grid run enumerated {grid} bindings, one grounding of the "
+        f"instance {whole}")
+
+
+def test_a_grid_run_grounds_no_more_than_the_instance(scenario, cover):
+    # This workload reads 2 779 and 2 779: every candidate pair lies in some
+    # neighborhood, and each is enumerated once.  Grounding every view on
+    # its own enumerated 7 630.
+    assert_each_binding_enumerated_once(
+        *grid_and_whole_bindings(scenario.final.store, cover))
+
+
+def test_binding_count_catches_per_view_grounding(scenario, cover, monkeypatch):
+    # A view that is its own base is grounded on its own, once per view.
+    monkeypatch.setattr(StoreView, "restriction", lambda self: (self, None))
+    with pytest.raises(AssertionError, match="enumerated"):
+        assert_each_binding_enumerated_once(
+            *grid_and_whole_bindings(scenario.final.store, cover))
+
+
 # ------------------------------------------------------------ commit cost
 @contextmanager
 def counting(owner, attribute):
@@ -465,13 +513,16 @@ def counting(owner, attribute):
 def commit_rows(scenario, batches=None):
     """Replay the stream through a serial, non-durable session; one row per
     commit: EntityStores constructed by the whole ``apply``, Neighborhoods
-    constructed by the cover repair, and the cover's neighborhoods that are
-    new to it — by name and members — against the previous batch's."""
+    constructed by the cover repair, the cover's neighborhoods that are new
+    to it — by name and members — against the previous batch's, the
+    entities whose MLN facts were bucketed and the members of every store
+    the matcher ran on."""
     session = StreamSession(MLNMatcher(), scenario.base.store.copy(),
                             blocker=CanopyBlocker(), relation_names=["coauthor"])
     session.start()
     rows = []
-    update = IncrementalCoverMaintainer.update
+    update, bucket, match = \
+        IncrementalCoverMaintainer.update, StoreFacts._bucket, MLNMatcher.match
     with counting(EntityStore, "__init__") as stores, \
             counting(Neighborhood, "__init__") as neighborhoods, \
             pytest.MonkeyPatch.context() as patch:
@@ -481,10 +532,20 @@ def commit_rows(scenario, batches=None):
             rows[-1]["constructed"] = neighborhoods[0] - before
             return cover
 
+        def recorded_bucket(self, entity_id):
+            rows[-1]["bucketed"].add(entity_id)
+            return bucket(self, entity_id)
+
+        def recorded_match(self, store, *args, **kwargs):
+            rows[-1]["matched"].update(store.entity_ids())
+            return match(self, store, *args, **kwargs)
+
         patch.setattr(IncrementalCoverMaintainer, "update", counted_update)
+        patch.setattr(StoreFacts, "_bucket", recorded_bucket)
+        patch.setattr(MLNMatcher, "match", recorded_match)
         for batch in list(scenario.log)[:batches]:
             previous = {(n.name, n.entity_ids) for n in session.cover}
-            rows.append({})
+            rows.append({"bucketed": set(), "matched": set()})
             stores[0] = 0
             session.apply(batch)
             rows[-1].update(stores=stores[0], size=len(session.cover), new=len(
@@ -538,6 +599,36 @@ def test_neighborhood_count_catches_a_full_build_per_batch(scenario,
                         lambda self, store, impact: self.build(store))
     with pytest.raises(AssertionError, match="Neighborhoods constructed"):
         assert_neighborhoods_built_only_when_new(
+            commit_rows(scenario, BROKEN_BATCHES))
+
+
+def assert_facts_bucketed_only_for_rerun_members(rows):
+    for index, row in enumerate(rows, start=1):
+        stray = row["bucketed"] - row["matched"]
+        assert not stray, (
+            f"batch {index} bucketed the facts of {len(stray)} entities "
+            f"outside the {len(row['matched'])} members of the neighborhoods "
+            f"it re-ran")
+
+
+def test_a_commit_buckets_facts_only_for_rerun_members(commits):
+    # This workload, per batch: 32-101 entities bucketed, of 53-142 re-run
+    # members, in an instance of 299-361.
+    assert_facts_bucketed_only_for_rerun_members(commits)
+    assert all(row["bucketed"] for row in commits)
+
+
+def test_bucket_count_catches_a_whole_base_per_generation(scenario, monkeypatch):
+    init = StoreFacts.__init__
+
+    def eager(self, store, relation_names):
+        init(self, store, relation_names)
+        for entity_id in store.entity_ids():
+            self.buckets[entity_id]
+
+    monkeypatch.setattr(StoreFacts, "__init__", eager)
+    with pytest.raises(AssertionError, match="outside the"):
+        assert_facts_bucketed_only_for_rerun_members(
             commit_rows(scenario, BROKEN_BATCHES))
 
 

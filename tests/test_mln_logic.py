@@ -7,16 +7,15 @@ from repro.datamodel import EntityPair
 from repro.exceptions import MatcherError
 from repro.mln import (
     PAPER_WEIGHTS,
-    EvidenceDatabase,
     Rule,
     RuleSet,
     atom,
     const,
-    database_from_store,
     paper_author_rules,
-    section2_example_rules,
     var,
 )
+from tests.reference.database import EvidenceDatabase, database_from_store
+from tests.reference.grounding import section2_example_rules
 from tests.util import build_shared_coauthor_store
 
 

@@ -8,8 +8,9 @@ from repro.mln import (
     TrainingExample,
     VotedPerceptronLearner,
     paper_author_rules,
-    section2_example_rules,
 )
+from tests.reference.grounding import section2_example_rules
+from tests.reference.inference import exhaustive_map_state
 from tests.util import (
     build_shared_coauthor_store,
     build_support_pair_store,
@@ -40,7 +41,7 @@ class TestMarkovLogicNetwork:
 
     def test_exhaustive_map_state(self):
         mln = MarkovLogicNetwork(rules=section2_example_rules())
-        result = mln.exhaustive_map_state(build_shared_coauthor_store())
+        result = exhaustive_map_state(mln, build_shared_coauthor_store())
         assert result.matches == {pair("c1", "c2")}
 
     def test_with_weights_returns_new_model(self):

@@ -19,7 +19,8 @@ from repro.blocking import Cover, Neighborhood
 from repro.core import EMFramework, compute_maximal_messages
 from repro.datamodel import Evidence
 from repro.matchers import MLNMatcher, check_well_behaved
-from repro.mln import paper_author_rules, section2_example_rules
+from repro.mln import paper_author_rules
+from tests.reference.grounding import section2_example_rules
 from tests.reference.schemes import (
     MaximalMessagePassing,
     NeighborhoodRunner,

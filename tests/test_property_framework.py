@@ -21,10 +21,10 @@ from repro.mln import (
     GreedyCollectiveInference,
     Grounder,
     GroundNetwork,
-    database_from_store,
-    exhaustive_map,
     paper_author_rules,
 )
+from tests.reference.database import database_from_store
+from tests.reference.inference import exhaustive_map
 from tests.reference.schemes import (
     MaximalMessagePassing,
     NoMessagePassing,
