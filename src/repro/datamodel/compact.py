@@ -563,7 +563,7 @@ class StoreView(StoreReads):
     """
 
     __slots__ = ("base", "_members", "_member_order", "_entity_ids",
-                 "_similar_pairs", "_edge_indices")
+                 "_similar_pairs", "_edge_indices", "__weakref__")
 
     def __init__(self, base: CompactStore, member_indices: FrozenSet[int]):
         self.base = base

@@ -21,13 +21,15 @@ monotone, a previous result obtained under a subset of the current positive
 evidence (and identical negative evidence) is contained in the current answer
 and can seed — *warm-start* — the MAP search, so revisits and the per-pair
 maximal-message probes only pay for the delta their extra evidence causes.
-Both caches are dropped on pickling.
+Both caches hold their stores weakly (a dropped store, and with its last view
+a retired streaming overlay, is freed) and are dropped on pickling.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..datamodel import EntityPair, EntityStore, Evidence
 from ..mln import (
@@ -63,15 +65,15 @@ class MLNMatcher(TypeIIMatcher):
         #: cache.  A batch run touches a fixed set of neighborhood stores, but
         #: a long-running delta stream materialises fresh stores for dirty
         #: neighborhoods every batch — without a cap the per-store caches
-        #: would pin every one of them forever.  The default comfortably
+        #: would keep an entry for every one of them forever.  The default comfortably
         #: covers one instance's worth of neighborhoods (so steady-state runs
         #: never thrash) while still bounding unattended streams.
         self.max_cached_stores = max_cached_stores
-        # id(store) -> (store, network), most-recently-used last.  The store
-        # reference keeps the id stable while the entry lives.
-        self._network_cache: "OrderedDict[int, Tuple[EntityStore, GroundNetwork]]" = OrderedDict()
-        # id(store) -> (store, WarmStartCache of recent results), MRU last.
-        self._result_cache: "OrderedDict[int, Tuple[EntityStore, WarmStartCache]]" = OrderedDict()
+        # id(store) -> (weak reference to the store, its network / its
+        # WarmStartCache of recent results), most recently used last.  A dead
+        # store's entry never answers (its id may be reused) and pins nothing.
+        self._network_cache: "OrderedDict[int, Tuple[weakref.ref, GroundNetwork]]" = OrderedDict()
+        self._result_cache: "OrderedDict[int, Tuple[weakref.ref, WarmStartCache]]" = OrderedDict()
         #: Number of times :meth:`match` has been invoked (used by the
         #: experiment harness to report matcher work).
         self.match_calls = 0
@@ -84,35 +86,29 @@ class MLNMatcher(TypeIIMatcher):
     # -------------------------------------------------------------- networks
     def network_for(self, store: EntityStore) -> GroundNetwork:
         """The (cached) ground network for ``store``."""
-        key = id(store)
-        cached = self._network_cache.get(key)
-        if cached is not None and cached[0] is store:
-            self._network_cache.move_to_end(key)
-            self._cache_stats["mln_network"][0] += 1
-            return cached[1]
-        self._cache_stats["mln_network"][1] += 1
-        network = self.mln.ground(store)
-        self._network_cache[key] = (store, network)
-        while len(self._network_cache) > self.max_cached_stores:
-            self._network_cache.popitem(last=False)
-        return network
+        return self._cached(self._network_cache, "mln_network", store,
+                            lambda: self.mln.ground(store))
 
     def _results_for(self, store: EntityStore) -> Optional[WarmStartCache]:
         """The per-store warm-start cache (``None`` when result caching is off)."""
         if not self.cache_results:
             return None
+        return self._cached(self._result_cache, "mln_result", store, WarmStartCache)
+
+    def _cached(self, cache: "OrderedDict", stat: str, store: EntityStore, make: Callable):
+        """``cache``'s value for ``store``, ``make()`` on a miss (LRU-bounded)."""
         key = id(store)
-        cached = self._result_cache.get(key)
-        if cached is not None and cached[0] is store:
-            self._result_cache.move_to_end(key)
-            self._cache_stats["mln_result"][0] += 1
+        cached = cache.get(key)
+        if cached is not None and cached[0]() is store:
+            cache.move_to_end(key)
+            self._cache_stats[stat][0] += 1
             return cached[1]
-        self._cache_stats["mln_result"][1] += 1
-        fresh = WarmStartCache()
-        self._result_cache[key] = (store, fresh)
-        while len(self._result_cache) > self.max_cached_stores:
-            self._result_cache.popitem(last=False)
-        return fresh
+        self._cache_stats[stat][1] += 1
+        value = make()
+        cache[key] = (weakref.ref(store), value)
+        while len(cache) > self.max_cached_stores:
+            cache.popitem(last=False)
+        return value
 
     def clear_cache(self) -> None:
         self._network_cache.clear()

@@ -15,9 +15,9 @@ and mirrors how practical MLN matchers are deployed.
 
 from __future__ import annotations
 
-import weakref
-from typing import (AbstractSet, Callable, Collection, Dict, Iterable, Mapping, Sequence,
-                    Set, Tuple, Union)
+from functools import partial
+from typing import (AbstractSet, Callable, Collection, Dict, Iterable, List, Mapping,
+                    Sequence, Tuple, Union)
 
 from ..datamodel import EntityPair
 from ..datamodel.relation import SIMILAR
@@ -27,16 +27,45 @@ GroundTuple = Tuple[GroundValue, ...]
 
 
 class _Filled(dict):
-    """A dict filling a missing key by ``fill(key)``: an owner's method, weakly (no cycle)."""
+    """A dict filling a missing key by ``fill(key)``."""
 
     __slots__ = ("_fill",)
 
     def __init__(self, fill: Callable):
-        self._fill = weakref.WeakMethod(fill)
+        self._fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self._fill()(key)
+        value = self[key] = self._fill(key)
         return value
+
+
+def _bucket(store, relations: Tuple[str, ...], partners: Mapping[str, Mapping[str, EntityPair]],
+            entity_id: str) -> Dict[Tuple[str, int], Tuple[GroundTuple, ...]]:
+    # Tuples, not sets: a bucket holds a handful of facts, and a tuple takes
+    # a fraction of a set's memory.
+    buckets: Dict[Tuple[str, int], Tuple[GroundTuple, ...]] = {}
+    if partners[entity_id]:
+        first: List[GroundTuple] = []
+        second: List[GroundTuple] = []
+        for other, pair in partners[entity_id].items():
+            level = store.similarity_level(pair)
+            first += ((entity_id, other, level), (entity_id, other))
+            second += ((other, entity_id, level), (other, entity_id))
+        buckets[SIMILAR, 0], buckets[SIMILAR, 1] = tuple(first), tuple(second)
+    for name in relations:
+        relation = store.relation(name)
+        tuples = relation.tuples_of(entity_id)
+        if tuples and relation.arity == 2:
+            # Both orders of every tuple: (entity, other) and (other, entity).
+            others = {b if a == entity_id else a for a, b in tuples}
+            buckets[name, 0] = tuple([(entity_id, other) for other in others])
+            buckets[name, 1] = tuple([(other, entity_id) for other in others])
+        elif tuples:
+            for position in range(relation.arity):
+                held = tuple([tup for tup in tuples if tup[position] == entity_id])
+                if held:
+                    buckets[name, position] = held
+    return buckets
 
 
 class StoreFacts:
@@ -50,46 +79,23 @@ class StoreFacts:
     from every entity's bucket, only for an atom none of whose bound values
     is an entity id.  The store must not change while the facts are read (a
     changed store gets new ``StoreFacts``); the containers handed out are
-    shared, not copies.
+    shared, not copies.  The fills hold the store, not this object: no cycle.
     """
 
     def __init__(self, store, relation_names: Sequence[str]):
         self._store = store
-        self._relations = tuple(name for name in relation_names
-                                if store.has_relation(name))
+        relations = tuple(name for name in relation_names if store.has_relation(name))
         #: entity -> other end -> candidate pair.
-        self.partners: Mapping[str, Mapping[str, EntityPair]] = _Filled(self._partners_of)
+        self.partners: Mapping[str, Mapping[str, EntityPair]] = _Filled(
+            lambda entity_id: {pair.second if pair.first == entity_id else pair.first: pair
+                               for pair in store.similar_pairs_of(entity_id)})
         #: entity -> (predicate, position) -> the facts holding it there.
         self.buckets: Mapping[str, Mapping[Tuple[str, int], Collection[GroundTuple]]] = \
-            _Filled(self._bucket)
+            _Filled(partial(_bucket, store, relations, self.partners))
         self._whole: Dict[str, AbstractSet[GroundTuple]] = {}
 
     def candidates(self) -> Iterable[EntityPair]:
         return [edge.pair for edge in self._store.similarity_edges()]
-
-    def _partners_of(self, entity_id: str) -> Dict[str, EntityPair]:
-        return {pair.second if pair.first == entity_id else pair.first: pair
-                for pair in self._store.similar_pairs_of(entity_id)}
-
-    def _bucket(self, entity_id: str) -> Dict[Tuple[str, int], Tuple[GroundTuple, ...]]:
-        buckets: Dict[Tuple[str, int], Set[GroundTuple]] = {}
-        store = self._store
-        for other, pair in self.partners[entity_id].items():
-            level = store.similarity_level(pair)
-            buckets.setdefault((SIMILAR, 0), set()).update(
-                ((entity_id, other, level), (entity_id, other)))
-            buckets.setdefault((SIMILAR, 1), set()).update(
-                ((other, entity_id, level), (other, entity_id)))
-        for name in self._relations:
-            relation = store.relation(name)
-            for tup in relation.tuples_of(entity_id):
-                for fact in (tup, (tup[1], tup[0])) if relation.arity == 2 else (tup,):
-                    for position, value in enumerate(fact):
-                        if value == entity_id:
-                            buckets.setdefault((name, position), set()).add(fact)
-        # Tuples, not sets: a bucket holds a handful of facts, and a tuple
-        # takes a fraction of a set's memory.
-        return {key: tuple(facts) for key, facts in buckets.items()}
 
     def fact_set(self, predicate: str) -> AbstractSet[GroundTuple]:
         """Every fact of ``predicate`` (all arities): each one holds an entity

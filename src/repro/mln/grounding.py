@@ -210,19 +210,18 @@ def compile_rule(rule: Rule) -> _RulePlan:
 
 #: Dedupe key of one grounding: ``(head_pair, body_pairs)``.
 _Key = Tuple[EntityPair, FrozenSet[EntityPair]]
-#: The witness slots' values in one binding, and the entity ids among them.
+#: The witness slots' values in one binding.
 _Read = Tuple[GroundValue, ...]
-_Witness = FrozenSet[str]
 _NO_FACTS: FrozenSet[GroundTuple] = frozenset()
-#: Groundings in canonical order, each with the witnesses that reach it.
-_Entries = Tuple[Tuple[GroundRule, Tuple[_Witness, ...]], ...]
+#: Groundings in canonical order, each with its witnesses (entity id sets).
+_Entries = Tuple[Tuple[GroundRule, Tuple[FrozenSet[str], ...]], ...]
 
 
-def _enumerate(plan: _RulePlan, facts, heads: Optional[Iterable[EntityPair]]
-               ) -> Tuple[Dict[_Key, Set[_Read]], int]:
+def _enumerate(plan: _RulePlan, facts, heads: Optional[Iterable[EntityPair]],
+               witnessed: bool = True) -> Tuple[Dict[_Key, Optional[Set[_Read]]], int]:
     """Run ``plan`` depth-first over the fact source ``facts``: the distinct
     grounding keys it reaches, each with what the bindings that reach it
-    hold in the witness slots.
+    hold in the witness slots (``None`` unless ``witnessed``).
 
     A seeded plan starts from each of ``heads``, both orientations; an
     unseeded one (``heads`` is ``None``) starts once.  Also returns the
@@ -234,10 +233,12 @@ def _enumerate(plan: _RulePlan, facts, heads: Optional[Iterable[EntityPair]]
     filters, steps, body = plan.filters, plan.steps, plan.body
     # The witness slots' values as a tuple (one slot listed twice, since a
     # lone index would make itemgetter return a bare value).
-    read = itemgetter(*plan.witness, *plan.witness[:1]) if plan.witness else None
+    read = None
+    if witnessed:
+        read = itemgetter(*plan.witness, *plan.witness[:1]) if plan.witness else lambda _: ()
     head_x, head_y = plan.head
     depth_of_emit = len(steps)
-    found: Dict[_Key, Set[_Read]] = defaultdict(set)
+    found: Dict[_Key, Optional[Set[_Read]]] = defaultdict(set) if witnessed else {}
     bindings = 0
 
     def descend(depth: int) -> None:
@@ -258,7 +259,10 @@ def _enumerate(plan: _RulePlan, facts, heads: Optional[Iterable[EntityPair]]
                 if first != second and not (
                         (first == x and second == y) or (first == y and second == x)):
                     body_pairs.append(partners[first][second])
-            found[head_pair, frozenset(body_pairs)].add(read(slots) if read else ())
+            if read is None:
+                found[head_pair, frozenset(body_pairs)] = None
+            else:
+                found[head_pair, frozenset(body_pairs)].add(read(slots))
             return
         step = steps[depth]
         bound = step.bound
@@ -308,8 +312,8 @@ def _enumerate(plan: _RulePlan, facts, heads: Optional[Iterable[EntityPair]]
     return found, bindings
 
 
-def _canonical(item: Tuple[_Key, Set[_Read]]) -> Tuple:
-    (head_pair, body_pairs), _ = item
+def _canonical(key: _Key) -> Tuple:
+    head_pair, body_pairs = key
     return (head_pair.first, head_pair.second,
             sorted((pair.first, pair.second) for pair in body_pairs))
 
@@ -323,7 +327,7 @@ def _entries(plan: _RulePlan, found: Dict[_Key, Set[_Read]]) -> _Entries:
     return tuple((GroundRule(plan.rule_name, plan.weight, *key),
                   tuple({frozenset([value for value in values if value.__class__ is str])
                          for values in read}))
-                 for key, read in sorted(found.items(), key=_canonical))
+                 for key, read in sorted(found.items(), key=lambda item: _canonical(item[0])))
 
 
 class BindingIndex:
@@ -344,7 +348,7 @@ class BindingIndex:
         # unseeded plan's are all filed under ``None``).
         self._by_head: List[Dict[Optional[EntityPair], _Entries]] = [{} for _ in plans]
 
-    def slice(self, members: Optional[AbstractSet[str]] = None
+    def slice(self, members: Optional[AbstractSet[str]]
               ) -> Tuple[List[GroundRule], List[EntityPair]]:
         """The groundings and the candidate pairs of the restriction to
         ``members`` (``None``: the whole source).
@@ -356,14 +360,9 @@ class BindingIndex:
         is kept when one of its witnesses lies inside ``members``.
         """
         facts = self._facts
-        if members is None:
-            heads = list(facts.candidates())
-        else:
-            partners = facts.partners
-            heads = [pair for member in members
-                     for other, pair in partners[member].items()
-                     if other in members and pair.first == member]
-        heads.sort(key=_pair_order)
+        heads = sorted(facts.candidates() if members is None else (
+            pair for member in members for other, pair in facts.partners[member].items()
+            if other in members and pair.first == member), key=_pair_order)
         groundings: List[GroundRule] = []
         bindings = 0
         for plan, by_head in zip(self._plans, self._by_head):
@@ -383,11 +382,8 @@ class BindingIndex:
                 runs = [by_head[head] for head in wanted]
             for entries in runs:
                 for grounding, witnesses in entries:
-                    if members is None:
-                        groundings.append(grounding)
-                        continue
                     for witness in witnesses:
-                        if members.issuperset(witness):
+                        if members is None or members.issuperset(witness):
                             groundings.append(grounding)
                             break
         _BINDINGS.inc(bindings)
@@ -403,18 +399,28 @@ class Grounder:
     candidate pair) and ``buckets[entity]`` (``(predicate, position)`` ->
     the facts holding the entity there); and ``fact_set(predicate)``, every
     fact of a predicate.  :class:`~repro.mln.database.StoreFacts` reads them
-    off a store.
+    off a store.  One grounded whole is grounded by :meth:`ground`; one
+    whose restrictions are, by a :class:`BindingIndex` of :attr:`plans`.
     """
 
     def __init__(self, rules: RuleSet):
         self.rules = rules
-        self._plans = tuple(compile_rule(rule) for rule in rules)
+        self.plans = tuple(compile_rule(rule) for rule in rules)
 
-    def index(self, facts) -> BindingIndex:
-        """A fresh :class:`BindingIndex` of ``facts``."""
-        return BindingIndex(self._plans, facts)
-
-    def ground(self, facts) -> List[GroundRule]:
+    def ground(self, facts) -> Tuple[List[GroundRule], List[EntityPair]]:
         """Every grounding of the whole source that can possibly fire, in
-        canonical order."""
-        return self.index(facts).slice()[0]
+        the canonical order of :meth:`BindingIndex.slice`, and the candidate
+        pairs.  Nothing is kept for a later call: no witnesses, no per-head
+        entries."""
+        heads = list(facts.candidates())
+        groundings: List[GroundRule] = []
+        bindings = 0
+        for plan in self.plans:
+            found, joined = _enumerate(plan, facts, heads if plan.seed is not None else None,
+                                       witnessed=False)
+            bindings += joined
+            groundings.extend(GroundRule(plan.rule_name, plan.weight, *key)
+                              for key in sorted(found, key=_canonical))
+        _BINDINGS.inc(bindings)
+        _GROUNDINGS.inc(len(groundings))
+        return groundings, heads

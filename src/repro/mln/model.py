@@ -59,29 +59,23 @@ class MarkovLogicNetwork:
     def ground(self, store: EntityStore) -> GroundNetwork:
         """Ground the rule program against ``store``.
 
-        The network is the slice of the binding index of the store's base
-        (``store.restriction()``) that the store's members keep, equal to
-        grounding the store itself.  A base with a ``generation`` (an
-        immutable snapshot, a streaming overlay) keeps its index, per
-        generation, for every restriction of it grounded later; a plain dict
-        store, mutable in place, is indexed afresh on each call.
+        A base with a ``generation`` (a snapshot, a streaming overlay) keeps
+        a binding index per generation; the base and each view of it get the
+        slice their members keep, equal to grounding them.  A dict store,
+        mutable in place and its own base, is grounded whole, keeping nothing.
         """
         base, members = store.restriction()
-        groundings, candidates = self._index_for(base).slice(members)
-        return GroundNetwork(groundings, candidates)
-
-    def _index_for(self, base) -> BindingIndex:
         relations = (self.coauthor_relation, *self.extra_relations)
         generation = getattr(base, "generation", None)
         if generation is None:
-            return self._grounder.index(StoreFacts(base, relations))
+            return GroundNetwork(*self._grounder.ground(StoreFacts(base, relations)))
         held = self._indexes.get(base)
         if held is None or held[0] != generation:
             # The facts read the base through a proxy: the index is the weak
             # dictionary's value and must not keep its key alive.
-            held = self._indexes[base] = (generation, self._grounder.index(
-                StoreFacts(weakref.proxy(base), relations)))
-        return held[1]
+            held = self._indexes[base] = (generation, BindingIndex(
+                self._grounder.plans, StoreFacts(weakref.proxy(base), relations)))
+        return GroundNetwork(*held[1].slice(members))
 
     # ------------------------------------------------------------- inference
     def map_state(self, store: EntityStore,

@@ -284,10 +284,8 @@ class StreamSession:
                 with span("stream.rebase"):
                     crash_point("rebase.before")
                     self.overlay = StoreOverlay(self.overlay.rebase())
-                    # Views cached here and by the matcher pin the retired overlay.
+                    # Cached views read through the retired overlay.
                     self._store_cache = {}
-                    if hasattr(self.matcher, "clear_cache"):
-                        self.matcher.clear_cache()
                     crash_point("rebase.after")
                 rebased = True
                 _STREAM_REBASES.inc()

@@ -3,9 +3,7 @@
 The eager database the MLN grounded against before facts were read off the
 store lazily (:class:`repro.mln.database.StoreFacts`), kept here, out of
 ``src/``, as the input of the nested-loop oracle in
-``tests/reference/grounding.py``.  It answers the fact-source reads of
-:class:`repro.mln.Grounder` too, so the compiled plans and the oracle can be
-run on the same database.
+``tests/reference/grounding.py``.
 
 The database holds, per evidence predicate, the set of ground tuples that are
 true (closed-world: everything not listed is false), plus the set of
@@ -18,7 +16,6 @@ matchers are deployed.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from types import MappingProxyType
 from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple, Union
 
@@ -40,12 +37,6 @@ class EvidenceDatabase:
         # built on the first ``index_for`` of that position.
         self._index: Dict[str, Dict[int, Dict[GroundValue, Set[GroundTuple]]]] = {}
         self._candidates: Set[EntityPair] = set()
-        # The fact-source mappings the compiled plans read, answering every
-        # key: entity -> other end -> candidate pair, and value ->
-        # (predicate, position) -> the facts holding it there.
-        self.partners: Dict[str, Dict[str, EntityPair]] = defaultdict(dict)
-        self.buckets: Dict[GroundValue, Dict[Tuple[str, int], Set[GroundTuple]]] = \
-            defaultdict(dict)
 
     # ----------------------------------------------------------------- facts
     def add_fact(self, predicate: str, *values: GroundValue) -> None:
@@ -55,8 +46,6 @@ class EvidenceDatabase:
         if tup in facts:
             return
         facts.add(tup)
-        for position, value in enumerate(tup):
-            self.buckets[value].setdefault((predicate, position), set()).add(tup)
         for position, index in self._index.get(predicate, {}).items():
             if position < len(tup):
                 index.setdefault(tup[position], set()).add(tup)
@@ -70,7 +59,7 @@ class EvidenceDatabase:
     def predicates(self) -> List[str]:
         return sorted(self._facts)
 
-    # Read-only views for the grounder's hot path: the returned containers
+    # Read-only views for the oracle's joins: the returned containers
     # are the stored ones, never copies — callers must not mutate them.
     def fact_set(self, predicate: str) -> AbstractSet[GroundTuple]:
         """Every tuple of ``predicate`` (all arities), shared."""
@@ -117,8 +106,6 @@ class EvidenceDatabase:
         if pair in self._candidates:
             return
         self._candidates.add(pair)
-        self.partners[pair.first][pair.second] = pair
-        self.partners[pair.second][pair.first] = pair
 
     def candidates(self) -> FrozenSet[EntityPair]:
         return frozenset(self._candidates)

@@ -3,7 +3,8 @@
 Definition 6 is a property of the probabilistic matcher's score, which only
 the MLN network has; no entry point checks it, so the sampler lives here,
 out of ``src/``, beside the idempotence and monotonicity checks of
-:mod:`repro.matchers.properties` it reports like.
+:mod:`repro.matchers.properties` it reports like.  :func:`check_well_behaved`
+is the library's check with this leg added for Type-II matchers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import random
 
 from repro.datamodel import EntityStore
-from repro.matchers import PropertyReport, PropertyViolation, TypeIIMatcher
+from repro.matchers import PropertyReport, PropertyViolation, TypeIIMatcher, TypeIMatcher
+from repro.matchers import check_well_behaved as check_idempotent_and_monotone
 
 
 def check_supermodularity(matcher: TypeIIMatcher, store: EntityStore,
@@ -40,4 +42,14 @@ def check_supermodularity(matcher: TypeIIMatcher, store: EntityStore,
                 f"gain of {pair} dropped from {gain_small:.4f} (|S|={len(small)}) "
                 f"to {gain_large:.4f} (|T|={len(large)})",
             ))
+    return report
+
+
+def check_well_behaved(matcher: TypeIMatcher, store: EntityStore,
+                       trials: int = 5, seed: int = 0) -> PropertyReport:
+    """Idempotence + monotonicity (+ supermodularity for Type-II matchers)."""
+    report = check_idempotent_and_monotone(matcher, store, trials=trials, seed=seed)
+    if isinstance(matcher, TypeIIMatcher):
+        report = report.merge(check_supermodularity(matcher, store,
+                                                    trials=trials * 4, seed=seed))
     return report

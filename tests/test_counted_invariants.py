@@ -51,6 +51,7 @@ from repro.datasets import dblp_like
 from repro.durability import DeltaWAL, DurableStreamSession
 from repro.matchers import MLNMatcher
 from repro.mln import MarkovLogicNetwork, StoreFacts, paper_author_rules
+from repro.mln import database as mln_database
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 from repro.parallel import grid as grid_module
@@ -522,7 +523,7 @@ def commit_rows(scenario, batches=None):
     session.start()
     rows = []
     update, bucket, match = \
-        IncrementalCoverMaintainer.update, StoreFacts._bucket, MLNMatcher.match
+        IncrementalCoverMaintainer.update, mln_database._bucket, MLNMatcher.match
     with counting(EntityStore, "__init__") as stores, \
             counting(Neighborhood, "__init__") as neighborhoods, \
             pytest.MonkeyPatch.context() as patch:
@@ -532,16 +533,16 @@ def commit_rows(scenario, batches=None):
             rows[-1]["constructed"] = neighborhoods[0] - before
             return cover
 
-        def recorded_bucket(self, entity_id):
+        def recorded_bucket(store, relations, partners, entity_id):
             rows[-1]["bucketed"].add(entity_id)
-            return bucket(self, entity_id)
+            return bucket(store, relations, partners, entity_id)
 
         def recorded_match(self, store, *args, **kwargs):
             rows[-1]["matched"].update(store.entity_ids())
             return match(self, store, *args, **kwargs)
 
         patch.setattr(IncrementalCoverMaintainer, "update", counted_update)
-        patch.setattr(StoreFacts, "_bucket", recorded_bucket)
+        patch.setattr(mln_database, "_bucket", recorded_bucket)
         patch.setattr(MLNMatcher, "match", recorded_match)
         for batch in list(scenario.log)[:batches]:
             previous = {(n.name, n.entity_ids) for n in session.cover}

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from repro.datamodel import EntityPair
 from repro.mln import (
     GreedyCollectiveInference,
-    Grounder,
     GroundNetwork,
     GroundRule,
+    MarkovLogicNetwork,
     WorldState,
 )
-from tests.reference.database import database_from_store
 from tests.reference.grounding import section2_example_rules, support_graph
 from tests.reference.inference import NaiveCollectiveInference
 from tests.util import (
@@ -44,8 +43,7 @@ ALL_PAIRS = [EntityPair.of(a, b) for a, b in combinations(ENTITY_IDS, 2)]
 
 
 def ground(store, rules):
-    db = database_from_store(store)
-    return GroundNetwork(Grounder(rules).ground(db), db.candidates())
+    return MarkovLogicNetwork(rules).ground(store)
 
 
 # ----------------------------------------------------------- strategies

@@ -48,11 +48,10 @@ from repro.kernels import (
     use,
 )
 from repro.matchers import MLNMatcher, RulesMatcher
-from repro.mln import GreedyCollectiveInference, Grounder, GroundNetwork
+from repro.mln import GreedyCollectiveInference, MarkovLogicNetwork
 from repro.kernels.strings import _jaro_winkler_bound_rows, _jaro_winkler_rows
 from repro.similarity import ProfiledNameScorer
 from repro.similarity.jaro import jaro_winkler_similarity
-from tests.reference.database import database_from_store
 from tests.util import (
     KERNEL_COUNTERS,
     build_chain_store,
@@ -664,10 +663,7 @@ class TestEndToEndParity:
 
     def test_greedy_inference_identical_across_backends(self):
         store = build_chain_store(length=10, level=2)
-        db = database_from_store(store)
-        network = GroundNetwork(
-            Grounder(leveled_rules(-2.28, -3.84, 12.75, 2.46)).ground(db),
-            db.candidates())
+        network = MarkovLogicNetwork(leveled_rules(-2.28, -3.84, 12.75, 2.46)).ground(store)
         results = {}
         for name in ("numpy", "python"):
             with use(name):

@@ -13,10 +13,9 @@ from repro.matchers import (
     RulesMatcher,
     check_idempotence,
     check_monotonicity,
-    check_well_behaved,
 )
 from tests.reference.grounding import ReferenceMLNMatcher, section2_example_rules
-from tests.reference.properties import check_supermodularity
+from tests.reference.properties import check_supermodularity, check_well_behaved
 from tests.util import (
     build_shared_coauthor_store,
     build_support_pair_store,

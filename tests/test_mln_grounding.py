@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.datamodel import EntityPair, EntityStore, make_author
 from repro.exceptions import MatcherError
 from repro.mln import (
-    GroundNetwork,
     Grounder,
+    MarkovLogicNetwork,
     Rule,
     RuleSet,
     atom,
@@ -34,9 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def ground(store, rules):
-    db = database_from_store(store)
-    groundings = Grounder(rules).ground(db)
-    return GroundNetwork(groundings, db.candidates())
+    return MarkovLogicNetwork(rules).ground(store)
 
 
 class TestGrounding:
@@ -138,9 +136,9 @@ def grounding_set(groundings):
 def test_plan_matches_reference(store, program):
     """The compiled join plans ground exactly what the nested-loop oracle does."""
     rules = PARITY_PROGRAMS[program]
-    db = database_from_store(store)
-    planned = Grounder(rules).ground(db)
-    assert grounding_set(planned) == grounding_set(reference_ground(rules, db))
+    planned = MarkovLogicNetwork(rules).ground(store).groundings
+    assert grounding_set(planned) == grounding_set(
+        reference_ground(rules, database_from_store(store)))
     # Canonical order: rule order, then head pair, then sorted body pairs.
     order = {name: index for index, name in enumerate(rules.names())}
     keys = [(order[g.rule_name], g.head_pair, sorted(g.body_pairs)) for g in planned]
@@ -163,17 +161,16 @@ class TestJoinWork:
         store.add_entities([make_author(i, "A", f"N{i}") for i in ids])
         add_coauthor_edges(store, [(a, b) for i, a in enumerate(ids)
                                    for b in ids[i + 1:i + 7]])
-        db = database_from_store(store)
-        assert len(db.facts("coauthor")) >= 250
+        assert len(database_from_store(store).facts("coauthor")) >= 250
         before = _counter_value("mln_ground_bindings_total")
-        assert Grounder(paper_author_rules()).ground(db) == []
+        assert not MarkovLogicNetwork(paper_author_rules()).ground(store).groundings
         assert _counter_value("mln_ground_bindings_total") == before
 
     def test_counters_report_bindings_and_groundings(self):
-        db = database_from_store(build_support_pair_store())
+        store = build_support_pair_store()
         bindings = _counter_value("mln_ground_bindings_total")
         groundings = _counter_value("mln_groundings_total")
-        emitted = Grounder(weighted_rules(-5.0, 8.0)).ground(db)
+        emitted = MarkovLogicNetwork(weighted_rules(-5.0, 8.0)).ground(store).groundings
         assert _counter_value("mln_groundings_total") - groundings == len(emitted) == 4
         # Two candidates x two orientations x two rules seed 8 bindings; every
         # seed joins similar(x, y) or one coauthor of each side.
@@ -200,10 +197,9 @@ class TestMalformedRules:
 
 GROUND_IN_SUBPROCESS = """
 from repro.datasets import hepth_like
-from repro.mln import Grounder, paper_author_rules
-from tests.reference.database import database_from_store
-db = database_from_store(hepth_like(scale=0.1).store)
-for g in Grounder(paper_author_rules()).ground(db):
+from repro.mln import MarkovLogicNetwork, paper_author_rules
+network = MarkovLogicNetwork(paper_author_rules()).ground(hepth_like(scale=0.1).store)
+for g in network.groundings:
     print(g.rule_name, g.head_pair, sorted(g.body_pairs))
 """
 
@@ -213,7 +209,7 @@ def test_grounding_order_is_independent_of_the_hash_seed():
     outputs = []
     for hash_seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]))
+                   PYTHONPATH=str(REPO_ROOT / "src"))
         outputs.append(subprocess.run(
             [sys.executable, "-c", GROUND_IN_SUBPROCESS], env=env, check=True,
             capture_output=True, text=True, timeout=120).stdout)

@@ -6,10 +6,8 @@ from repro.datamodel import EntityPair
 from repro.exceptions import InferenceError
 from repro.mln import (
     GreedyCollectiveInference,
-    Grounder,
-    GroundNetwork,
+    MarkovLogicNetwork,
 )
-from tests.reference.database import database_from_store
 from tests.reference.grounding import section2_example_rules
 from tests.reference.inference import exhaustive_map
 from tests.util import (
@@ -24,8 +22,7 @@ from tests.util import (
 
 
 def ground(store, rules):
-    db = database_from_store(store)
-    return GroundNetwork(Grounder(rules).ground(db), db.candidates())
+    return MarkovLogicNetwork(rules).ground(store)
 
 
 class TestGreedyInference:

@@ -18,9 +18,10 @@ import pytest
 from repro.blocking import Cover, Neighborhood
 from repro.core import EMFramework, compute_maximal_messages
 from repro.datamodel import Evidence
-from repro.matchers import MLNMatcher, check_well_behaved
+from repro.matchers import MLNMatcher
 from repro.mln import paper_author_rules
 from tests.reference.grounding import section2_example_rules
+from tests.reference.properties import check_well_behaved
 from tests.reference.schemes import (
     MaximalMessagePassing,
     NeighborhoodRunner,

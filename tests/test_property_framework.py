@@ -19,11 +19,9 @@ from repro.datamodel import EntityPair, EntityStore, make_author
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.mln import (
     GreedyCollectiveInference,
-    Grounder,
-    GroundNetwork,
+    MarkovLogicNetwork,
     paper_author_rules,
 )
-from tests.reference.database import database_from_store
 from tests.reference.inference import exhaustive_map
 from tests.reference.schemes import (
     MaximalMessagePassing,
@@ -92,8 +90,7 @@ class TestMLNProperties:
     @SETTINGS
     @given(random_instances())
     def test_greedy_inference_matches_exhaustive_map(self, store):
-        db = database_from_store(store)
-        network = GroundNetwork(Grounder(paper_author_rules()).ground(db), db.candidates())
+        network = MarkovLogicNetwork(paper_author_rules()).ground(store)
         greedy = GreedyCollectiveInference().infer(network)
         exact = exhaustive_map(network)
         assert abs(greedy.score - exact.score) < 1e-6

@@ -29,6 +29,7 @@ from repro.datamodel import CompactStore, EntityPair, EntityStore, make_author
 from repro.datasets import dblp_like, hepth_like
 from repro.matchers import MLNMatcher
 from repro.mln import MarkovLogicNetwork, Rule, RuleSet, atom, const, paper_author_rules
+from repro.obs import registry as obs_registry
 from repro.streaming import StreamSession, synthesize_stream
 from repro.streaming.overlay import StoreOverlay
 from tests.reference.grounding import reference_network, section2_example_rules
@@ -218,6 +219,20 @@ def test_a_generation_gets_a_fresh_index_and_a_retired_base_none():
     del overlay
     gc.collect()
     assert len(mln._indexes) == 0
+
+
+def test_the_whole_base_is_one_more_slice_of_its_index():
+    # MMP grounds the whole snapshot after its neighborhoods: every binding
+    # of it was enumerated for some view already (a total cover holds every
+    # candidate pair), so the whole network joins nothing new.
+    store = CompactStore.from_store(hepth_like(scale=0.1).store)
+    mln = MarkovLogicNetwork(paper_author_rules())
+    for neighborhood in build_total_cover(CanopyBlocker(), store, relation_names=["coauthor"]):
+        mln.ground(store.restrict(neighborhood.entity_ids))
+    counter = obs_registry.counter("mln_ground_bindings_total")
+    before = counter.value()
+    assert mln.ground(store).groundings
+    assert counter.value() == before
 
 
 def test_pickling_drops_the_indexes():
