@@ -114,14 +114,11 @@ def default_entries(work: Path) -> List[Entry]:
         Entry("cli generate hepth", _cli(
             "generate", "--preset", "hepth", "--scale", "0.2", "--output", data)),
         Entry("cli cover", _cli("cover", "--dataset", data, "--trace-out", trace)),
-        Entry("cli cover compact", _cli(
-            "cover", "--dataset", data, "--store-backend", "compact")),
         Entry("cli trace-report", _cli("trace-report", trace)),
         Entry("cli match mln smp", _cli("match", "--dataset", data)),
         Entry("cli match mln mmp processes", _cli(
             "match", "--dataset", data, "--scheme", "mmp", "--executor",
-            "processes", "--workers", "2", "--store-backend", "compact",
-            "--retries", "1", "--output", str(work / "clusters.json"))),
+            "processes", "--workers", "2", "--retries", "1", "--output", str(work / "clusters.json"))),
         Entry("cli match rules no-mp", _cli(
             "match", "--dataset", data, "--matcher", "rules", "--scheme", "no-mp")),
         Entry("cli match pairwise full", _cli(
@@ -135,9 +132,9 @@ def default_entries(work: Path) -> List[Entry]:
         Entry("cli stream durable", _cli(
             "stream", "--dataset", base, "--deltas", deltas, "--verify",
             "--durable-dir", wal, "--checkpoint-every", "2")),
-        Entry("cli stream compact", _cli(
+        Entry("cli stream rules serial", _cli(
             "stream", "--dataset", base, "--deltas", deltas, "--matcher",
-            "rules", "--store-backend", "compact", "--executor", "serial")),
+            "rules", "--executor", "serial")),
         Entry("cli recover", _cli("recover", "--durable-dir", wal, "--verify")),
         Entry("cli serve durable", _cli(
             "serve", "--dataset", base, "--durable-dir", served, "--port", "0",

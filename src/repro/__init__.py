@@ -58,11 +58,7 @@ from .datasets import (
     load_dataset,
     save_dataset,
 )
-from .evaluation import (
-    ExperimentRunner,
-    precision_recall_f1,
-    soundness_completeness,
-)
+from .evaluation import precision_recall_f1, soundness_completeness
 from .matchers import (
     IterativeMatcher,
     MLNMatcher,
@@ -99,7 +95,6 @@ __all__ = [
     "EntityPair",
     "EntityStore",
     "Evidence",
-    "ExperimentRunner",
     "FullRun",
     "GeneratorConfig",
     "GridExecutor",

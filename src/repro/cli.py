@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .blocking import CanopyBlocker, build_total_cover
 from .core import EMFramework
-from .core.framework import STORE_BACKENDS
 from .datamodel import CompactStore, MatchSet
 from .datasets import (
     BibliographicDataset,
@@ -168,11 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--dataset", type=Path, required=True)
     cover.add_argument("--loose", type=float, default=0.78, help="canopy loose threshold")
     cover.add_argument("--tight", type=float, default=0.92, help="canopy tight threshold")
-    cover.add_argument("--store-backend", choices=list(STORE_BACKENDS),
-                       default="dict",
-                       help="storage backend the cover is built against; "
-                            "'compact' snapshots the store into interned "
-                            "flat arrays (the cover is identical)")
     _add_kernel_argument(cover)
     _add_trace_argument(cover)
 
@@ -186,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "full); omit for serial")
     match.add_argument("--workers", type=int, default=None,
                        help="pool size for --executor threads/processes")
-    match.add_argument("--store-backend", choices=list(STORE_BACKENDS),
-                       default="dict",
-                       help="storage backend: 'dict' is the reference "
-                            "EntityStore, 'compact' snapshots it into "
-                            "interned flat arrays with zero-copy "
-                            "neighborhood views (match sets are identical)")
     match.add_argument("--output", type=Path, default=None,
                        help="write resolved clusters to this JSON file")
     _add_kernel_argument(match)
@@ -227,10 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="map-phase engine for the dirty-neighborhood "
                              "rounds (default serial)")
     stream.add_argument("--workers", type=int, default=None)
-    stream.add_argument("--store-backend", choices=list(STORE_BACKENDS),
-                        default="dict",
-                        help="backend of the base snapshot the overlay "
-                             "layers deltas over")
     stream.add_argument("--rebase-threshold", type=int, default=5000,
                         help="overlay size at which the session rebases onto "
                              "a fresh snapshot")
@@ -355,11 +339,9 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 def _command_cover(args: argparse.Namespace) -> int:
     dataset = _load(args.dataset)
-    store = dataset.store
-    if args.store_backend == "compact":
-        store = CompactStore.from_store(store)
     blocker = CanopyBlocker(loose_threshold=args.loose, tight_threshold=args.tight)
-    cover = build_total_cover(blocker, store, relation_names=["coauthor"])
+    cover = build_total_cover(blocker, CompactStore.from_store(dataset.store),
+                              relation_names=["coauthor"])
     print(format_key_values(cover.stats(), title="cover"))
     report = evaluate_cover(cover, dataset.true_matches(),
                             entity_count=len(dataset.store.entity_ids()))
@@ -371,8 +353,7 @@ def _command_match(args: argparse.Namespace) -> int:
     dataset = _load(args.dataset)
     matcher = _MATCHERS[args.matcher]()
     framework = EMFramework(matcher, dataset.store,
-                            blocker=CanopyBlocker(), relation_names=["coauthor"],
-                            store_backend=args.store_backend)
+                            blocker=CanopyBlocker(), relation_names=["coauthor"])
     if args.scheme == "mmp" and not matcher.is_probabilistic:
         raise SystemExit(f"matcher {args.matcher!r} is not probabilistic; "
                          "mmp requires a Type-II matcher")
@@ -436,11 +417,8 @@ def _command_stream(args: argparse.Namespace) -> int:
     if not args.deltas.exists():
         raise SystemExit(f"delta trace file not found: {args.deltas}")
     log = load_delta_log(args.deltas)
-    store = dataset.store
-    if args.store_backend == "compact":
-        store = CompactStore.from_store(store)
     matcher = _MATCHERS[args.matcher]()
-    session = StreamSession(matcher, store,
+    session = StreamSession(matcher, dataset.store,
                             blocker=CanopyBlocker(),
                             relation_names=["coauthor"],
                             executor=args.executor, workers=args.workers,

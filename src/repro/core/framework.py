@@ -12,8 +12,15 @@ The cover can either be supplied directly or built from a blocker (Canopy by
 default) with boundary expansion to make it total.  The framework exposes the
 schemes of the paper (NO-MP, SMP, MMP) — all three run on the round-based
 grid of Section 6.3, serial unless an executor is named — the holistic FULL
-run, and the UB evaluation bound.  Neighborhood stores are cached across
-runs, so matcher-side caches keyed on them are shared between schemes.
+run, and the UB evaluation bound.
+
+The entry point decides which store a run reads.  Batch runs (the schemes,
+FULL, UB and the cover build) read one :class:`~repro.datamodel.CompactStore`
+snapshot of the instance, taken on first use and kept: every neighborhood is
+a zero-copy view of that one base, so the views share its MLN binding index
+and matcher-side caches keyed on them carry over between schemes.
+:meth:`EMFramework.serve` hands the caller's store to the stream session
+instead, which layers its mutations over it and never reads the snapshot.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from ..blocking import Blocker, CanopyBlocker, Cover, build_total_cover
-from ..datamodel import CompactStore, EntityPair, EntityStore, MatchSet
+from ..datamodel import CompactStore, EntityPair, EntityStore, MatchSet, StoreView
 from ..exceptions import ExperimentError
 from ..matchers import TypeIIMatcher, TypeIMatcher
 from ..obs import registry as obs_registry
@@ -32,13 +39,6 @@ from .upper_bound import UpperBoundScheme
 
 #: Names accepted by :meth:`EMFramework.run`.
 SCHEMES = ("no-mp", "smp", "mmp", "full")
-
-#: Storage backends accepted by :class:`EMFramework` (and the CLI's
-#: ``--store-backend``).  ``dict`` keeps the reference
-#: :class:`~repro.datamodel.EntityStore`; ``compact`` snapshots it into a
-#: :class:`~repro.datamodel.CompactStore` — interned ids, flat arrays,
-#: zero-copy ``restrict()`` views, and broadcast-once grid payloads.
-STORE_BACKENDS = ("dict", "compact")
 
 
 def _fold_blocking_telemetry(blocker) -> None:
@@ -60,36 +60,38 @@ def _fold_blocking_telemetry(blocker) -> None:
 
 
 class EMFramework:
-    """Facade over covers, matchers and message-passing schemes."""
+    """Facade over covers, matchers and message-passing schemes.
+
+    ``store_backend`` is retired: batch runs always read the compact
+    snapshot, and ``"compact"`` is the one value accepted.
+    """
 
     def __init__(self, matcher: TypeIMatcher, store: EntityStore,
                  cover: Optional[Cover] = None,
                  blocker: Optional[Blocker] = None,
                  relation_names: Optional[Iterable[str]] = None,
-                 store_backend: str = "dict",
+                 store_backend: str = "compact",
                  fault_policy=None):
-        normalized_backend = store_backend.lower()
-        if normalized_backend not in STORE_BACKENDS:
+        if store_backend != "compact":
             raise ExperimentError(
-                f"unknown store backend {store_backend!r}; "
-                f"known backends: {STORE_BACKENDS}")
-        if normalized_backend == "compact" and not isinstance(store, CompactStore):
-            store = CompactStore.from_store(store)
-        self.store_backend = "compact" if isinstance(store, CompactStore) \
-            else "dict"
+                f"store_backend={store_backend!r}: the option is retired; "
+                "batch runs always read a compact snapshot of the store")
         self.matcher = matcher
+        #: The caller's store: what :meth:`serve` streams over.
         self.store = store
+        self._snapshot: Optional[CompactStore] = \
+            store if isinstance(store, CompactStore) else None
         #: Default :class:`~repro.parallel.resilience.FaultPolicy` for every
         #: grid/stream run of this framework (``None`` keeps the plain
         #: all-or-nothing executor contract).
         self.fault_policy = fault_policy
-        # Neighborhood stores, built once and kept across runs (the cover
-        # never changes), so matcher caches keyed on them carry over.
-        self._store_cache: Dict[str, EntityStore] = {}
-        self._stream = None
+        # Neighborhood views of the snapshot, built once and kept across runs
+        # (the cover never changes), so matcher caches keyed on them carry
+        # over.
+        self._store_cache: Dict[str, StoreView] = {}
         self._cover = cover
-        # Also kept for open_stream()/serve(): the stream session builds its
-        # own cover with the same blocker (None when a cover was supplied).
+        # Also kept for serve(): the stream session builds its own cover with
+        # the same blocker (None when a cover was supplied).
         self._blocker: Optional[Blocker] = None
         self._relation_names: Optional[list] = None
         if cover is not None:
@@ -104,41 +106,51 @@ class EMFramework:
                     else store.relation_names()
             self._relation_names = list(relation_names)
 
+    # -------------------------------------------------------------- snapshot
+    @property
+    def snapshot(self) -> CompactStore:
+        """The compact snapshot every batch run reads, taken on first use —
+        :meth:`serve` never asks for it."""
+        if self._snapshot is None:
+            self._snapshot = CompactStore.from_store(self.store)
+        return self._snapshot
+
     # ----------------------------------------------------------------- cover
     @property
     def cover(self) -> Cover:
         """The total cover the batch schemes run on, built on first use —
-        :meth:`open_stream` and :meth:`serve` never ask for it (the stream
-        session maintains its own), so they pay for one build, not two."""
+        :meth:`serve` never asks for it (the stream session maintains its
+        own), so it pays for one build, not two."""
         if self._cover is None:
             self._build_cover()
         return self._cover
 
     def _build_cover(self) -> None:
+        snapshot = self.snapshot
         with span("blocking.total_cover") as cover_span:
-            cover = build_total_cover(self._blocker, self.store,
+            cover = build_total_cover(self._blocker, snapshot,
                                       relation_names=self._relation_names)
             cover_span.add_attrs(neighborhoods=len(cover.names()))
         _fold_blocking_telemetry(self._blocker)
-        cover.validate_covering(self.store)
+        cover.validate_covering(snapshot)
         self._cover = cover
 
     # ----------------------------------------------------------------- runs
     def run_full(self) -> SchemeResult:
         """Run the matcher holistically on the whole store."""
-        return FullRun().run(self.matcher, self.store)
+        return FullRun().run(self.matcher, self.snapshot)
 
     def run_full_prefix(self, neighborhood_count: int) -> SchemeResult:
         """Run the matcher holistically on the first ``k`` neighborhoods (Figure 3(f))."""
-        return FullRun().run_on_prefix(self.matcher, self.store, self.cover,
+        return FullRun().run_on_prefix(self.matcher, self.snapshot, self.cover,
                                        neighborhood_count)
 
     def run_upper_bound(self, ground_truth: Iterable[EntityPair]) -> SchemeResult:
         """Compute the UB bound; requires a Type-II matcher."""
         if not isinstance(self.matcher, TypeIIMatcher):
-            return UpperBoundScheme().run_type1(self.matcher, self.store, self.cover,
-                                                ground_truth)
-        return UpperBoundScheme().run(self.matcher, self.store, ground_truth)
+            return UpperBoundScheme().run_type1(self.matcher, self.snapshot,
+                                                self.cover, ground_truth)
+        return UpperBoundScheme().run(self.matcher, self.snapshot, ground_truth)
 
     def run_grid(self, scheme: str = "smp", executor=None,
                  workers: Optional[int] = None, fault_policy=None):
@@ -158,7 +170,7 @@ class EMFramework:
         grid = GridExecutor(scheme=scheme, executor=executor, workers=workers,
                             fault_policy=fault_policy if fault_policy is not None
                             else self.fault_policy)
-        return grid.run(self.matcher, self.store, self.cover,
+        return grid.run(self.matcher, self.snapshot, self.cover,
                         store_cache=self._store_cache)
 
     def run(self, scheme: str, executor=None, workers: Optional[int] = None,
@@ -189,81 +201,6 @@ class EMFramework:
             results["full"] = self.run_full()
         return results
 
-    # ------------------------------------------------------------- streaming
-    def open_stream(self, executor=None, workers: Optional[int] = None,
-                    rebase_threshold: int = 5000,
-                    durable_dir=None, checkpoint_every: int = 8,
-                    fsync: bool = True, fault_policy=None,
-                    checkpoint_on_signal: bool = False):
-        """Open a delta-ingestion session on this framework's instance.
-
-        The returned :class:`~repro.streaming.StreamSession` cold-runs the
-        SMP grid on the current store (building its own cover with the same
-        blocker configuration — byte-identical to this framework's) and then
-        maintains the standing match set incrementally through
-        :meth:`~repro.streaming.StreamSession.apply`.  Requires the framework
-        to have been constructed from a :class:`CanopyBlocker` (not an
-        explicit cover): the streaming layer repairs the canopy cover as the
-        instance mutates, and any other blocker is a ``CoverError``.
-
-        With ``durable_dir`` the session is wrapped in a
-        :class:`~repro.durability.DurableStreamSession`: change batches are
-        committed to a write-ahead log before they mutate anything, a
-        checkpoint is published every ``checkpoint_every`` batches, and
-        :meth:`~repro.durability.DurableStreamSession.recover` can rebuild
-        the standing state from that directory after a crash.
-
-        ``fault_policy`` (defaults to the framework-wide policy) supervises
-        every grid round the session runs — a lost worker mid-delta-batch is
-        retried/degraded instead of aborting the batch, composing with the
-        WAL-ahead contract.  ``checkpoint_on_signal=True`` (durable sessions
-        only) installs SIGTERM/SIGINT handlers that finish the in-flight
-        batch, write a final checkpoint, and exit cleanly.
-        """
-        self._require_blocker("open_stream")
-        if checkpoint_on_signal and durable_dir is None:
-            raise ExperimentError(
-                "checkpoint_on_signal requires durable_dir: there is nowhere "
-                "to write the final checkpoint without a durable session")
-        self._stream = self._new_session(
-            executor, workers, fault_policy, durable_dir, checkpoint_every,
-            fsync, checkpoint_on_signal, rebase_threshold=rebase_threshold)
-        self._stream.start()
-        return self._stream
-
-    def _require_blocker(self, entry_point: str) -> None:
-        if self._blocker is None:
-            raise ExperimentError(
-                f"{entry_point} requires a blocker-built framework; a "
-                "framework constructed from an explicit cover cannot repair "
-                "that cover as the instance mutates")
-
-    def _new_session(self, executor, workers, fault_policy, durable_dir,
-                     checkpoint_every, fsync, checkpoint_on_signal=False,
-                     **session_options):
-        """An unstarted (durable, given ``durable_dir``) stream session."""
-        # Imported lazily: repro.streaming imports from repro.parallel.
-        from ..streaming import StreamSession
-        session = StreamSession(
-            self.matcher, self.store, blocker=self._blocker,
-            relation_names=self._relation_names, executor=executor,
-            workers=workers,
-            fault_policy=fault_policy if fault_policy is not None
-            else self.fault_policy, **session_options)
-        if durable_dir is not None:
-            from ..durability import DurableStreamSession
-            session = DurableStreamSession(
-                session, durable_dir, checkpoint_every=checkpoint_every,
-                fsync=fsync, checkpoint_on_signal=checkpoint_on_signal)
-        return session
-
-    def apply_deltas(self, batch):
-        """Apply one :class:`~repro.streaming.ChangeBatch` to the standing
-        stream session (opened lazily with default settings on first use)."""
-        if self._stream is None:
-            self.open_stream()
-        return self._stream.apply(batch)
-
     # --------------------------------------------------------------- serving
     def serve(self, config=None, executor=None, workers: Optional[int] = None,
               durable_dir=None, checkpoint_every: int = 8, fsync: bool = True,
@@ -275,19 +212,39 @@ class EMFramework:
         that seeds the first epoch — the expensive part) happens inside
         :meth:`~repro.serving.MatchService.start` /
         :meth:`~repro.serving.MatchService.start_background`, so an HTTP
-        frontend can already answer readiness probes while it runs.  With
-        ``durable_dir`` the underlying session is durable (WAL +
-        checkpoints), making the served state crash-recoverable via
-        ``MatchService.recover``.  Same blocker requirement as
-        :meth:`open_stream`.
+        frontend can already answer readiness probes while it runs.  The
+        session streams over the caller's store (not the batch snapshot) and
+        builds its own cover with this framework's blocker, so the framework
+        must have been built from a blocker, not an explicit cover.  With
+        ``durable_dir`` the session is durable (WAL + checkpoints), making the
+        served state crash-recoverable via ``MatchService.recover``.
+        ``fault_policy`` (defaults to the framework-wide policy) supervises
+        every grid round the session runs.
         """
+        if self._blocker is None:
+            raise ExperimentError(
+                "serve requires a blocker-built framework; a framework "
+                "constructed from an explicit cover cannot repair that cover "
+                "as the instance mutates")
+        # Imported lazily: repro.streaming imports from repro.parallel.
         from ..serving import MatchService
-        self._require_blocker("serve")
-        return MatchService(
-            session_factory=lambda: self._new_session(
-                executor, workers, fault_policy, durable_dir,
-                checkpoint_every, fsync),
-            config=config)
+        from ..streaming import StreamSession
+
+        def new_session():
+            session = StreamSession(
+                self.matcher, self.store, blocker=self._blocker,
+                relation_names=self._relation_names, executor=executor,
+                workers=workers,
+                fault_policy=fault_policy if fault_policy is not None
+                else self.fault_policy)
+            if durable_dir is not None:
+                from ..durability import DurableStreamSession
+                session = DurableStreamSession(
+                    session, durable_dir, checkpoint_every=checkpoint_every,
+                    fsync=fsync)
+            return session
+
+        return MatchService(session_factory=new_session, config=config)
 
     # ------------------------------------------------------------- utilities
     def cover_stats(self) -> Dict[str, float]:

@@ -1,10 +1,11 @@
-"""Compact columnar storage backend: interned ids, flat arrays, lazy views.
+"""Compact columnar snapshots: interned ids, flat arrays, lazy views.
 
 The dict-based :class:`~repro.datamodel.store.EntityStore` is the reference
 container, but its ``restrict()`` deep-materialises an induced store (entities,
 relations, similarity edges) for every neighborhood in every round, and the
 grid executor pickles each of those restricted stores to worker processes.
-This module provides the compact alternative:
+This module provides the compact snapshot every batch run reads
+(:class:`~repro.core.EMFramework` takes one per instance):
 
 * :class:`EntityInterner` — a bijection between entity-id strings and dense
   integer indices; every other structure here speaks integers internally and
@@ -28,7 +29,7 @@ Snapshots carry a process-unique ``snapshot_token`` so the parallel layer can
 broadcast one pickled copy per worker and ship only integer neighborhood
 member lists per task (see :mod:`repro.parallel.shared`).
 
-Parity with the dict backend — identical entities, induced relations,
+Parity with the dict store — identical entities, induced relations,
 similarity edges and final match sets — is asserted by
 ``tests/test_compact_store.py``.
 """

@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
-from ..datamodel import CompactStore, EntityPair
+from ..datamodel import EntityPair
 from ..datamodel.serialize import store_from_dict, store_to_dict
 from ..exceptions import DurabilityError, RecoveryError
 from ..obs import registry as obs_registry
@@ -171,10 +171,7 @@ class DurableStreamSession:
     # ----------------------------------------------------------- checkpoint
     def _checkpoint_payload(self) -> Dict:
         session = self.session
-        backend = "compact" if isinstance(session.overlay.base, CompactStore) \
-            else "dict"
         return {
-            "backend": backend,
             "store": store_to_dict(session.overlay),
             "standing": session.standing_state(),
             "config": session.session_config(),
@@ -245,12 +242,10 @@ class DurableStreamSession:
                 f"state (batches_applied={standing['batches_applied']})")
 
         store = store_from_dict(payload["store"])
-        if payload["backend"] == "compact":
-            store = CompactStore.from_store(store)
         matcher = pickle.loads(base64.b64decode(payload["matcher_pickle"]))
         blocker = pickle.loads(base64.b64decode(payload["blocker_pickle"]))
-        # Older checkpoints may carry keys of retired options; they are
-        # ignored.
+        # Older checkpoints may carry keys of retired options (a config's
+        # ``max_rounds``, the payload's ``backend``); they are ignored.
         config = payload["config"]
         session = StreamSession(
             matcher, store, blocker=blocker,

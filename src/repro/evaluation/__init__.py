@@ -1,4 +1,4 @@
-"""Evaluation: accuracy metrics, soundness/completeness, experiment harness."""
+"""Evaluation: accuracy metrics, soundness/completeness, report tables."""
 
 from .blocking_metrics import (
     BlockingReport,
@@ -7,22 +7,17 @@ from .blocking_metrics import (
     pair_completeness,
     reduction_ratio,
 )
-from .experiment import ExperimentOutcome, ExperimentRow, ExperimentRunner
 from .metrics import PrecisionRecall, cluster_metrics, precision_recall_f1
-from .report import format_experiment, format_key_values, format_table
+from .report import format_key_values, format_table
 from .soundness import SoundnessReport, soundness_completeness
 
 __all__ = [
     "BlockingReport",
-    "ExperimentOutcome",
-    "ExperimentRow",
-    "ExperimentRunner",
     "PrecisionRecall",
     "SoundnessReport",
     "cluster_metrics",
     "covered_pairs",
     "evaluate_cover",
-    "format_experiment",
     "format_key_values",
     "format_table",
     "pair_completeness",

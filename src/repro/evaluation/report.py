@@ -8,7 +8,7 @@ pasted into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 Row = Mapping[str, Cell]
@@ -44,13 +44,6 @@ def format_table(rows: Sequence[Row], columns: Optional[Sequence[str]] = None,
     for line in body:
         lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(header))))
     return "\n".join(lines)
-
-
-def format_experiment(outcome, columns: Optional[Sequence[str]] = None,
-                      title: Optional[str] = None) -> str:
-    """Render an :class:`~repro.evaluation.experiment.ExperimentOutcome`."""
-    rows = [row.as_dict() for row in outcome.rows]
-    return format_table(rows, columns=columns, title=title)
 
 
 def format_key_values(values: Mapping[str, Cell], title: Optional[str] = None) -> str:

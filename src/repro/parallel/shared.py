@@ -1,10 +1,10 @@
 """Per-process registry of broadcast payloads for the map phase.
 
 The grid executor ships each round's neighborhood tasks through a pluggable
-executor.  With the compact store backend the heavy, round-invariant payloads
-— the :class:`~repro.datamodel.compact.CompactStore` snapshot and the matcher
-— are *broadcast once per execution context* instead of travelling inside
-every task:
+executor.  When the grid runs over a compact snapshot, the heavy,
+round-invariant payloads — the :class:`~repro.datamodel.compact.CompactStore`
+snapshot and the matcher — are *broadcast once per execution context* instead
+of travelling inside every task:
 
 * in-process executors (serial/threads) install them straight into this
   module's registry, so tasks resolve the very same objects (zero copy);

@@ -11,10 +11,9 @@ neighborhood out as an :class:`OverlayView` — the same reads a materialised
 sub-store would answer, answered through base and overlay, nothing copied.
 
 When the overlay grows past a threshold the session *rebases*: the overlay is
-materialised into a fresh base snapshot (compact again when the base was
-compact) and a new, empty overlay is layered on top — reads get fast again
-and the delta bookkeeping stays proportional to the recent churn, not the
-stream's lifetime.
+materialised into a fresh dict base and a new, empty overlay is layered on
+top — reads get fast again and the delta bookkeeping stays proportional to
+the recent churn, not the stream's lifetime.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..datamodel import (
-    CompactStore,
     Entity,
     EntityPair,
     EntityStore,
@@ -422,7 +420,8 @@ class StoreOverlay(StoreReads):
                 + sum(overlay.delta_size() for overlay in self._relations.values()))
 
     def to_entity_store(self) -> EntityStore:
-        """Materialise the overlaid instance into a fresh dict store."""
+        """Materialise the overlaid instance into a fresh dict store (the
+        base of the next overlay when the session rebases)."""
         store = EntityStore(
             entities=sorted(self.entities(), key=lambda e: e.entity_id),
             relations=(overlay.copy() for overlay in self.relations()),
@@ -430,13 +429,6 @@ class StoreOverlay(StoreReads):
         for _, edge in self._iter_edges():
             store.add_similarity(edge.pair, edge.score, edge.level)
         return store
-
-    def rebase(self):
-        """Materialise into a fresh base snapshot (same backend as the base)."""
-        materialised = self.to_entity_store()
-        if isinstance(self.base, CompactStore):
-            return CompactStore.from_store(materialised)
-        return materialised
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"StoreOverlay(entities={len(self)}, "

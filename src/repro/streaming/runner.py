@@ -42,10 +42,10 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..blocking import CanopyBlocker, Cover
-from ..datamodel import CompactStore, EntityPair, EntityStore, Evidence
+from ..datamodel import EntityPair, EntityStore, Evidence
 from ..durability.crashpoints import crash_point
 from ..exceptions import DeltaError
 from ..matchers import TypeIMatcher
@@ -107,7 +107,7 @@ class StreamSession:
     """Standing matcher state over a mutating instance (see module docs)."""
 
     def __init__(self, matcher: TypeIMatcher,
-                 store: Union[EntityStore, CompactStore],
+                 store: EntityStore,
                  blocker: Optional[CanopyBlocker] = None,
                  relation_names: Optional[Iterable[str]] = None,
                  scheme: str = "smp",
@@ -169,19 +169,6 @@ class StreamSession:
         from ..parallel.resilience import SupervisionHistory
         self.supervision = SupervisionHistory(limit=supervision_limit)
 
-    # ------------------------------------------------------------ store view
-    def _store_view(self):
-        """The instance the cover and the matcher runs read.
-
-        The overlay, whose neighborhoods are read-only views; a compact base
-        with no layered mutations (cold start, or right after a rebase) is
-        handed out directly, keeping its broadcast snapshot path.
-        """
-        base = self.overlay.base
-        if isinstance(base, CompactStore) and self.overlay.delta_size() == 0:
-            return base
-        return self.overlay
-
     # ------------------------------------------------------------ cold start
     def start(self) -> BatchResult:
         """Cold-build the cover, run the full batch matcher, seed provenance."""
@@ -189,7 +176,7 @@ class StreamSession:
             raise DeltaError("stream session already started")
         started_at = time.perf_counter()
         with span("stream.cold_start") as start_span:
-            store = self._store_view()
+            store = self.overlay
             cover = self.maintainer.build(store)
             name_cache: Dict[str, EntityStore] = {}
             # Pairless neighborhoods produce nothing — skip them here and
@@ -264,9 +251,8 @@ class StreamSession:
                     name_cache[neighborhood.name] = cached
 
             with span("stream.rematch"):
-                store = self._store_view()
                 result = self._grid.run(
-                    self.matcher, store, cover,
+                    self.matcher, self.overlay, cover,
                     initial_matches=frozenset(valid),
                     initial_active=active,
                     negative_evidence=self.evidence.negative,
@@ -283,7 +269,7 @@ class StreamSession:
             if self.overlay.delta_size() >= self.rebase_threshold:
                 with span("stream.rebase"):
                     crash_point("rebase.before")
-                    self.overlay = StoreOverlay(self.overlay.rebase())
+                    self.overlay = StoreOverlay(self.overlay.to_entity_store())
                     # Cached views read through the retired overlay.
                     self._store_cache = {}
                     crash_point("rebase.after")
@@ -547,7 +533,7 @@ class StreamSession:
         if self.started:
             raise DeltaError("cannot restore standing state into a session "
                              "that already started")
-        self.cover = self.maintainer.build(self._store_view(), canopies)
+        self.cover = self.maintainer.build(self.overlay, canopies)
         self.matches = frozenset(EntityPair.of(a, b)
                                  for a, b in state["matches"])
         self.evidence = Evidence(

@@ -1,8 +1,8 @@
-"""Parity tests for the compact columnar storage backend.
+"""Parity tests for the compact columnar snapshot.
 
 The dict-based :class:`EntityStore` is the reference implementation; the
-:class:`CompactStore` / :class:`StoreView` backend must be observably
-indistinguishable from it: identical entities, induced relations, similarity
+:class:`CompactStore` / :class:`StoreView` snapshot every batch run reads
+must be observably indistinguishable from it: identical entities, induced relations, similarity
 edges, covers and final match sets — on hand-built instances, on random
 (hypothesis) instances and end-to-end through the schemes and executors.
 """
@@ -19,8 +19,7 @@ from repro.blocking import (
     build_total_cover,
     expand_members,
 )
-from repro.core import EMFramework
-from repro.core.framework import STORE_BACKENDS
+from repro.core import EMFramework, FullRun
 from repro.datamodel import (
     CompactStore,
     EntityPair,
@@ -33,7 +32,7 @@ from repro.datamodel import (
 )
 from repro.exceptions import ExperimentError, UnknownEntityError
 from repro.matchers import MLNMatcher, RulesMatcher
-from repro.parallel import ProcessExecutor, SerialExecutor
+from repro.parallel import GridExecutor, ProcessExecutor, SerialExecutor
 from repro.parallel import shared as parallel_shared
 from tests.util import build_two_hop_store, two_hop_rules
 
@@ -349,13 +348,8 @@ class TestBlockingParity:
 
 # -------------------------------------------------------------- match parity
 class TestMatchParity:
-    def run_pair(self, matcher_factory, store, cover):
-        reference = EMFramework(matcher_factory(), store, cover=cover)
-        compact = EMFramework(matcher_factory(), store, cover=cover,
-                              store_backend="compact")
-        assert compact.store_backend == "compact"
-        assert isinstance(compact.store, CompactStore)
-        return reference, compact
+    """``EMFramework`` reads its compact snapshot; the references here run
+    the same engine on the caller's dict store directly."""
 
     def test_schemes_identical_two_hop(self):
         store, cover = build_two_hop_store()
@@ -363,38 +357,46 @@ class TestMatchParity:
         def factory():
             return MLNMatcher(rules=two_hop_rules())
 
-        reference, compact = self.run_pair(factory, store, cover)
-        for scheme in ("no-mp", "smp", "mmp", "full"):
-            assert compact.run(scheme).matches == reference.run(scheme).matches
+        framework = EMFramework(factory(), store, cover=cover)
+        assert isinstance(framework.snapshot, CompactStore)
+        for scheme in ("no-mp", "smp", "mmp"):
+            assert framework.run(scheme).matches == GridExecutor(
+                scheme=scheme).run(factory(), store, cover).matches
+        assert framework.run("full").matches == \
+            FullRun().run(factory(), store).matches
 
     def test_rules_matcher_identical(self, hepth_dataset, hepth_cover):
-        reference, compact = self.run_pair(
-            RulesMatcher, hepth_dataset.store, hepth_cover)
-        assert compact.run("smp").matches == reference.run("smp").matches
+        framework = EMFramework(RulesMatcher(), hepth_dataset.store,
+                                cover=hepth_cover)
+        assert framework.run("smp").matches == GridExecutor(scheme="smp").run(
+            RulesMatcher(), hepth_dataset.store, hepth_cover).matches
 
     def test_grid_identical_across_backends_and_executors(
             self, hepth_dataset, hepth_cover):
-        reference, compact = self.run_pair(
-            MLNMatcher, hepth_dataset.store, hepth_cover)
-        expected = reference.run("smp").matches
-        for framework in (reference, compact):
-            for executor in ("serial", "threads"):
-                result = framework.run_grid("smp", executor=executor, workers=2)
-                assert result.matches == expected
+        expected = GridExecutor(scheme="smp").run(
+            MLNMatcher(), hepth_dataset.store, hepth_cover).matches
+        framework = EMFramework(MLNMatcher(), hepth_dataset.store,
+                                cover=hepth_cover)
+        for executor in ("serial", "threads"):
+            dict_run = GridExecutor(scheme="smp", executor=executor, workers=2).run(
+                MLNMatcher(), hepth_dataset.store, hepth_cover)
+            assert dict_run.matches == expected
+            result = framework.run_grid("smp", executor=executor, workers=2)
+            assert result.matches == expected
 
     def test_grid_identical_under_process_executor(
             self, hepth_dataset, hepth_cover):
-        reference, compact = self.run_pair(
-            MLNMatcher, hepth_dataset.store, hepth_cover)
-        expected = reference.run_grid("smp").matches
-        result = compact.run_grid("smp", executor="processes", workers=2)
+        expected = GridExecutor(scheme="smp").run(
+            MLNMatcher(), hepth_dataset.store, hepth_cover).matches
+        framework = EMFramework(MLNMatcher(), hepth_dataset.store,
+                                cover=hepth_cover)
+        result = framework.run_grid("smp", executor="processes", workers=2)
         assert result.matches == expected
 
     def test_grid_falls_back_when_broadcast_refused(
             self, hepth_dataset, hepth_cover):
         # A caller-opened pool refuses Executor.share, so the grid must fall
         # back to self-contained task payloads — with identical matches.
-        from repro.parallel.grid import GridExecutor
         store = hepth_dataset.store
         compact = CompactStore.from_store(store)
         expected = GridExecutor(scheme="smp").run(
@@ -405,10 +407,12 @@ class TestMatchParity:
         assert result.matches == expected
 
     def test_unknown_backend_rejected(self, hepth_dataset, hepth_cover):
-        assert STORE_BACKENDS == ("dict", "compact")
-        with pytest.raises(ExperimentError):
-            EMFramework(MLNMatcher(), hepth_dataset.store, cover=hepth_cover,
-                        store_backend="columnar")
+        # The option is retired: "compact", what every batch run reads, is
+        # the one value left.
+        for backend in ("dict", "columnar", "COMPACT"):
+            with pytest.raises(ExperimentError, match="retired"):
+                EMFramework(MLNMatcher(), hepth_dataset.store,
+                            cover=hepth_cover, store_backend=backend)
 
 
 # ------------------------------------------------------------ shared payloads

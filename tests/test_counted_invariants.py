@@ -22,9 +22,9 @@ cover repair cost of a commit    a commit constructs a Neighborhood only
                                  for one new to the cover
 recovery load time               a resume from a checkpoint with canopies
                                  scores no canopy
-MLN grounding share of a match   a batch grid run enumerates no more
-                                 bindings than one grounding of the whole
-                                 instance
+MLN grounding share of a match   a batch grid run, and a framework run on
+                                 a dict store, enumerate no more bindings
+                                 than one grounding of the whole instance
 MLN grounding share of a commit  a commit buckets facts only for members
                                  of the neighborhoods it re-runs
 ===============================  ==========================================
@@ -45,6 +45,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.blocking import CanopyBlocker, Neighborhood, build_total_cover
+from repro.core import EMFramework
 from repro.datamodel import CompactStore, EntityStore
 from repro.datamodel.compact import StoreView
 from repro.datasets import dblp_like
@@ -493,6 +494,35 @@ def test_binding_count_catches_per_view_grounding(scenario, cover, monkeypatch):
     with pytest.raises(AssertionError, match="enumerated"):
         assert_each_binding_enumerated_once(
             *grid_and_whole_bindings(scenario.final.store, cover))
+
+
+def framework_and_whole_bindings(store, cover):
+    """Bindings ``EMFramework(MLNMatcher(), store).run("smp")`` enumerates on
+    the caller's dict store, and those of one grounding of the instance."""
+    framework = bindings_of(
+        lambda: EMFramework(MLNMatcher(), store, cover=cover).run("smp"))
+    whole = bindings_of(lambda: MarkovLogicNetwork(paper_author_rules()).ground(
+        CompactStore.from_store(store)))
+    return framework, whole
+
+
+def test_a_framework_run_on_a_dict_store_grounds_no_more_than_the_instance(
+        scenario, cover):
+    # The framework snapshots the dict store once, and every neighborhood is
+    # a view of that snapshot: 2 779 and 2 779 on this workload.
+    assert_each_binding_enumerated_once(
+        *framework_and_whole_bindings(scenario.final.store, cover))
+
+
+def test_binding_count_catches_a_dict_copy_per_neighborhood(scenario, cover,
+                                                            monkeypatch):
+    # Running on the caller's dict store restricts every neighborhood to a
+    # fresh EntityStore, grounded whole on its own: 9 330 bindings.
+    monkeypatch.setattr(EMFramework, "snapshot",
+                        property(lambda framework: framework.store))
+    with pytest.raises(AssertionError, match="enumerated"):
+        assert_each_binding_enumerated_once(
+            *framework_and_whole_bindings(scenario.final.store, cover))
 
 
 # ------------------------------------------------------------ commit cost

@@ -15,18 +15,26 @@ import base64
 import json
 import pickle
 import random
+import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
 from repro.atomicio import atomic_write_bytes, atomic_write_json
 from repro.blocking import CanopyBlocker, build_total_cover
-from repro.datamodel import CompactStore, EntityPair, make_author
+from repro.datamodel import CompactStore, EntityPair, EntityStore, make_author
 from repro.datamodel.serialize import store_from_dict, store_to_dict
 from repro.durability import CheckpointManager, DeltaWAL, DurableStreamSession, WAL_FILENAME
 from repro.exceptions import CoverError, DurabilityError, RecoveryError
 from repro.matchers import MLNMatcher
-from repro.streaming import ChangeBatch, StreamSession, UpsertSimilarity, synthesize_stream
+from repro.streaming import (
+    ChangeBatch,
+    StreamSession,
+    UpsertSimilarity,
+    load_delta_log,
+    synthesize_stream,
+)
 from repro.streaming.deltas import AddEntity, log_to_dict, op_to_dict
 
 
@@ -487,6 +495,33 @@ def test_recover_ignores_the_retired_round_budget(tmp_path, dblp_dataset):
     recovered.close(checkpoint=False)
 
 
+def test_recover_ignores_the_retired_backend_field(tmp_path):
+    """A checkpoint written while checkpoints still named their base's
+    backend (``"backend": "compact"``; the fixture is byte for byte what
+    that code wrote: a compact-base session checkpointed at batch 2, its WAL
+    holding batch 3) recovers to the uninterrupted session's standing
+    state."""
+    fixture = Path(__file__).parent / "fixtures" / "compact_base_checkpoint"
+    durable_dir = tmp_path / "durable"
+    shutil.copytree(fixture / "durable", durable_dir)
+    assert b'"backend":"compact"' in \
+        (durable_dir / "checkpoint-0000000002.json").read_bytes()
+    store = store_from_dict(json.loads((fixture / "base.json").read_text()))
+    log = load_delta_log(fixture / "log.json")
+    uninterrupted = StreamSession(MLNMatcher(), store)
+    uninterrupted.start()
+    uninterrupted.replay(log)
+
+    recovered = DurableStreamSession.recover(durable_dir, fsync=False)
+    # Recovery rebuilds a dict base; the field no longer picks one.
+    assert type(recovered.session.overlay.base) is EntityStore
+    assert recovered.batches_applied == len(log) == 3
+    assert recovered.session.standing_state() == uninterrupted.standing_state()
+    assert recovered.matches
+    assert recovered.verify()
+    recovered.close(checkpoint=False)
+
+
 def test_recover_tolerates_retired_attributes_on_pickled_objects(tmp_path,
                                                                  dblp_dataset):
     """A checkpoint whose pickled blocker still carries ``use_profiles`` and
@@ -547,7 +582,8 @@ def test_recovery_resumes_the_cover_from_the_canopy_cache(tmp_path,
 
     recovered = DurableStreamSession.recover(tmp_path, fsync=False)
     session = recovered.session
-    assert isinstance(session.overlay.base, type(store))
+    # Recovery rebuilds a dict base, whatever the session started from.
+    assert type(session.overlay.base) is EntityStore
     assert session.maintainer.last_dirty_centers == 0  # no canopy scored
     cold = build_total_cover(CanopyBlocker(), session.final_store(),
                              relation_names=session.relation_names)
@@ -670,18 +706,19 @@ def test_checkpoint_requires_started_session(tmp_path, dblp_dataset):
             tmp_path, checkpoint_every=-1, fsync=False)
 
 
-def test_framework_open_stream_durable(tmp_path, dblp_dataset):
+def test_framework_serve_durable(tmp_path, dblp_dataset):
     from repro.core import EMFramework
+    from repro.streaming import RemoveSimilarity
     framework = EMFramework(MLNMatcher(), dblp_dataset.store.copy())
-    session = framework.open_stream(durable_dir=tmp_path, checkpoint_every=1,
-                                    fsync=False)
+    service = framework.serve(durable_dir=tmp_path, checkpoint_every=1,
+                              fsync=False).start()
+    session = service.session
     assert isinstance(session, DurableStreamSession)
     assert (tmp_path / WAL_FILENAME).exists()
     assert session.checkpoints.load_latest()[0] == 0
     pair = sorted(session.matches)[0]
-    from repro.streaming import RemoveSimilarity
-    framework.apply_deltas(ChangeBatch([RemoveSimilarity(pair)]))
-    session.close()
+    service.apply_deltas(ChangeBatch([RemoveSimilarity(pair)]), timeout=60)
+    service.drain()
 
     recovered = DurableStreamSession.recover(tmp_path, fsync=False)
     assert recovered.batches_applied == 1

@@ -6,8 +6,9 @@ publish and WAL truncation, around an overlay rebase, ...), killing a
 durable session there and calling :meth:`DurableStreamSession.recover` must
 yield a session whose standing state — after applying whatever batches had
 not yet been acknowledged — is byte-identical to an uninterrupted run of
-the same stream.  A fixed-seed matrix covers dict/compact store backends ×
-serial/process executors × every crash point; a hypothesis property drives
+the same stream.  A fixed-seed matrix covers dict/compact session bases
+(recovery rebuilds a dict base from either) × serial/process executors ×
+every crash point; a hypothesis property drives
 random instances, random streams, random crash points and random crash
 occurrences at the same invariant.
 """

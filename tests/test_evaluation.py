@@ -1,22 +1,17 @@
-"""Tests for metrics, soundness/completeness, timing, reports and the experiment runner."""
+"""Tests for metrics, soundness/completeness and report tables."""
 
 import pytest
 
-from repro.core import EMFramework
 from repro.datamodel import EntityPair
 from repro.evaluation import (
-    ExperimentRunner,
     PrecisionRecall,
     cluster_metrics,
-    format_experiment,
     format_key_values,
     format_table,
     precision_recall_f1,
     soundness_completeness,
 )
-from repro.exceptions import ExperimentError
-from repro.matchers import MLNMatcher, RulesMatcher
-from tests.util import build_two_hop_store, pair, two_hop_rules
+from tests.util import pair
 
 
 class TestPrecisionRecall:
@@ -107,58 +102,3 @@ class TestReport:
         text = format_key_values({"neighborhoods": 12, "pairs": 34.5}, title="Cover")
         assert "neighborhoods: 12" in text
         assert "34.500" in text
-
-
-class TestExperimentRunner:
-    def build_runner(self):
-        store, cover = build_two_hop_store()
-        # Treat the two-hop instance as a dataset by wrapping it manually.
-        from repro.datasets import BibliographicDataset
-        labels = {"a1": "A", "a2": "A", "b1": "B", "b2": "B",
-                  "c1": "C", "c2": "C", "d1": "D", "d2": "D"}
-        dataset = BibliographicDataset(name="two-hop", store=store, labels=labels)
-        matcher = MLNMatcher(rules=two_hop_rules())
-        return ExperimentRunner(dataset, matcher, cover=cover)
-
-    def test_rows_for_requested_schemes(self):
-        outcome = self.build_runner().run(schemes=("no-mp", "smp", "mmp"))
-        assert {row.scheme for row in outcome.rows} == {"no-mp", "smp", "mmp"}
-        smp_row = outcome.row_for("smp")
-        assert smp_row.precision == 1.0
-        assert smp_row.recall == 1.0
-        nomp_row = outcome.row_for("no-mp")
-        assert nomp_row.recall < 1.0
-
-    def test_reference_scheme_soundness(self):
-        outcome = self.build_runner().run(schemes=("no-mp", "smp"),
-                                          include_full=True, reference_scheme="full")
-        nomp_row = outcome.row_for("no-mp")
-        assert nomp_row.soundness == 1.0
-        assert nomp_row.completeness < 1.0
-        full_row = outcome.row_for("full")
-        assert full_row.soundness is None
-
-    def test_unknown_reference_scheme(self):
-        with pytest.raises(ExperimentError):
-            self.build_runner().run(schemes=("smp",), reference_scheme="ub")
-
-    def test_mmp_skipped_for_type1(self):
-        store, cover = build_two_hop_store()
-        from repro.datasets import BibliographicDataset
-        dataset = BibliographicDataset(name="two-hop", store=store,
-                                       labels={"a1": "A", "a2": "A"})
-        runner = ExperimentRunner(dataset, RulesMatcher(), cover=cover)
-        outcome = runner.run(schemes=("no-mp", "smp", "mmp"))
-        assert "mmp" not in {row.scheme for row in outcome.rows}
-
-    def test_row_as_dict_and_formatting(self):
-        outcome = self.build_runner().run(schemes=("smp",))
-        row = outcome.rows[0].as_dict()
-        assert row["scheme"] == "smp"
-        text = format_experiment(outcome, title="two-hop")
-        assert "two-hop" in text
-
-    def test_missing_row_raises(self):
-        outcome = self.build_runner().run(schemes=("smp",))
-        with pytest.raises(ExperimentError):
-            outcome.row_for("mmp")

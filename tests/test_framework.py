@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import EMFramework
+from repro.datamodel import CompactStore, StoreView
+from repro.evaluation import precision_recall_f1, soundness_completeness
 from repro.exceptions import ExperimentError
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.mln import paper_author_rules
@@ -37,6 +39,18 @@ class TestFrameworkWithExplicitCover:
         results = self.setup_framework().run_all(include_full=True)
         assert set(results) == {"no-mp", "smp", "mmp", "full"}
         assert results["smp"].matches <= results["full"].matches
+
+    def test_nomp_sound_but_incomplete_and_smp_exact_on_two_hop(self):
+        results = self.setup_framework().run_all(include_full=True)
+        nomp = soundness_completeness(results["no-mp"].matches,
+                                      results["full"].matches)
+        assert nomp.soundness == 1.0
+        assert nomp.completeness < 1.0
+        truth = {pair("a1", "a2"), pair("b1", "b2"), pair("c1", "c2"),
+                 pair("d1", "d2")}
+        smp = precision_recall_f1(results["smp"].matches, truth)
+        assert (smp.precision, smp.recall) == (1.0, 1.0)
+        assert precision_recall_f1(results["no-mp"].matches, truth).recall < 1.0
 
     def test_run_all_skips_mmp_for_type1(self):
         store, cover = build_two_hop_store()
@@ -77,23 +91,24 @@ class TestFrameworkWithBlocker:
         assert framework.cover.covers(hepth_dataset.store.entity_ids())
 
     def test_streaming_entry_points_pay_for_one_cover_build(self, dblp_dataset):
-        """``open_stream``/``serve`` sessions build and maintain their own
-        cover (canopy by canopy, not through ``CanopyBlocker.build_cover``);
-        the framework's is built only when a batch scheme asks for it."""
+        """A ``serve`` session builds and maintains its own cover (canopy by
+        canopy, not through ``CanopyBlocker.build_cover``); the framework's
+        is built only when a batch scheme asks for it."""
         from repro.blocking import CanopyBlocker, build_total_cover
         from repro.obs import registry as obs_registry
         cold_builds = obs_registry.counter("blocking_covers_total")
         before = cold_builds.value()
         framework = EMFramework(MLNMatcher(), dblp_dataset.store)
-        session = framework.open_stream()
-        framework.serve().start().drain()
+        service = framework.serve().start()
+        session_cover = service.session.cover
+        service.drain()
         assert cold_builds.value() == before
         cover = framework.cover
         assert framework.cover is cover
         assert cold_builds.value() == before + 1
         reference = build_total_cover(CanopyBlocker(), dblp_dataset.store,
                                       relation_names=["coauthor"])
-        for built in (cover, session.cover):
+        for built in (cover, session_cover):
             assert [(n.name, n.entity_ids) for n in built] == \
                 [(n.name, n.entity_ids) for n in reference]
 
@@ -112,3 +127,50 @@ class TestFrameworkWithBlocker:
         assert results["no-mp"].matches == frozenset()
         assert results["smp"].matches == frozenset()
         assert results["mmp"].matches == {chain_pair(i) for i in range(4)}
+
+
+class TestOneSnapshot:
+    """Batch runs read one compact snapshot, taken once per framework; the
+    served stream reads the caller's store and takes none."""
+
+    @staticmethod
+    def snapshots_taken(monkeypatch):
+        taken = []
+        original = CompactStore.from_store.__func__
+
+        def counted(cls, store):
+            taken.append(store)
+            return original(cls, store)
+        monkeypatch.setattr(CompactStore, "from_store", classmethod(counted))
+        return taken
+
+    def test_every_batch_run_reads_one_snapshot(self, monkeypatch, hepth_dataset):
+        taken = self.snapshots_taken(monkeypatch)
+        framework = EMFramework(MLNMatcher(), hepth_dataset.store)
+        assert taken == []
+        framework.run_all(include_full=True)
+        framework.run_upper_bound(hepth_dataset.true_matches())
+        framework.run_full_prefix(3)
+        assert taken == [hepth_dataset.store]
+        assert isinstance(framework.snapshot, CompactStore)
+        assert all(isinstance(view, StoreView)
+                   and view.restriction()[0] is framework.snapshot
+                   for view in framework._store_cache.values())
+
+    def test_serve_takes_no_snapshot(self, monkeypatch, dblp_dataset):
+        taken = self.snapshots_taken(monkeypatch)
+        framework = EMFramework(MLNMatcher(), dblp_dataset.store)
+        service = framework.serve().start()
+        assert service.session.overlay.base is dblp_dataset.store
+        service.drain()
+        assert taken == []
+
+    def test_a_compact_store_is_its_own_snapshot(self, monkeypatch):
+        store, cover = build_two_hop_store()
+        compact = CompactStore.from_store(store)
+        taken = self.snapshots_taken(monkeypatch)
+        framework = EMFramework(MLNMatcher(rules=two_hop_rules()), compact,
+                                cover=cover)
+        framework.run("smp")
+        assert framework.snapshot is compact
+        assert taken == []

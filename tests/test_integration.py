@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import EMFramework
 from repro.datamodel import MatchSet
-from repro.evaluation import ExperimentRunner, precision_recall_f1, soundness_completeness
+from repro.evaluation import precision_recall_f1, soundness_completeness
 from repro.matchers import MLNMatcher, RulesMatcher
 from repro.parallel import GridExecutor
 from tests.reference.schemes import SimpleMessagePassing
@@ -30,6 +30,13 @@ class TestMLNPipelineOnHepth:
         full = hepth_mln_results["full"].matches
         for scheme in ("no-mp", "smp", "mmp"):
             assert hepth_mln_results[scheme].matches <= full, scheme
+
+    def test_nomp_and_smp_soundness_against_full(self, hepth_mln_results):
+        full = hepth_mln_results["full"].matches
+        for scheme in ("no-mp", "smp"):
+            report = soundness_completeness(hepth_mln_results[scheme].matches, full)
+            assert report.soundness == pytest.approx(1.0), scheme
+            assert 0.0 <= report.completeness <= 1.0, scheme
 
     def test_scheme_ordering(self, hepth_mln_results):
         assert hepth_mln_results["no-mp"].matches <= hepth_mln_results["smp"].matches
@@ -88,15 +95,3 @@ class TestGridEquivalence:
         grid = GridExecutor(scheme="no-mp").run(MLNMatcher(), hepth_dataset.store, hepth_cover)
         speedup = grid.speedup(workers=8)
         assert 1.0 <= speedup <= 8.0
-
-
-class TestExperimentRunnerEndToEnd:
-    def test_runner_produces_consistent_rows(self, hepth_dataset, hepth_cover):
-        runner = ExperimentRunner(hepth_dataset, MLNMatcher(), cover=hepth_cover)
-        outcome = runner.run(schemes=("no-mp", "smp"), include_full=True,
-                             reference_scheme="full")
-        for scheme in ("no-mp", "smp"):
-            row = outcome.row_for(scheme)
-            assert row.soundness == pytest.approx(1.0)
-            assert 0.0 <= row.completeness <= 1.0
-        assert outcome.cover_stats["neighborhoods"] == len(hepth_cover)

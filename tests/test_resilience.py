@@ -561,10 +561,9 @@ class TestGracefulShutdown:
         durable.close()
         assert signal.getsignal(signal.SIGINT) is previous
 
-    def test_checkpoint_on_signal_requires_durable_dir(self):
-        store, cover = build_two_hop_store()
-        from repro.blocking import CanopyBlocker
-        framework = EMFramework(MLNMatcher(rules=two_hop_rules()), store,
-                                blocker=CanopyBlocker())
-        with pytest.raises(ExperimentError, match="durable_dir"):
-            framework.open_stream(checkpoint_on_signal=True)
+    def test_checkpoint_on_signal_requires_durable_dir(self, tmp_path):
+        from repro.cli import main
+        with pytest.raises(SystemExit, match="requires --durable-dir"):
+            main(["stream", "--dataset", str(tmp_path / "base.json"),
+                  "--deltas", str(tmp_path / "trace.json"),
+                  "--checkpoint-on-signal"])

@@ -5,7 +5,9 @@ paper's queue-driven loops live in ``tests/reference/schemes.py``; the
 schemes are consistent (Theorems 2 and 4), so on every instance both must
 return the identical match set.  This is checked on every (preset, matcher,
 scheme) row the paper-figure benches run, at a reduced scale, and on random
-small stores and covers.
+small stores and covers.  The engine reads the framework's compact snapshot
+and the oracle restricts the caller's dict store, so this is also the check
+that the two stores yield the same matches.
 
 To print the same rows at the benches' default scales, with timings::
 

@@ -210,8 +210,9 @@ def test_overlay_rebase_round_trip():
         AddEntity(make_author("a4", "K.", "Name4")),
         UpsertSimilarity(EntityPair.of("a3", "a4"), 0.95, 3),
     ])
-    rebased = overlay.rebase()
-    assert isinstance(rebased, CompactStore)
+    # A rebase materialises a dict base, whatever the base it started from.
+    rebased = overlay.to_entity_store()
+    assert isinstance(rebased, EntityStore)
     fresh = StoreOverlay(rebased)
     assert fresh.entity_ids() == overlay.entity_ids()
     assert fresh.similar_pairs() == overlay.similar_pairs()
@@ -366,21 +367,27 @@ def test_session_works_with_rules_matcher(dblp_dataset):
 
 
 # ------------------------------------------------------------ framework API
-def test_framework_open_stream_and_apply_deltas(dblp_dataset):
+def test_framework_serve_hands_off_to_a_stream_session(dblp_dataset):
     framework = EMFramework(MLNMatcher(), dblp_dataset.store.copy(),
                             blocker=CanopyBlocker(),
                             relation_names=["coauthor"])
-    session = framework.open_stream()
-    assert session.matches == framework.run_grid("smp").matches
-    pair = sorted(session.matches)[0]
-    result = framework.apply_deltas(ChangeBatch([RemoveSimilarity(pair)]))
-    assert pair in result.retracted
+    service = framework.serve().start()
+    try:
+        session = service.session
+        assert isinstance(session, StreamSession)
+        assert session.matches == framework.run_grid("smp").matches
+        pair = sorted(session.matches)[0]
+        result = service.apply_deltas(ChangeBatch([RemoveSimilarity(pair)]),
+                                      timeout=60)
+        assert pair in result.retracted
+    finally:
+        service.drain()
 
 
-def test_framework_open_stream_requires_blocker(dblp_dataset, dblp_cover):
+def test_framework_serve_requires_blocker(dblp_dataset, dblp_cover):
     framework = EMFramework(MLNMatcher(), dblp_dataset.store, cover=dblp_cover)
     with pytest.raises(ExperimentError):
-        framework.open_stream()
+        framework.serve()
 
 
 # -------------------------------------------------------------- trace + CLI
