@@ -258,6 +258,8 @@ class DurableStreamSession:
             # fall back to the constructor default.
             supervision_limit=config.get("supervision_limit", 64))
         session.restore_standing(standing, payload.get("canopies"))
+        # Free the parsed checkpoint before the replay grows the session.
+        del loaded, payload, standing, config
 
         wal = DeltaWAL.open(directory / WAL_FILENAME, fsync=fsync)
         # Signal handlers go in only after the replay: a signal mid-replay

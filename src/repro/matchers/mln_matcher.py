@@ -21,15 +21,15 @@ monotone, a previous result obtained under a subset of the current positive
 evidence (and identical negative evidence) is contained in the current answer
 and can seed — *warm-start* — the MAP search, so revisits and the per-pair
 maximal-message probes only pay for the delta their extra evidence causes.
-Both caches hold their stores weakly (a dropped store, and with its last view
-a retired streaming overlay, is freed) and are dropped on pickling.
+Both caches hold their stores weakly, drop a store's entries once it is
+collected (so a retired streaming overlay is freed), and are not pickled.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..datamodel import EntityPair, EntityStore, Evidence
 from ..mln import (
@@ -61,19 +61,18 @@ class MLNMatcher(TypeIIMatcher):
         self.cache_results = cache_results
         if max_cached_stores < 1:
             raise ValueError("max_cached_stores must be >= 1")
-        #: LRU bound on the number of *stores* with a cached network / result
-        #: cache.  A batch run touches a fixed set of neighborhood stores, but
-        #: a long-running delta stream materialises fresh stores for dirty
-        #: neighborhoods every batch — without a cap the per-store caches
-        #: would keep an entry for every one of them forever.  The default comfortably
-        #: covers one instance's worth of neighborhoods (so steady-state runs
-        #: never thrash) while still bounding unattended streams.
+        #: LRU bound on the number of *live* stores with a cached network /
+        #: result cache (an entry leaves when its store is collected).  The
+        #: default comfortably covers one instance's worth of neighborhoods,
+        #: so steady-state runs never thrash.
         self.max_cached_stores = max_cached_stores
-        # id(store) -> (weak reference to the store, its network / its
-        # WarmStartCache of recent results), most recently used last.  A dead
-        # store's entry never answers (its id may be reused) and pins nothing.
-        self._network_cache: "OrderedDict[int, Tuple[weakref.ref, GroundNetwork]]" = OrderedDict()
-        self._result_cache: "OrderedDict[int, Tuple[weakref.ref, WarmStartCache]]" = OrderedDict()
+        # weak reference to a store -> its network / its WarmStartCache of
+        # recent results, most recently used last.  A collected store's key
+        # pins nothing, answers no live store, and is queued by its callback
+        # for the next call to drop.
+        self._network_cache: "OrderedDict[weakref.ref, GroundNetwork]" = OrderedDict()
+        self._result_cache: "OrderedDict[weakref.ref, WarmStartCache]" = OrderedDict()
+        self._dead: List[weakref.ref] = []
         #: Number of times :meth:`match` has been invoked (used by the
         #: experiment harness to report matcher work).
         self.match_calls = 0
@@ -97,18 +96,32 @@ class MLNMatcher(TypeIIMatcher):
 
     def _cached(self, cache: "OrderedDict", stat: str, store: EntityStore, make: Callable):
         """``cache``'s value for ``store``, ``make()`` on a miss (LRU-bounded)."""
-        key = id(store)
-        cached = cache.get(key)
-        if cached is not None and cached[0]() is store:
+        self._drop_dead()
+        key = weakref.ref(store)
+        value = cache.get(key)
+        if value is not None:
             cache.move_to_end(key)
             self._cache_stats[stat][0] += 1
-            return cached[1]
+            return value
         self._cache_stats[stat][1] += 1
         value = make()
-        cache[key] = (weakref.ref(store), value)
+        cache[weakref.ref(store, self._dead.append)] = value
         while len(cache) > self.max_cached_stores:
             cache.popitem(last=False)
         return value
+
+    def _drop_dead(self) -> None:
+        """Drop the entries of stores collected since the last cache call.
+        The weakref callback, which may run on any thread mid-edit of a
+        cache, only queues them (``list.append`` is atomic)."""
+        dead = self._dead
+        while dead:
+            try:
+                ref = dead.pop()
+            except IndexError:  # another thread took the last one
+                return
+            self._network_cache.pop(ref, None)
+            self._result_cache.pop(ref, None)
 
     def clear_cache(self) -> None:
         self._network_cache.clear()
@@ -131,17 +144,21 @@ class MLNMatcher(TypeIIMatcher):
 
     # -------------------------------------------------------------- pickling
     def __getstate__(self):
-        # Both caches are keyed on id(store), which is meaningless in another
+        # Both caches are keyed on store identity, meaningless in another
         # process, and shipping ground networks would dwarf the task payload —
         # the worker re-grounds its (small) neighborhood store.  The tallies
         # restart too: a worker copy's stats describe only its own caches.
         state = self.__dict__.copy()
         state["_network_cache"] = OrderedDict()
         state["_result_cache"] = OrderedDict()
+        del state["_dead"]
         state["_cache_stats"] = {"mln_network": [0, 0], "mln_result": [0, 0]}
         state["_cache_consumed"] = {"mln_network": [0, 0],
                                     "mln_result": [0, 0]}
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _dead=[])  # older pickles carry none
 
     # -------------------------------------------------------------- matching
     def match(self, store: EntityStore,

@@ -39,7 +39,7 @@ Two complementary views of grid wall-clock come out of one run:
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
@@ -335,14 +335,13 @@ class GridExecutor:
                     routed_negative.setdefault(name, set()).add(pair)
             negative_index = {name: frozenset(pairs)
                               for name, pairs in routed_negative.items()}
-        empty_negative: FrozenSet[EntityPair] = frozenset()
+        empty: FrozenSet[EntityPair] = frozenset()
         # Per-neighborhood evidence, maintained incrementally: each new match
-        # is routed once to the neighborhoods containing both its entities,
-        # instead of re-restricting the full snapshot for every active
-        # neighborhood every round (O(new pairs · degree) vs
-        # O(|matches| · |active|)).
-        evidence_index: Dict[str, Set[EntityPair]] = {
-            name: set() for name in cover.names()}
+        # is routed once to the neighborhoods containing both its entities (a
+        # neighborhood's set is made with its first pair), instead of
+        # re-restricting the full snapshot for every active neighborhood
+        # every round (O(new pairs · degree) vs O(|matches| · |active|)).
+        evidence_index: Dict[str, Set[EntityPair]] = defaultdict(set)
         distributed: Set[EntityPair] = set()
         # Last output of every neighborhood that ran: it decides which new
         # pairs wake it again and, as its evidence only grows, warm-starts
@@ -384,9 +383,10 @@ class GridExecutor:
                                 name not in probed
                             if compute_messages:
                                 probed.add(name)
-                            warm_start = last_results.get(name, frozenset()) \
-                                if warm_capable else frozenset()
-                            negative = negative_index.get(name, empty_negative)
+                            warm_start = last_results.get(name, empty) \
+                                if warm_capable else empty
+                            negative = negative_index.get(name, empty)
+                            evidence = evidence_index.get(name, empty)
                             if use_snapshot:
                                 members = member_cache.get(name)
                                 if members is None:
@@ -396,7 +396,7 @@ class GridExecutor:
                                 compact_payload = CompactMapTask(
                                     name=name, snapshot=snapshot_keys[0],
                                     matcher_key=snapshot_keys[1], members=members,
-                                    evidence=snapshot.encode_pairs(evidence_index[name]),
+                                    evidence=snapshot.encode_pairs(evidence),
                                     compute_messages=compute_messages,
                                     warm_start=snapshot.encode_pairs(warm_start),
                                     negative=snapshot.encode_pairs(negative),
@@ -406,7 +406,7 @@ class GridExecutor:
                                 continue
                             payload = MapTask(name=name, matcher=matcher,
                                               store=shippable_store(name),
-                                              evidence=frozenset(evidence_index[name]),
+                                              evidence=frozenset(evidence),
                                               compute_messages=compute_messages,
                                               warm_start=warm_start,
                                               negative=negative,

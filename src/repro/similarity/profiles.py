@@ -100,8 +100,6 @@ class EntityProfileIndex:
         for entity in sorted(entities, key=lambda e: e.entity_id):
             self._profiles[entity.entity_id] = EntityProfile(
                 entity, self.text_attributes, tokenizer)
-        self._key_cache: Dict[Tuple[Callable, Entity], object] = {}
-        self._word_token_cache: Dict[Tuple[Entity, Tuple[str, ...]], Set[str]] = {}
         self._name_parts: Optional[Dict[str, Tuple[str, str]]] = None
         self._interned: Optional[Tuple[int, "InternedProfileSpace"]] = None
 
@@ -134,36 +132,6 @@ class EntityProfileIndex:
                     postings.setdefault(token, []).append(entity_id)
             self._postings = postings
         return self._postings
-
-    # -------------------------------------------------------------- key memos
-    def cached_key(self, key: Callable[[Entity], object], entity: Entity) -> object:
-        """Memoized blocking-key value, keyed by (key function, entity).
-
-        Lets multi-pass pipelines and repeated ``build_cover`` calls derive
-        each key once per entity instead of once per pass.  The entity itself
-        is the cache key (its equality includes the attributes), so an index
-        accidentally reused across stores that recycle entity ids can never
-        serve a stale key.
-        """
-        cache_key = (key, entity)
-        try:
-            return self._key_cache[cache_key]
-        except KeyError:
-            value = key(entity)
-            self._key_cache[cache_key] = value
-            return value
-
-    def word_tokens_of(self, entity: Entity, attributes: Sequence[str]) -> Set[str]:
-        """Memoized union of :func:`word_tokens` over the given attributes."""
-        cache_key = (entity, tuple(attributes))
-        try:
-            return self._word_token_cache[cache_key]
-        except KeyError:
-            tokens: Set[str] = set()
-            for attribute in attributes:
-                tokens.update(word_tokens(str(entity.get(attribute, ""))))
-            self._word_token_cache[cache_key] = tokens
-            return tokens
 
     # --------------------------------------------------------------- scoring
     def name_parts(self) -> Dict[str, Tuple[str, str]]:

@@ -81,6 +81,9 @@ class IncrementalCoverMaintainer:
         self._canopy_cache: Dict[str, Tuple[Set[str], Set[str]]] = {}
         # The indexed entities' center ranks, sorted: the shuffled order.
         self._ranked: List[Tuple[bytes, str]] = []
+        # The entities of the last build, not yet profiled: the index is
+        # built from them on the first update or the first uncached canopy.
+        self._unindexed: Optional[List] = None
         # The last cover handed out, which the next one is patched from.
         self._cover: Optional[Cover] = None
         # --- expansion-side cache -----------------------------------------
@@ -144,6 +147,7 @@ class IncrementalCoverMaintainer:
         cache entry itself, which callers must not edit."""
         cached = self._canopy_cache.get(center_id)
         if cached is None:
+            self._index_unindexed()
             blocker = self.blocker
             cached = self._canopy_cache[center_id] = split_canopy(
                 center_id, self._scorer.canopy_scores(
@@ -163,15 +167,13 @@ class IncrementalCoverMaintainer:
         return [(f"canopy-{index}", frozenset(canopy)) for index, canopy
                 in enumerate(self.blocker.sweep(order, self._canopy_fn))]
 
-    def _sync_profiles(self, store) -> None:
-        """Cold-start the profile index from the full instance."""
-        self._profiles.clear()
-        self._parts.clear()
-        self._postings.clear()
-        for entity in store.entities():
-            if self._relevant(entity):
+    def _index_unindexed(self) -> None:
+        """Profile the entities of the last build (the instance its canopies
+        describe, which the store may have moved on from), if not done yet."""
+        entities, self._unindexed = self._unindexed, None
+        if entities is not None:
+            for entity in entities:
                 self._index_profile(entity)
-        self._ranked = sorted(map(self.blocker.center_rank, self._profiles))
 
     # ------------------------------------------------------------ expansion
     def _total_cover(self, store) -> Cover:
@@ -206,12 +208,19 @@ class IncrementalCoverMaintainer:
     def build(self, store, canopies: Optional[Dict] = None) -> Cover:
         """Build the total cover from scratch and seed every cache;
         ``canopies`` (a :meth:`canopy_state` of this instance) seeds the
-        canopy cache, so no canopy is scored."""
+        canopy cache, so no canopy is scored, and the profile index waits
+        for the first update."""
         self.last_dirty_centers = self.last_patched_entries = 0
         self._canopy_cache.clear()
         self._expansion_cache.clear()
         self._cover = None
-        self._sync_profiles(store)
+        self._profiles.clear()
+        self._parts.clear()
+        self._postings.clear()
+        self._unindexed = [entity for entity in store.entities()
+                           if self._relevant(entity)]
+        self._ranked = sorted(self.blocker.center_rank(entity.entity_id)
+                              for entity in self._unindexed)
         for center_id, (canopy, tight) in (canopies or {}).items():
             self._canopy_cache[center_id] = (set(canopy), set(tight))
         total = self._total_cover(store)
@@ -233,6 +242,7 @@ class IncrementalCoverMaintainer:
         """
         self.last_dirty_centers = self.last_patched_entries = 0
         self.last_full_rebuild = False
+        self._index_unindexed()
 
         # Expansion invalidation first.  A cached expansion can only change
         # when a changed tuple of an expansion relation touches its members

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..blocking import CanopyBlocker, Cover
-from ..datamodel import EntityPair, EntityStore, Evidence
+from ..datamodel import CompactStore, EntityPair, EntityStore, Evidence
 from ..durability.crashpoints import crash_point
 from ..exceptions import DeltaError
 from ..matchers import TypeIMatcher
@@ -578,9 +578,10 @@ class StreamSession:
         Builds the cover from scratch with the same blocker configuration and
         runs the same scheme under a serial grid with a pristine matcher —
         the reference the replay-equivalence contract is checked against.
+        Like every batch run, it reads one :class:`CompactStore` snapshot.
         """
         from ..blocking import build_total_cover
-        store = self.final_store()
+        store = CompactStore.from_store(self.overlay)
         cover = build_total_cover(self.blocker, store,
                                   relation_names=self.relation_names,
                                   rounds=self.maintainer.rounds)

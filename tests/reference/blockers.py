@@ -23,7 +23,8 @@ like any :class:`~repro.blocking.Blocker`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+import weakref
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.blocking import Blocker, Cover, Neighborhood
 from repro.datamodel import Entity, EntityStore
@@ -33,6 +34,49 @@ from repro.similarity.phonetic import soundex
 
 #: A blocking key function maps an entity to one key.
 KeyFunction = Callable[[Entity], str]
+
+# Per profile index: the blocking keys and word tokens derived so far, so the
+# passes of one multi-pass build derive each once per entity.
+_memos: "weakref.WeakKeyDictionary[EntityProfileIndex, Tuple[Dict, Dict]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _memo(profiles: EntityProfileIndex) -> Tuple[Dict, Dict]:
+    memo = _memos.get(profiles)
+    if memo is None:
+        memo = _memos[profiles] = ({}, {})
+    return memo
+
+
+def cached_key(profiles: EntityProfileIndex, key: Callable[[Entity], object],
+               entity: Entity) -> object:
+    """Memoized blocking-key value, keyed by (key function, entity).
+
+    The entity itself is the memo key (its equality includes the
+    attributes), so an index reused across stores that recycle entity ids
+    can never serve a stale key.
+    """
+    keys = _memo(profiles)[0]
+    try:
+        return keys[key, entity]
+    except KeyError:
+        value = keys[key, entity] = key(entity)
+        return value
+
+
+def word_tokens_of(profiles: EntityProfileIndex, entity: Entity,
+                   attributes: Sequence[str]) -> Set[str]:
+    """Memoized union of :func:`word_tokens` over the given attributes."""
+    tokens_of = _memo(profiles)[1]
+    memo_key = (entity, tuple(attributes))
+    try:
+        return tokens_of[memo_key]
+    except KeyError:
+        tokens: Set[str] = set()
+        for attribute in attributes:
+            tokens.update(word_tokens(str(entity.get(attribute, ""))))
+        tokens_of[memo_key] = tokens
+        return tokens
 
 
 def last_name_initial_key(entity: Entity) -> str:
@@ -62,7 +106,7 @@ class StandardBlocker(Blocker):
         else:
             entities = store.entities()
         derive = self.key if profiles is None else \
-            (lambda entity: profiles.cached_key(self.key, entity))
+            (lambda entity: cached_key(profiles, self.key, entity))
         blocks: Dict[str, List[str]] = {}
         for entity in sorted(entities, key=lambda e: e.entity_id):
             blocks.setdefault(derive(entity), []).append(entity.entity_id)
@@ -143,7 +187,7 @@ class SortedNeighborhoodBlocker(Blocker):
         else:
             entities = store.entities()
         derive = self.key if profiles is None else \
-            (lambda entity: profiles.cached_key(self.key, entity))
+            (lambda entity: cached_key(profiles, self.key, entity))
         ordered = sorted(entities, key=lambda e: (derive(e), e.entity_id))
         ids = [entity.entity_id for entity in ordered]
         if not ids:
@@ -175,7 +219,7 @@ class TokenBlocker(Blocker):
 
     def _tokens(self, entity: Entity, profiles=None) -> Set[str]:
         if profiles is not None:
-            tokens: Set[str] = profiles.word_tokens_of(entity, self.attributes)
+            tokens: Set[str] = word_tokens_of(profiles, entity, self.attributes)
         else:
             tokens = set()
             for attribute in self.attributes:

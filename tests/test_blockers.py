@@ -4,13 +4,16 @@ import pytest
 
 from repro.blocking import CanopyBlocker
 from repro.datamodel import EntityStore, make_author, make_paper
+from repro.similarity import EntityProfileIndex
 from tests.reference.blockers import (
     MultiPassBlocker,
     SortedNeighborhoodBlocker,
     StandardBlocker,
     TokenBlocker,
+    cached_key,
     last_name_initial_key,
     last_name_soundex_key,
+    word_tokens_of,
 )
 
 
@@ -139,7 +142,6 @@ class TestProfilesParameter:
         return [(n.name, tuple(sorted(n.entity_ids))) for n in cover]
 
     def test_blockers_unchanged_by_shared_profiles(self):
-        from repro.similarity import EntityProfileIndex
         store = name_store()
         profiles = EntityProfileIndex(store.entities())
         for blocker in (
@@ -153,7 +155,6 @@ class TestProfilesParameter:
             assert plain == shared, type(blocker).__name__
 
     def test_multi_pass_shares_one_index(self):
-        from repro.similarity import EntityProfileIndex
         store = name_store()
         multi = MultiPassBlocker([
             StandardBlocker(key=last_name_soundex_key),
@@ -163,6 +164,43 @@ class TestProfilesParameter:
         profiles = EntityProfileIndex(store.entities())
         assert self.signature(multi.build_cover(store)) == \
             self.signature(multi.build_cover(store, profiles=profiles))
+
+
+class TestKeyMemos:
+    """The per-index key and token memos the multi-pass passes share."""
+
+    def test_cached_key_derives_once(self):
+        store = name_store()
+        index = EntityProfileIndex(store.entities())
+        calls = []
+
+        def key(entity):
+            calls.append(entity.entity_id)
+            return entity.get("lname")
+
+        entity = store.entity("s1")
+        assert cached_key(index, key, entity) == "Smith"
+        assert cached_key(index, key, entity) == "Smith"
+        assert calls == ["s1"]
+
+    def test_word_tokens_of_memoized(self):
+        store = name_store()
+        index = EntityProfileIndex(store.entities())
+        entity = store.entity("s1")
+        first = word_tokens_of(index, entity, ("lname",))
+        assert first == {"smith"}
+        assert word_tokens_of(index, entity, ("lname",)) is first
+
+    def test_key_caches_never_serve_stale_values_across_stores(self):
+        # An index reused against a store that recycles entity ids with
+        # different attributes must recompute, not replay, cached keys.
+        index = EntityProfileIndex(name_store().entities())
+        key = lambda entity: entity.get("lname")  # noqa: E731
+        original = name_store().entity("s1")
+        assert cached_key(index, key, original) == "Smith"
+        recycled = make_author("s1", "John", "Mutated")
+        assert cached_key(index, key, recycled) == "Mutated"
+        assert word_tokens_of(index, recycled, ("lname",)) == {"mutated"}
 
 
 class TestMultiPassBlocker:

@@ -21,7 +21,14 @@ restrict cost of a commit        a serial commit constructs no EntityStore
 cover repair cost of a commit    a commit constructs a Neighborhood only
                                  for one new to the cover
 recovery load time               a resume from a checkpoint with canopies
-                                 scores no canopy
+                                 scores no canopy and profiles no entity
+                                 before its first delta; the cover after
+                                 it equals a cold build
+reference run (``verify()``)     no dict sub-store copy, and no more
+                                 bindings than one grounding of the
+                                 instance
+matcher memory over a stream     no MLNMatcher cache entry of a collected
+                                 store survives the next cache call
 MLN grounding share of a match   a batch grid run, and a framework run on
                                  a dict store, enumerate no more bindings
                                  than one grounding of the whole instance
@@ -38,9 +45,11 @@ from the end-to-end benchmark (``BENCHMARK.json``).
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import os
 import pickle
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,6 +59,7 @@ from repro.datamodel import CompactStore, EntityStore
 from repro.datamodel.compact import StoreView
 from repro.datasets import dblp_like
 from repro.durability import DeltaWAL, DurableStreamSession
+from repro.exceptions import UnknownEntityError
 from repro.matchers import MLNMatcher
 from repro.mln import MarkovLogicNetwork, StoreFacts, paper_author_rules
 from repro.mln import database as mln_database
@@ -66,8 +76,9 @@ from repro.parallel.executor import (
 )
 from repro.parallel.grid import GridExecutor
 from repro.parallel.resilience import FaultPolicy
-from repro.similarity.profiles import ProfiledNameScorer
+from repro.similarity.profiles import EntityProfile, ProfiledNameScorer
 from repro.streaming import StreamSession, synthesize_stream
+from repro.streaming import runner as runner_module
 from repro.streaming.maintainer import IncrementalCoverMaintainer
 from repro.streaming.overlay import OverlayView, StoreOverlay
 
@@ -664,9 +675,9 @@ def test_bucket_count_catches_a_whole_base_per_generation(scenario, monkeypatch)
 
 
 # ---------------------------------------------------------------- recovery
-def canopies_scored_by_recovery(scenario, directory):
-    """Canopies scored while recovering from a checkpoint with an empty WAL
-    tail (the checkpoint is the last thing the session wrote)."""
+def checkpointed(scenario, directory):
+    """Stream the first batches through a durable MLN session that closes
+    on a checkpoint, so ``directory`` recovers with an empty WAL tail."""
     session = DurableStreamSession(
         StreamSession(MLNMatcher(), scenario.base.store.copy(),
                       blocker=CanopyBlocker(), relation_names=["coauthor"]),
@@ -675,6 +686,12 @@ def canopies_scored_by_recovery(scenario, directory):
     for batch in list(scenario.log)[:BROKEN_BATCHES]:
         session.apply(batch)
     session.close()
+
+
+def canopies_scored_by_recovery(scenario, directory):
+    """Canopies scored while recovering from a checkpoint with an empty WAL
+    tail (the checkpoint is the last thing the session wrote)."""
+    checkpointed(scenario, directory)
     with counting(ProfiledNameScorer, "canopy_scores") as scored:
         recovered = DurableStreamSession.recover(directory)
     assert recovered.batches_applied == BROKEN_BATCHES
@@ -696,3 +713,125 @@ def test_canopy_count_catches_a_checkpoint_without_canopies(scenario, tmp_path,
                         lambda self: None)
     with pytest.raises(AssertionError, match="scored"):
         assert_no_canopy_scored(canopies_scored_by_recovery(scenario, tmp_path))
+
+
+def resumed_profiles_and_covers(scenario, directory):
+    """Profiles built by recovering a checkpoint with canopies, then the
+    resumed session's cover after its first delta and a cold cover build on
+    the instance it reached (by name and members)."""
+    checkpointed(scenario, directory)
+    with counting(EntityProfile, "__init__") as built:
+        recovered = DurableStreamSession.recover(directory)
+    profiled = built[0]
+    recovered.apply(list(scenario.log)[BROKEN_BATCHES])
+    cold = build_total_cover(CanopyBlocker(), recovered.final_store(),
+                             relation_names=["coauthor"])
+    covers = [[(n.name, n.entity_ids) for n in cover]
+              for cover in (recovered.session.cover, cold)]
+    recovered.close(checkpoint=False)
+    return profiled, covers
+
+
+def assert_profiles_wait_for_a_delta(profiled, covers):
+    assert profiled == 0, f"recovery built {profiled} entity profiles"
+    resumed, cold = covers
+    assert resumed == cold, "the resumed cover differs from a cold build"
+
+
+def test_a_resume_profiles_nothing_before_its_first_delta(scenario, tmp_path):
+    # This workload: 0 profiles on recovery (a cold start builds 141), and
+    # the batch after the checkpoint removes entities.
+    assert_profiles_wait_for_a_delta(
+        *resumed_profiles_and_covers(scenario, tmp_path))
+
+
+def test_resumed_cover_catches_an_index_of_the_mutated_overlay(
+        scenario, tmp_path, monkeypatch):
+    # Profiling the overlay as the update sees it, after the batch landed,
+    # loses the entities the batch removed: their canopies are never patched.
+    update = IncrementalCoverMaintainer.update
+
+    def index_the_overlay(self, store, impact):
+        if self._unindexed is not None:
+            self._unindexed = [entity for entity in store.entities()
+                               if self._relevant(entity)]
+        return update(self, store, impact)
+
+    monkeypatch.setattr(IncrementalCoverMaintainer, "update", index_the_overlay)
+    with pytest.raises((AssertionError, UnknownEntityError),
+                       match="differs|unknown entity"):
+        assert_profiles_wait_for_a_delta(
+            *resumed_profiles_and_covers(scenario, tmp_path))
+
+
+# ------------------------------------------------------ the reference run
+def verify_of_a_recovered_session(scenario, directory):
+    """``verify()`` of a recovered MLN session, the ``EntityStore.restrict``
+    copies and bindings it makes, and the bindings of one grounding of the
+    instance it checks."""
+    checkpointed(scenario, directory)
+    recovered = DurableStreamSession.recover(directory)
+    verified = []
+    with counting(EntityStore, "restrict") as copies:
+        bindings = bindings_of(lambda: verified.append(recovered.verify()))
+    whole = bindings_of(lambda: MarkovLogicNetwork(paper_author_rules()).ground(
+        CompactStore.from_store(recovered.final_store())))
+    recovered.close(checkpoint=False)
+    return verified == [True], copies[0], bindings, whole
+
+
+def assert_verify_reads_one_snapshot(verified, copies, bindings, whole):
+    assert verified, "the recovered session does not equal its cold run"
+    assert copies == 0, f"verify() made {copies} dict sub-stores"
+    assert_each_binding_enumerated_once(bindings, whole)
+
+
+def test_verify_reads_one_snapshot(scenario, tmp_path):
+    # This workload: no copy, and 2 096 bindings against 2 130 for one
+    # grounding.  A dict sub-store per neighborhood makes 262 copies and
+    # enumerates 6 958.
+    assert_verify_reads_one_snapshot(
+        *verify_of_a_recovered_session(scenario, tmp_path))
+
+
+def test_verify_count_catches_a_dict_sub_store_per_neighborhood(
+        scenario, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner_module, "CompactStore", SimpleNamespace(
+        from_store=lambda overlay: overlay.to_entity_store()))
+    with pytest.raises(AssertionError, match="dict sub-stores"):
+        assert_verify_reads_one_snapshot(
+            *verify_of_a_recovered_session(scenario, tmp_path))
+
+
+# ------------------------------------------------------------ matcher caches
+def dead_cache_entries(scenario, batches=None):
+    """Entries of collected stores left in a stream's ``MLNMatcher`` caches
+    after its batches and one more cache call."""
+    matcher = MLNMatcher()
+    session = StreamSession(matcher, scenario.base.store.copy(),
+                            blocker=CanopyBlocker(), relation_names=["coauthor"])
+    session.start()
+    for batch in list(scenario.log)[:batches]:
+        session.apply(batch)
+    gc.collect()
+    probe = EntityStore()
+    matcher.match(probe)
+    return {name: sum(ref() is None for ref in cache)
+            for name, cache in (("network", matcher._network_cache),
+                                ("result", matcher._result_cache))}
+
+
+def assert_no_dead_entry(dead):
+    assert not any(dead.values()), f"cache entries of collected stores: {dead}"
+
+
+def test_matcher_caches_hold_no_collected_store(scenario):
+    # An LRU-only cache keeps 252 entries of collected views in each cache
+    # over this workload's 8 batches.
+    assert_no_dead_entry(dead_cache_entries(scenario))
+
+
+def test_dead_entry_count_catches_an_lru_only_cache(scenario, monkeypatch):
+    monkeypatch.setattr(MLNMatcher, "_drop_dead", lambda self: None)
+    with pytest.raises(AssertionError, match="collected stores"):
+        assert_no_dead_entry(dead_cache_entries(scenario, BROKEN_BATCHES))

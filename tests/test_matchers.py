@@ -233,8 +233,7 @@ class TestMLNCacheBounds:
         assert len(matcher._network_cache) == 3
         assert len(matcher._result_cache) == 3
         # The most recent stores survive, the oldest were evicted.
-        cached_ids = set(matcher._network_cache)
-        assert cached_ids == {id(store) for store in stores[-3:]}
+        assert [ref() for ref in matcher._network_cache] == stores[-3:]
 
     def test_lru_refreshes_on_reuse(self):
         matcher = MLNMatcher(max_cached_stores=2)
@@ -243,8 +242,53 @@ class TestMLNCacheBounds:
         matcher.match(second)
         matcher.match(first)   # refresh `first` to most-recent
         matcher.match(third)   # evicts `second`, not `first`
-        assert id(first) in matcher._network_cache
-        assert id(second) not in matcher._network_cache
+        assert [ref() for ref in matcher._network_cache] == [first, third]
+
+    def test_collected_store_leaves_both_caches(self):
+        import gc
+        matcher = MLNMatcher()
+        kept, dropped = build_shared_coauthor_store(), build_shared_coauthor_store()
+        matcher.match(dropped)
+        del dropped
+        gc.collect()
+        # The next cache call drops what the collected store left.
+        matcher.match(kept)
+        assert [ref() for ref in matcher._network_cache] == [kept]
+        assert [ref() for ref in matcher._result_cache] == [kept]
+
+    def test_threads_dropping_stores_leave_no_dead_entry(self):
+        # Stores die on every thread, so callbacks queue keys while other
+        # threads read, fill and drain both caches.
+        import gc
+        import sys
+        import threading
+        matcher = MLNMatcher(max_cached_stores=8)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(40):
+                    matcher.match(build_shared_coauthor_store())
+            except Exception as error:  # re-raised below, on the test thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        gc.collect()
+        kept = build_shared_coauthor_store()
+        matcher.match(kept)
+        assert [ref() for ref in matcher._network_cache] == [kept]
+        assert [ref() for ref in matcher._result_cache] == [kept]
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -258,6 +302,8 @@ class TestMLNCacheBounds:
         clone = pickle.loads(pickle.dumps(matcher))
         assert len(clone._network_cache) == 0
         assert clone.max_cached_stores == 4
-        # The revived caches keep working (and stay bounded).
-        clone.match(build_shared_coauthor_store())
+        # The revived caches keep working (and stay bounded) for a live
+        # store; a collected store's entry goes at the next cache call.
+        revived = build_shared_coauthor_store()
+        clone.match(revived)
         assert len(clone._network_cache) == 1

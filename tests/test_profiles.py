@@ -75,39 +75,6 @@ class TestEntityProfileIndex:
         assert not index.matches(["a1", "a2"], ("fname", "lname"))
         assert not index.matches(["a1", "a2", "a3"], ("lname",))
 
-    def test_cached_key_derives_once(self):
-        store = self.make_store()
-        index = EntityProfileIndex(store.entities())
-        calls = []
-
-        def key(entity):
-            calls.append(entity.entity_id)
-            return entity.get("lname")
-
-        entity = store.entity("a1")
-        assert index.cached_key(key, entity) == "Smith"
-        assert index.cached_key(key, entity) == "Smith"
-        assert calls == ["a1"]
-
-    def test_word_tokens_of_memoized(self):
-        store = self.make_store()
-        index = EntityProfileIndex(store.entities())
-        entity = store.entity("a1")
-        first = index.word_tokens_of(entity, ("lname",))
-        assert first == {"smith"}
-        assert index.word_tokens_of(entity, ("lname",)) is first
-
-    def test_key_caches_never_serve_stale_values_across_stores(self):
-        # An index reused against a store that recycles entity ids with
-        # different attributes must recompute, not replay, cached keys.
-        index = EntityProfileIndex(self.make_store().entities())
-        key = lambda entity: entity.get("lname")  # noqa: E731
-        original = self.make_store().entity("a1")
-        assert index.cached_key(key, original) == "Smith"
-        recycled = make_author("a1", "John", "Mutated")
-        assert index.cached_key(key, recycled) == "Mutated"
-        assert index.word_tokens_of(recycled, ("lname",)) == {"mutated"}
-
     def test_matches_rejects_different_tokenizer(self):
         from repro.similarity.ngram import word_tokens
         store = self.make_store()
