@@ -6,8 +6,8 @@ next round's active set is derived from it.  This example runs the round-based
 grid executor on a DBLP-BIG-like workload twice over:
 
 1. *really* in parallel, dispatching each round's map phase through the
-   serial, threaded and process executors and comparing measured wall-clock
-   (the match sets are identical by construction — the reduce phase merges
+   serial and process executors and comparing measured wall-clock (the match
+   sets are identical by construction — the reduce phase merges
    deterministically);
 2. *simulated*, using the recorded per-neighborhood compute times to answer
    deployment questions without re-running anything: how long would the job
@@ -25,7 +25,7 @@ import os
 
 from repro import CanopyBlocker, GridExecutor, MLNMatcher, build_total_cover, dblp_big_like
 from repro.evaluation import format_table
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadedExecutor
+from repro.parallel import ProcessExecutor, SerialExecutor
 
 
 def main() -> None:
@@ -37,8 +37,7 @@ def main() -> None:
 
     # 1. Real parallel map phase: same rounds, same matches, different engines.
     workers = min(4, os.cpu_count() or 1)
-    executors = [SerialExecutor(), ThreadedExecutor(workers=workers),
-                 ProcessExecutor(workers=workers)]
+    executors = [SerialExecutor(), ProcessExecutor(workers=workers)]
     runs = {}
     rows = []
     for executor in executors:
@@ -57,9 +56,9 @@ def main() -> None:
     print(format_table(rows, title=f"Measured wall-clock by executor "
                                    f"({workers} workers, SMP scheme)"))
     print("\nThe match sets are identical across executors; wall-clock depends"
-          "\non how well this matcher parallelises on this machine (threads"
-          "\nshare the GIL, processes pay one pickled round trip per chunk"
-          "\nof tasks).")
+          "\non how well this matcher parallelises on this machine (processes"
+          "\nget the snapshot once per worker and pay one pickled round trip"
+          "\nper chunk of tasks).")
 
     # 2. Simulated grid: deployment questions from the recorded durations.
     grid_run = runs["serial"]

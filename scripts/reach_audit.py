@@ -123,9 +123,9 @@ def default_entries(work: Path) -> List[Entry]:
             "match", "--dataset", data, "--matcher", "rules", "--scheme", "no-mp")),
         Entry("cli match pairwise full", _cli(
             "match", "--dataset", data, "--matcher", "pairwise", "--scheme", "full")),
-        Entry("cli match rules threads", _cli(
+        Entry("cli match rules processes", _cli(
             "match", "--dataset", data, "--matcher", "rules", "--executor",
-            "threads", "--workers", "2")),
+            "processes", "--workers", "2")),
         Entry("cli stream-trace", _cli(
             "stream-trace", "--dataset", data, "--batches", "4",
             "--base-output", base, "--trace-output", deltas)),

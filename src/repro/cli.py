@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "scheme runs on (not available with --scheme "
                             "full); omit for serial")
     match.add_argument("--workers", type=int, default=None,
-                       help="pool size for --executor threads/processes")
+                       help="pool size for --executor processes")
     match.add_argument("--output", type=Path, default=None,
                        help="write resolved clusters to this JSON file")
     _add_kernel_argument(match)

@@ -85,9 +85,9 @@ class EMFramework:
         #: grid/stream run of this framework (``None`` keeps the plain
         #: all-or-nothing executor contract).
         self.fault_policy = fault_policy
-        # Neighborhood views of the snapshot, built once and kept across runs
-        # (the cover never changes), so matcher caches keyed on them carry
-        # over.
+        # Neighborhood views of the snapshot that in-process runs read,
+        # built once and kept across runs (the cover never changes), so
+        # matcher caches keyed on them carry over.
         self._store_cache: Dict[str, StoreView] = {}
         self._cover = cover
         # Also kept for serve(): the stream session builds its own cover with
@@ -158,10 +158,9 @@ class EMFramework:
 
         ``executor`` picks the map-phase engine: an
         :class:`~repro.parallel.executor.Executor` instance, a spec string
-        (``"serial"``, ``"threads"``, ``"processes"``), or ``None`` for
-        serial; whatever the executor, the returned
-        :class:`~repro.parallel.grid.GridRunResult` carries the same match
-        set.  ``workers`` sizes the pool when ``executor`` is a spec string.
+        (``"serial"``, ``"processes"``), or ``None`` for serial; whatever
+        the executor, the returned :class:`~repro.parallel.grid.GridRunResult`
+        carries the same match set.  ``workers`` sizes the pool when ``executor`` is a spec string.
         ``fault_policy`` (defaults to the framework-wide policy) supervises
         the rounds — see :mod:`repro.parallel.resilience`.
         """

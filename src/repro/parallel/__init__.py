@@ -5,19 +5,10 @@ from .executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     make_executor,
 )
 from .grid import GridExecutor, GridRunResult
-from .partitioner import (
-    AssignmentSummary,
-    lpt_partition,
-    makespan,
-    random_partition,
-    skew,
-    summarize,
-    total_work,
-)
+from .partitioner import lpt_partition, makespan, random_partition, total_work
 from .resilience import (
     AttemptRecord,
     FaultPolicy,
@@ -26,19 +17,15 @@ from .resilience import (
     SupervisionHistory,
 )
 from .tasks import (
-    CompactMapTask,
     MapResult,
     MapTask,
-    execute_compact_map_task,
     execute_map_task,
     validate_map_result,
 )
 
 __all__ = [
     "EXECUTOR_KINDS",
-    "AssignmentSummary",
     "AttemptRecord",
-    "CompactMapTask",
     "Executor",
     "FaultPolicy",
     "GridExecutor",
@@ -50,16 +37,11 @@ __all__ = [
     "RoundReport",
     "SerialExecutor",
     "SupervisionHistory",
-    "ThreadedExecutor",
-    "execute_compact_map_task",
     "execute_map_task",
-    "validate_map_result",
     "lpt_partition",
     "make_executor",
     "makespan",
     "random_partition",
-    "skew",
-    "summarize",
     "total_work",
     "validate_map_result",
 ]

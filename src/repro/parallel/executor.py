@@ -4,12 +4,13 @@ The grid in :mod:`repro.parallel.grid` performs each round's per-neighborhood
 matcher computation through one of these executors:
 
 * :class:`SerialExecutor` — one task after another, in submission order; the
-  default and the reference behaviour every other executor must reproduce.
-* :class:`ThreadedExecutor` — a thread pool; useful when the black-box matcher
-  releases the GIL (e.g. a matcher shelling out to an external process or
-  native code) and harmless otherwise.
+  default and the reference behaviour the process pool must reproduce.
 * :class:`ProcessExecutor` — a process pool; real CPU parallelism for pure
   Python matchers, at the cost of pickling task payloads to the workers.
+
+Every matcher here holds the GIL, so a thread pool would only add overhead
+to the serial executor, and the library ships none; :class:`_PoolExecutor`
+keeps the pool logic behind one ``_make_pool`` seam.
 
 All executors consume generic ``(name, callable)`` tasks and return results
 keyed by task name, so applications can also drive their own per-neighborhood
@@ -43,7 +44,7 @@ ResultT = TypeVar("ResultT")
 NamedTask = Tuple[str, Callable[[], ResultT]]
 
 #: Spec strings accepted by :func:`make_executor` (and the CLI's ``--executor``).
-EXECUTOR_KINDS = ("serial", "threads", "processes")
+EXECUTOR_KINDS = ("serial", "processes")
 
 
 class Executor(abc.ABC):
@@ -98,23 +99,15 @@ class Executor(abc.ABC):
         """Recreate the backing pool after it broke (no-op without a pool)."""
 
     # --------------------------------------------------------------- sharing
-    def share(self, key: str, value) -> bool:
-        """Broadcast a round-invariant payload to every execution context.
+    def share(self, key: str, value) -> None:
+        """Broadcast a round-invariant payload to every worker process.
 
-        After a successful ``share``, tasks run by this executor can resolve
-        ``value`` via :func:`repro.parallel.shared.get_shared` — in the same
-        process for the in-process executors, in each pool worker for the
-        process executor (installed once per worker at spawn).  Returns
-        ``False`` when the broadcast cannot be guaranteed (e.g. a process
-        pool that is already open); callers must then fall back to
-        self-contained task payloads.
+        Only :class:`ProcessExecutor` has workers to send it to: in-process
+        tasks read the caller's objects, so this is a no-op here.
         """
-        _shared.share_local(key, value)
-        return True
 
     def unshare(self, key: str) -> None:
         """Drop a previously shared payload (idempotent)."""
-        _shared.unshare_local(key)
 
     def __enter__(self) -> "Executor":
         return self
@@ -223,18 +216,6 @@ class _PoolExecutor(Executor):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-class ThreadedExecutor(_PoolExecutor):
-    """Runs tasks in a thread pool of ``workers`` threads."""
-
-    kind = "threads"
-
-    def __init__(self, workers: Optional[int] = None):
-        super().__init__(workers if workers is not None else (os.cpu_count() or 1))
-
-    def _make_pool(self) -> concurrent.futures.Executor:
-        return concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
-
-
 class ProcessExecutor(_PoolExecutor):
     """Runs tasks in a process pool of ``workers`` processes.
 
@@ -242,7 +223,7 @@ class ProcessExecutor(_PoolExecutor):
     be picklable: use module-level functions (optionally wrapped with
     :func:`functools.partial`) over picklable payloads, never lambdas or
     closures.  The grid satisfies this by shipping
-    :class:`repro.parallel.tasks.MapTask` payloads.
+    :class:`repro.parallel.tasks.MapTask` payloads over a broadcast snapshot.
     """
 
     kind = "processes"
@@ -252,21 +233,22 @@ class ProcessExecutor(_PoolExecutor):
         self.mp_context = mp_context
         self._shared_payloads: Dict[str, object] = {}
 
-    def share(self, key: str, value) -> bool:
-        """Record a broadcast payload delivered to each worker at pool spawn.
+    def share(self, key: str, value) -> None:
+        """Broadcast a payload to every worker, and to this process.
 
         Payloads are shipped through the pool's ``initializer``, so each
-        worker unpickles them exactly once.  Sharing into an already-open
-        pool is refused (its workers were spawned without the payload);
-        callers fall back to self-contained tasks in that case.
+        worker unpickles them exactly once; an open pool is re-spawned to
+        get them, and so is a pool that :meth:`rebuild` replaces.  The
+        payload is also installed here, where the degraded inline run
+        (:meth:`run_inline`) resolves it.
         """
-        if self._pool is not None:
-            return False
         self._shared_payloads[key] = value
-        return True
+        _shared.share_local(key, value)
+        self.rebuild()
 
     def unshare(self, key: str) -> None:
         self._shared_payloads.pop(key, None)
+        _shared.unshare_local(key)
 
     def _make_pool(self) -> concurrent.futures.Executor:
         initializer = None
@@ -280,10 +262,10 @@ class ProcessExecutor(_PoolExecutor):
 
 
 def make_executor(kind: str, workers: Optional[int] = None) -> Executor:
-    """Build an executor from a spec string (``serial``/``threads``/``processes``).
+    """Build an executor from a spec string (``serial``/``processes``).
 
-    ``workers`` is ignored by the serial executor; the others fall back to
-    their own defaults (one worker per CPU) when it is ``None``.  A
+    ``workers`` is ignored by the serial executor; the process pool falls
+    back to one worker per CPU when it is ``None``.  A
     non-positive worker count is a configuration error and raises
     :class:`~repro.exceptions.ExperimentError` rather than leaking a
     ``ValueError`` out of the pool constructor.
@@ -294,8 +276,6 @@ def make_executor(kind: str, workers: Optional[int] = None) -> Executor:
             f"executor workers must be >= 1, got {workers}")
     if normalized == "serial":
         return SerialExecutor()
-    if normalized == "threads":
-        return ThreadedExecutor(workers)
     if normalized == "processes":
         return ProcessExecutor(workers)
     raise ExperimentError(

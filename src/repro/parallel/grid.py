@@ -4,8 +4,8 @@ Section 6.3 parallelises message passing in rounds: every active neighborhood
 is processed in parallel (the Map), the new evidence is collected (the
 Reduce), and the next round's active set is derived from it.  The paper runs
 this on a 30-machine Hadoop grid; here the map phase is dispatched through a
-pluggable :class:`~repro.parallel.executor.Executor` — serial, thread pool or
-process pool — against an immutable evidence snapshot, and the reduce phase
+pluggable :class:`~repro.parallel.executor.Executor` — serial or a process
+pool — against an immutable evidence snapshot, and the reduce phase
 merges per-neighborhood results in deterministic (sorted-name) order, so all
 executors produce identical match sets — the ones the paper's sequential
 loops reach too (the schemes are consistent, Theorem 2).  The rounds run to
@@ -58,11 +58,10 @@ from .executor import Executor, NamedTask, SerialExecutor, make_executor
 from .partitioner import Task, lpt_partition, makespan, random_partition, total_work
 from .resilience import FaultPolicy, ResilientExecutor, RoundReport
 from .tasks import (
-    CompactMapTask,
     MapResult,
     MapTask,
-    execute_compact_map_task,
     execute_map_task,
+    run_in_place,
     validate_map_result,
 )
 
@@ -190,7 +189,7 @@ class GridExecutor:
 
     ``executor`` selects how each round's active neighborhoods are executed:
     an :class:`~repro.parallel.executor.Executor` instance, a spec string
-    (``"serial"``, ``"threads"``, ``"processes"``), or ``None`` for serial.
+    (``"serial"``, ``"processes"``), or ``None`` for serial.
     Whatever the executor, the produced match set is identical: every task of
     a round reads the same immutable evidence snapshot and the reduce phase
     merges results in sorted neighborhood order.
@@ -198,8 +197,9 @@ class GridExecutor:
     Each run enters the executor for its duration, so a worker pool is opened
     once, reused for every round, and released on exit.  A caller-supplied
     executor that is already inside a ``with executor:`` block keeps its pool
-    across runs (entry is re-entrant); a pool the caller opened is never
-    closed here.
+    open across runs (entry is re-entrant); a pool the caller opened is never
+    closed here, though a process pool re-spawns its workers when a run
+    shares its snapshot into it.
 
     A ``fault_policy`` (:class:`~repro.parallel.resilience.FaultPolicy`)
     wraps the chosen executor in a
@@ -251,8 +251,10 @@ class GridExecutor:
         converges to the same fixpoint a cold run reaches on the final
         instance.  ``collect_results`` returns each ran neighborhood's final
         matches in :attr:`GridRunResult.neighborhood_results`;
-        ``store_cache`` shares materialised neighborhood stores (keyed by
-        name) across runs; the caller owns invalidation.
+        ``store_cache`` shares the neighborhood views in-process tasks run
+        on (keyed by name) across runs; the caller owns invalidation.  A
+        process pool never reads it: its workers restrict their own copy of
+        the snapshot.
 
         MMP probes each neighborhood's maximal messages on its first visit
         only: later visits still run the matcher with the grown evidence
@@ -267,8 +269,8 @@ class GridExecutor:
             if unknown:
                 raise ExperimentError(
                     f"initial_active names unknown neighborhoods: {sorted(unknown)[:3]}")
-        # Restricted neighborhood stores, built once per neighborhood; the
-        # matcher calls themselves happen inside the map tasks.
+        # Neighborhood views for in-process tasks, built once per
+        # neighborhood.
         stores: Dict[str, EntityStore] = \
             store_cache if store_cache is not None else {}
 
@@ -281,39 +283,21 @@ class GridExecutor:
 
         started = time.perf_counter()
 
-        # Compact snapshot mode: broadcast the store and the matcher once per
-        # execution context and ship only integer member lists + int-encoded
-        # evidence per task.  Falls back to self-contained payloads when the
-        # broadcast cannot be guaranteed (a caller-opened process pool).
-        snapshot: Optional[CompactStore] = \
-            store if isinstance(store, CompactStore) else None
+        # Where a task runs decides its form.  In-process executors run each
+        # neighborhood on its cached view.  A process pool reads a compact
+        # snapshot (the caller's, or one taken of this store for the run)
+        # that it is sent once per worker with the matcher, so each task
+        # ships only integer member lists and int-encoded evidence.
+        snapshot: Optional[CompactStore] = None
         snapshot_keys: tuple = ()
-        if snapshot is not None:
-            token = snapshot.snapshot_token
-            matcher_key = token + "/matcher"
-            if self.executor.share(token, snapshot):
-                if self.executor.share(matcher_key, matcher):
-                    snapshot_keys = (token, matcher_key)
-                else:
-                    self.executor.unshare(token)
-        use_snapshot = bool(snapshot_keys)
+        if "processes" in self.executor.kind:
+            snapshot = store if isinstance(store, CompactStore) \
+                else CompactStore.from_store(store)
+            snapshot_keys = (snapshot.snapshot_token,
+                             snapshot.snapshot_token + "/matcher")
+            self.executor.share(snapshot_keys[0], snapshot)
+            self.executor.share(snapshot_keys[1], matcher)
         member_cache: Dict[str, tuple] = {}
-        # Without a broadcast, a process pool is shipped each neighborhood as
-        # a materialised dict sub-store, once per run: a view (a StoreView,
-        # or a streaming OverlayView) pickles its whole base.  In-process
-        # executors read the view itself.
-        ships = "processes" in self.executor.kind
-        shippable_cache: Dict[str, EntityStore] = {}
-
-        def shippable_store(name: str) -> EntityStore:
-            restricted = neighborhood_store(name)
-            if ships and not isinstance(restricted, EntityStore):
-                cached = shippable_cache.get(name)
-                if cached is None:
-                    cached = restricted.to_entity_store()
-                    shippable_cache[name] = cached
-                return cached
-            return restricted
 
         matches: Set[EntityPair] = set(initial_matches)
         message_set = MaximalMessageSet()
@@ -387,31 +371,30 @@ class GridExecutor:
                                 if warm_capable else empty
                             negative = negative_index.get(name, empty)
                             evidence = evidence_index.get(name, empty)
-                            if use_snapshot:
-                                members = member_cache.get(name)
-                                if members is None:
-                                    members = snapshot.indices_for(
-                                        cover.neighborhood(name).entity_ids)
-                                    member_cache[name] = members
-                                compact_payload = CompactMapTask(
-                                    name=name, snapshot=snapshot_keys[0],
-                                    matcher_key=snapshot_keys[1], members=members,
-                                    evidence=snapshot.encode_pairs(evidence),
+                            if snapshot is None:
+                                tasks.append((name, partial(
+                                    run_in_place, name, matcher,
+                                    neighborhood_store(name),
+                                    frozenset(evidence),
                                     compute_messages=compute_messages,
-                                    warm_start=snapshot.encode_pairs(warm_start),
-                                    negative=snapshot.encode_pairs(negative),
-                                    trace=trace_tasks)
-                                tasks.append((name, partial(execute_compact_map_task,
-                                                            compact_payload)))
+                                    warm_start=warm_start, negative=negative,
+                                    trace=trace_tasks)))
                                 continue
-                            payload = MapTask(name=name, matcher=matcher,
-                                              store=shippable_store(name),
-                                              evidence=frozenset(evidence),
-                                              compute_messages=compute_messages,
-                                              warm_start=warm_start,
-                                              negative=negative,
-                                              trace=trace_tasks)
-                            tasks.append((name, partial(execute_map_task, payload)))
+                            members = member_cache.get(name)
+                            if members is None:
+                                members = snapshot.indices_for(
+                                    cover.neighborhood(name).entity_ids)
+                                member_cache[name] = members
+                            payload = MapTask(
+                                name=name, snapshot=snapshot_keys[0],
+                                matcher_key=snapshot_keys[1], members=members,
+                                evidence=snapshot.encode_pairs(evidence),
+                                compute_messages=compute_messages,
+                                warm_start=snapshot.encode_pairs(warm_start),
+                                negative=snapshot.encode_pairs(negative),
+                                trace=trace_tasks)
+                            tasks.append((name, partial(execute_map_task,
+                                                        payload)))
                         results = self.executor.map_tasks(tasks)
                         current_report: Optional[RoundReport] = None
                         if pop_report is not None:

@@ -12,17 +12,9 @@ longest-processing-time (LPT) heuristic for comparison.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Task = Tuple[str, float]  # (neighborhood name, duration in seconds)
-
-
-class AssignmentSummary(NamedTuple):
-    """Load statistics of one worker assignment (see :func:`summarize`)."""
-
-    makespan: float
-    skew: float
-    total_work: float
 
 
 def random_partition(tasks: Sequence[Task], workers: int,
@@ -65,26 +57,3 @@ def makespan(assignment: Sequence[Sequence[Task]]) -> float:
 def total_work(tasks: Sequence[Task]) -> float:
     """Total compute seconds across all tasks (single-machine time)."""
     return sum(duration for _, duration in tasks)
-
-
-def skew(assignment: Sequence[Sequence[Task]]) -> float:
-    """Ratio of the most loaded worker to the average load (1.0 = perfectly balanced)."""
-    return summarize(assignment).skew
-
-
-def summarize(assignment: Sequence[Sequence[Task]]) -> AssignmentSummary:
-    """Makespan, skew and total work of an assignment, in one pass.
-
-    Empty assignments summarise to ``(0.0, 1.0, 0.0)``, matching the
-    conventions of :func:`makespan` and :func:`skew`.
-    """
-    loads = [sum(duration for _, duration in worker_tasks)
-             for worker_tasks in assignment]
-    if not loads:
-        return AssignmentSummary(makespan=0.0, skew=1.0, total_work=0.0)
-    peak = max(loads)
-    total = sum(loads)
-    average = total / len(loads)
-    return AssignmentSummary(makespan=peak,
-                             skew=peak / average if average else 1.0,
-                             total_work=total)

@@ -21,9 +21,10 @@ supervised round driven by a :class:`FaultPolicy`:
   are discarded *by task name*, so the reduce stays deterministic and match
   sets stay byte-identical to a serial run;
 * **pool recovery** — a :class:`concurrent.futures.BrokenExecutor` (e.g.
-  ``BrokenProcessPool`` after a worker died) rebuilds the inner pool,
-  replays the share/unshare broadcast log, and resubmits every uncommitted
-  task; pool loss is never charged against a task's retry budget;
+  ``BrokenProcessPool`` after a worker died) rebuilds the inner pool, which
+  re-ships every broadcast payload to its new workers, and resubmits every
+  uncommitted task; pool loss is never charged against a task's retry
+  budget;
 * **quarantine with graceful degradation** — a task that exhausts its
   budget is re-run *inline on the caller* (the degraded serial path,
   bypassing the pool entirely); only if that also fails does a typed
@@ -263,8 +264,8 @@ class ResilientExecutor(Executor):
     Like the executors it wraps, a resilient executor is a context manager;
     entering it enters the inner executor, so a worker pool is opened once
     per run and reused across rounds.  ``share``/``unshare`` broadcasts are
-    delegated to the inner executor *and* recorded in a replay log, so a
-    rebuilt pool gets every payload re-shared before any task is resubmitted.
+    delegated to the inner executor, whose rebuilt pool re-ships them before
+    any task is resubmitted.
     """
 
     def __init__(self, inner: Executor, policy: Optional[FaultPolicy] = None,
@@ -277,17 +278,12 @@ class ResilientExecutor(Executor):
         self.kind = f"resilient+{inner.kind}"
         #: Report of the most recent round; :meth:`pop_report` consumes it.
         self.last_report: Optional[RoundReport] = None
-        self._share_log: Dict[str, object] = {}
 
     # -------------------------------------------------------------- plumbing
-    def share(self, key: str, value) -> bool:
-        accepted = self.inner.share(key, value)
-        if accepted:
-            self._share_log[key] = value
-        return accepted
+    def share(self, key: str, value) -> None:
+        self.inner.share(key, value)
 
     def unshare(self, key: str) -> None:
-        self._share_log.pop(key, None)
         self.inner.unshare(key)
 
     def close(self) -> None:
@@ -433,8 +429,6 @@ class ResilientExecutor(Executor):
             with span("supervision.pool_rebuild",
                       rebuild=report.pool_rebuilds, lost=len(lost)):
                 self.inner.rebuild()
-                for key, value in self._share_log.items():
-                    self.inner.share(key, value)
             now = time.monotonic()
             for name in sorted(lost):
                 state = states[name]

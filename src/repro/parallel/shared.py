@@ -1,17 +1,14 @@
-"""Per-process registry of broadcast payloads for the map phase.
+"""Per-process registry of broadcast payloads for the process pool.
 
-The grid executor ships each round's neighborhood tasks through a pluggable
-executor.  When the grid runs over a compact snapshot, the heavy,
-round-invariant payloads — the :class:`~repro.datamodel.compact.CompactStore`
-snapshot and the matcher — are *broadcast once per execution context* instead
-of travelling inside every task:
-
-* in-process executors (serial/threads) install them straight into this
-  module's registry, so tasks resolve the very same objects (zero copy);
-* the process executor passes them to every worker through the pool's
-  ``initializer`` — each worker unpickles the snapshot exactly once at
-  spawn, and every subsequent task carries only integer member lists and
-  evidence pairs (see :class:`repro.parallel.tasks.CompactMapTask`).
+When the grid runs on a process pool, the heavy, round-invariant payloads —
+the :class:`~repro.datamodel.compact.CompactStore` snapshot and the matcher
+— are *broadcast once per worker* instead of travelling inside every task:
+:class:`~repro.parallel.executor.ProcessExecutor` passes them to every
+worker through the pool's ``initializer``, so each worker unpickles the
+snapshot exactly once at spawn, and every task carries only integer member
+lists and evidence pairs (see :class:`repro.parallel.tasks.MapTask`).  The
+executor installs them in the parent process too, where a task the
+supervisor degrades to an inline run resolves them.
 
 Next to the registry lives a per-snapshot cache of the restricted
 :class:`~repro.datamodel.compact.StoreView` objects, keyed by the task's
@@ -55,8 +52,8 @@ def get_shared(key: str) -> Any:
     except KeyError:
         raise ExperimentError(
             f"shared payload {key!r} is not installed in this process; "
-            "compact map tasks require the snapshot to be broadcast via "
-            "Executor.share before the pool starts") from None
+            "map tasks require the snapshot to be broadcast via "
+            "ProcessExecutor.share") from None
 
 
 def view_for(snapshot_token: str, members: Tuple[int, ...]) -> Any:

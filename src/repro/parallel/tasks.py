@@ -1,35 +1,33 @@
-"""Picklable map-phase payloads for the grid executor.
+"""Map-phase task bodies for the grid executor.
 
 Section 6.3 runs each round's active neighborhoods as independent map tasks.
-A :class:`MapTask` is one such unit of work, made self-contained so it can be
-executed anywhere — in-process (serial or threaded) or shipped to a worker
-process by :class:`repro.parallel.executor.ProcessExecutor`:
+Where a task runs decides its form:
 
-* the *restricted* neighborhood store (small — only the neighborhood's
-  entities and relations travel, never the global store),
-* the evidence snapshot restricted to the neighborhood's entities,
-* the neighborhood's result from the previous round (``warm_start``) — the
-  per-neighborhood evidence only grows across rounds, so for idempotent +
-  monotone matchers that declare ``supports_warm_start`` the old result is
-  contained in the new one and seeds the search, which is how later rounds
-  only pay for the delta their new evidence causes even under the process
-  executor (where the matcher's in-memory caches do not travel),
-* the matcher itself (matchers are picklable black boxes; the MLN matcher
-  drops its per-store ground-network and result caches when pickled).
+* **in process** (the serial executor, or any pool of threads) the grid
+  calls :func:`run_in_place` on the neighborhood's view, taken from the
+  grid's ``store_cache`` — nothing is copied or encoded;
+* **in a worker process** (:class:`repro.parallel.executor.ProcessExecutor`)
+  the grid ships a :class:`MapTask`: the :class:`~repro.datamodel.CompactStore`
+  snapshot and the matcher are broadcast once per worker
+  (:mod:`repro.parallel.shared`), and each task carries only the
+  neighborhood's integer member list and int-encoded evidence —
+  :func:`execute_map_task` restricts the snapshot to a cached view on the
+  receiving side.
 
-:func:`execute_map_task` is the module-level entry point the executors call;
-its :class:`MapResult` is the one channel back to the reduce phase: the
-neighborhood's matches, any maximal messages (MMP), the measured duration
-(which feeds the simulated-grid model), the matcher-call count, and the
-task's telemetry — captured spans and every registry update made inside the
-task (kernel work, grounding and rule-evaluation counts alike).
+Either way a task carries the neighborhood's result from the previous round
+(``warm_start``): the per-neighborhood evidence only grows across rounds, so
+for idempotent + monotone matchers that declare ``supports_warm_start`` the
+old result is contained in the new one and seeds the search — which is how
+later rounds only pay for the delta their new evidence causes, even in a
+worker process where the matcher's in-memory caches of earlier runs are
+gone.
 
-When the grid runs against a :class:`~repro.datamodel.CompactStore`, tasks
-take the :class:`CompactMapTask` form instead: the snapshot and the matcher
-are broadcast once per execution context (:mod:`repro.parallel.shared`) and
-each task ships only integer member lists and int-encoded evidence —
-:func:`execute_compact_map_task` reassembles the neighborhood as a zero-copy
-view on the receiving side.  Both entry points run the same task body.
+Both entry points run one task body, whose :class:`MapResult` is the one
+channel back to the reduce phase: the neighborhood's matches, any maximal
+messages (MMP), the measured duration (which feeds the simulated-grid
+model), the matcher-call count, and the task's telemetry — captured spans
+and every registry update made inside the task (kernel work, grounding and
+rule-evaluation counts alike).
 """
 
 from __future__ import annotations
@@ -49,30 +47,9 @@ from . import shared
 
 @dataclass(frozen=True)
 class MapTask:
-    """One neighborhood's unit of map-phase work (picklable, self-contained)."""
+    """One neighborhood's map task for a worker process (picklable).
 
-    name: str
-    matcher: TypeIMatcher
-    store: EntityStore
-    evidence: FrozenSet[EntityPair]
-    compute_messages: bool = False
-    #: This neighborhood's matches from the previous round (empty on the
-    #: first visit); only ever non-empty for ``supports_warm_start`` matchers.
-    warm_start: FrozenSet[EntityPair] = frozenset()
-    #: Standing negative evidence restricted to this neighborhood (pairs the
-    #: matcher must never return).  Empty outside delta-ingestion runs.
-    negative: FrozenSet[EntityPair] = frozenset()
-    #: Capture the task's spans for re-parenting into the driver's tracer
-    #: (set iff the driver has tracing enabled).
-    trace: bool = False
-
-
-@dataclass(frozen=True)
-class CompactMapTask:
-    """A map task against a broadcast :class:`~repro.datamodel.CompactStore`.
-
-    Instead of a self-contained restricted store, the payload references the
-    snapshot (and the matcher) broadcast through
+    The payload references the snapshot (and the matcher) broadcast through
     :meth:`repro.parallel.executor.Executor.share` and carries only the
     neighborhood's *integer* member list plus int-encoded evidence pairs —
     a few hundred bytes where a pickled restricted store is kilobytes.  The
@@ -92,9 +69,11 @@ class CompactMapTask:
     compute_messages: bool = False
     #: Int-encoded previous-round matches (``supports_warm_start`` only).
     warm_start: Tuple[Tuple[int, int], ...] = ()
-    #: Int-encoded standing negative-evidence pairs for this neighborhood.
+    #: Int-encoded standing negative-evidence pairs for this neighborhood
+    #: (pairs the matcher must never return).
     negative: Tuple[Tuple[int, int], ...] = ()
-    #: Capture the task's spans for re-parenting into the driver's tracer.
+    #: Capture the task's spans for re-parenting into the grid's tracer
+    #: (set iff the grid's process has tracing enabled).
     trace: bool = False
 
 
@@ -166,32 +145,32 @@ class _TaskRunner:
         return self.store.similar_pairs()
 
 
-def _run_task(task, resolve, **span_attrs) -> MapResult:
+def _run_task(name: str, compute_messages: bool, trace: bool,
+              resolve) -> MapResult:
     """The one map-task body: match, optional maximal-message probe, result.
 
-    ``resolve(task)`` yields ``(matcher, store, evidence, warm_start,
-    negative)`` and runs inside the task span, so resolving a compact task's
+    ``resolve()`` yields ``(matcher, store, evidence, warm_start,
+    negative)`` and runs inside the task span, so resolving a shipped task's
     view is part of the task's measured time.  Registry updates (kernel
     counters included) and spans made here ride back on the result.
     """
     started = time.perf_counter()
     with obs_registry.capturing() as metric_delta, \
-            obs_trace.task_capture(task.trace) as span_capture:
-        with obs_trace.span("grid.task", task=task.name,
-                            evidence=len(task.evidence),
-                            **span_attrs) as task_span:
-            matcher, store, evidence, warm_start, negative = resolve(task)
+            obs_trace.task_capture(trace) as span_capture:
+        with obs_trace.span("grid.task", task=name) as task_span:
+            matcher, store, evidence, warm_start, negative = resolve()
             runner = _TaskRunner(matcher, store, warm_start=warm_start,
                                  negative=negative)
-            found = runner.run(task.name, positive=evidence)
+            found = runner.run(name, positive=evidence)
             messages: Tuple[MaximalMessage, ...] = ()
-            if task.compute_messages:
+            if compute_messages:
                 messages = tuple(compute_maximal_messages(
-                    runner, task.name, evidence_matches=evidence,
+                    runner, name, evidence_matches=evidence,
                     unconditioned_output=found))
-            task_span.add_attrs(matches=len(found), calls=runner.calls)
+            task_span.add_attrs(evidence=len(evidence), matches=len(found),
+                                calls=runner.calls)
     return MapResult(
-        name=task.name,
+        name=name,
         matches=found,
         messages=messages,
         duration=time.perf_counter() - started,
@@ -201,35 +180,36 @@ def _run_task(task, resolve, **span_attrs) -> MapResult:
     )
 
 
-def _resolve_map_task(task: MapTask):
-    return (task.matcher, task.store, task.evidence, task.warm_start,
-            task.negative)
+def run_in_place(name: str, matcher: TypeIMatcher, store: EntityStore,
+                 evidence: FrozenSet[EntityPair], compute_messages: bool = False,
+                 warm_start: FrozenSet[EntityPair] = frozenset(),
+                 negative: FrozenSet[EntityPair] = frozenset(),
+                 trace: bool = False) -> MapResult:
+    """Run one neighborhood on its view, in the calling process.
 
-
-def _resolve_compact_map_task(task: CompactMapTask):
-    snapshot = shared.get_shared(task.snapshot)
-    return (shared.get_shared(task.matcher_key),
-            shared.view_for(task.snapshot, task.members),
-            frozenset(snapshot.decode_pairs(task.evidence)),
-            frozenset(snapshot.decode_pairs(task.warm_start)),
-            frozenset(snapshot.decode_pairs(task.negative)))
+    The entry in-process executors call: ``store`` is the neighborhood's
+    view itself, so matcher caches keyed on it stay warm across rounds and
+    runs.
+    """
+    return _run_task(name, compute_messages, trace,
+                     lambda: (matcher, store, evidence, warm_start, negative))
 
 
 def execute_map_task(task: MapTask) -> MapResult:
-    """Run one neighborhood against its evidence snapshot (any executor).
-
-    Must stay a module-level function: :class:`ProcessExecutor` pickles
-    ``functools.partial(execute_map_task, task)`` to its workers.
-    """
-    return _run_task(task, _resolve_map_task)
-
-
-def execute_compact_map_task(task: CompactMapTask) -> MapResult:
-    """Run one neighborhood against a broadcast compact snapshot.
+    """Run one shipped neighborhood against the broadcast snapshot.
 
     Resolves the snapshot and matcher from the process-local shared registry
     (see :mod:`repro.parallel.shared`), restricts the snapshot to a cached
     zero-copy view of the task's members and decodes the int-encoded
-    evidence.  Module-level for the same pickling reason.
+    evidence.  Must stay a module-level function: :class:`ProcessExecutor`
+    pickles ``functools.partial(execute_map_task, task)`` to its workers.
     """
-    return _run_task(task, _resolve_compact_map_task, compact=True)
+    def resolve():
+        snapshot = shared.get_shared(task.snapshot)
+        return (shared.get_shared(task.matcher_key),
+                shared.view_for(task.snapshot, task.members),
+                frozenset(snapshot.decode_pairs(task.evidence)),
+                frozenset(snapshot.decode_pairs(task.warm_start)),
+                frozenset(snapshot.decode_pairs(task.negative)))
+
+    return _run_task(task.name, task.compute_messages, task.trace, resolve)

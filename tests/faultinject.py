@@ -8,7 +8,9 @@ Two families of faults live here:
   the resilience layer: an executor proxy that wraps any real executor and
   injects fail-once/fail-N, hangs, wrong-result-then-correct, simulated and
   *real* pool death into chosen tasks, deterministically by task name and
-  attempt number.  Exercised by ``tests/test_resilience.py``.
+  attempt number.  Exercised by ``tests/test_resilience.py``, mostly over
+  :class:`ThreadPool`, a pool that can hang a task without spawning a
+  process.
 
 The durability code is laced with named :func:`repro.durability.crash_point`
 seams (see :data:`repro.durability.CRASH_POINTS`): every WAL append step,
@@ -36,6 +38,7 @@ crash-free.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import os
 import threading
@@ -46,7 +49,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.durability import CRASH_POINTS, install_crash_hook, uninstall_crash_hook
-from repro.parallel.executor import Executor
+from repro.parallel.executor import Executor, _PoolExecutor
 
 
 class SimulatedCrash(Exception):
@@ -108,6 +111,22 @@ def record_crash_points():
 # --------------------------------------------------------------------------
 # Task-fault injection for the resilience layer
 # --------------------------------------------------------------------------
+
+class ThreadPool(_PoolExecutor):
+    """A pool of ``workers`` threads behind the library's pool logic.
+
+    The library ships no thread executor (every matcher holds the GIL, so
+    one is slower than the serial executor); the supervision tests keep
+    this one because it hands out real futures, can hang a task, and starts
+    no process.  Its tasks run in this process, so the grid runs them on
+    its views in place, as under the serial executor.
+    """
+
+    kind = "threads"
+
+    def _make_pool(self) -> concurrent.futures.Executor:
+        return concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
+
 
 #: Fault kinds understood by :class:`FaultSpec`.
 FAULT_KINDS = ("fail", "hang", "wrong-result", "pool-death", "worker-exit")
@@ -238,7 +257,7 @@ class FaultyExecutor(Executor):
         self.inner.rebuild()
 
     def share(self, key, value):
-        return self.inner.share(key, value)
+        self.inner.share(key, value)
 
     def unshare(self, key):
         self.inner.unshare(key)

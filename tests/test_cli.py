@@ -90,7 +90,7 @@ class TestMatch:
 
     def test_match_through_grid_executor(self, dataset_file, capsys):
         assert main(["match", "--dataset", str(dataset_file), "--matcher", "rules",
-                     "--scheme", "smp", "--executor", "threads", "--workers", "2"]) == 0
+                     "--scheme", "smp", "--executor", "processes", "--workers", "2"]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row[:2] == ["rules", "smp"]
 
@@ -109,7 +109,7 @@ class TestFaultFlags:
     def test_match_with_fault_flags_runs_supervised(self, dataset_file, capsys):
         assert main(["match", "--dataset", str(dataset_file),
                      "--matcher", "rules", "--scheme", "smp",
-                     "--executor", "threads", "--workers", "2",
+                     "--executor", "processes", "--workers", "2",
                      "--retries", "1", "--task-timeout", "30"]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row[:2] == ["rules", "smp"]
@@ -122,13 +122,13 @@ class TestFaultFlags:
     def test_non_positive_task_timeout_rejected(self, dataset_file):
         with pytest.raises(SystemExit, match="task-timeout"):
             main(["match", "--dataset", str(dataset_file), "--matcher", "rules",
-                  "--scheme", "smp", "--executor", "threads",
+                  "--scheme", "smp", "--executor", "processes",
                   "--task-timeout", "0"])
 
     def test_negative_retries_rejected(self, dataset_file):
         with pytest.raises(SystemExit, match="retries"):
             main(["match", "--dataset", str(dataset_file), "--matcher", "rules",
-                  "--scheme", "smp", "--executor", "threads",
+                  "--scheme", "smp", "--executor", "processes",
                   "--retries", "-1"])
 
     def test_checkpoint_on_signal_requires_durable_dir(self, dataset_file,
@@ -157,7 +157,7 @@ class TestSharedArgumentChecks:
     def test_workers_below_one_rejected(self, dataset_file, tmp_path, command):
         with pytest.raises(SystemExit, match="--workers must be >= 1"):
             main(self.argv(command, dataset_file, tmp_path)
-                 + ["--executor", "threads", "--workers", "0"])
+                 + ["--executor", "processes", "--workers", "0"])
 
     @pytest.mark.parametrize("command", ["match", "stream", "recover", "serve"])
     def test_workers_require_executor(self, dataset_file, tmp_path, command):

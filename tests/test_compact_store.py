@@ -9,6 +9,7 @@ edges, covers and final match sets — on hand-built instances, on random
 
 import pickle
 import random
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,12 +33,18 @@ from repro.datamodel import (
 )
 from repro.exceptions import ExperimentError, UnknownEntityError
 from repro.matchers import MLNMatcher, RulesMatcher
-from repro.parallel import GridExecutor, ProcessExecutor, SerialExecutor
+from repro.parallel import GridExecutor, ProcessExecutor
 from repro.parallel import shared as parallel_shared
 from tests.util import build_two_hop_store, two_hop_rules
 
 
 # --------------------------------------------------------------------- helpers
+def _shared_value(key):
+    """A broadcast payload as a pool worker resolves it (module-level: it
+    pickles)."""
+    return parallel_shared.get_shared(key)
+
+
 def random_store(seed: int, author_count: int = 6) -> EntityStore:
     """A deterministic random instance with papers, relations and edges."""
     rng = random.Random(seed)
@@ -377,12 +384,10 @@ class TestMatchParity:
             MLNMatcher(), hepth_dataset.store, hepth_cover).matches
         framework = EMFramework(MLNMatcher(), hepth_dataset.store,
                                 cover=hepth_cover)
-        for executor in ("serial", "threads"):
-            dict_run = GridExecutor(scheme="smp", executor=executor, workers=2).run(
-                MLNMatcher(), hepth_dataset.store, hepth_cover)
-            assert dict_run.matches == expected
-            result = framework.run_grid("smp", executor=executor, workers=2)
-            assert result.matches == expected
+        dict_run = GridExecutor(scheme="smp", executor="serial").run(
+            MLNMatcher(), hepth_dataset.store, hepth_cover)
+        assert dict_run.matches == expected
+        assert framework.run_grid("smp").matches == expected
 
     def test_grid_identical_under_process_executor(
             self, hepth_dataset, hepth_cover):
@@ -393,10 +398,10 @@ class TestMatchParity:
         result = framework.run_grid("smp", executor="processes", workers=2)
         assert result.matches == expected
 
-    def test_grid_falls_back_when_broadcast_refused(
+    def test_caller_opened_pool_gives_identical_matches(
             self, hepth_dataset, hepth_cover):
-        # A caller-opened pool refuses Executor.share, so the grid must fall
-        # back to self-contained task payloads — with identical matches.
+        # The run shares its snapshot into a pool the caller already opened,
+        # which re-spawns its workers with it.
         store = hepth_dataset.store
         compact = CompactStore.from_store(store)
         expected = GridExecutor(scheme="smp").run(
@@ -418,9 +423,11 @@ class TestMatchParity:
 # ------------------------------------------------------------ shared payloads
 class TestSharedPayloads:
     def test_in_process_share_resolves_same_object(self):
-        executor = SerialExecutor()
+        # The process executor installs a shared payload in this process
+        # too: a degraded inline run resolves the very object.
+        executor = ProcessExecutor(workers=1)
         payload = object()
-        assert executor.share("test-key", payload)
+        executor.share("test-key", payload)
         try:
             assert parallel_shared.get_shared("test-key") is payload
         finally:
@@ -428,12 +435,21 @@ class TestSharedPayloads:
         with pytest.raises(ExperimentError):
             parallel_shared.get_shared("test-key")
 
-    def test_process_executor_refuses_share_into_open_pool(self):
+    def test_process_executor_share_into_open_pool_respawns_it(self):
         executor = ProcessExecutor(workers=1)
-        assert executor.share("early", 1)
-        with executor:
-            assert not executor.share("late", 2)
-        executor.unshare("early")
+        executor.share("early", 1)
+        try:
+            with executor:
+                early = ("e", partial(_shared_value, "early"))
+                assert executor.map_tasks([early]) == {"e": 1}
+                before = executor._pool
+                executor.share("late", 2)
+                assert executor._pool is not before
+                late = ("l", partial(_shared_value, "late"))
+                assert executor.map_tasks([early, late]) == {"e": 1, "l": 2}
+        finally:
+            executor.unshare("early")
+            executor.unshare("late")
 
     def test_view_cache_reuses_view_objects(self):
         compact = CompactStore.from_store(random_store(seed=11))

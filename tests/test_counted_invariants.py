@@ -16,7 +16,10 @@ WAL overhead <= 25%              one WAL append and one fsync per commit,
 tracing overhead ceiling         spans per commit follow a fixed formula;
                                  an untraced run records no span
 streaming re-run fraction        mean re-run fraction <= 0.25
-compact task payloads >= 3x      dict / compact round payload bytes >= 3
+compact task payloads >= 3x      a process round's payloads pickle to <= 1/3
+                                 of its neighborhoods' dict sub-stores
+view restriction per batch run   a second run on one framework builds no
+                                 neighborhood view
 restrict cost of a commit        a serial commit constructs no EntityStore
 cover repair cost of a commit    a commit constructs a Neighborhood only
                                  for one new to the cover
@@ -45,6 +48,7 @@ from the end-to-end benchmark (``BENCHMARK.json``).
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import gc
 import os
 import pickle
@@ -66,21 +70,17 @@ from repro.mln import database as mln_database
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 from repro.parallel import grid as grid_module
-from repro.parallel.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-    _PoolExecutor,
-    _run_chunk,
-)
+from repro.parallel import shared as parallel_shared
+from repro.parallel.executor import ProcessExecutor, _PoolExecutor, _run_chunk
 from repro.parallel.grid import GridExecutor
 from repro.parallel.resilience import FaultPolicy
+from repro.parallel.tasks import MapTask
 from repro.similarity.profiles import EntityProfile, ProfiledNameScorer
 from repro.streaming import StreamSession, synthesize_stream
 from repro.streaming import runner as runner_module
 from repro.streaming.maintainer import IncrementalCoverMaintainer
 from repro.streaming.overlay import OverlayView, StoreOverlay
+from tests.faultinject import ThreadPool
 
 WORKERS = 2
 #: Chunks a pool round may ship (``_PoolExecutor._collect``'s deal).
@@ -89,8 +89,8 @@ MAX_CHUNKS_PER_ROUND = 4 * WORKERS
 MAX_WAL_BYTES_PER_OP = 160
 #: Mean fraction of neighborhoods a batch re-runs; the workload reads 0.16.
 MAX_MEAN_RERAN_FRACTION = 0.25
-#: Dict-store / compact-store pickled bytes of one round; the workload
-#: reads 9.6.
+#: Pickled bytes of the first round's neighborhoods as dict sub-stores over
+#: those its process payloads ship; the workload reads 9.7.
 MIN_PAYLOAD_REDUCTION = 3.0
 #: Spans every durable commit opens once: durable.apply, wal.append,
 #: stream.batch, stream.mutate, stream.cover_repair, stream.retract,
@@ -150,7 +150,7 @@ def submissions(monkeypatch):
 def pool_rounds(scenario, cover, kind, submissions, fault_policy=None):
     """Run an SMP grid on a pool of ``kind``; return ``(submissions, tasks)``
     per round and the supervision reports."""
-    executor = ThreadedExecutor(WORKERS) if kind == "threads" \
+    executor = ThreadPool(WORKERS) if kind == "threads" \
         else ProcessExecutor(WORKERS)
     grid = GridExecutor(scheme="smp", executor=executor,
                         fault_policy=fault_policy)
@@ -383,13 +383,13 @@ def test_spans_per_commit_follow_the_formula(traced_replay):
 
 def test_span_formula_catches_an_extra_span_per_task(scenario, tmp_path,
                                                      monkeypatch):
-    execute_map_task = grid_module.execute_map_task
+    run_in_place = grid_module.run_in_place
 
-    def with_extra_span(task):
+    def with_extra_span(*args, **kwargs):
         with obs_trace.span("grid.task.extra"):
-            return execute_map_task(task)
+            return run_in_place(*args, **kwargs)
 
-    monkeypatch.setattr(grid_module, "execute_map_task", with_extra_span)
+    monkeypatch.setattr(grid_module, "run_in_place", with_extra_span)
     _, rows = replay(scenario, tmp_path, checkpoint_every=3, traced=True,
                      batches=BROKEN_BATCHES)
     with pytest.raises(AssertionError, match="the formula gives"):
@@ -427,43 +427,111 @@ def test_rerun_fraction_catches_every_neighborhood_dirty(scenario, tmp_path,
 
 
 # ---------------------------------------------------------- task payloads
-class _PayloadMeter(SerialExecutor):
-    """Serial executor that records the pickled bytes of each round."""
+class _WirePool(concurrent.futures.Executor):
+    """Pickles each submission as a process pool ships it, records the
+    bytes, and runs it in this process."""
+
+    def __init__(self, shipped):
+        self.shipped = shipped
+
+    def submit(self, fn, *args, **kwargs):
+        self.shipped.append(len(pickle.dumps((fn, args, kwargs))))
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class _PayloadMeter(ProcessExecutor):
+    """Process executor over a :class:`_WirePool`: it records the bytes
+    each round ships and starts no worker (the broadcast is installed in
+    this process too)."""
 
     def __init__(self):
+        super().__init__(WORKERS)
+        self.shipped = []
         self.round_bytes = []
 
+    def _make_pool(self):
+        return _WirePool(self.shipped)
+
     def map_tasks(self, tasks):
-        self.round_bytes.append(sum(len(pickle.dumps(fn)) for _, fn in tasks))
-        return super().map_tasks(tasks)
+        start = len(self.shipped)
+        results = super().map_tasks(tasks)
+        self.round_bytes.append(sum(self.shipped[start:]))
+        return results
 
 
 def payload_reduction(store, cover):
-    """Pickled bytes of the first round's tasks, dict store / compact store."""
-    first_round = []
-    for backend in (store, CompactStore.from_store(store)):
-        meter = _PayloadMeter()
-        GridExecutor(scheme="smp", executor=meter).run(
-            MLNMatcher(), backend, cover)
-        first_round.append(meter.round_bytes[0])
-    return first_round[0] / first_round[1]
+    """Pickled bytes of the first round's neighborhoods as dict sub-stores,
+    over those of the payloads a process round ships for them."""
+    snapshot = CompactStore.from_store(store)
+    meter = _PayloadMeter()
+    GridExecutor(scheme="smp", executor=meter).run(MLNMatcher(), snapshot, cover)
+    sub_stores = sum(
+        len(pickle.dumps(snapshot.restrict(neighborhood.entity_ids).to_entity_store()))
+        for neighborhood in cover)
+    return sub_stores / meter.round_bytes[0]
 
 
 def assert_payload_reduced(reduction):
     assert reduction >= MIN_PAYLOAD_REDUCTION, (
-        f"compact tasks are only {reduction:.1f}x smaller than dict tasks")
+        f"process payloads are only {reduction:.1f}x smaller than the "
+        f"neighborhoods' sub-stores")
 
 
 def test_compact_tasks_ship_a_fraction_of_the_bytes(scenario, cover):
     assert_payload_reduced(payload_reduction(scenario.final.store, cover))
 
 
+@dataclasses.dataclass(frozen=True)
+class _StoreCarryingTask(MapTask):
+    """A payload that also carries its neighborhood's dict sub-store."""
+
+    def __post_init__(self):
+        snapshot = parallel_shared.get_shared(self.snapshot)
+        object.__setattr__(self, "store", snapshot.restrict_indices(
+            self.members).to_entity_store())
+
+
 def test_payload_ratio_catches_compact_tasks_shipped_as_map_tasks(
         scenario, cover, monkeypatch):
-    # Without the broadcast, the grid falls back to self-contained MapTasks.
-    monkeypatch.setattr(Executor, "share", lambda self, key, value: False)
-    with pytest.raises(AssertionError, match="smaller than dict tasks"):
+    # The map task that shipped each neighborhood's sub-store: 1.3 here.
+    monkeypatch.setattr(grid_module, "MapTask", _StoreCarryingTask)
+    with pytest.raises(AssertionError, match="smaller than the neighborhoods"):
         assert_payload_reduced(payload_reduction(scenario.final.store, cover))
+
+
+# ---------------------------------------------------------------- view cache
+def views_built_by_a_second_run(store, cover):
+    """Neighborhood views a second serial SMP run on one framework builds."""
+    framework = EMFramework(MLNMatcher(), store, cover=cover)
+    framework.run_grid("smp")
+    with counting(StoreView, "__init__") as built:
+        framework.run_grid("smp")
+    return built[0]
+
+
+def assert_no_view_rebuilt(built):
+    assert built == 0, f"a second run on the framework built {built} views"
+
+
+def test_a_second_run_builds_no_view(scenario, cover):
+    # The framework's views outlive the run, so matcher caches keyed on
+    # them carry over; views built per run: 292 on this workload.
+    assert_no_view_rebuilt(views_built_by_a_second_run(
+        scenario.final.store, cover))
+
+
+def test_view_count_catches_views_built_per_run(scenario, cover, monkeypatch):
+    run = GridExecutor.run
+
+    def without_cache(self, *args, store_cache=None, **kwargs):
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridExecutor, "run", without_cache)
+    with pytest.raises(AssertionError, match="built"):
+        assert_no_view_rebuilt(views_built_by_a_second_run(
+            scenario.final.store, cover))
 
 
 # ------------------------------------------------------------ MLN grounding

@@ -153,6 +153,9 @@ class TestOneSnapshot:
         framework.run_full_prefix(3)
         assert taken == [hepth_dataset.store]
         assert isinstance(framework.snapshot, CompactStore)
+        # Every neighborhood ran on a view of that snapshot, kept for the
+        # next run.
+        assert set(framework._store_cache) == set(framework.cover.names())
         assert all(isinstance(view, StoreView)
                    and view.restriction()[0] is framework.snapshot
                    for view in framework._store_cache.values())

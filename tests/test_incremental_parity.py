@@ -2,7 +2,7 @@
 
 The acceptance bar of the incremental scoring engine is that it is invisible
 in the output: every scheme (NO-MP, SMP, MMP) under every executor (serial,
-threads, processes), with warm starts and result caches active, must produce
+processes), with warm starts and result caches active, must produce
 the *byte-identical* match set of the naive reference — the sequential scheme
 run with set-based inference and every cache disabled.
 """
@@ -87,7 +87,7 @@ class TestGridExecutorParity:
     """Grid rounds (indexed evidence + warm-started tasks) equal the reference."""
 
     @pytest.mark.parametrize("scheme", ["no-mp", "smp", "mmp"])
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_two_hop(self, scheme, executor):
         store, cover = build_two_hop_store()
         expected = reference_matches(scheme, two_hop_rules(), store, cover)

@@ -648,7 +648,7 @@ class TestEndToEndParity:
         assert signatures["numpy"] == signatures["python"]
 
     @pytest.mark.parametrize("scheme", ["no-mp", "smp"])
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_grid_matches_identical_across_backends(self, hepth_dataset,
                                                     scheme, executor):
         matches = {}

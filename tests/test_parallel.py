@@ -15,14 +15,13 @@ from repro.parallel import (
     GridExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     lpt_partition,
     make_executor,
     makespan,
     random_partition,
-    skew,
     total_work,
 )
+from tests.faultinject import ThreadPool
 from tests.reference.schemes import SCHEMES as ORACLES, SimpleMessagePassing
 from tests.util import (
     build_chain_store,
@@ -58,35 +57,11 @@ class TestPartitioner:
         assignment = random_partition(self.TASKS, workers=2, seed=0)
         assert total_work(self.TASKS) / 2 <= makespan(assignment) <= total_work(self.TASKS)
 
-    def test_skew(self):
-        balanced = lpt_partition(self.TASKS, workers=2)
-        assert skew(balanced) >= 1.0
-        assert skew([[("a", 1.0)], []]) == pytest.approx(2.0)
-
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             random_partition(self.TASKS, 0)
         with pytest.raises(ValueError):
             lpt_partition(self.TASKS, 0)
-
-    def test_summarize_matches_individual_helpers(self):
-        from repro.parallel import summarize
-        assignment = random_partition(self.TASKS, workers=3, seed=2)
-        summary = summarize(assignment)
-        assert summary.makespan == pytest.approx(makespan(assignment))
-        assert summary.skew == pytest.approx(skew(assignment))
-        assert summary.total_work == pytest.approx(total_work(self.TASKS))
-
-    def test_summarize_empty_assignment(self):
-        from repro.parallel import summarize
-        summary = summarize([])
-        assert (summary.makespan, summary.skew, summary.total_work) == (0.0, 1.0, 0.0)
-
-    def test_summarize_all_idle_workers(self):
-        from repro.parallel import summarize
-        summary = summarize([[], []])
-        assert summary.makespan == 0.0
-        assert summary.skew == 1.0
 
 
 class TestGridExecutor:
@@ -198,8 +173,8 @@ class _SpyPool(concurrent.futures.ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
-class _SpyExecutor(ThreadedExecutor):
-    """A threaded executor whose pools count submissions."""
+class _SpyExecutor(ThreadPool):
+    """A thread pool executor whose pools count submissions."""
 
     pools = 0
 
@@ -214,7 +189,7 @@ class TestLocalExecutors:
         assert results == {"a": 1, "b": 2}
 
     def test_threaded_executor(self):
-        results = ThreadedExecutor(workers=2).map_tasks(
+        results = ThreadPool(workers=2).map_tasks(
             [(str(i), (lambda i=i: i * i)) for i in range(5)])
         assert results == {str(i): i * i for i in range(5)}
 
@@ -226,7 +201,7 @@ class TestLocalExecutors:
 
     def test_threaded_executor_propagates_errors(self):
         with pytest.raises(RuntimeError):
-            ThreadedExecutor(workers=2).map_tasks([("x", _raise_boom)])
+            ThreadPool(workers=2).map_tasks([("x", _raise_boom)])
 
     def test_process_executor_propagates_errors(self):
         with ProcessExecutor(workers=2) as executor:
@@ -244,13 +219,13 @@ class TestLocalExecutors:
         tasks = [("boom", _raise_boom)] + [
             (f"t{i}", partial(tail, i)) for i in range(50)]
         with pytest.raises(RuntimeError, match="boom"):
-            ThreadedExecutor(workers=2).map_tasks(tasks)
+            ThreadPool(workers=2).map_tasks(tasks)
         # The failure surfaces while most of the queue is still pending; the
         # pending tasks are cancelled rather than drained.
         assert len(started) < 50
 
     def test_pool_reuse_via_context_manager(self):
-        with ThreadedExecutor(workers=2) as executor:
+        with ThreadPool(workers=2) as executor:
             first = executor.map_tasks([("a", lambda: 1)])
             second = executor.map_tasks([("b", lambda: 2)])
         assert (first, second) == ({"a": 1}, {"b": 2})
@@ -259,16 +234,16 @@ class TestLocalExecutors:
 
     def test_make_executor(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threads", 3), ThreadedExecutor)
-        assert make_executor("threads", 3).workers == 3
         assert isinstance(make_executor("processes", 2), ProcessExecutor)
-        assert set(EXECUTOR_KINDS) == {"serial", "threads", "processes"}
-        with pytest.raises(ExperimentError):
-            make_executor("hadoop")
+        assert make_executor("processes", 3).workers == 3
+        assert EXECUTOR_KINDS == ("serial", "processes")
+        for kind in ("hadoop", "threads"):
+            with pytest.raises(ExperimentError):
+                make_executor(kind)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            ThreadedExecutor(workers=0)
+            ThreadPool(workers=0)
         with pytest.raises(ValueError):
             ProcessExecutor(workers=0)
 
@@ -276,16 +251,14 @@ class TestLocalExecutors:
         # The spec-string entry point raises the library's typed error, not
         # the pool constructor's ValueError.
         for workers in (0, -3):
-            for kind in ("threads", "processes"):
-                with pytest.raises(ExperimentError, match="workers"):
-                    make_executor(kind, workers)
+            with pytest.raises(ExperimentError, match="workers"):
+                make_executor("processes", workers)
 
     def test_default_workers_derive_from_cpu_count(self):
         import os
         expected = os.cpu_count() or 1
-        assert ThreadedExecutor().workers == expected
         assert ProcessExecutor().workers == expected
-        assert make_executor("threads").workers == expected
+        assert make_executor("processes").workers == expected
 
     def test_first_failure_discards_partial_results(self):
         # Tasks that completed before the failure surfaced must not leak out:
@@ -296,7 +269,7 @@ class TestLocalExecutors:
             done.append(i)
             return i
 
-        with ThreadedExecutor(workers=2) as executor:
+        with ThreadPool(workers=2) as executor:
             with pytest.raises(RuntimeError, match="boom"):
                 executor.map_tasks([("t0", partial(ok, 0)),
                                     ("t1", partial(ok, 1)),
@@ -342,7 +315,7 @@ class TestLocalExecutors:
             assert executor._pool.submits == 0
 
     def test_nested_context_manager_is_reentrant(self):
-        executor = ThreadedExecutor(workers=2)
+        executor = ThreadPool(workers=2)
         with executor:
             pool = executor._pool
             with executor:  # inner enter must not replace or close the pool
@@ -376,18 +349,21 @@ class TestExecutorParity:
         return {scheme: oracle().run(MLNMatcher(), hepth_dataset.store, hepth_cover)
                 for scheme, oracle in ORACLES.items()}
 
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    # Both executor kinds, and the thread pool the supervision tests use
+    # (in-process tasks on views, run concurrently).
+    @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("scheme", ["no-mp", "smp", "mmp"])
     def test_grid_matches_sequential_scheme(self, kind, scheme, hepth_dataset,
                                             hepth_cover, references):
-        grid = GridExecutor(scheme=scheme, executor=kind, workers=2).run(
+        executor = ThreadPool(2) if kind == "threads" else kind
+        grid = GridExecutor(scheme=scheme, executor=executor, workers=2).run(
             MLNMatcher(), hepth_dataset.store, hepth_cover)
         assert grid.matches == references[scheme].matches
         assert grid.executor == kind
 
     def test_executor_instance_is_not_closed_by_the_grid(self, hepth_dataset,
                                                          hepth_cover, references):
-        with ThreadedExecutor(workers=2) as executor:
+        with ThreadPool(workers=2) as executor:
             for _ in range(2):  # pool survives across runs
                 grid = GridExecutor(scheme="smp", executor=executor).run(
                     MLNMatcher(), hepth_dataset.store, hepth_cover)
@@ -395,6 +371,6 @@ class TestExecutorParity:
             assert executor._pool is not None
 
     def test_run_grid_entry_point(self, framework, references):
-        grid = framework.run_grid("smp", executor="threads", workers=2)
+        grid = framework.run_grid("smp", executor="processes", workers=2)
         assert grid.matches == references["smp"].matches
         assert grid.to_scheme_result().scheme == "smp"

@@ -7,10 +7,10 @@ pool death, stragglers — a supervised grid run must produce a match set
 byte-identical to an uninjected serial run, and a schedule that exceeds the
 whole budget (retries *and* the degraded inline path) must surface a typed
 :class:`~repro.exceptions.TaskFailedError` carrying the full attempt
-history.  A fixed matrix covers dict/compact store backends × threads /
-processes executors; a hypothesis property drives random schedules at the
-same invariant; further tests compose the supervisor with the streaming and
-durability layers.
+history.  A fixed matrix covers dict/compact store backends × a thread pool
+(the cheap fixture) / process executors; a hypothesis property drives random
+schedules at the same invariant; further tests compose the supervisor with
+the streaming and durability layers.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from repro.parallel import (
     ResilientExecutor,
     RoundReport,
     SerialExecutor,
-    ThreadedExecutor,
     validate_map_result,
 )
-from tests.faultinject import FaultInjected, FaultSpec, FaultyExecutor
+from tests.faultinject import FaultInjected, FaultSpec, FaultyExecutor, ThreadPool
 from tests.util import build_chain_store, build_two_hop_store, chain_cover, \
     chain_pair, two_hop_rules
 
@@ -93,7 +92,7 @@ class TestSupervisedExecution:
         assert executor.pop_report() is None  # consumed
 
     def test_clean_run_threaded_inner(self):
-        executor = ResilientExecutor(ThreadedExecutor(2))
+        executor = ResilientExecutor(ThreadPool(2))
         results = executor.map_tasks(
             [(f"t{i}", functools.partial(_echo, i)) for i in range(8)])
         assert results == {f"t{i}": i for i in range(8)}
@@ -101,7 +100,7 @@ class TestSupervisedExecution:
 
     @pytest.mark.parametrize("inner", ["serial", "threads"])
     def test_fail_once_is_retried(self, inner):
-        base = SerialExecutor() if inner == "serial" else ThreadedExecutor(2)
+        base = SerialExecutor() if inner == "serial" else ThreadPool(2)
         faulty = FaultyExecutor(base, {"a": FaultSpec("fail", times=1)})
         executor = ResilientExecutor(faulty, FaultPolicy(retries=2, **FAST))
         results = executor.map_tasks([("a", functools.partial(_echo, "A")),
@@ -112,7 +111,7 @@ class TestSupervisedExecution:
         assert faulty.attempts["a"] == 2
 
     def test_fail_n_within_budget(self):
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("fail", times=3)})
         executor = ResilientExecutor(faulty, FaultPolicy(retries=3, **FAST))
         assert executor.map_tasks(
@@ -121,7 +120,7 @@ class TestSupervisedExecution:
 
     def test_budget_exhausted_rescued_by_degraded_inline_run(self):
         # 3 pool attempts fail (retries=2), the 4th — inline — is clean.
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("fail", times=3)})
         executor = ResilientExecutor(faulty, FaultPolicy(retries=2, **FAST))
         assert executor.map_tasks(
@@ -131,7 +130,7 @@ class TestSupervisedExecution:
         assert faulty.attempts["a"] == 4  # run_inline is faulted too
 
     def test_poison_task_raises_with_full_history(self):
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("fail", times=99)})
         executor = ResilientExecutor(faulty, FaultPolicy(retries=2, **FAST))
         with pytest.raises(TaskFailedError) as excinfo:
@@ -146,7 +145,7 @@ class TestSupervisedExecution:
         assert "failed after 4 attempt(s)" in str(error)
 
     def test_degradation_can_be_disabled(self):
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("fail", times=99)})
         executor = ResilientExecutor(
             faulty, FaultPolicy(retries=1, degrade_serially=False, **FAST))
@@ -157,7 +156,7 @@ class TestSupervisedExecution:
 
     def test_hang_past_deadline_is_abandoned_and_retried(self):
         faulty = FaultyExecutor(
-            ThreadedExecutor(2), {"slow": FaultSpec("hang", times=1, delay=5.0)})
+            ThreadPool(2), {"slow": FaultSpec("hang", times=1, delay=5.0)})
         executor = ResilientExecutor(
             faulty, FaultPolicy(task_timeout=0.1, retries=2, **FAST))
         with executor:
@@ -170,7 +169,7 @@ class TestSupervisedExecution:
 
     def test_speculation_beats_straggler(self):
         faulty = FaultyExecutor(
-            ThreadedExecutor(4), {"n7": FaultSpec("hang", times=1, delay=5.0)})
+            ThreadPool(4), {"n7": FaultSpec("hang", times=1, delay=5.0)})
         executor = ResilientExecutor(faulty, FaultPolicy(speculate=True))
         import time
         with executor:
@@ -185,7 +184,7 @@ class TestSupervisedExecution:
         assert elapsed < 4.0  # did not wait out the 5s hang
 
     def test_wrong_result_rejected_by_validator(self):
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("wrong-result", times=1)})
         executor = ResilientExecutor(
             faulty, FaultPolicy(retries=2, **FAST),
@@ -196,7 +195,7 @@ class TestSupervisedExecution:
         assert report.invalid_results == 1 and report.retries == 1
 
     def test_simulated_pool_death_rebuilds_and_is_uncharged(self):
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("pool-death", times=1)})
         # retries=0: recovery must not charge the task's budget.
         executor = ResilientExecutor(faulty, FaultPolicy(retries=0, **FAST))
@@ -208,7 +207,7 @@ class TestSupervisedExecution:
         assert report.failures == 0
 
     def test_pool_rebuild_cap(self):
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"a": FaultSpec("pool-death", times=99)})
         executor = ResilientExecutor(
             faulty, FaultPolicy(retries=0, max_pool_rebuilds=2, **FAST))
@@ -216,19 +215,22 @@ class TestSupervisedExecution:
             executor.map_tasks([("a", functools.partial(_echo, 1))])
 
     def test_real_process_pool_death_with_share_replay(self, tmp_path):
-        from repro.parallel.shared import get_shared
-
         flag = tmp_path / "died-once"
         faulty = FaultyExecutor(ProcessExecutor(2), {})
         executor = ResilientExecutor(faulty, FaultPolicy(retries=1, **FAST))
         executor.share("base", 1000)
-        with executor:
-            tasks = [(f"t{i}", functools.partial(_shared_add, i))
-                     for i in range(4)]
-            tasks.append(("killer", functools.partial(_exit_once, str(flag))))
-            results = executor.map_tasks(tasks)
+        try:
+            with executor:
+                tasks = [(f"t{i}", functools.partial(_shared_add, i))
+                         for i in range(4)]
+                tasks.append(("killer",
+                              functools.partial(_exit_once, str(flag))))
+                results = executor.map_tasks(tasks)
+        finally:
+            executor.unshare("base")
         assert results["killer"] == "survived"
-        # Tasks run after the rebuild still see the broadcast payload.
+        # Tasks run after the rebuild still see the broadcast payload: the
+        # rebuilt pool re-ships what the executor recorded.
         assert all(results[f"t{i}"] == 1000 + i for i in range(4))
         assert executor.pop_report().pool_rebuilds >= 1
 
@@ -249,14 +251,14 @@ class TestSupervisedExecution:
         with pytest.raises(ExperimentError, match="duplicate"):
             executor.map_tasks([("a", functools.partial(_echo, 1)),
                                 ("a", functools.partial(_echo, 2))])
-        executor = ResilientExecutor(ThreadedExecutor(2))
+        executor = ResilientExecutor(ThreadPool(2))
         with pytest.raises(ExperimentError, match="duplicate"):
             executor.map_tasks([("a", functools.partial(_echo, 1)),
                                 ("a", functools.partial(_echo, 2))])
 
     def test_kind_reflects_inner(self):
         assert ResilientExecutor(SerialExecutor()).kind == "resilient+serial"
-        assert ResilientExecutor(ThreadedExecutor(1)).kind == "resilient+threads"
+        assert ResilientExecutor(ThreadPool(1)).kind == "resilient+threads"
 
 
 def _shared_add(i):
@@ -321,7 +323,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("schedule_name", sorted(_SCHEDULES))
     @pytest.mark.parametrize("backend", ["dict", "compact"])
     def test_threads_match_serial_reference(self, backend, schedule_name):
-        self._run(ThreadedExecutor(2), backend, schedule_name)
+        self._run(ThreadPool(2), backend, schedule_name)
 
     # The process cells are trimmed to the schedules that exercise
     # process-specific machinery (pickled faulted payloads, a broken pool):
@@ -349,6 +351,21 @@ class TestChaosMatrix:
         assert total.attempts >= total.tasks + (0 if schedule_name == "hang"
                                                 else min(injected, 1))
 
+    @pytest.mark.parametrize("backend", ["dict", "compact"])
+    def test_degraded_inline_run_on_a_process_pool(self, backend):
+        # Both pool attempts of ring-0 fail, so the supervisor re-runs it in
+        # this process, which must resolve the broadcast snapshot too.
+        store, cover = _ring_fixture()
+        if backend == "compact":
+            store = CompactStore.from_store(store)
+        faulty = FaultyExecutor(ProcessExecutor(2),
+                                {"ring-0": FaultSpec("fail", times=2)})
+        grid = GridExecutor(scheme="mmp", executor=faulty,
+                            fault_policy=FaultPolicy(retries=1, **FAST))
+        result = grid.run(MLNMatcher(rules=paper_author_rules()), store, cover)
+        assert result.matches == self.reference
+        assert RoundReport.aggregate(result.round_reports).degraded == 1
+
     def test_round_reports_absent_without_policy(self):
         store, cover = _ring_fixture()
         result = GridExecutor(scheme="mmp").run(
@@ -357,7 +374,7 @@ class TestChaosMatrix:
 
     def test_poison_neighborhood_surfaces_task_failed_error(self):
         store, cover = _ring_fixture()
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"ring-2": FaultSpec("fail", times=99)})
         grid = GridExecutor(scheme="mmp", executor=faulty,
                             fault_policy=FaultPolicy(retries=1, **FAST))
@@ -371,7 +388,7 @@ class TestChaosMatrix:
         # the degraded run also corrupted, the grid must fail rather than
         # commit a bogus result.
         store, cover = _ring_fixture()
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"ring-1": FaultSpec("wrong-result", times=99)})
         grid = GridExecutor(scheme="mmp", executor=faulty,
                             fault_policy=FaultPolicy(retries=0, **FAST))
@@ -386,7 +403,7 @@ class TestChaosMatrix:
                                 cover=cover, fault_policy=FaultPolicy(**FAST))
         reference = EMFramework(MLNMatcher(rules=two_hop_rules()), store,
                                 cover=cover).run("smp")
-        result = framework.run_grid("smp", executor="threads", workers=2)
+        result = framework.run_grid("smp", executor=ThreadPool(2))
         assert result.matches == reference.matches
         assert result.executor == "resilient+threads"
         assert result.round_reports
@@ -420,7 +437,7 @@ class TestRandomSchedules:
     @given(schedule=_schedule_strategy)
     def test_any_schedule_within_budget_is_transparent(self, schedule):
         store, cover = _ring_fixture()
-        faulty = FaultyExecutor(ThreadedExecutor(2), schedule)
+        faulty = FaultyExecutor(ThreadPool(2), schedule)
         # retries=3 covers times<=3; pool deaths are uncharged but bounded,
         # so give the round plenty of rebuild headroom.
         policy = FaultPolicy(retries=3, max_pool_rebuilds=50, **FAST)
@@ -448,7 +465,7 @@ class TestStreamingComposition:
         clean = StreamSession(MLNMatcher(), store.copy())
         clean.start()
 
-        faulty = FaultyExecutor(ThreadedExecutor(2),
+        faulty = FaultyExecutor(ThreadPool(2),
                                 {"*": FaultSpec("fail", times=1)})
         supervised = StreamSession(MLNMatcher(), store.copy(),
                                    executor=faulty,
@@ -486,7 +503,7 @@ class TestStreamingComposition:
         for batch in log:
             reference.apply(batch)
 
-        faulty = FaultyExecutor(ThreadedExecutor(2), {})
+        faulty = FaultyExecutor(ThreadPool(2), {})
         session = StreamSession(MLNMatcher(), store.copy(), executor=faulty,
                                 fault_policy=FaultPolicy(
                                     retries=0, degrade_serially=False, **FAST))
